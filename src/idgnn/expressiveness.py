@@ -10,8 +10,6 @@ from __future__ import annotations
 
 import csv
 import io
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,15 +23,6 @@ from .wl import are_isomorphic, wl_graph_hash
 
 _PREFILTER_K = 10
 _REGEN_BUDGET_FACTOR = 50
-
-
-def worker_count() -> int:
-    """Thread count for per-graph work; IDGNN_THREADS is the only override."""
-    raw = os.environ.get("IDGNN_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
 
 
 @dataclass
@@ -121,12 +110,7 @@ def run_regular_experiment(n: int, d: int, graph_count: int, k_list,
     pool, regen = build_nonisomorphic_pool(n, d, graph_count, seed)
 
     k_max = k_list[-1]
-    threads = worker_count()
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as ex:
-            feats = list(ex.map(lambda g: walk_count_features(g, k_max), pool))
-    else:
-        feats = [walk_count_features(g, k_max) for g in pool]
+    feats = [walk_count_features(g, k_max) for g in pool]
 
     fractions = {}
     for k in k_list:

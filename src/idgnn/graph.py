@@ -21,14 +21,13 @@ class Graph:
     ``edges`` holds each edge once as ``(u, v)`` with ``u < v``;
     ``adjacency[v]`` is the ascending tuple of neighbors of ``v``.
     ``node_features`` (if present) is a read-only float array with one row
-    per node. ``edge_features`` maps canonical ``(u, v)`` pairs to vectors.
+    per node.
     """
 
     num_nodes: int
     edges: tuple[tuple[int, int], ...]
     adjacency: tuple[tuple[int, ...], ...]
     node_features: np.ndarray | None = None
-    edge_features: dict[tuple[int, int], np.ndarray] | None = None
 
     @property
     def num_edges(self) -> int:
@@ -79,12 +78,7 @@ def _check_node(g_or_n, v: int, name: str = "node") -> None:
         raise InputError(f"{name} {v!r} out of range for graph with {n} nodes")
 
 
-def build_graph(
-    num_nodes: int,
-    edges,
-    node_features=None,
-    edge_features: dict[tuple[int, int], np.ndarray] | None = None,
-) -> Graph:
+def build_graph(num_nodes: int, edges, node_features=None) -> Graph:
     """Construct a Graph, dropping self-loops and collapsing duplicate edges.
 
     Raises InputError on out-of-range endpoints or a feature row-count
@@ -117,18 +111,7 @@ def build_graph(
             )
         feats.setflags(write=False)
 
-    efeats = None
-    if edge_features is not None:
-        efeats = {}
-        for (u, v), vec in edge_features.items():
-            key = (u, v) if u < v else (v, u)
-            if key not in canon:
-                raise InputError(f"edge feature for non-edge {key}")
-            arr = np.asarray(vec, dtype=np.float64)
-            arr.setflags(write=False)
-            efeats[key] = arr
-
-    return Graph(num_nodes, edge_tuple, adjacency, feats, efeats)
+    return Graph(num_nodes, edge_tuple, adjacency, feats)
 
 
 def bfs_distances(g: Graph, source: int, cap: int) -> list[int | None]:
@@ -153,8 +136,8 @@ def bfs_distances(g: Graph, source: int, cap: int) -> list[int | None]:
 def induced_subgraph(g: Graph, nodes) -> tuple[Graph, tuple[int, ...]]:
     """Induced subgraph on ``nodes``; returns (subgraph, local-to-parent map).
 
-    Local ids follow ascending parent id order. Node and edge features are
-    sliced from the parent graph.
+    Local ids follow ascending parent id order. Node features are sliced
+    from the parent graph.
     """
     parents = tuple(sorted(set(int(v) for v in nodes)))
     for v in parents:
@@ -168,14 +151,7 @@ def induced_subgraph(g: Graph, nodes) -> tuple[Graph, tuple[int, ...]]:
     feats = None
     if g.node_features is not None:
         feats = g.node_features[list(parents), :]
-    efeats = None
-    if g.edge_features is not None:
-        efeats = {
-            (local[u], local[v]): vec
-            for (u, v), vec in g.edge_features.items()
-            if u in member and v in member
-        }
-    sub = build_graph(len(parents), sub_edges, feats, efeats)
+    sub = build_graph(len(parents), sub_edges, feats)
     return sub, parents
 
 
@@ -220,7 +196,4 @@ def relabel_graph(g: Graph, perm) -> Graph:
         inv = np.empty(g.num_nodes, dtype=np.int64)
         inv[perm] = np.arange(g.num_nodes)
         feats = g.node_features[inv, :]
-    efeats = None
-    if g.edge_features is not None:
-        efeats = {(perm[u], perm[v]): vec for (u, v), vec in g.edge_features.items()}
-    return build_graph(g.num_nodes, edges, feats, efeats)
+    return build_graph(g.num_nodes, edges, feats)

@@ -12,6 +12,11 @@ Flavors:
         sum / mean / max over open neighborhoods
   gin   z = (1 + eps) * h + sum(msg(h)); h' = ReLU(W2 @ ReLU(W1 @ z))
 
+Each flavor has one layer forward and one layer backward. Messages are
+per sender node, so aggregation is a product with the dense adjacency
+(sum, mean, gin) or its normalized form (gcn), and max aggregation is a
+segmented reduction over the concatenated neighbor lists (see _GraphOps).
+
 All tensors are float64. Forward passes record a Tape of per-layer caches;
 backward walks the tape and returns exact gradients for every parameter
 (max aggregation routes ties to the lowest-index maximizer, ReLU uses
@@ -28,6 +33,7 @@ from __future__ import annotations
 import json
 import struct
 from dataclasses import dataclass, field, asdict, replace
+from itertools import chain
 
 import numpy as np
 
@@ -54,7 +60,6 @@ class ModelConfig:
     aggregation: str = ""
     fast_k: int = 10
     seed: int = 0
-    edge_dim: int = 0  # width of per-edge features folded into messages
 
     def __post_init__(self):
         if self.flavor not in FLAVORS:
@@ -65,8 +70,6 @@ class ModelConfig:
             raise InputError("num_layers must be >= 1")
         if min(self.hidden_dim, self.input_dim, self.output_dim) < 1:
             raise InputError("all dimensions must be >= 1")
-        if self.edge_dim < 0:
-            raise InputError("edge_dim must be nonnegative")
         if self.variant == "id_fast" and self.fast_k < 1:
             raise InputError("id_fast requires fast_k >= 1")
         if not self.aggregation:
@@ -165,11 +168,10 @@ def init_model(config: ModelConfig) -> Model:
         d_in = config.input_dim if i == 0 else config.hidden_dim
         d_out = config.hidden_dim
         d_msg = d_in if config.flavor == "gin" else d_out
-        fan = d_in + config.edge_dim
-        msg0_w = _uniform(rng, (d_msg, fan), fan)
+        msg0_w = _uniform(rng, (d_msg, d_in), d_in)
         msg0_b = np.zeros(d_msg)
         if config.variant == "id_full":
-            msg1_w = _uniform(rng, (d_msg, fan), fan)
+            msg1_w = _uniform(rng, (d_msg, d_in), d_in)
             msg1_b = np.zeros(d_msg)
         else:
             msg1_w, msg1_b = msg0_w, msg0_b
@@ -201,54 +203,30 @@ def init_model(config: ModelConfig) -> Model:
 
 
 class _GraphOps:
-    """Dense adjacency helpers for one (sub)graph, built per forward call.
+    """Aggregation operators for one (sub)graph, built once per forward call.
 
-    With ``edge_dim > 0`` the directed-edge arrays (src, dst, per-edge
-    features) are materialized too, since messages then differ per edge
-    rather than per source node. GCN self-loops become explicit edges with
-    zero features.
+    ``nbr`` concatenates every node's ascending neighbor list and ``dst``
+    names the receiving node of each entry; ``heads`` are the offsets where
+    the nonempty lists start. Max aggregation reduces over these arrays.
+    Sum, mean, gin and gcn use the dense ``A`` and ``A_gcn`` filled from
+    them: at ego-net scale (tens of nodes) a dense product is the fastest
+    primitive.
     """
 
-    def __init__(self, g: Graph, edge_dim: int = 0):
+    def __init__(self, g: Graph):
         n = g.num_nodes
-        self.n = n
-        self.adjacency = g.adjacency
+        deg = np.fromiter(map(len, g.adjacency), dtype=np.int64, count=n)
+        self.nbr = np.fromiter(chain.from_iterable(g.adjacency), dtype=np.int64,
+                               count=int(deg.sum()))
+        self.dst = np.repeat(np.arange(n), deg)
+        self.heads = (np.cumsum(deg) - deg)[deg > 0]
+        self.has_nbrs = deg > 0
         A = np.zeros((n, n))
-        for u, v in g.edges:
-            A[u, v] = 1.0
-            A[v, u] = 1.0
+        A[self.dst, self.nbr] = 1.0
         self.A = A
-        deg = A.sum(axis=1)
-        self.deg = deg
         self.inv_deg = np.where(deg > 0, 1.0 / np.maximum(deg, 1.0), 0.0)
         d_hat = 1.0 / np.sqrt(deg + 1.0)
         self.A_gcn = (A + np.eye(n)) * d_hat[:, None] * d_hat[None, :]
-        self.edge_dim = edge_dim
-        if edge_dim:
-            if g.edge_features is None:
-                raise InputError("model expects edge features but graph has none")
-            src, dst, feats = [], [], []
-            for u, v in g.edges:
-                f = g.edge_features.get((u, v))
-                if f is None or f.shape != (edge_dim,):
-                    raise InputError(
-                        f"edge ({u}, {v}) needs a feature vector of width {edge_dim}"
-                    )
-                src.extend((u, v))
-                dst.extend((v, u))
-                feats.extend((f, f))
-            # explicit self-loop edges with zero features, used by gcn only
-            self.loop_start = len(src)
-            src.extend(range(n))
-            dst.extend(range(n))
-            feats.extend(np.zeros(edge_dim) for _ in range(n))
-            self.src = np.array(src, dtype=np.int64)
-            self.dst = np.array(dst, dtype=np.int64)
-            self.F = np.array(feats) if feats else np.zeros((0, edge_dim))
-            self.gcn_norm = d_hat[self.src] * d_hat[self.dst]
-            self.incoming = [
-                np.flatnonzero(self.dst[: self.loop_start] == u) for u in range(n)
-            ]
 
 
 @dataclass
@@ -262,32 +240,29 @@ class Tape:
     out: np.ndarray | None = None
 
 
-def _agg_max(M: np.ndarray, adjacency):
+def _agg_max(M: np.ndarray, ops: _GraphOps):
+    """Per-node max over neighbor rows of M, and the sending neighbor of
+    each maximum (-1 at isolated nodes). Ties go to the lowest-index
+    neighbor: the first hit in each ascending neighbor list."""
     n, d = M.shape
     S = np.zeros_like(M)
     src = np.full((n, d), -1, dtype=np.int64)
-    cols = np.arange(d)
-    for u, nbrs in enumerate(adjacency):
-        if not nbrs:
-            continue
-        block = M[list(nbrs)]
-        idx = np.argmax(block, axis=0)  # first max = lowest neighbor id
-        S[u] = block[idx, cols]
-        src[u] = np.asarray(nbrs, dtype=np.int64)[idx]
+    if ops.nbr.size:
+        Mn = M[ops.nbr]
+        S[ops.has_nbrs] = np.maximum.reduceat(Mn, ops.heads, axis=0)
+        # not-below rather than equal, so a NaN maximum still picks a sender
+        hit = ~(Mn < S[ops.dst])
+        pos = np.where(hit, np.arange(len(Mn))[:, None], len(Mn))
+        first = np.minimum.reduceat(pos, ops.heads, axis=0)
+        src[ops.has_nbrs] = ops.nbr[first]
     return S, src
 
 
 def _agg_max_backward(G_S: np.ndarray, src: np.ndarray, n: int) -> np.ndarray:
-    G_M = np.zeros((n, G_S.shape[1]))
-    cols = np.arange(G_S.shape[1])
-    for u in range(n):
-        rows = src[u]
-        valid = rows >= 0
-        if valid.all():
-            np.add.at(G_M, (rows, cols), G_S[u])
-        elif valid.any():
-            np.add.at(G_M, (rows[valid], cols[valid]), G_S[u][valid])
-    return G_M
+    d = G_S.shape[1]
+    valid = src >= 0
+    flat = (src * d + np.arange(d))[valid]
+    return np.bincount(flat, weights=G_S[valid], minlength=n * d).reshape(n, d)
 
 
 def _messages(lp: LayerParams, H: np.ndarray, identity_local: int | None):
@@ -321,153 +296,8 @@ def _messages_backward(lp, H, identity_local, G_M, grads, prefix):
     return G_H
 
 
-def _edge_messages(lp: LayerParams, ops: _GraphOps, H: np.ndarray,
-                   identity_local: int | None, with_loops: bool):
-    """Per-directed-edge messages with edge features appended to the sender
-    state (the per-edge attribute hook). Returns (M, Z, edge slice used)."""
-    stop = None if with_loops else ops.loop_start
-    src = ops.src[:stop]
-    Z = np.concatenate([H[src], ops.F[:stop]], axis=1)
-    M = Z @ lp.msg0_weight.T + lp.msg0_bias
-    if identity_local is not None:
-        sel = src == identity_local
-        if sel.any():
-            M[sel] = Z[sel] @ lp.msg1_weight.T + lp.msg1_bias
-    return M, Z, src
-
-
-def _edge_messages_backward(lp, ops, Z, src, identity_local, G_M, grads,
-                            prefix, G_H):
-    if identity_local is None or not (src == identity_local).any():
-        grads[prefix + "msg0_weight"] += G_M.T @ Z
-        grads[prefix + "msg0_bias"] += G_M.sum(axis=0)
-        G_Z = G_M @ lp.msg0_weight
-    else:
-        sel = src == identity_local
-        G_M0 = G_M.copy()
-        G_M0[sel] = 0.0
-        grads[prefix + "msg0_weight"] += G_M0.T @ Z
-        grads[prefix + "msg0_bias"] += G_M0.sum(axis=0)
-        G_Z = G_M0 @ lp.msg0_weight
-        shared = lp.msg1_weight is lp.msg0_weight
-        key_w = prefix + ("msg0_weight" if shared else "msg1_weight")
-        key_b = prefix + ("msg0_bias" if shared else "msg1_bias")
-        grads[key_w] += G_M[sel].T @ Z[sel]
-        grads[key_b] += G_M[sel].sum(axis=0)
-        G_Z[sel] = G_M[sel] @ lp.msg1_weight
-    d_in = G_H.shape[1]
-    np.add.at(G_H, src, G_Z[:, :d_in])
-
-
-def _layer_forward_edge(lp: LayerParams, config: ModelConfig, ops: _GraphOps,
-                        H: np.ndarray, identity_local: int | None):
-    n = ops.n
-    cache: dict = {"H": H}
-    if config.flavor == "gcn":
-        M, Z, src = _edge_messages(lp, ops, H, identity_local, with_loops=True)
-        S = np.zeros((n, M.shape[1]))
-        np.add.at(S, ops.dst, ops.gcn_norm[:, None] * M)
-        cache.update(M=M, Z=Z, src=src, S=S)
-        return np.maximum(S, 0.0), cache
-    M, Z, src = _edge_messages(lp, ops, H, identity_local, with_loops=False)
-    dst = ops.dst[: ops.loop_start]
-    cache.update(M=M, Z=Z, src=src)
-    if config.flavor == "sage":
-        Mr = np.maximum(M, 0.0)
-        if config.aggregation == "max":
-            S = np.zeros((n, M.shape[1]))
-            pick = np.full((n, M.shape[1]), -1, dtype=np.int64)
-            cols = np.arange(M.shape[1])
-            for u in range(n):
-                inc = ops.incoming[u]
-                if inc.size:
-                    block = Mr[inc]
-                    idx = np.argmax(block, axis=0)
-                    S[u] = block[idx, cols]
-                    pick[u] = inc[idx]
-            cache["pick"] = pick
-        else:
-            S = np.zeros((n, M.shape[1]))
-            np.add.at(S, dst, Mr)
-            if config.aggregation == "mean":
-                S *= ops.inv_deg[:, None]
-        Zu = np.concatenate([S, H], axis=1)
-        P = Zu @ lp.update_weight.T + lp.update_bias
-        cache.update(Zu=Zu, P=P)
-        return np.maximum(P, 0.0), cache
-    # gin: plain sum over incoming edge messages
-    S = np.zeros((n, M.shape[1]))
-    np.add.at(S, dst, M)
-    eps = float(lp.gin_eps)
-    Zg = (1.0 + eps) * H + S
-    P1 = Zg @ lp.update_weight.T + lp.update_bias
-    Hd = np.maximum(P1, 0.0)
-    P2 = Hd @ lp.mlp2_weight.T + lp.mlp2_bias
-    cache.update(Zg=Zg, P1=P1, Hd=Hd, P2=P2)
-    return np.maximum(P2, 0.0), cache
-
-
-def _layer_backward_edge(lp: LayerParams, config: ModelConfig, ops: _GraphOps,
-                         cache: dict, identity_local: int | None,
-                         G_out: np.ndarray, grads: dict, prefix: str) -> np.ndarray:
-    H = cache["H"]
-    G_H = np.zeros_like(H)
-    dst = ops.dst[: ops.loop_start]
-    if config.flavor == "gcn":
-        G_S = G_out * (cache["S"] > 0.0)
-        G_M = ops.gcn_norm[:, None] * G_S[ops.dst]
-        _edge_messages_backward(lp, ops, cache["Z"], cache["src"],
-                                identity_local, G_M, grads, prefix, G_H)
-        return G_H
-    if config.flavor == "sage":
-        G_P = G_out * (cache["P"] > 0.0)
-        grads[prefix + "update_weight"] += G_P.T @ cache["Zu"]
-        grads[prefix + "update_bias"] += G_P.sum(axis=0)
-        G_Zu = G_P @ lp.update_weight
-        d_out = config.hidden_dim
-        G_S = G_Zu[:, :d_out]
-        G_H += G_Zu[:, d_out:]
-        M = cache["M"]
-        if config.aggregation == "max":
-            G_Mr = np.zeros_like(M)
-            cols = np.arange(M.shape[1])
-            for u in range(ops.n):
-                rows = cache["pick"][u]
-                valid = rows >= 0
-                if valid.all():
-                    np.add.at(G_Mr, (rows, cols), G_S[u])
-                elif valid.any():
-                    np.add.at(G_Mr, (rows[valid], cols[valid]), G_S[u][valid])
-        elif config.aggregation == "mean":
-            G_Mr = (ops.inv_deg[:, None] * G_S)[dst]
-        else:
-            G_Mr = G_S[dst]
-        G_M = G_Mr * (M > 0.0)
-        _edge_messages_backward(lp, ops, cache["Z"], cache["src"],
-                                identity_local, G_M, grads, prefix, G_H)
-        return G_H
-    # gin
-    G_P2 = G_out * (cache["P2"] > 0.0)
-    grads[prefix + "mlp2_weight"] += G_P2.T @ cache["Hd"]
-    grads[prefix + "mlp2_bias"] += G_P2.sum(axis=0)
-    G_Hd = G_P2 @ lp.mlp2_weight
-    G_P1 = G_Hd * (cache["P1"] > 0.0)
-    grads[prefix + "update_weight"] += G_P1.T @ cache["Zg"]
-    grads[prefix + "update_bias"] += G_P1.sum(axis=0)
-    G_Z = G_P1 @ lp.update_weight
-    eps = float(lp.gin_eps)
-    grads[prefix + "gin_eps"] += np.sum(G_Z * H)
-    G_H += (1.0 + eps) * G_Z
-    G_M = G_Z[dst]
-    _edge_messages_backward(lp, ops, cache["Z"], cache["src"],
-                            identity_local, G_M, grads, prefix, G_H)
-    return G_H
-
-
 def _layer_forward(lp: LayerParams, config: ModelConfig, ops: _GraphOps,
                    H: np.ndarray, identity_local: int | None) -> tuple[np.ndarray, dict]:
-    if ops.edge_dim:
-        return _layer_forward_edge(lp, config, ops, H, identity_local)
     cache: dict = {"H": H}
     M = _messages(lp, H, identity_local)
     cache["M"] = M
@@ -482,7 +312,7 @@ def _layer_forward(lp: LayerParams, config: ModelConfig, ops: _GraphOps,
         elif config.aggregation == "mean":
             S = ops.inv_deg[:, None] * (ops.A @ Mr)
         else:
-            S, src = _agg_max(Mr, ops.adjacency)
+            S, src = _agg_max(Mr, ops)
             cache["src"] = src
         Z = np.concatenate([S, H], axis=1)
         P = Z @ lp.update_weight.T + lp.update_bias
@@ -502,9 +332,6 @@ def _layer_forward(lp: LayerParams, config: ModelConfig, ops: _GraphOps,
 def _layer_backward(lp: LayerParams, config: ModelConfig, ops: _GraphOps,
                     cache: dict, identity_local: int | None,
                     G_out: np.ndarray, grads: dict, prefix: str) -> np.ndarray:
-    if ops.edge_dim:
-        return _layer_backward_edge(lp, config, ops, cache, identity_local,
-                                    G_out, grads, prefix)
     H = cache["H"]
     M = cache["M"]
     if config.flavor == "gcn":
@@ -559,7 +386,7 @@ def _check_features(config: ModelConfig, g: Graph, x: np.ndarray) -> np.ndarray:
 
 def _run_layers(model: Model, g: Graph, x: np.ndarray,
                 identity_local: int | None, record: bool):
-    ops = _GraphOps(g, model.config.edge_dim)
+    ops = _GraphOps(g)
     tape = Tape(ops=ops, x=x, identity_local=identity_local) if record else None
     H = x
     for lp in model.layers:
@@ -785,26 +612,38 @@ def save_model(model: Model, path: str) -> None:
 
 
 def load_model(path: str) -> Model:
+    """Read a checkpoint written by save_model; malformed content raises
+    InputError.
+
+    Older headers carry ``"edge_dim": 0`` from the removed edge-feature
+    path; it is accepted and dropped, and a nonzero width is rejected.
+    """
     with open(path, "rb") as fh:
-        magic = fh.read(len(CHECKPOINT_MAGIC))
-        if magic != CHECKPOINT_MAGIC:
-            raise InputError(f"{path} is not a model checkpoint")
-        (hlen,) = struct.unpack("<I", fh.read(4))
-        header = json.loads(fh.read(hlen).decode())
-        blob = fh.read()
-    config = ModelConfig(**header["config"])
+        raw = fh.read()
+    start = len(CHECKPOINT_MAGIC) + 4
+    if len(raw) < start or not raw.startswith(CHECKPOINT_MAGIC):
+        raise InputError(f"{path} is not a model checkpoint")
+    (hlen,) = struct.unpack_from("<I", raw, len(CHECKPOINT_MAGIC))
+    blob = raw[start + hlen:]
+    try:
+        header = json.loads(raw[start:start + hlen].decode())
+        cfg = dict(header["config"])
+        layout = [(e["name"], tuple(e["shape"])) for e in header["params"]]
+        edge_dim = cfg.pop("edge_dim", 0)
+        if edge_dim != 0:
+            raise InputError(f"edge_dim {edge_dim}: edge features are not supported")
+        config = ModelConfig(**cfg)
+    except (ValueError, KeyError, TypeError) as exc:
+        raise InputError(f"{path}: bad checkpoint header: {exc}") from None
     model = init_model(config)
-    params = dict(model.named_parameters())
+    params = model.named_parameters()
+    if [(name, arr.shape) for name, arr in params] != layout:
+        raise InputError(f"{path}: checkpoint parameters do not match its config")
+    if len(blob) != 8 * sum(arr.size for _, arr in params):
+        raise InputError(f"{path}: checkpoint blob size mismatch")
     offset = 0
-    for entry in header["params"]:
-        name, shape = entry["name"], tuple(entry["shape"])
-        arr = params[name]
-        if arr.shape != shape:
-            raise InputError(f"checkpoint shape mismatch for {name}")
-        nbytes = arr.size * 8
-        flat = np.frombuffer(blob[offset:offset + nbytes], dtype="<f8")
-        arr[...] = flat.reshape(shape)
-        offset += nbytes
-    if offset != len(blob):
-        raise InputError("checkpoint blob size mismatch")
+    for _, arr in params:
+        arr[...] = np.frombuffer(blob, dtype="<f8", count=arr.size,
+                                 offset=offset).reshape(arr.shape)
+        offset += arr.size * 8
     return model

@@ -35,9 +35,8 @@ def _pattern(tapes, pair_caches) -> bytes:
             for key in ("M", "S", "P", "P1", "P2"):
                 if key in cache:
                     h.update((cache[key] > 0.0).tobytes())
-            for key in ("src", "pick"):
-                if key in cache and isinstance(cache[key], np.ndarray):
-                    h.update(cache[key].tobytes())
+            if "src" in cache:
+                h.update(cache["src"].tobytes())
     for cache in pair_caches:
         h.update((cache["p1"] > 0.0).tobytes())
     return h.digest()

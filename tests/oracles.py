@@ -90,3 +90,32 @@ def random_mixed_graphs(count: int, seed: int, max_n: int = 40) -> list[Graph]:
             spec = GeneratorSpec(family, n, m, float(rng.uniform(0, 0.8)))
         graphs.append(generate_one(spec, child_seed(seed, i)))
     return graphs
+
+
+def max_aggregate_naive(M: np.ndarray, g: Graph) -> tuple[np.ndarray, np.ndarray]:
+    """Per-node, per-column max over neighbor rows of M and its sender.
+
+    Neighbors are scanned in ascending id order and only a strictly larger
+    value replaces the running maximum, so ties go to the lowest id. An
+    isolated node keeps S = 0 and sender -1.
+    """
+    n, d = M.shape
+    S = np.zeros((n, d))
+    src = np.full((n, d), -1, dtype=np.int64)
+    for u in range(n):
+        for c in range(d):
+            for w in sorted(g.adjacency[u]):
+                if src[u, c] < 0 or M[w, c] > S[u, c]:
+                    S[u, c] = M[w, c]
+                    src[u, c] = w
+    return S, src
+
+
+def max_scatter_naive(G_S: np.ndarray, src: np.ndarray, n: int) -> np.ndarray:
+    """Route each aggregate's gradient back to the row that sent its max."""
+    G_M = np.zeros((n, G_S.shape[1]))
+    for u in range(src.shape[0]):
+        for c in range(src.shape[1]):
+            if src[u, c] >= 0:
+                G_M[src[u, c], c] += G_S[u, c]
+    return G_M

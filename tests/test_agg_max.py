@@ -1,0 +1,53 @@
+import numpy as np
+from hypothesis import given, settings, strategies as st
+
+from idgnn.graph import build_graph
+from idgnn.nn import _agg_max, _agg_max_backward, _GraphOps
+from oracles import max_aggregate_naive, max_scatter_naive
+
+
+@st.composite
+def graph_and_messages(draw):
+    """A graph whose last ``isolated`` nodes have no edges, with small
+    integer-valued messages and upstream gradients so ties are common and
+    every sum is exact."""
+    n = draw(st.integers(1, 12))
+    isolated = draw(st.integers(0, 2))
+    pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+    edges = draw(st.lists(pairs, max_size=3 * n))
+    g = build_graph(n + isolated, edges)
+    d = draw(st.integers(1, 4))
+    ints = st.lists(st.integers(-2, 2), min_size=g.num_nodes * d,
+                    max_size=g.num_nodes * d)
+    M = np.array(draw(ints), dtype=np.float64).reshape(g.num_nodes, d)
+    G_S = np.array(draw(ints), dtype=np.float64).reshape(g.num_nodes, d)
+    return g, M, G_S
+
+
+@given(graph_and_messages())
+@settings(max_examples=150)
+def test_agg_max_matches_naive_loop(case):
+    g, M, G_S = case
+    S, src = _agg_max(M, _GraphOps(g))
+    S_ref, src_ref = max_aggregate_naive(M, g)
+    np.testing.assert_array_equal(S, S_ref)
+    np.testing.assert_array_equal(src, src_ref)
+    isolated = [v for v in range(g.num_nodes) if not g.adjacency[v]]
+    assert (src[isolated] == -1).all()
+    np.testing.assert_array_equal(
+        _agg_max_backward(G_S, src, g.num_nodes),
+        max_scatter_naive(G_S, src_ref, g.num_nodes),
+    )
+
+
+def test_ties_route_to_lowest_neighbor():
+    # node 0 sees neighbors 1, 2, 3; columns tie on {2, 3}, {1, 2, 3}, {1, 3}
+    g = build_graph(4, [(0, 1), (0, 2), (0, 3)])
+    M = np.array([[9.0, 9.0, 9.0],
+                  [0.0, 5.0, 4.0],
+                  [3.0, 5.0, 1.0],
+                  [3.0, 5.0, 4.0]])
+    S, src = _agg_max(M, _GraphOps(g))
+    assert S[0].tolist() == [3.0, 5.0, 4.0]
+    assert src[0].tolist() == [2, 1, 1]
+    assert src[1:].tolist() == [[0, 0, 0]] * 3

@@ -1,5 +1,6 @@
 import json
 import os
+import struct
 
 import pytest
 
@@ -203,6 +204,68 @@ class TestTrainEval:
                     "--task", "node-cc"]) == 0
         result = json.loads(capsys.readouterr().out.strip().split("\n")[-1])
         assert 0.0 <= result["accuracy"] <= 1.0
+
+
+class TestCheckpointHeader:
+    """Malformed checkpoints written from a real ``train`` run end in exit 2
+    with one stderr line; headers from before edge features were removed
+    carry ``"edge_dim": 0`` and still load."""
+
+    @pytest.fixture()
+    def raw(self, tmp_path, tiny_dataset):
+        ckpt = tmp_path / "m.ckpt"
+        assert run(["train", "--data", tiny_dataset, "--task", "node-cc",
+                    "--flavor", "sage", "--aggregation", "max", "--epochs", "2",
+                    "--hidden", "6", "--seed", "0", "--out", str(ckpt)]) == 0
+        return ckpt.read_bytes()
+
+    @staticmethod
+    def with_config(raw, **changes):
+        (hlen,) = struct.unpack("<I", raw[8:12])
+        header = json.loads(raw[12:12 + hlen])
+        header["config"].update(changes)
+        body = json.dumps(header, separators=(",", ":")).encode()
+        return raw[:8] + struct.pack("<I", len(body)) + body + raw[12 + hlen:]
+
+    def eval_bytes(self, tmp_path, tiny_dataset, data, capsys):
+        path = tmp_path / "edited.ckpt"
+        path.write_bytes(data)
+        capsys.readouterr()
+        code = run(["eval", "--model", str(path), "--data", tiny_dataset,
+                    "--task", "node-cc"])
+        return code, capsys.readouterr()
+
+    def assert_input_error(self, tmp_path, tiny_dataset, data, capsys):
+        code, captured = self.eval_bytes(tmp_path, tiny_dataset, data, capsys)
+        assert code == 2
+        assert len(captured.err.strip().split("\n")) == 1
+        assert captured.err.startswith("error: ")
+
+    def test_truncated_header(self, tmp_path, tiny_dataset, raw, capsys):
+        (hlen,) = struct.unpack("<I", raw[8:12])
+        self.assert_input_error(tmp_path, tiny_dataset, raw[:12 + hlen // 2], capsys)
+        self.assert_input_error(tmp_path, tiny_dataset, raw[:10], capsys)
+
+    def test_short_blob(self, tmp_path, tiny_dataset, raw, capsys):
+        self.assert_input_error(tmp_path, tiny_dataset, raw[:-8], capsys)
+        self.assert_input_error(tmp_path, tiny_dataset, raw[:-3], capsys)
+
+    def test_unknown_config_key(self, tmp_path, tiny_dataset, raw, capsys):
+        edited = self.with_config(raw, dropout=0.5)
+        self.assert_input_error(tmp_path, tiny_dataset, edited, capsys)
+
+    def test_nonzero_edge_dim_rejected(self, tmp_path, tiny_dataset, raw, capsys):
+        edited = self.with_config(raw, edge_dim=2)
+        self.assert_input_error(tmp_path, tiny_dataset, edited, capsys)
+
+    def test_legacy_zero_edge_dim_loads(self, tmp_path, tiny_dataset, raw, capsys):
+        assert b"edge_dim" not in raw
+        code, fresh = self.eval_bytes(tmp_path, tiny_dataset, raw, capsys)
+        assert code == 0
+        edited = self.with_config(raw, edge_dim=0)
+        code, legacy = self.eval_bytes(tmp_path, tiny_dataset, edited, capsys)
+        assert code == 0
+        assert legacy.out == fresh.out
 
 
 class TestReport:

@@ -5,7 +5,6 @@ from idgnn.expressiveness import (
     build_nonisomorphic_pool,
     certify_gnn_blindness,
     run_regular_experiment,
-    worker_count,
 )
 from idgnn.generators import gen_d_regular
 from idgnn.graph import build_graph
@@ -88,20 +87,3 @@ class TestBlindness:
                                    hidden_dim=4, input_dim=1, output_dim=2, seed=0))
         with pytest.raises(InputError):
             certify_gnn_blindness(p3, m)
-
-
-def test_worker_count_env(monkeypatch):
-    monkeypatch.delenv("IDGNN_THREADS", raising=False)
-    assert worker_count() == 1
-    monkeypatch.setenv("IDGNN_THREADS", "4")
-    assert worker_count() == 4
-    monkeypatch.setenv("IDGNN_THREADS", "junk")
-    assert worker_count() == 1
-
-
-def test_threaded_matches_sequential(monkeypatch):
-    monkeypatch.setenv("IDGNN_THREADS", "3")
-    a = run_regular_experiment(12, 3, 6, [3, 4], seed=4)
-    monkeypatch.delenv("IDGNN_THREADS")
-    b = run_regular_experiment(12, 3, 6, [3, 4], seed=4)
-    assert a.to_obj() == b.to_obj()

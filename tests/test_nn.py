@@ -271,67 +271,6 @@ class TestReadoutAndPairs:
             edge_pair_score(np.zeros(5), np.zeros(4), m.pair_head)
 
 
-class TestEdgeFeatures:
-    def edge_graph(self, rng):
-        g = gen_small_world(8, 2, 0.5, 6)
-        feats = {e: rng.normal(size=2) for e in g.edges}
-        return build_graph(g.num_nodes, g.edges, edge_features=feats)
-
-    def test_hand_evaluated_single_edge(self):
-        g = build_graph(2, [(0, 1)], edge_features={(0, 1): np.array([0.7])})
-        cfg = ModelConfig(flavor="sage", variant="plain", num_layers=1,
-                          hidden_dim=2, input_dim=1, output_dim=2,
-                          aggregation="sum", edge_dim=1, seed=0)
-        m = init_model(cfg)
-        lp = m.layers[0]
-        lp.msg0_weight[...] = np.eye(2)  # message = [sender state, edge feature]
-        lp.msg0_bias[...] = 0.0
-        lp.update_weight[...] = np.concatenate([np.eye(2), np.zeros((2, 1))], axis=1)
-        lp.update_bias[...] = 0.0
-        H = forward_plain(m, g, np.array([[0.5], [0.25]]))
-        assert H[1].tolist() == [0.5, 0.7]   # receives sender 0 plus the edge
-        assert H[0].tolist() == [0.25, 0.7]
-
-    def test_missing_edge_features_rejected(self):
-        g = build_graph(2, [(0, 1)])
-        cfg = small_config(edge_dim=2, input_dim=1)
-        m = init_model(cfg)
-        with pytest.raises(InputError):
-            forward_plain(m, g, np.ones((2, 1)))
-
-    @pytest.mark.parametrize("flavor", ["gcn", "sage", "gin"])
-    @pytest.mark.parametrize("variant", ["plain", "id_full"])
-    def test_fd_gradients_with_edge_features(self, flavor, variant):
-        rng = np.random.default_rng(71)
-        g = self.edge_graph(rng)
-        cfg = ModelConfig(flavor=flavor, variant=variant, num_layers=2,
-                          hidden_dim=3, input_dim=2, output_dim=3,
-                          edge_dim=2, seed=5)
-        m = init_model(cfg)
-        randomize(m, seed=9)
-        x = rng.normal(size=(g.num_nodes, 2))
-        labels = rng.integers(0, 3, size=g.num_nodes)
-        checked, excluded, worst, failures = fd_check(m, g, x, labels)
-        assert not failures, failures[:3]
-        assert checked > 0
-
-    def test_identity_message_sees_edge_features(self):
-        rng = np.random.default_rng(4)
-        g = self.edge_graph(rng)
-        cfg = ModelConfig(flavor="sage", variant="id_full", num_layers=2,
-                          hidden_dim=3, input_dim=1, output_dim=2,
-                          edge_dim=2, seed=1)
-        m = init_model(cfg)
-        randomize(m, seed=14)
-        ego = extract_ego(g, 0, 2)
-        x = np.ones((ego.subgraph.num_nodes, 1))
-        h_before = forward_id_full(m, ego, x)
-        for lp in m.layers:
-            lp.msg1_weight[...] += 1.0  # only the identity node's messages move
-        h_after = forward_id_full(m, ego, x)
-        assert not np.allclose(h_before, h_after)
-
-
 class TestGradients:
     @pytest.mark.parametrize("flavor", ["gcn", "sage", "gin"])
     @pytest.mark.parametrize("variant", ["plain", "id_full", "id_fast"])
