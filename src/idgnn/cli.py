@@ -21,18 +21,17 @@ import os
 import sys
 
 from . import __version__
-from .counts import augment_features, graph_signature
+from .counts import augment_features
 from .datasets import (
     GraphRecord,
     atomic_write_text,
     dumps_canonical,
     load_graph,
     load_jsonl,
-    record_to_obj,
     save_jsonl,
 )
 from .errors import CapabilityError, InputError, NumericError
-from .expressiveness import run_regular_experiment
+from .expressiveness import SignatureIndex, run_regular_experiment
 from .generators import RNG_NAME, STREAM_SPLIT, GeneratorSpec, gen_dataset
 from .graph import build_graph
 from .nn import ModelConfig, init_model, load_model, save_model
@@ -146,17 +145,8 @@ def _cmd_wl_compare(args) -> int:
 
 def _cmd_wl_dedupe(args) -> int:
     records = load_jsonl(args.data)
-    kept: list[GraphRecord] = []
-    kept_sigs: list[bytes] = []
-    for rec in records:
-        sig = graph_signature(rec.graph, min(10, max(rec.graph.num_nodes - 1, 1)))
-        duplicate = any(
-            sig == s and are_isomorphic(rec.graph, k.graph)
-            for k, s in zip(kept, kept_sigs)
-        )
-        if not duplicate:
-            kept.append(rec)
-            kept_sigs.append(sig)
+    index = SignatureIndex()
+    kept = [rec for rec in records if index.add(rec.graph)]
     save_jsonl(kept, args.out)
     _write_manifest(args.out, "wl-dedupe", _flags(args), [args.data], [args.out])
     print(f"kept {len(kept)} of {len(records)} graphs")

@@ -55,6 +55,8 @@ def record_from_obj(obj: dict) -> GraphRecord:
     node_labels = obj.get("node_labels")
     if node_labels is not None:
         node_labels = [int(x) for x in node_labels]
+        if len(node_labels) != g.num_nodes:
+            raise ParseError(f"{len(node_labels)} node_labels for {g.num_nodes} nodes")
     return GraphRecord(g, None if label is None else int(label), node_labels)
 
 

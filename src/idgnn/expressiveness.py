@@ -10,19 +10,40 @@ from __future__ import annotations
 
 import csv
 import io
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .counts import graph_signature, walk_count_features
 from .errors import CapabilityError, InputError
 from .generators import RNG_NAME, STREAM_SPLIT, child_seed, gen_d_regular
-from .graph import Graph, extract_ego
-from .nn import Model, forward_id_full, forward_plain
+from .graph import Graph
+from .nn import Model, forward_batch, input_features, make_batch
 from .wl import are_isomorphic, wl_graph_hash
 
-_PREFILTER_K = 10
+PREFILTER_K = 10
 _REGEN_BUDGET_FACTOR = 50
+
+
+@dataclass
+class SignatureIndex:
+    """Pairwise non-isomorphic graphs kept so far, bucketed by closed-walk
+    signature (length min(PREFILTER_K, n - 1)).
+
+    Differing signatures certify non-isomorphism, so a new graph is checked
+    by exact isomorphism only against its own bucket, in insertion order.
+    """
+
+    buckets: dict[bytes, list[Graph]] = field(default_factory=dict)
+
+    def add(self, g: Graph) -> bool:
+        """Keep ``g`` unless it is isomorphic to a kept graph; True if kept."""
+        sig = graph_signature(g, min(PREFILTER_K, max(g.num_nodes - 1, 1)))
+        bucket = self.buckets.setdefault(sig, [])
+        if any(are_isomorphic(g, other) for other in bucket):
+            return False
+        bucket.append(g)
+        return True
 
 
 @dataclass
@@ -67,11 +88,10 @@ def build_nonisomorphic_pool(n: int, d: int, graph_count: int, seed: int
     """Generate graph_count pairwise non-isomorphic d-regular graphs,
     regenerating on isomorphism hits. Returns (pool, regeneration count).
 
-    Differing walk-count signatures certify non-isomorphism cheaply, so the
-    exact backtracking check only runs on signature collisions.
+    Candidates go through one SignatureIndex.
     """
+    kept = SignatureIndex()
     pool: list[Graph] = []
-    sigs: list[bytes] = []
     regen = 0
     index = 0
     budget = max(graph_count, 1) * _REGEN_BUDGET_FACTOR
@@ -83,17 +103,10 @@ def build_nonisomorphic_pool(n: int, d: int, graph_count: int, seed: int
             )
         g = gen_d_regular(n, d, child_seed(seed, index))
         index += 1
-        sig = graph_signature(g, min(_PREFILTER_K, max(n - 1, 1)))
-        duplicate = False
-        for other, other_sig in zip(pool, sigs):
-            if sig == other_sig and are_isomorphic(g, other):
-                duplicate = True
-                break
-        if duplicate:
+        if kept.add(g):
+            pool.append(g)
+        else:
             regen += 1
-            continue
-        pool.append(g)
-        sigs.append(sig)
     return pool, regen
 
 
@@ -152,31 +165,16 @@ def certify_gnn_blindness(g: Graph, model: Model, tol: float = 1e-9) -> bool:
     """True iff a forward pass with constant features yields pairwise-equal
     node embeddings on a d-regular graph (the homogeneous failure mode).
 
-    Plain and id_fast models run the whole-graph forward (id_fast appends
-    its walk-count columns to the constant base features, so it generally
-    breaks the certificate); id_full models embed every node through its own
-    ego network. Non-regular input is an error: the certificate is only
-    meaningful for regular graphs.
+    The graph runs as one batch: plain and id_fast models embed it whole
+    (id_fast appends its walk-count columns to the constant base features,
+    so it generally breaks the certificate); id_full models embed every node
+    through its own ego network. Non-regular input is an error: the
+    certificate is only meaningful for regular graphs.
     """
     if not is_regular(g):
         raise InputError("blindness certificate requires a d-regular graph")
-    cfg = model.config
-    if cfg.variant == "id_fast":
-        base = np.ones((g.num_nodes, cfg.input_dim - cfg.fast_k))
-        counts = walk_count_features(g, cfg.fast_k).astype(np.float64)
-        x = np.concatenate([base, np.log1p(counts)], axis=1)
-    else:
-        x = np.ones((g.num_nodes, cfg.input_dim))
-    if model.config.variant == "id_full":
-        k = model.config.num_layers
-        rows = []
-        for v in range(g.num_nodes):
-            ego = extract_ego(g, v, k)
-            x_local = np.ones((ego.subgraph.num_nodes, model.config.input_dim))
-            rows.append(forward_id_full(model, ego, x_local))
-        H = np.stack(rows)
-    else:
-        H = forward_plain(model, g, x)
+    g = replace(g, node_features=None)
+    H = forward_batch(model, make_batch(model, [g], [input_features(model.config, g)]))
     if H.shape[0] <= 1:
         return True
     return bool(np.max(np.abs(H - H[0])) <= tol)

@@ -1,9 +1,9 @@
 """Trainable message-passing engine with manual reverse-mode gradients.
 
 Three layer flavors share one heterogeneous message stage: every node's
-outgoing message goes through the msg0 linear map, except the identity
-node's message, which goes through msg1. Plain models alias msg1 to msg0,
-so the two schemes coincide whenever no identity node is set.
+outgoing message goes through the msg0 linear map, except at the nodes of
+the boolean identity mask, whose messages go through msg1. Plain models
+alias msg1 to msg0, so the two schemes coincide whenever the mask is empty.
 
 Flavors:
   gcn   h' = ReLU(A_norm @ M)  with symmetric normalization over the closed
@@ -12,10 +12,15 @@ Flavors:
         sum / mean / max over open neighborhoods
   gin   z = (1 + eps) * h + sum(msg(h)); h' = ReLU(W2 @ ReLU(W1 @ z))
 
-Each flavor has one layer forward and one layer backward. Messages are
-per sender node, so aggregation is a product with the dense adjacency
-(sum, mean, gin) or its normalized form (gcn), and max aggregation is a
-segmented reduction over the concatenated neighbor lists (see _GraphOps).
+Each flavor has one layer forward and one layer backward, run over a Batch:
+the disjoint union of whole graphs (plain, id_fast) or of ego nets
+(id_full, identity mask true at each ego's identity node). Messages are per
+sender node, so aggregation is a product with the union's scipy CSR
+adjacency (sum, mean, gin) or its normalized form (gcn), and max
+aggregation is a segmented reduction over the concatenated neighbor lists
+(see _GraphOps). A split of a task is one batch: one forward and one
+backward per epoch. forward_plain and forward_id_full are the single-item
+entry points over the same kernel.
 
 All tensors are float64. Forward passes record a Tape of per-layer caches;
 backward walks the tape and returns exact gradients for every parameter
@@ -31,12 +36,16 @@ parameter blob.
 from __future__ import annotations
 
 import json
+import math
 import struct
 from dataclasses import dataclass, field, asdict, replace
+from functools import cached_property
 from itertools import chain
 
 import numpy as np
+import scipy.sparse as sp
 
+from .counts import augment_features
 from .errors import InputError
 from .graph import EgoNet, Graph, extract_ego
 
@@ -118,30 +127,18 @@ class Model:
     pair_head: PairHead
 
     def named_parameters(self) -> list[tuple[str, np.ndarray]]:
-        """All trainable tensors in deterministic order.
+        """All trainable tensors, in the order of _layout(config).
 
         Plain and id_fast models alias msg1 to msg0, so msg1 is omitted for
         them (there is a single shared message function).
         """
-        hetero = self.config.variant == "id_full"
+        owners = {f"layers.{i}": lp for i, lp in enumerate(self.layers)}
+        owners["pair"] = self.pair_head
         out = []
-        for i, lp in enumerate(self.layers):
-            out.append((f"layers.{i}.msg0_weight", lp.msg0_weight))
-            out.append((f"layers.{i}.msg0_bias", lp.msg0_bias))
-            if hetero:
-                out.append((f"layers.{i}.msg1_weight", lp.msg1_weight))
-                out.append((f"layers.{i}.msg1_bias", lp.msg1_bias))
-            for name in ("update_weight", "update_bias", "mlp2_weight",
-                         "mlp2_bias", "gin_eps"):
-                arr = getattr(lp, name)
-                if arr is not None:
-                    out.append((f"layers.{i}.{name}", arr))
-        out.append(("head.weight", self.head_weight))
-        out.append(("head.bias", self.head_bias))
-        out.append(("pair.w1", self.pair_head.w1))
-        out.append(("pair.b1", self.pair_head.b1))
-        out.append(("pair.w2", self.pair_head.w2))
-        out.append(("pair.b2", self.pair_head.b2))
+        for name, _ in _layout(self.config):
+            group, _, attr = name.rpartition(".")
+            owner, attr = (self, f"head_{attr}") if group == "head" else (owners[group], attr)
+            out.append((name, getattr(owner, attr)))
         return out
 
     def num_parameters(self) -> int:
@@ -156,46 +153,47 @@ def _uniform(rng: np.random.Generator, shape, fan_in: int) -> np.ndarray:
     return rng.uniform(-bound, bound, size=shape)
 
 
+def _layout(config: ModelConfig) -> list[tuple[str, tuple[int, ...]]]:
+    """Name and shape of every trainable tensor, in named_parameters order,
+    computed without allocating anything."""
+    h, out = config.hidden_dim, config.output_dim
+    layout = []
+    for i in range(config.num_layers):
+        d_in = config.input_dim if i == 0 else h
+        d_msg = d_in if config.flavor == "gin" else h
+        msgs = ("msg0", "msg1") if config.variant == "id_full" else ("msg0",)
+        shapes = [(f"{m}_{kind}", shape) for m in msgs
+                  for kind, shape in (("weight", (d_msg, d_in)), ("bias", (d_msg,)))]
+        if config.flavor == "sage":
+            shapes += [("update_weight", (h, h + d_in)), ("update_bias", (h,))]
+        elif config.flavor == "gin":
+            shapes += [("update_weight", (h, d_in)), ("update_bias", (h,)),
+                       ("mlp2_weight", (h, h)), ("mlp2_bias", (h,)), ("gin_eps", ())]
+        layout += [(f"layers.{i}.{name}", shape) for name, shape in shapes]
+    return layout + [("head.weight", (out, h)), ("head.bias", (out,)),
+                     ("pair.w1", (h, 2 * h)), ("pair.b1", (h,)),
+                     ("pair.w2", (out, h)), ("pair.b2", (out,))]
+
+
 def init_model(config: ModelConfig) -> Model:
     """Seeded fan-in-scaled uniform initialization, U(-1/sqrt(fan_in), +).
 
-    Biases start at zero and the GIN epsilon at zero (trainable). The same
-    config and seed always produce bit-identical parameters.
+    Weights are the 2-D tensors, drawn in layout order with the column count
+    as fan-in. Biases start at zero and the GIN epsilon at zero (trainable).
+    The same config and seed always produce bit-identical parameters.
     """
     rng = np.random.Generator(np.random.PCG64(config.seed))
+    t = {name: _uniform(rng, shape, shape[1]) if len(shape) == 2 else np.zeros(shape)
+         for name, shape in _layout(config)}
     layers = []
     for i in range(config.num_layers):
-        d_in = config.input_dim if i == 0 else config.hidden_dim
-        d_out = config.hidden_dim
-        d_msg = d_in if config.flavor == "gin" else d_out
-        msg0_w = _uniform(rng, (d_msg, d_in), d_in)
-        msg0_b = np.zeros(d_msg)
-        if config.variant == "id_full":
-            msg1_w = _uniform(rng, (d_msg, d_in), d_in)
-            msg1_b = np.zeros(d_msg)
-        else:
-            msg1_w, msg1_b = msg0_w, msg0_b
-        lp = LayerParams(msg0_w, msg0_b, msg1_w, msg1_b)
-        if config.flavor == "sage":
-            lp.update_weight = _uniform(rng, (d_out, d_out + d_in), d_out + d_in)
-            lp.update_bias = np.zeros(d_out)
-        elif config.flavor == "gin":
-            lp.update_weight = _uniform(rng, (d_out, d_in), d_in)
-            lp.update_bias = np.zeros(d_out)
-            lp.mlp2_weight = _uniform(rng, (d_out, d_out), d_out)
-            lp.mlp2_bias = np.zeros(d_out)
-            lp.gin_eps = np.zeros(())
-        layers.append(lp)
-    h = config.hidden_dim
-    head_w = _uniform(rng, (config.output_dim, h), h)
-    head_b = np.zeros(config.output_dim)
-    pair = PairHead(
-        w1=_uniform(rng, (h, 2 * h), 2 * h),
-        b1=np.zeros(h),
-        w2=_uniform(rng, (config.output_dim, h), h),
-        b2=np.zeros(config.output_dim),
-    )
-    return Model(config, layers, head_w, head_b, pair)
+        prefix = f"layers.{i}."
+        kw = {k[len(prefix):]: v for k, v in t.items() if k.startswith(prefix)}
+        kw.setdefault("msg1_weight", kw["msg0_weight"])
+        kw.setdefault("msg1_bias", kw["msg0_bias"])
+        layers.append(LayerParams(**kw))
+    pair = PairHead(t["pair.w1"], t["pair.b1"], t["pair.w2"], t["pair.b2"])
+    return Model(config, layers, t["head.weight"], t["head.bias"], pair)
 
 
 # ---------------------------------------------------------------------------
@@ -203,39 +201,54 @@ def init_model(config: ModelConfig) -> Model:
 
 
 class _GraphOps:
-    """Aggregation operators for one (sub)graph, built once per forward call.
+    """Aggregation operators over the disjoint union of ``graphs``, built
+    once per batch.
 
-    ``nbr`` concatenates every node's ascending neighbor list and ``dst``
-    names the receiving node of each entry; ``heads`` are the offsets where
-    the nonempty lists start. Max aggregation reduces over these arrays.
-    Sum, mean, gin and gcn use the dense ``A`` and ``A_gcn`` filled from
-    them: at ego-net scale (tens of nodes) a dense product is the fastest
-    primitive.
+    Each graph's node ids are shifted by the node count of the graphs before
+    it. ``nbr`` concatenates every node's ascending neighbor list and
+    ``dst`` names the receiving node of each entry; ``heads`` are the
+    offsets where the nonempty lists start. Max aggregation reduces over
+    these arrays. Sum, mean, gin and gcn use the scipy CSR ``A`` and
+    ``A_gcn`` built from them on first use: both are symmetric and take
+    O(E) memory.
     """
 
-    def __init__(self, g: Graph):
-        n = g.num_nodes
-        deg = np.fromiter(map(len, g.adjacency), dtype=np.int64, count=n)
-        self.nbr = np.fromiter(chain.from_iterable(g.adjacency), dtype=np.int64,
-                               count=int(deg.sum()))
+    def __init__(self, *graphs: Graph):
+        adjacency = [nbrs for g in graphs for nbrs in g.adjacency]
+        sizes = np.array([g.num_nodes for g in graphs], dtype=np.int64)
+        self.n = n = len(adjacency)
+        self.deg = deg = np.fromiter(map(len, adjacency), dtype=np.int64, count=n)
+        shift = np.repeat(np.repeat(np.cumsum(sizes) - sizes, sizes), deg)
+        self.nbr = shift + np.fromiter(chain.from_iterable(adjacency), dtype=np.int64,
+                                       count=int(deg.sum()))
         self.dst = np.repeat(np.arange(n), deg)
         self.heads = (np.cumsum(deg) - deg)[deg > 0]
         self.has_nbrs = deg > 0
-        A = np.zeros((n, n))
-        A[self.dst, self.nbr] = 1.0
-        self.A = A
         self.inv_deg = np.where(deg > 0, 1.0 / np.maximum(deg, 1.0), 0.0)
-        d_hat = 1.0 / np.sqrt(deg + 1.0)
-        self.A_gcn = (A + np.eye(n)) * d_hat[:, None] * d_hat[None, :]
+
+    @cached_property
+    def A(self) -> sp.csr_matrix:
+        indptr = np.concatenate([[0], np.cumsum(self.deg)])
+        return sp.csr_matrix((np.ones(self.nbr.size), self.nbr, indptr),
+                             shape=(self.n, self.n))
+
+    @cached_property
+    def A_gcn(self) -> sp.csr_matrix:
+        """D^-1/2 (A + I) D^-1/2 with D the closed-neighborhood degrees."""
+        d_hat = 1.0 / np.sqrt(self.deg + 1.0)
+        loops = np.arange(self.n)
+        rows = np.concatenate([self.dst, loops])
+        cols = np.concatenate([self.nbr, loops])
+        return sp.csr_matrix((d_hat[rows] * d_hat[cols], (rows, cols)),
+                             shape=(self.n, self.n))
 
 
 @dataclass
 class Tape:
-    """Recorded forward pass: inputs, graph helpers, per-layer caches."""
+    """Recorded forward pass: graph helpers, identity mask, per-layer caches."""
 
     ops: _GraphOps
-    x: np.ndarray
-    identity_local: int | None
+    identity: np.ndarray
     caches: list[dict] = field(default_factory=list)
     out: np.ndarray | None = None
 
@@ -265,47 +278,37 @@ def _agg_max_backward(G_S: np.ndarray, src: np.ndarray, n: int) -> np.ndarray:
     return np.bincount(flat, weights=G_S[valid], minlength=n * d).reshape(n, d)
 
 
-def _messages(lp: LayerParams, H: np.ndarray, identity_local: int | None):
+def _messages(lp: LayerParams, H: np.ndarray, identity: np.ndarray):
     M = H @ lp.msg0_weight.T + lp.msg0_bias
-    if identity_local is not None:
-        M[identity_local] = H[identity_local] @ lp.msg1_weight.T + lp.msg1_bias
+    M[identity] = H[identity] @ lp.msg1_weight.T + lp.msg1_bias
     return M
 
 
-def _messages_backward(lp, H, identity_local, G_M, grads, prefix):
-    G_H = np.zeros_like(H)
-    if identity_local is None:
-        grads[prefix + "msg0_weight"] += G_M.T @ H
-        grads[prefix + "msg0_bias"] += G_M.sum(axis=0)
-        G_H += G_M @ lp.msg0_weight
-    else:
-        i = identity_local
-        G0 = G_M.copy()
-        g1 = G0[i].copy()
-        G0[i] = 0.0
-        grads[prefix + "msg0_weight"] += G0.T @ H
-        grads[prefix + "msg0_bias"] += G0.sum(axis=0)
-        G_H += G0 @ lp.msg0_weight
-        # aliased message functions share one gradient block
-        shared = lp.msg1_weight is lp.msg0_weight
-        key_w = prefix + ("msg0_weight" if shared else "msg1_weight")
-        key_b = prefix + ("msg0_bias" if shared else "msg1_bias")
-        grads[key_w] += np.outer(g1, H[i])
-        grads[key_b] += g1
-        G_H[i] += g1 @ lp.msg1_weight
+def _messages_backward(lp, H, identity, G_M, grads, prefix):
+    # aliased message functions share one gradient block
+    shared = lp.msg1_weight is lp.msg0_weight
+    G0 = G_M if shared else np.where(identity[:, None], 0.0, G_M)
+    grads[prefix + "msg0_weight"] += G0.T @ H
+    grads[prefix + "msg0_bias"] += G0.sum(axis=0)
+    G_H = G0 @ lp.msg0_weight
+    if not shared:
+        G1 = G_M[identity]
+        grads[prefix + "msg1_weight"] += G1.T @ H[identity]
+        grads[prefix + "msg1_bias"] += G1.sum(axis=0)
+        G_H[identity] += G1 @ lp.msg1_weight
     return G_H
 
 
 def _layer_forward(lp: LayerParams, config: ModelConfig, ops: _GraphOps,
-                   H: np.ndarray, identity_local: int | None) -> tuple[np.ndarray, dict]:
+                   H: np.ndarray, identity: np.ndarray) -> tuple[np.ndarray, dict]:
     cache: dict = {"H": H}
-    M = _messages(lp, H, identity_local)
-    cache["M"] = M
+    M = _messages(lp, H, identity)
     if config.flavor == "gcn":
         S = ops.A_gcn @ M
         cache["S"] = S
         return np.maximum(S, 0.0), cache
     if config.flavor == "sage":
+        cache["M"] = M
         Mr = np.maximum(M, 0.0)
         if config.aggregation == "sum":
             S = ops.A @ Mr
@@ -330,14 +333,15 @@ def _layer_forward(lp: LayerParams, config: ModelConfig, ops: _GraphOps,
 
 
 def _layer_backward(lp: LayerParams, config: ModelConfig, ops: _GraphOps,
-                    cache: dict, identity_local: int | None,
+                    cache: dict, identity: np.ndarray,
                     G_out: np.ndarray, grads: dict, prefix: str) -> np.ndarray:
+    """Gradient of one layer; the symmetric A and A_gcn are their own
+    transposes."""
     H = cache["H"]
-    M = cache["M"]
     if config.flavor == "gcn":
         G_S = G_out * (cache["S"] > 0.0)
-        G_M = ops.A_gcn.T @ G_S
-        return _messages_backward(lp, H, identity_local, G_M, grads, prefix)
+        G_M = ops.A_gcn @ G_S
+        return _messages_backward(lp, H, identity, G_M, grads, prefix)
     if config.flavor == "sage":
         G_P = G_out * (cache["P"] > 0.0)
         grads[prefix + "update_weight"] += G_P.T @ cache["Z"]
@@ -347,13 +351,13 @@ def _layer_backward(lp: LayerParams, config: ModelConfig, ops: _GraphOps,
         G_S = G_Z[:, :d_out]
         G_H_skip = G_Z[:, d_out:]
         if config.aggregation == "sum":
-            G_Mr = ops.A.T @ G_S
+            G_Mr = ops.A @ G_S
         elif config.aggregation == "mean":
-            G_Mr = ops.A.T @ (ops.inv_deg[:, None] * G_S)
+            G_Mr = ops.A @ (ops.inv_deg[:, None] * G_S)
         else:
             G_Mr = _agg_max_backward(G_S, cache["src"], H.shape[0])
-        G_M = G_Mr * (M > 0.0)
-        G_H = _messages_backward(lp, H, identity_local, G_M, grads, prefix)
+        G_M = G_Mr * (cache["M"] > 0.0)
+        G_H = _messages_backward(lp, H, identity, G_M, grads, prefix)
         return G_H + G_H_skip
     # gin
     G_P2 = G_out * (cache["P2"] > 0.0)
@@ -366,9 +370,8 @@ def _layer_backward(lp: LayerParams, config: ModelConfig, ops: _GraphOps,
     G_Z = G_P1 @ lp.update_weight
     eps = float(lp.gin_eps)
     grads[prefix + "gin_eps"] += np.sum(G_Z * H)
-    G_S = G_Z
-    G_M = ops.A.T @ G_S
-    G_H = _messages_backward(lp, H, identity_local, G_M, grads, prefix)
+    G_M = ops.A @ G_Z
+    G_H = _messages_backward(lp, H, identity, G_M, grads, prefix)
     return G_H + (1.0 + eps) * G_Z
 
 
@@ -384,22 +387,102 @@ def _check_features(config: ModelConfig, g: Graph, x: np.ndarray) -> np.ndarray:
     return x
 
 
-def _run_layers(model: Model, g: Graph, x: np.ndarray,
-                identity_local: int | None, record: bool):
-    ops = _GraphOps(g)
-    tape = Tape(ops=ops, x=x, identity_local=identity_local) if record else None
+def input_features(config: ModelConfig, g: Graph) -> np.ndarray:
+    """Model inputs for ``g``: its node features, or all-ones columns for a
+    graph without them, followed for id_fast by fast_k log(1 + count)
+    closed-walk columns.
+
+    Raw counts grow geometrically with the walk length and, without a
+    normalization layer (deliberately absent, for determinism), drown the
+    constant base features and stall training. The log transform is
+    injective and applied only here; everything analytic stays in raw
+    integer counts.
+    """
+    fast = config.fast_k if config.variant == "id_fast" else 0
+    x = g.node_features
+    if x is None:
+        x = np.ones((g.num_nodes, config.input_dim - fast))
+    if fast:
+        x = np.concatenate([x, np.log1p(augment_features(g, fast)[:, -fast:])], axis=1)
+    if x.shape[1] != config.input_dim:
+        raise InputError(
+            f"model expects input_dim={config.input_dim} but task features "
+            f"have width {x.shape[1]}"
+        )
+    return x
+
+
+@dataclass
+class Batch:
+    """Disjoint union of graphs (plain, id_fast) or of ego nets (id_full)
+    with stacked inputs and the identity mask, built once and run in one
+    forward pass. ``rows`` holds the union row of every embedded node."""
+
+    ops: _GraphOps
+    x: np.ndarray
+    identity: np.ndarray
+    rows: np.ndarray
+
+
+def make_batch(model: Model, graphs, xs, anchors=None) -> Batch:
+    """One batch embedding nodes of ``graphs``, whose inputs are ``xs``.
+
+    Plain and id_fast models embed every node of every graph, in order.
+    id_full models embed each ``(center, identity)`` anchor of graph i
+    (``anchors[i]``; by default every node anchored at itself) through its
+    own ego net of radius num_layers; an identity outside the ball leaves
+    that ego's mask empty.
+    """
+    cfg = model.config
+    xs = [_check_features(cfg, g, x) for g, x in zip(graphs, xs)]
+    empty = [np.zeros((0, cfg.input_dim))]
+    if cfg.variant != "id_full":
+        ops = _GraphOps(*graphs)
+        return Batch(ops, np.concatenate(empty + xs), np.zeros(ops.n, dtype=bool),
+                     np.arange(ops.n))
+    if anchors is None:
+        anchors = [[(v, v) for v in range(g.num_nodes)] for g in graphs]
+    egos = [(extract_ego(g, u, cfg.num_layers, identity_at=v), x)
+            for g, x, pairs in zip(graphs, xs, anchors) for u, v in pairs]
+    sizes = np.array([ego.subgraph.num_nodes for ego, _ in egos], dtype=np.int64)
+    centers = np.array([ego.center_local_index for ego, _ in egos], dtype=np.int64)
+    identity = np.fromiter(chain.from_iterable(ego.identity_mask for ego, _ in egos),
+                           dtype=bool, count=int(sizes.sum()))
+    x = np.concatenate(empty + [x[list(ego.to_parent)] for ego, x in egos])
+    ops = _GraphOps(*(ego.subgraph for ego, _ in egos))
+    return Batch(ops, x, identity, np.cumsum(sizes) - sizes + centers)
+
+
+def _run_layers(model: Model, ops: _GraphOps, x: np.ndarray, identity: np.ndarray,
+                tape_out: list | None) -> np.ndarray:
+    tape = Tape(ops=ops, identity=identity)
     H = x
     for lp in model.layers:
-        H, cache = _layer_forward(lp, model.config, ops, H, identity_local)
-        if record:
+        H, cache = _layer_forward(lp, model.config, ops, H, identity)
+        if tape_out is not None:
             tape.caches.append(cache)
-    if record:
+    if tape_out is not None:
         tape.out = H
-    return H, tape
+        tape_out.append(tape)
+    return H
 
 
 def zero_grads(model: Model) -> dict[str, np.ndarray]:
     return {name: np.zeros_like(arr) for name, arr in model.named_parameters()}
+
+
+def forward_batch(model: Model, batch: Batch, tape_out: list | None = None) -> np.ndarray:
+    """Embeddings of the batch's rows from one forward pass over the union."""
+    return _run_layers(model, batch.ops, batch.x, batch.identity, tape_out)[batch.rows]
+
+
+def backward_batch(model: Model, batch: Batch, tape: Tape, G_rows: np.ndarray,
+                   grads: dict[str, np.ndarray] | None = None):
+    """Backpropagate gradients of the batch's row embeddings; returns
+    (grads, gradient with respect to the stacked inputs)."""
+    G_H = np.zeros_like(tape.out)
+    G_H[batch.rows] = G_rows
+    return backward_layers(model, tape, G_H, grads)
 
 
 def forward_plain(model: Model, g: Graph, x, tape_out: list | None = None) -> np.ndarray:
@@ -407,11 +490,7 @@ def forward_plain(model: Model, g: Graph, x, tape_out: list | None = None) -> np
     id_fast variants; id_fast differs only in its augmented inputs)."""
     if model.config.variant == "id_full":
         raise InputError("id_full models embed nodes through forward_id_full")
-    x = _check_features(model.config, g, x)
-    H, tape = _run_layers(model, g, x, None, tape_out is not None)
-    if tape_out is not None:
-        tape_out.append(tape)
-    return H
+    return forward_batch(model, make_batch(model, [g], [x]), tape_out)
 
 
 def backward_layers(model: Model, tape: Tape, G_H: np.ndarray,
@@ -427,7 +506,7 @@ def backward_layers(model: Model, tape: Tape, G_H: np.ndarray,
     for i in range(len(model.layers) - 1, -1, -1):
         G = _layer_backward(
             model.layers[i], model.config, tape.ops, tape.caches[i],
-            tape.identity_local, G, grads, f"layers.{i}.",
+            tape.identity, G, grads, f"layers.{i}.",
         )
     return grads, G
 
@@ -443,10 +522,8 @@ def forward_id_full(model: Model, ego: EgoNet, x_local,
     if model.config.variant != "id_full":
         raise InputError(f"variant {model.config.variant!r} is not id_full")
     x = _check_features(model.config, ego.subgraph, x_local)
-    identity = ego.identity_local_index
-    H, tape = _run_layers(model, ego.subgraph, x, identity, tape_out is not None)
-    if tape_out is not None:
-        tape_out.append(tape)
+    H = _run_layers(model, _GraphOps(ego.subgraph), x,
+                    np.array(ego.identity_mask, dtype=bool), tape_out)
     return H[ego.center_local_index]
 
 
@@ -457,20 +534,12 @@ def backward_id_full(model: Model, ego: EgoNet, tape: Tape, g_center: np.ndarray
     return backward_layers(model, tape, G_H, grads)
 
 
-def default_features(g: Graph, input_dim: int) -> np.ndarray:
-    """Constant all-ones features for graphs without node attributes."""
-    if g.node_features is not None:
-        return g.node_features
-    return np.ones((g.num_nodes, input_dim))
-
-
 def forward_conditional(model: Model, g: Graph, u: int, v: int) -> np.ndarray:
     """Embedding of u with the identity color placed at v: the ego net of u
     is extracted at radius num_layers and v is the identity node when it
     falls inside the ball."""
     ego = extract_ego(g, u, model.config.num_layers, identity_at=v)
-    x = default_features(ego.subgraph, model.config.input_dim)
-    return forward_id_full(model, ego, x)
+    return forward_id_full(model, ego, input_features(model.config, ego.subgraph))
 
 
 def readout_graph(embeddings: np.ndarray) -> np.ndarray:
@@ -498,8 +567,9 @@ def head_backward(model: Model, h: np.ndarray, G_logits: np.ndarray,
 
 def edge_pair_score(h_u: np.ndarray, h_v: np.ndarray, head: PairHead,
                     cache_out: list | None = None) -> np.ndarray:
-    """Class logits for an ordered pair: concat, then the two-layer head.
+    """Class logits for ordered pairs: concat, then the two-layer head.
 
+    Row i of ``h_u`` and ``h_v`` is one pair; 1-D inputs score one pair.
     The concatenation is ordered, so swapping u and v generally changes the
     logits.
     """
@@ -507,10 +577,10 @@ def edge_pair_score(h_u: np.ndarray, h_v: np.ndarray, head: PairHead,
     h_v = np.asarray(h_v, dtype=np.float64)
     if h_u.shape != h_v.shape:
         raise InputError(f"pair dims differ: {h_u.shape} vs {h_v.shape}")
-    z = np.concatenate([h_u, h_v])
-    p1 = head.w1 @ z + head.b1
+    z = np.concatenate([h_u, h_v], axis=-1)
+    p1 = z @ head.w1.T + head.b1
     hid = np.maximum(p1, 0.0)
-    logits = head.w2 @ hid + head.b2
+    logits = hid @ head.w2.T + head.b2
     if cache_out is not None:
         cache_out.append({"z": z, "p1": p1, "hid": hid})
     return logits
@@ -518,15 +588,18 @@ def edge_pair_score(h_u: np.ndarray, h_v: np.ndarray, head: PairHead,
 
 def edge_pair_backward(head: PairHead, cache: dict, G_logits: np.ndarray,
                        grads: dict[str, np.ndarray]):
-    grads["pair.w2"] += np.outer(G_logits, cache["hid"])
-    grads["pair.b2"] += G_logits
-    G_hid = head.w2.T @ G_logits
-    G_p1 = G_hid * (cache["p1"] > 0.0)
-    grads["pair.w1"] += np.outer(G_p1, cache["z"])
-    grads["pair.b1"] += G_p1
-    G_z = head.w1.T @ G_p1
-    d = G_z.size // 2
-    return G_z[:d], G_z[d:]
+    """Accumulate the pair head's gradients; returns the gradients of h_u
+    and h_v, shaped like the scored inputs."""
+    G = np.atleast_2d(G_logits)
+    z = np.atleast_2d(cache["z"])
+    grads["pair.w2"] += G.T @ np.atleast_2d(cache["hid"])
+    grads["pair.b2"] += G.sum(axis=0)
+    G_p1 = (G @ head.w2) * (np.atleast_2d(cache["p1"]) > 0.0)
+    grads["pair.w1"] += G_p1.T @ z
+    grads["pair.b1"] += G_p1.sum(axis=0)
+    G_z = (G_p1 @ head.w1).reshape(np.shape(cache["z"]))
+    d = G_z.shape[-1] // 2
+    return G_z[..., :d], G_z[..., d:]
 
 
 # ---------------------------------------------------------------------------
@@ -635,14 +708,14 @@ def load_model(path: str) -> Model:
         config = ModelConfig(**cfg)
     except (ValueError, KeyError, TypeError) as exc:
         raise InputError(f"{path}: bad checkpoint header: {exc}") from None
-    model = init_model(config)
-    params = model.named_parameters()
-    if [(name, arr.shape) for name, arr in params] != layout:
+    # checked before init_model, so a forged config allocates nothing
+    if config.num_layers > len(layout) or _layout(config) != layout:
         raise InputError(f"{path}: checkpoint parameters do not match its config")
-    if len(blob) != 8 * sum(arr.size for _, arr in params):
+    if len(blob) != 8 * sum(math.prod(shape) for _, shape in layout):
         raise InputError(f"{path}: checkpoint blob size mismatch")
+    model = init_model(config)
     offset = 0
-    for _, arr in params:
+    for _, arr in model.named_parameters():
         arr[...] = np.frombuffer(blob, dtype="<f8", count=arr.size,
                                  offset=offset).reshape(arr.shape)
         offset += arr.size * 8

@@ -8,38 +8,37 @@ classification (10 bins on [0, 0.5], matching the generator sweep range).
 Edge-task wiring follows the variant: id_full scores a pair through the
 conditional embedding of u with identity at v and a linear head, while plain
 and id_fast concatenate two independent node embeddings into the pair MLP.
+id_fast inputs carry log(1 + count) closed-walk columns (nn.input_features).
 
-id_fast training inputs are log(1 + count)-scaled closed-walk features:
-raw counts grow geometrically with the walk length, and without a
-normalization layer (deliberately absent, for determinism) they drown the
-constant base features and stall training. The log transform is injective,
-deterministic, and applied only at the feature boundary; everything
-analytic stays in raw integer counts.
+Each split is prepared once as one nn.Batch: the disjoint union of its
+graphs (plain, id_fast) or of the ego nets of its labelled units (id_full),
+with the batch row of every node, center or pair. Training and evaluation
+then run one forward pass, and training one backward pass, per epoch.
 """
 
 from __future__ import annotations
 
 import logging
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .counts import augment_features, clustering_direct, mean_clustering
-from .errors import InputError
+from .counts import clustering_direct, mean_clustering
+from .errors import InputError, NumericError
 from .generators import child_seed
-from .graph import EgoNet, Graph, bfs_distances, extract_ego
+from .graph import Graph, bfs_distances
 from .nn import (
+    Batch,
     Model,
-    backward_id_full,
-    backward_layers,
+    backward_batch,
     edge_pair_backward,
     edge_pair_score,
-    forward_id_full,
-    forward_plain,
+    forward_batch,
     head_backward,
     head_logits,
-    readout_graph,
+    input_features,
+    make_batch,
     zero_grads,
 )
 from .optim import AdamState, adam_step, loss_xent
@@ -228,153 +227,73 @@ def task_wiring(spec: TaskSpec, model: Model) -> str:
 
 @dataclass
 class _Prepared:
-    """Per-graph tensors computed once before training."""
+    """One split as one batch, built once before training: the labels of its
+    units and how their logits read the batch's row embeddings."""
 
-    item: LabeledGraph
-    x: np.ndarray
-    egos: list[EgoNet] = field(default_factory=list)
-
-
-def _prepare(model: Model, spec: TaskSpec, items) -> list[_Prepared]:
-    cfg = model.config
-    prepared = []
-    for item in items:
-        g = item.graph
-        if g.node_features is not None:
-            x = g.node_features
-        else:
-            base = cfg.input_dim - (cfg.fast_k if cfg.variant == "id_fast" else 0)
-            x = np.ones((g.num_nodes, base))
-        if cfg.variant == "id_fast":
-            counts = augment_features(g, cfg.fast_k)[:, -cfg.fast_k:]
-            x = np.concatenate([x, np.log1p(counts)], axis=1)
-        if x.shape[1] != cfg.input_dim:
-            raise InputError(
-                f"model expects input_dim={cfg.input_dim} but task features "
-                f"have width {x.shape[1]}"
-            )
-        p = _Prepared(item=item, x=x)
-        if cfg.variant == "id_full":
-            if spec.kind == "edge_spd":
-                p.egos = [
-                    extract_ego(g, u, cfg.num_layers, identity_at=v)
-                    for u, v, _ in (item.pairs or [])
-                ]
-            else:
-                p.egos = [extract_ego(g, v, cfg.num_layers) for v in range(g.num_nodes)]
-        prepared.append(p)
-    return prepared
+    batch: Batch
+    labels: np.ndarray
+    pairs: np.ndarray | None = None   # pair_concat: rows of (u, v)
+    starts: np.ndarray | None = None  # graph task: first row of each graph
 
 
-def _forward_item(model: Model, spec: TaskSpec, p: _Prepared, record: bool):
-    """Logits and labels for one graph, plus the caches backward needs."""
-    cfg = model.config
-    item = p.item
-    state: dict = {}
-    if cfg.variant == "id_full":
-        tapes: list = []
-        embeddings = []
-        if spec.kind == "edge_spd":
-            for ego in p.egos:
-                x_local = p.x[list(ego.to_parent), :]
-                h = forward_id_full(model, ego, x_local, tapes if record else None)
-                embeddings.append(h)
-            H = np.stack(embeddings) if embeddings else np.zeros((0, cfg.hidden_dim))
-            logits = head_logits(model, H)
-            labels = np.array([c for _, _, c in item.pairs or []], dtype=np.int64)
-            state.update(H=H, tapes=tapes)
-            return logits, labels, state
-        for ego in p.egos:
-            x_local = p.x[list(ego.to_parent), :]
-            embeddings.append(forward_id_full(model, ego, x_local, tapes if record else None))
-        H = np.stack(embeddings)
-        state.update(H=H, tapes=tapes)
-    else:
-        tape_box: list = []
-        H = forward_plain(model, item.graph, p.x, tape_box if record else None)
-        state.update(H=H, tapes=tape_box)
-        if spec.kind == "edge_spd":
-            pair_caches: list = []
-            logits_rows = []
-            for u, v, _ in item.pairs or []:
-                logits_rows.append(
-                    edge_pair_score(H[u], H[v], model.pair_head,
-                                    pair_caches if record else None)
-                )
-            logits = (np.stack(logits_rows) if logits_rows
-                      else np.zeros((0, cfg.output_dim)))
-            labels = np.array([c for _, _, c in item.pairs or []], dtype=np.int64)
-            state["pair_caches"] = pair_caches
-            return logits, labels, state
-
+def _prepare(model: Model, spec: TaskSpec, items) -> _Prepared:
+    graphs = [item.graph for item in items]
+    pairs = [item.pairs or [] for item in items]
+    conditional = task_wiring(spec, model) == "conditional"
+    anchors = [[(u, v) for u, v, _ in p] for p in pairs] if conditional else None
+    xs = [input_features(model.config, g) for g in graphs]
+    batch = make_batch(model, graphs, xs, anchors)
     if spec.kind == "node_cc":
-        logits = head_logits(model, H)
-        labels = item.node_labels
-    else:  # graph_cc
-        pooled = readout_graph(H)
-        logits = head_logits(model, pooled)[None, :]
-        labels = np.array([item.graph_label], dtype=np.int64)
-        state["pooled"] = pooled
-    return logits, labels, state
+        labels = [np.zeros(0, dtype=np.int64)] + [item.node_labels for item in items]
+        return _Prepared(batch, np.concatenate(labels))
+    sizes = np.array([g.num_nodes for g in graphs], dtype=np.int64)
+    starts = np.cumsum(sizes) - sizes
+    if spec.kind == "graph_cc":
+        if not sizes.all():
+            raise InputError("readout needs a nonempty node-embedding matrix")
+        labels = np.array([item.graph_label for item in items], dtype=np.int64)
+        return _Prepared(batch, labels, starts=starts)
+    labels = np.array([c for p in pairs for _, _, c in p], dtype=np.int64)
+    if conditional:
+        return _Prepared(batch, labels)
+    rows = [(s + u, s + v) for s, p in zip(starts, pairs) for u, v, _ in p]
+    return _Prepared(batch, labels, pairs=np.array(rows, dtype=np.int64).reshape(-1, 2))
 
 
-def _backward_item(model: Model, spec: TaskSpec, p: _Prepared, state: dict,
-                   G_logits: np.ndarray, grads: dict) -> None:
-    cfg = model.config
-    item = p.item
-    if spec.kind == "edge_spd":
-        if cfg.variant == "id_full":
-            _backward_item_conditional(model, p, state, G_logits, grads)
-            return
-        H = state["H"]
-        G_H = np.zeros_like(H)
-        for (u, v, _), cache, g_row in zip(item.pairs or [], state["pair_caches"], G_logits):
-            g_u, g_v = edge_pair_backward(model.pair_head, cache, g_row, grads)
-            G_H[u] += g_u
-            G_H[v] += g_v
-        backward_layers(model, state["tapes"][0], G_H, grads)
-        return
-    if spec.kind == "node_cc":
-        G_H = head_backward(model, state["H"], G_logits, grads)
-        if cfg.variant == "id_full":
-            for ego, tape, g_row in zip(p.egos, state["tapes"], G_H):
-                backward_id_full(model, ego, tape, g_row, grads)
-        else:
-            backward_layers(model, state["tapes"][0], G_H, grads)
-        return
-    # graph_cc: logits came from the pooled embedding
-    g_pooled = head_backward(model, state["pooled"], G_logits[0], grads)
-    H = state["H"]
-    G_H = np.tile(g_pooled, (H.shape[0], 1))
-    if cfg.variant == "id_full":
-        for ego, tape, g_row in zip(p.egos, state["tapes"], G_H):
-            backward_id_full(model, ego, tape, g_row, grads)
+def _forward(model: Model, p: _Prepared, record: bool):
+    """Logits of every labelled unit from one forward pass over the batch,
+    plus the caches backward needs."""
+    cache: dict = {"tapes": [] if record else None, "pair": []}
+    H = forward_batch(model, p.batch, cache["tapes"])
+    if p.pairs is not None:
+        logits = edge_pair_score(H[p.pairs[:, 0]], H[p.pairs[:, 1]],
+                                 model.pair_head, cache["pair"])
+        return logits, cache
+    cache["Z"] = H if p.starts is None else np.add.reduceat(H, p.starts, axis=0)
+    return head_logits(model, cache["Z"]), cache
+
+
+def _backward(model: Model, p: _Prepared, cache: dict, G_logits: np.ndarray,
+              grads: dict) -> None:
+    """Accumulate the gradients of one forward pass in one backward pass."""
+    tape = cache["tapes"][0]
+    if p.pairs is not None:
+        G_u, G_v = edge_pair_backward(model.pair_head, cache["pair"][0], G_logits, grads)
+        G_H = np.zeros((len(p.batch.rows), model.config.hidden_dim))
+        np.add.at(G_H, p.pairs, np.stack([G_u, G_v], axis=1))
     else:
-        backward_layers(model, state["tapes"][0], G_H, grads)
-
-
-def _backward_item_conditional(model: Model, p: _Prepared, state: dict,
-                               G_logits: np.ndarray, grads: dict) -> None:
-    """Edge task with conditional embeddings: linear head over center rows."""
-    H = state["H"]
-    G_H = head_backward(model, H, G_logits, grads)
-    for ego, tape, g_row in zip(p.egos, state["tapes"], G_H):
-        backward_id_full(model, ego, tape, g_row, grads)
+        G_H = head_backward(model, cache["Z"], G_logits, grads)
+        if p.starts is not None:
+            G_H = np.repeat(G_H, np.diff(p.starts, append=len(p.batch.rows)), axis=0)
+    backward_batch(model, p.batch, tape, G_H, grads)
 
 
 def predictions(model: Model, spec: TaskSpec, items) -> tuple[np.ndarray, np.ndarray]:
     """Stacked (logits, labels) over every labeled unit in the items."""
-    prepared = _prepare(model, spec, items)
-    all_logits = []
-    all_labels = []
-    for p in prepared:
-        logits, labels, _ = _forward_item(model, spec, p, record=False)
-        if logits.shape[0]:
-            all_logits.append(np.atleast_2d(logits))
-            all_labels.append(labels)
-    if not all_logits:
+    p = _prepare(model, spec, items)
+    if not p.labels.size:
         raise InputError("no labeled items to evaluate")
-    return np.concatenate(all_logits), np.concatenate(all_labels)
+    return _forward(model, p, record=False)[0], p.labels
 
 
 def evaluate(model: Model, spec: TaskSpec, items) -> float:
@@ -388,12 +307,16 @@ def train(model: Model, task: TaskSplit, epochs: int, lr: float = 0.01,
           seed: int = 0) -> TrainReport:
     """Full-batch Adam training; deterministic given the model seed and task.
 
-    One optimizer step per epoch over the summed gradients of every train
-    item, in fixed item order. Raises NumericError if the loss goes
+    The train split is prepared once as one batch; each epoch is one forward
+    pass, one backward pass over the summed gradients of every labelled
+    unit, and one optimizer step. Raises InputError unless lr is positive
+    and finite, and NumericError if the loss or a trained parameter goes
     non-finite.
     """
     if epochs < 0:
         raise InputError("epochs must be nonnegative")
+    if not (np.isfinite(lr) and lr > 0):
+        raise InputError(f"lr must be positive and finite, got {lr}")
     started = time.monotonic()
     spec = task.spec
     if model.config.output_dim != spec.num_classes:
@@ -402,34 +325,21 @@ def train(model: Model, task: TaskSplit, epochs: int, lr: float = 0.01,
             f"{spec.num_classes}"
         )
     prepared = _prepare(model, spec, task.train)
+    if epochs and not prepared.labels.size:
+        raise InputError("no labeled items in the training split")
     params = dict(model.named_parameters())
     state = AdamState()
     losses: list[float] = []
     for _ in range(epochs):
-        logits_parts = []
-        labels_parts = []
-        stages = []
-        for p in prepared:
-            logits, labels, st = _forward_item(model, spec, p, record=True)
-            stages.append((p, st, logits.shape[0]))
-            if logits.shape[0]:
-                logits_parts.append(np.atleast_2d(logits))
-                labels_parts.append(labels)
-        if not logits_parts:
-            raise InputError("no labeled items in the training split")
-        logits_all = np.concatenate(logits_parts)
-        labels_all = np.concatenate(labels_parts)
-        loss, G_all = loss_xent(logits_all, labels_all)
+        logits, cache = _forward(model, prepared, record=True)
+        loss, G_logits = loss_xent(logits, prepared.labels)
         losses.append(loss)
         grads = zero_grads(model)
-        offset = 0
-        for p, st, rows in stages:
-            if rows == 0:
-                continue
-            G_logits = G_all[offset:offset + rows]
-            offset += rows
-            _backward_item(model, spec, p, st, G_logits, grads)
+        _backward(model, prepared, cache, G_logits, grads)
+        del cache  # free this epoch's tape before the next forward
         adam_step(params, grads, state, lr=lr)
+    if not all(np.isfinite(arr).all() for arr in params.values()):
+        raise NumericError("training left non-finite parameters")
     accuracy = evaluate(model, spec, task.val)
     return TrainReport(
         config=dict(

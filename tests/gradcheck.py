@@ -12,17 +12,16 @@ import hashlib
 
 import numpy as np
 
-from idgnn.graph import Graph, extract_ego
+from idgnn.graph import Graph
 from idgnn.nn import (
     Model,
-    backward_id_full,
-    backward_layers,
+    backward_batch,
     edge_pair_backward,
     edge_pair_score,
-    forward_id_full,
-    forward_plain,
+    forward_batch,
     head_backward,
     head_logits,
+    make_batch,
     zero_grads,
 )
 from idgnn.optim import loss_xent
@@ -54,39 +53,28 @@ def model_loss(model: Model, g: Graph, x: np.ndarray, labels: np.ndarray,
                record: bool = False):
     """Composite loss exercising layers, the linear head, and the pair head.
 
-    Plain/id_fast models embed all nodes at once; id_full models embed each
-    node through its ego network. The loss is cross-entropy on per-node head
-    logits plus cross-entropy on one pair score.
+    The graph runs as one batch (id_full models embed each node through its
+    ego network). The loss is cross-entropy on per-node head logits plus
+    cross-entropy on one pair score.
     """
-    cfg = model.config
     tapes: list = []
     pair_caches: list = []
-    if cfg.variant == "id_full":
-        egos = [extract_ego(g, v, cfg.num_layers) for v in range(g.num_nodes)]
-        rows = [forward_id_full(model, ego, x[list(ego.to_parent), :], tapes)
-                for ego in egos]
-        H = np.stack(rows)
-    else:
-        egos = None
-        H = forward_plain(model, g, x, tapes)
+    batch = make_batch(model, [g], [x])
+    H = forward_batch(model, batch, tapes)
     logits = head_logits(model, H)
     node_loss, G_logits = loss_xent(logits, labels)
-    pair_logits = edge_pair_score(H[0], H[-1], model.pair_head, pair_caches)
-    pair_loss, G_pair = loss_xent(pair_logits[None, :], labels[:1])
+    pair_logits = edge_pair_score(H[:1], H[-1:], model.pair_head, pair_caches)
+    pair_loss, G_pair = loss_xent(pair_logits, labels[:1])
     loss = node_loss + pair_loss
     if not record:
         return loss, _pattern(tapes, pair_caches), None
 
     grads = zero_grads(model)
     G_H = head_backward(model, H, G_logits, grads)
-    g_u, g_v = edge_pair_backward(model.pair_head, pair_caches[0], G_pair[0], grads)
-    G_H[0] += g_u
-    G_H[-1] += g_v
-    if cfg.variant == "id_full":
-        for ego, tape, g_row in zip(egos, tapes, G_H):
-            backward_id_full(model, ego, tape, g_row, grads)
-    else:
-        backward_layers(model, tapes[0], G_H, grads)
+    g_u, g_v = edge_pair_backward(model.pair_head, pair_caches[0], G_pair, grads)
+    G_H[:1] += g_u
+    G_H[-1:] += g_v
+    backward_batch(model, batch, tapes[0], G_H, grads)
     return loss, _pattern(tapes, pair_caches), grads
 
 

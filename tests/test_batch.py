@@ -1,0 +1,122 @@
+"""A disjoint-union batch computes what the single-item entry points compute.
+
+One forward and one backward over make_batch must give the same row
+embeddings, parameter gradients and input gradients as forward_plain /
+backward_layers per graph (plain, id_fast) or forward_id_full /
+backward_id_full per ego net (id_full), to within 1e-12.
+"""
+
+import numpy as np
+from hypothesis import given, settings, strategies as st
+
+from idgnn.graph import build_graph, extract_ego
+from idgnn.nn import (
+    ModelConfig,
+    backward_batch,
+    backward_id_full,
+    backward_layers,
+    forward_batch,
+    forward_id_full,
+    forward_plain,
+    init_model,
+    make_batch,
+    zero_grads,
+)
+from gradcheck import randomize
+
+SCHEMES = [("gcn", "mean"), ("sage", "sum"), ("sage", "mean"), ("sage", "max"),
+           ("gin", "sum")]
+TOL = 1e-12
+
+
+@st.composite
+def graphs_with_isolated_nodes(draw):
+    n = draw(st.integers(1, 7))
+    isolated = draw(st.integers(0, 2))
+    pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+    return build_graph(n + isolated, draw(st.lists(pairs, max_size=2 * n)))
+
+
+@st.composite
+def cases(draw):
+    flavor, agg = draw(st.sampled_from(SCHEMES))
+    variant = draw(st.sampled_from(["plain", "id_full", "id_fast"]))
+    cfg = ModelConfig(flavor=flavor, variant=variant, aggregation=agg,
+                      num_layers=draw(st.integers(1, 3)), hidden_dim=3,
+                      input_dim=2, output_dim=2, fast_k=1, seed=draw(st.integers(0, 9)))
+    graphs = draw(st.lists(graphs_with_isolated_nodes(), min_size=1, max_size=3))
+    # anchors pair arbitrary nodes, so identities often fall outside the
+    # ball, and always do when they sit on an isolated node
+    anchors = [draw(st.lists(st.tuples(st.integers(0, g.num_nodes - 1),
+                                       st.integers(0, g.num_nodes - 1)), max_size=4))
+               for g in graphs]
+    return cfg, graphs, anchors, draw(st.integers(0, 2**31))
+
+
+def assert_grads_close(a, b):
+    assert a.keys() == b.keys()
+    for name in a:
+        np.testing.assert_allclose(a[name], b[name], rtol=0, atol=TOL, err_msg=name)
+
+
+@given(cases())
+@settings(max_examples=200, deadline=None)
+def test_batch_equals_per_item(case):
+    cfg, graphs, anchors, seed = case
+    model = init_model(cfg)
+    randomize(model, seed=seed % 1000)
+    rng = np.random.default_rng(seed)
+    xs = [rng.normal(size=(g.num_nodes, 2)) for g in graphs]
+    full = cfg.variant == "id_full"
+    batch = make_batch(model, graphs, xs, anchors if full else None)
+    tapes = []
+    H = forward_batch(model, batch, tapes)
+    G_rows = rng.normal(size=H.shape)
+    grads, G_x = backward_batch(model, batch, tapes[0], G_rows)
+
+    ref_grads = zero_grads(model)
+    rows, G_x_ref = [], []
+    if full:
+        items = [(extract_ego(g, u, cfg.num_layers, identity_at=v), x)
+                 for g, x, pairs in zip(graphs, xs, anchors) for u, v in pairs]
+        for (ego, x), g_row in zip(items, G_rows):
+            item_tapes = []
+            rows.append(forward_id_full(model, ego, x[list(ego.to_parent)], item_tapes))
+            G_x_ref.append(backward_id_full(model, ego, item_tapes[0], g_row, ref_grads)[1])
+        outside = sum(not any(ego.identity_mask) for ego, _ in items)
+        assert batch.identity.sum() == len(items) - outside
+    else:
+        offset = 0
+        for g, x in zip(graphs, xs):
+            item_tapes = []
+            rows.append(forward_plain(model, g, x, item_tapes))
+            G_item = G_rows[offset:offset + g.num_nodes]
+            G_x_ref.append(backward_layers(model, item_tapes[0], G_item, ref_grads)[1])
+            offset += g.num_nodes
+    expected = np.concatenate([np.zeros((0, cfg.hidden_dim))] + [np.atleast_2d(r) for r in rows])
+    np.testing.assert_allclose(H, expected, rtol=0, atol=TOL)
+    np.testing.assert_allclose(G_x, np.concatenate([np.zeros((0, 2))] + G_x_ref),
+                               rtol=0, atol=TOL)
+    assert_grads_close(grads, ref_grads)
+
+
+def test_identity_outside_ball_runs_plain_scheme():
+    # path 0-1-2-3 plus isolated node 4; one layer, so the ego of 0 does not
+    # reach identity 3 and the ego of 2 does not reach the isolated node
+    g = build_graph(5, [(0, 1), (1, 2), (2, 3)])
+    cfg = ModelConfig(flavor="sage", variant="id_full", num_layers=1, hidden_dim=3,
+                      input_dim=2, output_dim=2, aggregation="max", seed=1)
+    model = init_model(cfg)
+    randomize(model, seed=5)
+    x = np.random.default_rng(2).normal(size=(5, 2))
+    batch = make_batch(model, [g], [x], [[(0, 3), (4, 4), (2, 4), (1, 1)]])
+    # egos {0, 1}, {4}, {1, 2, 3}, {0, 1, 2}
+    assert batch.ops.n == 9
+    assert batch.rows.tolist() == [0, 2, 4, 7]
+    assert batch.identity.tolist() == [False, False, True, False, False, False,
+                                       False, True, False]
+    H = forward_batch(model, batch)
+    for row, (u, v) in zip(H, [(0, 3), (4, 4), (2, 4), (1, 1)]):
+        ego = extract_ego(g, u, 1, identity_at=v)
+        np.testing.assert_allclose(row, forward_id_full(model, ego, x[list(ego.to_parent)]),
+                                   rtol=0, atol=TOL)

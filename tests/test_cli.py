@@ -206,6 +206,17 @@ class TestTrainEval:
         assert 0.0 <= result["accuracy"] <= 1.0
 
 
+@pytest.mark.parametrize("lr", ["nan", "inf", "0", "-1"])
+def test_bad_learning_rate_exit_2(tmp_path, tiny_dataset, capsys, lr):
+    ckpt = tmp_path / "m.ckpt"
+    code = run(["train", "--data", tiny_dataset, "--task", "node-cc", "--epochs", "1",
+                "--lr", lr, "--out", str(ckpt)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("error: ") and "lr" in captured.err
+    assert not ckpt.exists()
+
+
 class TestCheckpointHeader:
     """Malformed checkpoints written from a real ``train`` run end in exit 2
     with one stderr line; headers from before edge features were removed
@@ -256,6 +267,13 @@ class TestCheckpointHeader:
 
     def test_nonzero_edge_dim_rejected(self, tmp_path, tiny_dataset, raw, capsys):
         edited = self.with_config(raw, edge_dim=2)
+        self.assert_input_error(tmp_path, tiny_dataset, edited, capsys)
+
+    def test_huge_config_rejected_before_allocation(self, tmp_path, tiny_dataset,
+                                                     raw, capsys):
+        edited = self.with_config(raw, hidden_dim=10**12)
+        self.assert_input_error(tmp_path, tiny_dataset, edited, capsys)
+        edited = self.with_config(raw, num_layers=10**12)
         self.assert_input_error(tmp_path, tiny_dataset, edited, capsys)
 
     def test_legacy_zero_edge_dim_loads(self, tmp_path, tiny_dataset, raw, capsys):

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -65,3 +67,13 @@ def test_save_is_atomic_and_stable(tmp_path):
     save_jsonl([GraphRecord(g)], p2)
     assert open(p1, "rb").read() == open(p2, "rb").read()
     assert not [f for f in tmp_path.iterdir() if f.name.startswith(".tmp-")]
+
+
+@pytest.mark.parametrize("labels", [[0, 1], [0, 1, 0, 1], []])
+def test_node_labels_length_must_match(tmp_path, labels):
+    path = tmp_path / "bad.jsonl"
+    obj = {"num_nodes": 3, "edges": [[0, 1]], "node_labels": labels}
+    path.write_text('{"num_nodes": 2, "edges": []}\n' + json.dumps(obj) + "\n")
+    with pytest.raises(ParseError) as err:
+        load_jsonl(str(path))
+    assert "line 2" in str(err.value) and "node_labels" in str(err.value)

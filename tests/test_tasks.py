@@ -3,19 +3,34 @@ import collections
 import numpy as np
 import pytest
 
-from idgnn.errors import InputError
+from idgnn.errors import InputError, NumericError
 from idgnn.generators import GeneratorSpec, gen_dataset, gen_small_world
 from idgnn.graph import build_graph
-from idgnn.nn import ModelConfig, init_model
+from idgnn.nn import (
+    ModelConfig,
+    edge_pair_score,
+    forward_conditional,
+    forward_plain,
+    head_logits,
+    init_model,
+    readout_graph,
+    zero_grads,
+)
+from idgnn.optim import loss_xent
 from idgnn.tasks import (
+    _backward,
+    _forward,
+    _prepare,
     evaluate,
     make_graph_cc_task,
     make_node_cc_task,
     make_spd_task,
+    predictions,
     split,
     task_wiring,
     train,
 )
+from gradcheck import randomize
 
 K3 = build_graph(3, [(0, 1), (1, 2), (0, 2)])
 STAR = build_graph(5, [(0, 1), (0, 2), (0, 3), (0, 4)])
@@ -143,6 +158,21 @@ class TestTrain:
         report = train(m, ts, epochs=30)
         assert report.train_losses[-1] < report.train_losses[0]
 
+    def test_non_finite_parameters_never_returned(self):
+        task = make_node_cc_task(tiny_dataset(6))
+        ts = split(task, 0.5, seed=1)
+        m = model_for("node_cc")
+        m.head_bias[0] = np.inf
+        with pytest.raises(NumericError):
+            train(m, ts, epochs=0)
+
+    @pytest.mark.parametrize("lr", [float("nan"), float("inf"), 0.0, -0.01])
+    def test_bad_learning_rate(self, lr):
+        task = make_node_cc_task(tiny_dataset(6))
+        ts = split(task, 0.5, seed=1)
+        with pytest.raises(InputError):
+            train(model_for("node_cc"), ts, epochs=1, lr=lr)
+
     def test_output_dim_mismatch(self):
         task = make_node_cc_task(tiny_dataset(6))
         ts = split(task, 0.5, seed=1)
@@ -186,3 +216,68 @@ class TestEvaluate:
         m = model_for("node_cc")
         with pytest.raises(InputError):
             evaluate(m, task.spec, [])
+
+
+@pytest.mark.parametrize("kind, variant", [
+    ("node_cc", "plain"), ("node_cc", "id_full"), ("graph_cc", "id_fast"),
+    ("graph_cc", "id_full"), ("edge_spd", "plain"), ("edge_spd", "id_full"),
+])
+def test_batched_task_gradients_match_finite_differences(kind, variant):
+    """The one forward and one backward of a prepared split, through every
+    head wiring, agree with central differences of the split's loss."""
+    graphs = tiny_dataset(3)
+    task = {"node_cc": make_node_cc_task, "graph_cc": make_graph_cc_task,
+            "edge_spd": lambda gs: make_spd_task(gs, 5, seed=1)}[kind](graphs)
+    m = model_for(kind, variant, flavor="gin", num_layers=2, hidden_dim=4)
+    randomize(m, seed=3)
+    p = _prepare(m, task.spec, task.items)
+
+    def loss():
+        return loss_xent(_forward(m, p, record=False)[0], p.labels)[0]
+
+    logits, cache = _forward(m, p, record=True)
+    _, G_logits = loss_xent(logits, p.labels)
+    grads = zero_grads(m)
+    _backward(m, p, cache, G_logits, grads)
+    rng = np.random.default_rng(0)
+    h = 1e-6
+    for name, arr in m.named_parameters():
+        flat = arr.reshape(-1)
+        for idx in rng.choice(flat.size, size=min(3, flat.size), replace=False):
+            orig = flat[idx]
+            flat[idx] = orig + h
+            up = loss()
+            flat[idx] = orig - h
+            down = loss()
+            flat[idx] = orig
+            fd = (up - down) / (2 * h)
+            assert fd == pytest.approx(grads[name].reshape(-1)[idx], rel=1e-4, abs=1e-8), name
+
+
+@pytest.mark.parametrize("kind", ["node_cc", "graph_cc", "edge_spd"])
+@pytest.mark.parametrize("variant", ["plain", "id_full"])
+def test_predictions_match_single_item_wiring(kind, variant):
+    """Batched logits equal the wiring composed from single-item calls."""
+    graphs = tiny_dataset(3)
+    task = {"node_cc": make_node_cc_task, "graph_cc": make_graph_cc_task,
+            "edge_spd": lambda gs: make_spd_task(gs, 5, seed=1)}[kind](graphs)
+    m = model_for(kind, variant, aggregation="sum")  # degree-aware on constant inputs
+    randomize(m, seed=4)
+    logits, _ = predictions(m, task.spec, task.items)
+    expected = []
+    for item in task.items:
+        g = item.graph
+        if variant == "plain":
+            H = forward_plain(m, g, np.ones((g.num_nodes, 1)))
+        else:
+            H = np.stack([forward_conditional(m, g, v, v) for v in range(g.num_nodes)])
+        if kind == "node_cc":
+            expected.extend(head_logits(m, H))
+        elif kind == "graph_cc":
+            expected.append(head_logits(m, readout_graph(H)))
+        elif variant == "plain":
+            expected.extend(edge_pair_score(H[u], H[v], m.pair_head) for u, v, _ in item.pairs)
+        else:
+            expected.extend(head_logits(m, forward_conditional(m, g, u, v))
+                            for u, v, _ in item.pairs)
+    np.testing.assert_allclose(logits, np.array(expected), rtol=0, atol=1e-12)
