@@ -16,7 +16,7 @@ from idgnn.tasks import make_node_cc_task, make_spd_task, split, train
 
 
 def run_node_cc(seeds, epochs):
-    graphs = gen_dataset(GeneratorSpec("small_world", 40, 4, 0.3, 0), 64, seed=11)
+    graphs = gen_dataset(GeneratorSpec("small_world", 40, 4, 0.3), 64, seed=11)
     task = make_node_cc_task(graphs)
     for variant, in_dim in (("plain", 1), ("id_fast", 11)):
         for seed in seeds:
@@ -29,7 +29,7 @@ def run_node_cc(seeds, epochs):
 
 
 def run_edge_spd(seeds, epochs):
-    graphs = gen_dataset(GeneratorSpec("small_world", 40, 4, 0.1, 0), 64, seed=21)
+    graphs = gen_dataset(GeneratorSpec("small_world", 40, 4, 0.1), 64, seed=21)
     task = make_spd_task(graphs, pairs_per_graph=20, seed=99)
     for variant in ("plain", "id_full"):
         for seed in seeds:

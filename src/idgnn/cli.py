@@ -99,7 +99,7 @@ def _cmd_generate(args) -> int:
         degree, prob = args.m, args.p_triad
     spec = GeneratorSpec(
         family=family, num_nodes=args.n, degree_param=degree,
-        rewire_or_triad_prob=prob, seed=args.seed,
+        rewire_or_triad_prob=prob,
     )
     graphs = gen_dataset(spec, args.count, args.seed)
     save_jsonl([GraphRecord(g) for g in graphs], args.out)
@@ -368,6 +368,9 @@ def main(argv=None) -> int:
         return 2
     except CapabilityError as exc:
         print(f"capability error: {exc}", file=sys.stderr)
+        return 3
+    except MemoryError as exc:
+        print(f"capability error: out of memory: {exc}", file=sys.stderr)
         return 3
     except NumericError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)

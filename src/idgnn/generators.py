@@ -42,7 +42,6 @@ class GeneratorSpec:
     num_nodes: int
     degree_param: int
     rewire_or_triad_prob: float = 0.0
-    seed: int = 0
 
     def __post_init__(self):
         if self.family not in FAMILIES:

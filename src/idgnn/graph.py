@@ -133,55 +133,38 @@ def bfs_distances(g: Graph, source: int, cap: int) -> list[int | None]:
     return dist
 
 
-def induced_subgraph(g: Graph, nodes) -> tuple[Graph, tuple[int, ...]]:
-    """Induced subgraph on ``nodes``; returns (subgraph, local-to-parent map).
-
-    Local ids follow ascending parent id order. Node features are sliced
-    from the parent graph.
-    """
-    parents = tuple(sorted(set(int(v) for v in nodes)))
-    for v in parents:
-        _check_node(g, v)
-    local = {p: i for i, p in enumerate(parents)}
-    sub_edges = []
-    member = set(parents)
-    for u, v in g.edges:
-        if u in member and v in member:
-            sub_edges.append((local[u], local[v]))
-    feats = None
-    if g.node_features is not None:
-        feats = g.node_features[list(parents), :]
-    sub = build_graph(len(parents), sub_edges, feats)
-    return sub, parents
-
-
 def extract_ego(g: Graph, center: int, k: int, identity_at: int | None = None) -> EgoNet:
     """Extract the induced K-hop ego network around ``center``.
 
     The identity color goes to ``identity_at`` (default: the center). If the
     conditioning node falls outside the ball, the mask is all false rather
-    than an error; see EgoNet.
+    than an error; see EgoNet. The subgraph is built straight from the
+    ball: each local neighbor list is the parent's ascending list filtered
+    to the ball, so it is already canonical, and node features are sliced
+    from the parent.
     """
     _check_node(g, center, "center")
     if k < 0:
         raise InputError(f"k must be nonnegative, got {k}")
-    if identity_at is None:
-        identity_at = center
-    else:
+    if identity_at is not None:
         _check_node(g, identity_at, "identity_at")
+    identity = int(center if identity_at is None else identity_at)
 
     dist = bfs_distances(g, center, k)
-    ball = [v for v, d in enumerate(dist) if d is not None]
-    sub, parents = induced_subgraph(g, ball)
+    parents = tuple(v for v, d in enumerate(dist) if d is not None)
     local = {p: i for i, p in enumerate(parents)}
-    mask = [False] * len(parents)
-    if identity_at in local:
-        mask[local[identity_at]] = True
+    adjacency = tuple(tuple(local[w] for w in g.adjacency[p] if w in local)
+                      for p in parents)
+    edges = tuple((i, j) for i, nbrs in enumerate(adjacency) for j in nbrs if i < j)
+    feats = None
+    if g.node_features is not None:
+        feats = g.node_features[list(parents), :]
+        feats.setflags(write=False)
     return EgoNet(
-        subgraph=sub,
+        subgraph=Graph(len(parents), edges, adjacency, feats),
         center_local_index=local[center],
         to_parent=parents,
-        identity_mask=tuple(mask),
+        identity_mask=tuple(p == identity for p in parents),
     )
 
 

@@ -19,8 +19,9 @@ sender node, so aggregation is a product with the union's scipy CSR
 adjacency (sum, mean, gin) or its normalized form (gcn), and max
 aggregation is a segmented reduction over the concatenated neighbor lists
 (see _GraphOps). A split of a task is one batch: one forward and one
-backward per epoch. forward_plain and forward_id_full are the single-item
-entry points over the same kernel.
+backward per epoch. The single-item entry points are one-item batches:
+forward_plain embeds one graph, forward_id_full and backward_id_full one
+ego net, and forward_conditional one (u, v) anchor of make_batch.
 
 All tensors are float64. Forward passes record a Tape of per-layer caches;
 backward walks the tape and returns exact gradients for every parameter
@@ -38,7 +39,7 @@ from __future__ import annotations
 import json
 import math
 import struct
-from dataclasses import dataclass, field, asdict, replace
+from dataclasses import dataclass, asdict, replace
 from functools import cached_property
 from itertools import chain
 
@@ -144,9 +145,6 @@ class Model:
     def num_parameters(self) -> int:
         return sum(arr.size for _, arr in self.named_parameters())
 
-    def parameter_report(self) -> dict[str, int]:
-        return {name: int(arr.size) for name, arr in self.named_parameters()}
-
 
 def _uniform(rng: np.random.Generator, shape, fan_in: int) -> np.ndarray:
     bound = 1.0 / np.sqrt(max(fan_in, 1))
@@ -245,12 +243,12 @@ class _GraphOps:
 
 @dataclass
 class Tape:
-    """Recorded forward pass: graph helpers, identity mask, per-layer caches."""
+    """Recorded forward pass: the batch it ran over, the per-layer caches
+    and the union's output embeddings."""
 
-    ops: _GraphOps
-    identity: np.ndarray
-    caches: list[dict] = field(default_factory=list)
-    out: np.ndarray | None = None
+    batch: Batch
+    caches: list[dict]
+    out: np.ndarray
 
 
 def _agg_max(M: np.ndarray, ops: _GraphOps):
@@ -424,6 +422,17 @@ class Batch:
     rows: np.ndarray
 
 
+def _ego_batch(egos, xs) -> Batch:
+    """Disjoint union of ego nets whose local inputs are ``xs``; row i is
+    the center of ego i and the mask is the union of the identity masks."""
+    sizes = np.array([ego.subgraph.num_nodes for ego in egos], dtype=np.int64)
+    centers = np.array([ego.center_local_index for ego in egos], dtype=np.int64)
+    identity = np.fromiter(chain.from_iterable(ego.identity_mask for ego in egos),
+                           dtype=bool, count=int(sizes.sum()))
+    ops = _GraphOps(*(ego.subgraph for ego in egos))
+    return Batch(ops, np.concatenate(xs), identity, np.cumsum(sizes) - sizes + centers)
+
+
 def make_batch(model: Model, graphs, xs, anchors=None) -> Batch:
     """One batch embedding nodes of ``graphs``, whose inputs are ``xs``.
 
@@ -444,27 +453,8 @@ def make_batch(model: Model, graphs, xs, anchors=None) -> Batch:
         anchors = [[(v, v) for v in range(g.num_nodes)] for g in graphs]
     egos = [(extract_ego(g, u, cfg.num_layers, identity_at=v), x)
             for g, x, pairs in zip(graphs, xs, anchors) for u, v in pairs]
-    sizes = np.array([ego.subgraph.num_nodes for ego, _ in egos], dtype=np.int64)
-    centers = np.array([ego.center_local_index for ego, _ in egos], dtype=np.int64)
-    identity = np.fromiter(chain.from_iterable(ego.identity_mask for ego, _ in egos),
-                           dtype=bool, count=int(sizes.sum()))
-    x = np.concatenate(empty + [x[list(ego.to_parent)] for ego, x in egos])
-    ops = _GraphOps(*(ego.subgraph for ego, _ in egos))
-    return Batch(ops, x, identity, np.cumsum(sizes) - sizes + centers)
-
-
-def _run_layers(model: Model, ops: _GraphOps, x: np.ndarray, identity: np.ndarray,
-                tape_out: list | None) -> np.ndarray:
-    tape = Tape(ops=ops, identity=identity)
-    H = x
-    for lp in model.layers:
-        H, cache = _layer_forward(lp, model.config, ops, H, identity)
-        if tape_out is not None:
-            tape.caches.append(cache)
-    if tape_out is not None:
-        tape.out = H
-        tape_out.append(tape)
-    return H
+    return _ego_batch([ego for ego, _ in egos],
+                      empty + [x[list(ego.to_parent)] for ego, x in egos])
 
 
 def zero_grads(model: Model) -> dict[str, np.ndarray]:
@@ -472,8 +462,17 @@ def zero_grads(model: Model) -> dict[str, np.ndarray]:
 
 
 def forward_batch(model: Model, batch: Batch, tape_out: list | None = None) -> np.ndarray:
-    """Embeddings of the batch's rows from one forward pass over the union."""
-    return _run_layers(model, batch.ops, batch.x, batch.identity, tape_out)[batch.rows]
+    """Embeddings of the batch's rows from one forward pass over the union;
+    a Tape of the pass is appended to ``tape_out`` when given."""
+    caches = []
+    H = batch.x
+    for lp in model.layers:
+        H, cache = _layer_forward(lp, model.config, batch.ops, H, batch.identity)
+        if tape_out is not None:
+            caches.append(cache)
+    if tape_out is not None:
+        tape_out.append(Tape(batch, caches, H))
+    return H[batch.rows]
 
 
 def backward_batch(model: Model, batch: Batch, tape: Tape, G_rows: np.ndarray,
@@ -505,41 +504,45 @@ def backward_layers(model: Model, tape: Tape, G_H: np.ndarray,
     G = np.asarray(G_H, dtype=np.float64)
     for i in range(len(model.layers) - 1, -1, -1):
         G = _layer_backward(
-            model.layers[i], model.config, tape.ops, tape.caches[i],
-            tape.identity, G, grads, f"layers.{i}.",
+            model.layers[i], model.config, tape.batch.ops, tape.caches[i],
+            tape.batch.identity, G, grads, f"layers.{i}.",
         )
     return grads, G
 
 
+def _require_id_full(model: Model) -> None:
+    if model.config.variant != "id_full":
+        raise InputError(f"variant {model.config.variant!r} is not id_full")
+
+
 def forward_id_full(model: Model, ego: EgoNet, x_local,
                     tape_out: list | None = None) -> np.ndarray:
-    """Center-node embedding from heterogeneous message passing on an ego net.
+    """Center-node embedding from heterogeneous message passing on an ego
+    net, run as a one-ego batch.
 
     Messages from the identity-masked node use msg1; all other nodes use
     msg0. With an all-false mask (conditioning node outside the ball) this
     reduces to the plain scheme on the ego subgraph.
     """
-    if model.config.variant != "id_full":
-        raise InputError(f"variant {model.config.variant!r} is not id_full")
+    _require_id_full(model)
     x = _check_features(model.config, ego.subgraph, x_local)
-    H = _run_layers(model, _GraphOps(ego.subgraph), x,
-                    np.array(ego.identity_mask, dtype=bool), tape_out)
-    return H[ego.center_local_index]
+    return forward_batch(model, _ego_batch([ego], [x]), tape_out)[0]
 
 
 def backward_id_full(model: Model, ego: EgoNet, tape: Tape, g_center: np.ndarray,
                      grads: dict[str, np.ndarray] | None = None):
-    G_H = np.zeros_like(tape.out)
-    G_H[ego.center_local_index] = g_center
-    return backward_layers(model, tape, G_H, grads)
+    """Backpropagate the center gradient of a forward_id_full pass on
+    ``ego``; returns (grads, gradient with respect to its local inputs)."""
+    return backward_batch(model, tape.batch, tape, g_center, grads)
 
 
 def forward_conditional(model: Model, g: Graph, u: int, v: int) -> np.ndarray:
-    """Embedding of u with the identity color placed at v: the ego net of u
-    is extracted at radius num_layers and v is the identity node when it
-    falls inside the ball."""
-    ego = extract_ego(g, u, model.config.num_layers, identity_at=v)
-    return forward_id_full(model, ego, input_features(model.config, ego.subgraph))
+    """Embedding of u with the identity color placed at v: the one-anchor
+    batch ``[[(u, v)]]``, so the ego net of u has radius num_layers and v is
+    the identity node when it falls inside the ball."""
+    _require_id_full(model)
+    batch = make_batch(model, [g], [input_features(model.config, g)], [[(u, v)]])
+    return forward_batch(model, batch)[0]
 
 
 def readout_graph(embeddings: np.ndarray) -> np.ndarray:
@@ -685,8 +688,8 @@ def save_model(model: Model, path: str) -> None:
 
 
 def load_model(path: str) -> Model:
-    """Read a checkpoint written by save_model; malformed content raises
-    InputError.
+    """Read a checkpoint written by save_model; malformed content, including
+    a NaN or infinite parameter, raises InputError.
 
     Older headers carry ``"edge_dim": 0`` from the removed edge-feature
     path; it is accepted and dropped, and a nonzero width is rejected.
@@ -713,6 +716,8 @@ def load_model(path: str) -> Model:
         raise InputError(f"{path}: checkpoint parameters do not match its config")
     if len(blob) != 8 * sum(math.prod(shape) for _, shape in layout):
         raise InputError(f"{path}: checkpoint blob size mismatch")
+    if not np.isfinite(np.frombuffer(blob, dtype="<f8")).all():
+        raise InputError(f"{path}: checkpoint parameters are not all finite")
     model = init_model(config)
     offset = 0
     for _, arr in model.named_parameters():

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import logging
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -57,8 +57,6 @@ class TaskSpec:
     kind: str
     num_classes: int
     bin_edges: tuple[float, ...] = ()
-    pairs_per_graph: int = 0
-    distance_cap: int = SPD_CLASSES
 
     def __post_init__(self):
         if self.kind not in TASK_KINDS:
@@ -101,19 +99,10 @@ class TrainReport:
     wall_clock_seconds: float | None = None
 
     def to_obj(self, include_wall_clock: bool = False) -> dict:
-        return {
-            "config": self.config,
-            "task": self.task,
-            "wiring": self.wiring,
-            "epochs": self.epochs,
-            "lr": self.lr,
-            "seed": self.seed,
-            "train_losses": self.train_losses,
-            "final_val_accuracy": self.final_val_accuracy,
-            "num_parameters": self.num_parameters,
-            "bin_edges": self.bin_edges,
-            "wall_clock_seconds": self.wall_clock_seconds if include_wall_clock else None,
-        }
+        obj = asdict(self)
+        if not include_wall_clock:
+            obj["wall_clock_seconds"] = None
+        return obj
 
 
 def _bin_index(value: float, edges: tuple[float, ...]) -> int:
@@ -161,9 +150,7 @@ def make_spd_task(graphs, pairs_per_graph: int, seed: int) -> TaskData:
     """
     if pairs_per_graph < 1:
         raise InputError("pairs_per_graph must be >= 1")
-    spec = TaskSpec(
-        kind="edge_spd", num_classes=SPD_CLASSES, pairs_per_graph=pairs_per_graph
-    )
+    spec = TaskSpec(kind="edge_spd", num_classes=SPD_CLASSES)
     items = []
     for gi, g in enumerate(graphs):
         rng = np.random.Generator(np.random.PCG64(child_seed(seed, gi)))
@@ -297,8 +284,13 @@ def predictions(model: Model, spec: TaskSpec, items) -> tuple[np.ndarray, np.nda
 
 
 def evaluate(model: Model, spec: TaskSpec, items) -> float:
-    """Argmax accuracy; ties break toward the lowest class index."""
-    logits, labels = predictions(model, spec, items)
+    """Argmax accuracy; ties break toward the lowest class index. Raises
+    NumericError if a logit is not finite (finite parameters can still
+    overflow)."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        logits, labels = predictions(model, spec, items)
+    if not np.isfinite(logits).all():
+        raise NumericError("evaluation produced non-finite logits")
     pred = np.argmax(logits, axis=1)
     return float(np.mean(pred == labels))
 
@@ -342,17 +334,7 @@ def train(model: Model, task: TaskSplit, epochs: int, lr: float = 0.01,
         raise NumericError("training left non-finite parameters")
     accuracy = evaluate(model, spec, task.val)
     return TrainReport(
-        config=dict(
-            flavor=model.config.flavor,
-            variant=model.config.variant,
-            num_layers=model.config.num_layers,
-            hidden_dim=model.config.hidden_dim,
-            input_dim=model.config.input_dim,
-            output_dim=model.config.output_dim,
-            aggregation=model.config.aggregation,
-            fast_k=model.config.fast_k,
-            seed=model.config.seed,
-        ),
+        config=asdict(model.config),
         task=spec.kind,
         wiring=task_wiring(spec, model),
         epochs=epochs,

@@ -135,15 +135,9 @@ def _iso_backtrack(g1: Graph, g2: Graph, colors1, colors2) -> bool:
                 continue
             if any(mapping[w] not in adj2[c] for w in mapped_nbrs):
                 continue
-            # non-edges must also map to non-edges
-            images = {mapping[w] for w in mapped_nbrs}
-            ok = True
-            for w in range(n):
-                mw = mapping[w]
-                if mw >= 0 and mw in adj2[c] and mw not in images:
-                    ok = False
-                    break
-            if not ok:
+            # non-edges must also map to non-edges: c has no placed neighbor
+            # beyond the images of v's placed neighbors
+            if sum(used[x] for x in g2.adjacency[c]) != len(mapped_nbrs):
                 continue
             mapping[v] = c
             used[c] = True

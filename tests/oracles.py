@@ -6,10 +6,12 @@ powers, Floyd-Warshall) and shares no code with the package paths it checks.
 
 from __future__ import annotations
 
+from itertools import permutations
+
 import numpy as np
 
 from idgnn.generators import GeneratorSpec, child_seed, generate_one
-from idgnn.graph import Graph
+from idgnn.graph import EgoNet, Graph, build_graph
 
 
 def count_walks_brute(g: Graph, start: int, end: int, length: int) -> int:
@@ -119,3 +121,27 @@ def max_scatter_naive(G_S: np.ndarray, src: np.ndarray, n: int) -> np.ndarray:
             if src[u, c] >= 0:
                 G_M[src[u, c], c] += G_S[u, c]
     return G_M
+
+
+def ego_by_induced_edges(g: Graph, center: int, k: int,
+                         identity_at: int | None = None) -> EgoNet:
+    """The K-hop ego net as build_graph over the induced edge list, with the
+    ball read off Floyd-Warshall distances."""
+    ball = [int(v) for v in np.flatnonzero(floyd_warshall(g)[center] <= k)]
+    local = {p: i for i, p in enumerate(ball)}
+    edges = [(local[u], local[v]) for u, v in g.edges if u in local and v in local]
+    feats = None if g.node_features is None else g.node_features[ball, :]
+    identity = center if identity_at is None else identity_at
+    return EgoNet(build_graph(len(ball), edges, feats), local[center], tuple(ball),
+                  tuple(p == identity for p in ball))
+
+
+def isomorphic_brute(g1: Graph, g2: Graph) -> bool:
+    """Isomorphism by trying every node permutation (a handful of nodes)."""
+    if g1.num_nodes != g2.num_nodes or g1.num_edges != g2.num_edges:
+        return False
+    edges2 = set(g2.edges)
+    return any(
+        all((min(p[u], p[v]), max(p[u], p[v])) in edges2 for u, v in g1.edges)
+        for p in permutations(range(g1.num_nodes))
+    )

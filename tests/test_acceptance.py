@@ -228,7 +228,7 @@ TREND_SEEDS = (0, 1, 2)
 def test_criterion_9_node_cc_trend():
     with criterion(9, "node clustering task: id_fast beats plain by >= 15 pts"):
         start = time.monotonic()
-        spec = GeneratorSpec("small_world", 40, 4, 0.3, 0)
+        spec = GeneratorSpec("small_world", 40, 4, 0.3)
         graphs = gen_dataset(spec, 64, seed=11)
         task = make_node_cc_task(graphs)
         means = {}
@@ -253,7 +253,7 @@ def test_criterion_10_spd_trend():
     with criterion(10, "SPD edge task: id_full conditional >= 0.85 and "
                        ">= 20 pts over pair-concat"):
         start = time.monotonic()
-        spec = GeneratorSpec("small_world", 40, 4, 0.1, 0)
+        spec = GeneratorSpec("small_world", 40, 4, 0.1)
         graphs = gen_dataset(spec, 64, seed=21)
         task = make_spd_task(graphs, pairs_per_graph=20, seed=99)
         means = {}

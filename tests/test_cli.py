@@ -1,7 +1,9 @@
 import json
 import os
 import struct
+import warnings
 
+import numpy as np
 import pytest
 
 from idgnn.cli import main
@@ -217,10 +219,23 @@ def test_bad_learning_rate_exit_2(tmp_path, tiny_dataset, capsys, lr):
     assert not ckpt.exists()
 
 
+def test_unallocatable_width_exit_3(tmp_path, tiny_dataset, capsys):
+    # the first weight matrix needs 8 TB, so allocation fails at once
+    ckpt = tmp_path / "m.ckpt"
+    code = run(["train", "--data", tiny_dataset, "--task", "node-cc", "--epochs", "0",
+                "--hidden", str(10**12), "--out", str(ckpt)])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert len(captured.err.strip().split("\n")) == 1
+    assert captured.err.startswith("capability error: ")
+    assert not ckpt.exists()
+
+
 class TestCheckpointHeader:
     """Malformed checkpoints written from a real ``train`` run end in exit 2
-    with one stderr line; headers from before edge features were removed
-    carry ``"edge_dim": 0`` and still load."""
+    with one stderr line, and parameters that overflow the logits in exit 4;
+    headers from before edge features were removed carry ``"edge_dim": 0``
+    and still load."""
 
     @pytest.fixture()
     def raw(self, tmp_path, tiny_dataset):
@@ -238,12 +253,22 @@ class TestCheckpointHeader:
         body = json.dumps(header, separators=(",", ":")).encode()
         return raw[:8] + struct.pack("<I", len(body)) + body + raw[12 + hlen:]
 
+    @staticmethod
+    def with_blob(raw, edit):
+        (hlen,) = struct.unpack("<I", raw[8:12])
+        blob = np.frombuffer(raw[12 + hlen:], dtype="<f8").copy()
+        edit(blob)
+        return raw[:12 + hlen] + blob.astype("<f8").tobytes()
+
     def eval_bytes(self, tmp_path, tiny_dataset, data, capsys):
         path = tmp_path / "edited.ckpt"
         path.write_bytes(data)
         capsys.readouterr()
-        code = run(["eval", "--model", str(path), "--data", tiny_dataset,
-                    "--task", "node-cc"])
+        # a numpy warning would be a second stderr line from the CLI
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = run(["eval", "--model", str(path), "--data", tiny_dataset,
+                        "--task", "node-cc"])
         return code, capsys.readouterr()
 
     def assert_input_error(self, tmp_path, tiny_dataset, data, capsys):
@@ -275,6 +300,22 @@ class TestCheckpointHeader:
         self.assert_input_error(tmp_path, tiny_dataset, edited, capsys)
         edited = self.with_config(raw, num_layers=10**12)
         self.assert_input_error(tmp_path, tiny_dataset, edited, capsys)
+
+    def test_nan_parameter_rejected(self, tmp_path, tiny_dataset, raw, capsys):
+        def poison(blob):
+            blob[len(blob) // 2] = np.nan
+        edited = self.with_blob(raw, poison)
+        self.assert_input_error(tmp_path, tiny_dataset, edited, capsys)
+
+    def test_overflowing_logits_exit_4(self, tmp_path, tiny_dataset, raw, capsys):
+        def scale(blob):
+            blob *= 1e300
+        code, captured = self.eval_bytes(tmp_path, tiny_dataset,
+                                         self.with_blob(raw, scale), capsys)
+        assert code == 4
+        assert len(captured.err.strip().split("\n")) == 1
+        assert captured.err.startswith("numeric failure: ")
+        assert captured.out == ""
 
     def test_legacy_zero_edge_dim_loads(self, tmp_path, tiny_dataset, raw, capsys):
         assert b"edge_dim" not in raw

@@ -89,7 +89,7 @@ class TestScaleFree:
 
 class TestDataset:
     def test_byte_identical_reruns(self):
-        spec = GeneratorSpec("small_world", 40, 4, 0.2, 0)
+        spec = GeneratorSpec("small_world", 40, 4, 0.2)
         a = gen_dataset(spec, 16, 5)
         b = gen_dataset(spec, 16, 5)
         blob_a = "\n".join(dumps_canonical(record_to_obj(GraphRecord(g))) for g in a)
@@ -102,7 +102,7 @@ class TestDataset:
         assert all(set(g.degrees()) == {4} for g in graphs)
 
     def test_different_seed_differs(self):
-        spec = GeneratorSpec("small_world", 40, 4, 0.2, 0)
+        spec = GeneratorSpec("small_world", 40, 4, 0.2)
         a = gen_dataset(spec, 8, 5)
         b = gen_dataset(spec, 8, 6)
         assert any(wl_graph_hash(x) != wl_graph_hash(y) for x, y in zip(a, b))

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -7,10 +9,9 @@ from idgnn.graph import (
     bfs_distances,
     build_graph,
     extract_ego,
-    induced_subgraph,
     relabel_graph,
 )
-from oracles import floyd_warshall
+from oracles import ego_by_induced_edges, floyd_warshall
 
 
 def edges_strategy(max_n=30):
@@ -154,11 +155,29 @@ class TestEgo:
         assert set(ego.subgraph.edges) == expected
 
 
-def test_induced_subgraph_keeps_order():
-    g = build_graph(5, [(0, 2), (2, 4), (1, 4)])
-    sub, parents = induced_subgraph(g, [4, 0, 2])
-    assert parents == (0, 2, 4)
-    assert sub.edges == ((0, 1), (1, 2))
+def _without_features(ego):
+    return replace(ego, subgraph=replace(ego.subgraph, node_features=None))
+
+
+@given(edges_strategy(), st.integers(0, 29), st.integers(0, 4),
+       st.none() | st.integers(0, 29), st.booleans())
+@settings(max_examples=150)
+def test_extract_ego_equals_reference(data, center, k, identity_at, with_features):
+    # identities drawn from every node land inside and outside the ball
+    n, edges = data
+    feats = np.arange(2.0 * n).reshape(n, 2) if with_features else None
+    g = build_graph(n, edges, node_features=feats)
+    center %= n
+    identity_at = None if identity_at is None else identity_at % n
+    ego = extract_ego(g, center, k, identity_at=identity_at)
+    ref = ego_by_induced_edges(g, center, k, identity_at=identity_at)
+    assert _without_features(ego) == _without_features(ref)
+    if with_features:
+        np.testing.assert_array_equal(ego.subgraph.node_features,
+                                      ref.subgraph.node_features)
+        assert not ego.subgraph.node_features.flags.writeable
+    else:
+        assert ego.subgraph.node_features is None
 
 
 def test_relabel_roundtrip():

@@ -38,7 +38,7 @@ PAW = build_graph(4, [(0, 1), (1, 2), (0, 2), (0, 3)])
 
 
 def tiny_dataset(count=10, seed=0):
-    return gen_dataset(GeneratorSpec("small_world", 20, 4, 0.3, 0), count, seed)
+    return gen_dataset(GeneratorSpec("small_world", 20, 4, 0.3), count, seed)
 
 
 class TestNodeCcTask:
@@ -85,7 +85,7 @@ class TestSpdTask:
         assert labels[(0, 5)] == 4
 
     def test_stratified_balance(self):
-        graphs = gen_dataset(GeneratorSpec("small_world", 40, 4, 0.1, 0), 16, 3)
+        graphs = gen_dataset(GeneratorSpec("small_world", 40, 4, 0.1), 16, 3)
         task = make_spd_task(graphs, pairs_per_graph=20, seed=7)
         hist = collections.Counter()
         for item in task.items:

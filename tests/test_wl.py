@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from idgnn.errors import CapabilityError
 from idgnn.generators import gen_d_regular, gen_small_world
 from idgnn.graph import build_graph, relabel_graph
 from idgnn.wl import are_isomorphic, wl_graph_hash, wl_refine
+from oracles import isomorphic_brute
 
 TWO_K3 = build_graph(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
 C6 = build_graph(6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (0, 5)])
@@ -116,3 +118,48 @@ class TestIsomorphism:
         g = build_graph(200, [(i, i + 1) for i in range(199)])
         with pytest.raises(CapabilityError):
             are_isomorphic(g, g)
+
+
+@st.composite
+def graph_pairs(draw):
+    """A graph on at most 7 nodes and a relabeled copy, a relabeled copy with
+    one edge moved, or an unrelated graph with as many edges."""
+    n = draw(st.integers(1, 7))
+    slots = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = draw(st.sets(st.sampled_from(slots))) if slots else set()
+    g1 = build_graph(n, edges)
+    mode = draw(st.sampled_from(["copy", "moved", "unrelated"]))
+    if mode == "unrelated":
+        edges = set(draw(st.permutations(slots))[:len(edges)])
+    elif mode == "moved" and edges and len(edges) < len(slots):
+        edges = (edges - {draw(st.sampled_from(sorted(edges)))}) | {
+            draw(st.sampled_from(sorted(set(slots) - edges)))}
+    return g1, relabel_graph(build_graph(n, edges), draw(st.permutations(range(n))))
+
+
+@st.composite
+def wl_equal_pairs(draw):
+    """Two relabeled unions of cycles on 6 or 7 nodes, or their complements:
+    regular graphs of one degree, which 1-WL never tells apart, isomorphic
+    only when the cycle lengths agree."""
+    n = draw(st.sampled_from([6, 7]))
+    splits = {6: [(6,), (3, 3)], 7: [(7,), (3, 4)]}[n]
+    complement = draw(st.booleans())
+    pair = []
+    for lengths in (draw(st.sampled_from(splits)), draw(st.sampled_from(splits))):
+        starts = np.cumsum((0,) + lengths)
+        g = build_graph(n, [(s + i, s + (i + 1) % m) for s, m in zip(starts, lengths)
+                            for i in range(m)])
+        if complement:
+            g = build_graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)
+                                if not g.has_edge(u, v)])
+        pair.append(relabel_graph(g, draw(st.permutations(range(n)))))
+    assert wl_graph_hash(pair[0]) == wl_graph_hash(pair[1])
+    return tuple(pair)
+
+
+@given(graph_pairs() | wl_equal_pairs())
+@settings(max_examples=300, deadline=None)
+def test_are_isomorphic_matches_brute_force(pair):
+    g1, g2 = pair
+    assert are_isomorphic(g1, g2) == isomorphic_brute(g1, g2)
