@@ -36,7 +36,7 @@ def graph_from_obj(obj: dict) -> Graph:
         return build_graph(
             int(obj["num_nodes"]), obj["edges"], obj.get("node_features")
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ParseError(f"bad graph object: {exc}") from exc
 
 
@@ -53,11 +53,14 @@ def record_from_obj(obj: dict) -> GraphRecord:
     g = graph_from_obj(obj)
     label = obj.get("label")
     node_labels = obj.get("node_labels")
-    if node_labels is not None:
-        node_labels = [int(x) for x in node_labels]
-        if len(node_labels) != g.num_nodes:
-            raise ParseError(f"{len(node_labels)} node_labels for {g.num_nodes} nodes")
-    return GraphRecord(g, None if label is None else int(label), node_labels)
+    try:
+        label = None if label is None else int(label)
+        node_labels = None if node_labels is None else [int(x) for x in node_labels]
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ParseError(f"bad label: {exc}") from None
+    if node_labels is not None and len(node_labels) != g.num_nodes:
+        raise ParseError(f"{len(node_labels)} node_labels for {g.num_nodes} nodes")
+    return GraphRecord(g, label, node_labels)
 
 
 def dumps_canonical(obj) -> str:
@@ -85,11 +88,13 @@ def save_graph(g: Graph, path: str) -> None:
 
 
 def load_graph(path: str) -> Graph:
-    with open(path) as fh:
+    with open(path, "rb") as fh:
         try:
-            obj = json.load(fh)
+            obj = json.loads(fh.read())
         except json.JSONDecodeError as exc:
             raise ParseError(f"invalid JSON in {path}: {exc.msg}", exc.lineno) from exc
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"invalid UTF-8 in {path}: {exc.reason}") from None
     return graph_from_obj(obj)
 
 
@@ -100,7 +105,7 @@ def save_jsonl(records, path: str) -> None:
 
 def load_jsonl(path: str) -> list[GraphRecord]:
     records = []
-    with open(path) as fh:
+    with open(path, "rb") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
@@ -109,6 +114,8 @@ def load_jsonl(path: str) -> list[GraphRecord]:
                 obj = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise ParseError(f"invalid JSON: {exc.msg}", lineno) from exc
+            except UnicodeDecodeError as exc:
+                raise ParseError(f"invalid UTF-8: {exc.reason}", lineno) from None
             try:
                 records.append(record_from_obj(obj))
             except ParseError as exc:

@@ -26,6 +26,8 @@ STREAM_SPLIT = "blake2b(seed,index)[:8]"
 FAMILIES = ("d_regular", "small_world", "scale_free")
 
 _MAX_PAIRING_RESTARTS = 1_000_000
+_PAIRING_BLOCK = 128  # most consecutive shuffles gen_d_regular checks at once
+_PAIRING_BLOCK_STUBS = 1 << 17  # and most stubs in one block (1 MB of int64)
 
 
 @dataclass(frozen=True)
@@ -78,7 +80,10 @@ def gen_d_regular(n: int, d: int, seed: int) -> Graph:
 
     Pairings containing a self-loop or duplicate edge are discarded and the
     whole pairing is restarted, which keeps the draw unbiased over simple
-    pairings. The restart count is logged at debug level.
+    pairings. The checks run on blocks of consecutive shuffles of one RNG
+    stream (1, 2, 4, ... up to ``_PAIRING_BLOCK`` rows), and the first simple
+    row wins, so the graph and the restart count are those of checking one
+    shuffle at a time. The restart count is logged at debug level.
     """
     if d < 0 or d >= n:
         raise InputError(f"need 0 <= d < n, got d={d}, n={n}")
@@ -86,28 +91,31 @@ def gen_d_regular(n: int, d: int, seed: int) -> Graph:
         raise InputError(f"n*d must be even, got n={n}, d={d}")
     rng = _rng(seed)
     stubs = np.repeat(np.arange(n, dtype=np.int64), d)
-    restarts = 0
+    restarts, batch = 0, 1
     while True:
-        rng.shuffle(stubs)
-        u = stubs[0::2]
-        v = stubs[1::2]
-        if np.any(u == v):
-            restarts += 1
-        else:
-            lo = np.minimum(u, v)
-            hi = np.maximum(u, v)
-            keys = lo * np.int64(n) + hi
-            if np.unique(keys).size == keys.size:
-                break
-            restarts += 1
+        states = np.empty((batch, stubs.size), dtype=np.int64)
+        for row in states:
+            rng.shuffle(stubs)
+            row[:] = stubs
+        free = np.flatnonzero((states[:, 0::2] != states[:, 1::2]).all(axis=1))
+        u, v = states[free, 0::2], states[free, 1::2]
+        lo, hi = np.minimum(u, v), np.maximum(u, v)
+        keys = np.sort(lo * np.int64(n) + hi, axis=1)
+        simple = np.flatnonzero((keys[:, 1:] != keys[:, :-1]).all(axis=1))
+        first = int(free[simple[0]]) if simple.size else batch
+        restarts += first
         if restarts > _MAX_PAIRING_RESTARTS:
             raise CapabilityError(
                 f"pairing model failed to produce a simple {d}-regular graph "
                 f"on {n} nodes within {_MAX_PAIRING_RESTARTS} restarts"
             )
+        if first < batch:
+            break
+        batch = max(1, min(2 * batch, _PAIRING_BLOCK, _PAIRING_BLOCK_STUBS // stubs.size))
     if restarts:
         log.debug("d-regular pairing restarted %d times (n=%d, d=%d)", restarts, n, d)
-    return build_graph(n, list(zip(lo.tolist(), hi.tolist())))
+    row = simple[0]
+    return build_graph(n, list(zip(lo[row].tolist(), hi[row].tolist())))
 
 
 def gen_small_world(n: int, k: int, p: float, seed: int) -> Graph:

@@ -80,8 +80,8 @@ class ModelConfig:
             raise InputError("num_layers must be >= 1")
         if min(self.hidden_dim, self.input_dim, self.output_dim) < 1:
             raise InputError("all dimensions must be >= 1")
-        if self.variant == "id_fast" and self.fast_k < 1:
-            raise InputError("id_fast requires fast_k >= 1")
+        if self.variant == "id_fast" and not 1 <= self.fast_k <= self.input_dim:
+            raise InputError("id_fast requires 1 <= fast_k <= input_dim")
         if not self.aggregation:
             object.__setattr__(
                 self, "aggregation", _FLAVOR_DEFAULT_AGG[self.flavor]

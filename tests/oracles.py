@@ -145,3 +145,21 @@ def isomorphic_brute(g1: Graph, g2: Graph) -> bool:
         all((min(p[u], p[v]), max(p[u], p[v])) in edges2 for u, v in g1.edges)
         for p in permutations(range(g1.num_nodes))
     )
+
+
+def d_regular_sequential(n: int, d: int, seed: int) -> tuple[tuple[tuple[int, int], ...], int]:
+    """The pairing model checked one shuffle at a time: shuffle the stubs in
+    place until a pairing has no self-loop and no duplicate edge. Returns the
+    sorted edges of that pairing and the number of pairings discarded."""
+    rng = np.random.Generator(np.random.PCG64(seed))
+    stubs = np.repeat(np.arange(n, dtype=np.int64), d)
+    restarts = 0
+    while True:
+        rng.shuffle(stubs)
+        u, v = stubs[0::2], stubs[1::2]
+        if not np.any(u == v):
+            lo, hi = np.minimum(u, v), np.maximum(u, v)
+            keys = lo * np.int64(n) + hi
+            if np.unique(keys).size == keys.size:
+                return tuple(sorted(zip(lo.tolist(), hi.tolist()))), restarts
+        restarts += 1

@@ -1,10 +1,13 @@
+import io
 import json
 import os
 import struct
 import warnings
+from contextlib import redirect_stderr, redirect_stdout
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from idgnn.cli import main
 from idgnn.datasets import GraphRecord, load_jsonl, save_graph, save_jsonl
@@ -379,3 +382,78 @@ def test_manifest_contents(tmp_path):
     assert manifest["subcommand"] == "generate"
     assert manifest["flags"]["seed"] == 9
     assert manifest["rng"]["name"] == "pcg64"
+
+
+class TestCorruptedInputs:
+    """Truncated and bit-flipped files written by ``train`` and ``generate``
+    end in a documented exit code, never in a traceback, with one stderr line
+    when the call fails."""
+
+    @pytest.fixture(scope="class")
+    def written(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("written")
+        data, ckpt = root / "d.jsonl", root / "m.ckpt"
+        assert run(["generate", "--family", "small-world", "--n", "12", "--k", "4",
+                    "--p", "0.3", "--count", "4", "--seed", "4", "--out", str(data)]) == 0
+        assert run(["train", "--data", str(data), "--task", "node-cc", "--variant", "id-fast",
+                    "--flavor", "sage", "--aggregation", "max", "--epochs", "1",
+                    "--hidden", "4", "--seed", "0", "--out", str(ckpt)]) == 0
+        return root, data, ckpt
+
+    @staticmethod
+    def corrupt(raw: bytes, data) -> bytes:
+        buf = bytearray(raw)
+        for bit in data.draw(st.lists(st.integers(0, 8 * len(buf) - 1), max_size=3)):
+            buf[bit // 8] ^= 1 << (bit % 8)
+        keep = data.draw(st.one_of(st.just(len(buf)), st.integers(0, len(buf))))
+        return bytes(buf[:keep])
+
+    @staticmethod
+    def assert_clean_exit(argv):
+        out, err = io.StringIO(), io.StringIO()
+        # a numpy warning would be a second stderr line from the CLI
+        with redirect_stdout(out), redirect_stderr(err), warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(argv)
+        assert code in (0, 2, 4)
+        assert "Traceback" not in err.getvalue()
+        if code != 0:
+            assert len(err.getvalue().strip().split("\n")) == 1
+        return code
+
+    def test_fast_k_wider_than_input(self, written):
+        root, dataset, ckpt = written
+        path = root / "wide_fast_k.ckpt"
+        path.write_bytes(TestCheckpointHeader.with_config(ckpt.read_bytes(), fast_k=99))
+        assert self.assert_clean_exit(["eval", "--model", str(path), "--data", str(dataset),
+                                       "--task", "node-cc"]) == 2
+
+    def test_invalid_utf8(self, written):
+        root, dataset, ckpt = written
+        path = root / "latin1.jsonl"
+        path.write_bytes(b"\xff" + dataset.read_bytes())
+        for argv in (["eval", "--model", str(ckpt), "--data", str(path), "--task", "node-cc"],
+                     ["features", "--data", str(path), "--k", "3",
+                      "--out", str(root / "features.jsonl")],
+                     ["wl", "hash", str(path)]):
+            assert self.assert_clean_exit(argv) == 2
+
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data())
+    def test_corrupted_checkpoint(self, written, data):
+        root, dataset, ckpt = written
+        path = root / "corrupt.ckpt"
+        path.write_bytes(self.corrupt(ckpt.read_bytes(), data))
+        self.assert_clean_exit(["eval", "--model", str(path), "--data", str(dataset),
+                                "--task", "node-cc"])
+
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data())
+    def test_corrupted_jsonl(self, written, data):
+        root, dataset, ckpt = written
+        path = root / "corrupt.jsonl"
+        path.write_bytes(self.corrupt(dataset.read_bytes(), data))
+        self.assert_clean_exit(["eval", "--model", str(ckpt), "--data", str(path),
+                                "--task", "node-cc"])
+        self.assert_clean_exit(["features", "--data", str(path), "--k", "3",
+                                "--out", str(root / "features.jsonl")])

@@ -60,6 +60,22 @@ def test_bad_graph_object_reports_line(tmp_path):
     assert "line 1" in str(err.value)
 
 
+@pytest.mark.parametrize("line", [
+    b'{"num_nodes": 2, "edges": [[0, 1]], "label": "a"}',
+    b'{"num_nodes": 2, "edges": [[0, 1]], "label": 1e999}',
+    b'{"num_nodes": 2, "edges": [[0, 1]], "node_labels": [0, [1]]}',
+    b'{"num_nodes": 1e999, "edges": []}',
+    b'{"num_nodes": 2, "edges": [[0, 1e999]]}',
+    b'{"num_nodes": 2, "edges": []}\xff',
+], ids=["label-text", "label-inf", "node-label-list", "nodes-inf", "edge-inf", "not-utf8"])
+def test_bad_record_reports_line(tmp_path, line):
+    path = tmp_path / "bad.jsonl"
+    path.write_bytes(b'{"num_nodes": 2, "edges": []}\n' + line + b"\n")
+    with pytest.raises(ParseError) as err:
+        load_jsonl(str(path))
+    assert "line 2" in str(err.value)
+
+
 def test_save_is_atomic_and_stable(tmp_path):
     g = build_graph(3, [(0, 1), (1, 2)])
     p1, p2 = str(tmp_path / "a.jsonl"), str(tmp_path / "b.jsonl")

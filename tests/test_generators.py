@@ -1,8 +1,13 @@
-import pytest
+import logging
+import re
 
+import pytest
+from hypothesis import HealthCheck, example, given, settings, strategies as st
+
+from idgnn import generators
 from idgnn.counts import clustering_direct
 from idgnn.datasets import GraphRecord, record_to_obj, dumps_canonical
-from idgnn.errors import InputError
+from idgnn.errors import CapabilityError, InputError
 from idgnn.generators import (
     GeneratorSpec,
     child_seed,
@@ -13,6 +18,8 @@ from idgnn.generators import (
 )
 from idgnn.graph import bfs_distances
 from idgnn.wl import wl_graph_hash
+
+from oracles import d_regular_sequential
 
 
 class TestDRegular:
@@ -35,6 +42,70 @@ class TestDRegular:
 
     def test_deterministic(self):
         assert gen_d_regular(20, 4, 3).edges == gen_d_regular(20, 4, 3).edges
+
+
+def logged_restarts(caplog) -> int:
+    """The restart count of the one debug record, read as the bench tracer
+    reads it; no record means no restart."""
+    counts = [int(m.group(1)) for r in caplog.records
+              if (m := re.search(r"restarted (\d+) times", r.getMessage()))]
+    assert len(counts) <= 1
+    return counts[0] if counts else 0
+
+
+# n*d even and d <= 5: the pairing model restarts about exp((d*d - 1) / 4)
+# times, and near-complete settings such as (12, 7) exceed the restart cap
+d_regular_settings = st.integers(1, 24).flatmap(lambda n: st.tuples(
+    st.just(n), st.sampled_from([d for d in range(min(n, 6)) if n * d % 2 == 0])))
+
+
+class TestDRegularMatchesSequential:
+    """Checking blocks of consecutive shuffles yields the graph and the restart
+    count of checking one shuffle at a time."""
+
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(setting=d_regular_settings, seed=st.integers(0, 2**63 - 1))
+    @example(setting=(7, 0), seed=0)
+    @example(setting=(8, 1), seed=3)
+    @example(setting=(4, 3), seed=0)
+    @example(setting=(4, 3), seed=99)
+    def test_same_edges_and_restarts(self, caplog, setting, seed):
+        n, d = setting
+        caplog.clear()
+        caplog.set_level(logging.DEBUG, logger="idgnn.generators")
+        g = gen_d_regular(n, d, seed)
+        edges, restarts = d_regular_sequential(n, d, seed)
+        assert g.edges == edges
+        assert logged_restarts(caplog) == restarts
+
+    def test_table_settings(self, caplog):
+        caplog.set_level(logging.DEBUG, logger="idgnn.generators")
+        for n, d in ((64, 4), (40, 5), (96, 6)):
+            caplog.clear()
+            edges, restarts = d_regular_sequential(n, d, 0)
+            assert gen_d_regular(n, d, 0).edges == edges
+            assert logged_restarts(caplog) == restarts
+
+    def test_cap_boundary(self, monkeypatch):
+        # seed 9 at (20, 4) accepts pairing 117, inside the block of 63..126
+        edges, restarts = d_regular_sequential(20, 4, 9)
+        assert restarts == 117
+        monkeypatch.setattr(generators, "_MAX_PAIRING_RESTARTS", restarts - 1)
+        with pytest.raises(CapabilityError):
+            gen_d_regular(20, 4, 9)
+        monkeypatch.setattr(generators, "_MAX_PAIRING_RESTARTS", restarts)
+        assert gen_d_regular(20, 4, 9).edges == edges
+
+    @pytest.mark.parametrize("stubs", [1, 200])
+    def test_block_stub_bound(self, monkeypatch, caplog, stubs):
+        # blocks of one row when one pairing has more stubs than the bound,
+        # of at most two rows when 80 stubs meet a bound of 200
+        monkeypatch.setattr(generators, "_PAIRING_BLOCK_STUBS", stubs)
+        caplog.set_level(logging.DEBUG, logger="idgnn.generators")
+        edges, restarts = d_regular_sequential(20, 4, 9)
+        assert gen_d_regular(20, 4, 9).edges == edges
+        assert logged_restarts(caplog) == restarts
 
 
 class TestSmallWorld:
