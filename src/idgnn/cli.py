@@ -363,7 +363,9 @@ def main(argv=None) -> int:
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except FileNotFoundError as exc:
+    except (FileNotFoundError, IsADirectoryError, NotADirectoryError,
+            PermissionError) as exc:
+        # a user-given path that cannot be opened as the file it names
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except CapabilityError as exc:

@@ -53,16 +53,19 @@ class EgoNet:
     """Induced K-hop subgraph around a center node.
 
     ``to_parent[i]`` is the parent-graph id of local node ``i``; local ids
-    preserve the relative order of parent ids. ``identity_mask`` is true at
-    the identity-colored node. When the requested conditioning node lies
-    outside the K-hop ball the mask is all false (at most one true overall),
-    so downstream message passing degrades to the plain, uncolored scheme.
+    preserve the relative order of parent ids. ``depth[i]`` is the hop
+    distance of local node ``i`` from the center, in the parent graph and in
+    the subgraph alike. ``identity_mask`` is true at the identity-colored
+    node. When the requested conditioning node lies outside the K-hop ball
+    the mask is all false (at most one true overall), so downstream message
+    passing degrades to the plain, uncolored scheme.
     """
 
     subgraph: Graph
     center_local_index: int
     to_parent: tuple[int, ...]
     identity_mask: tuple[bool, ...]
+    depth: tuple[int, ...]
 
     @property
     def identity_local_index(self) -> int | None:
@@ -140,8 +143,8 @@ def extract_ego(g: Graph, center: int, k: int, identity_at: int | None = None) -
     conditioning node falls outside the ball, the mask is all false rather
     than an error; see EgoNet. The subgraph is built straight from the
     ball: each local neighbor list is the parent's ascending list filtered
-    to the ball, so it is already canonical, and node features are sliced
-    from the parent.
+    to the ball, so it is already canonical, node features are sliced from
+    the parent, and the BFS distances are kept as ``depth``.
     """
     _check_node(g, center, "center")
     if k < 0:
@@ -165,6 +168,7 @@ def extract_ego(g: Graph, center: int, k: int, identity_at: int | None = None) -
         center_local_index=local[center],
         to_parent=parents,
         identity_mask=tuple(p == identity for p in parents),
+        depth=tuple(dist[p] for p in parents),
     )
 
 

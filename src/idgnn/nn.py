@@ -18,8 +18,12 @@ the disjoint union of whole graphs (plain, id_fast) or of ego nets
 sender node, so aggregation is a product with the union's scipy CSR
 adjacency (sum, mean, gin) or its normalized form (gcn), and max
 aggregation is a segmented reduction over the concatenated neighbor lists
-(see _GraphOps). A split of a task is one batch: one forward and one
-backward per epoch. The single-item entry points are one-item batches:
+(see _GraphOps). Whole-graph batches run every layer on all rows. id_full
+layers run on receptive fields: of K layers, layer l reads the rows within
+K - l + 1 hops of their ego's center and writes those within K - l, since
+the center's output reads no other row, and its operators are the union's
+restricted to those rows. A split of a task is one batch: one forward and
+one backward per epoch. The single-item entry points are one-item batches:
 forward_plain embeds one graph, forward_id_full and backward_id_full one
 ego net, and forward_conditional one (u, v) anchor of make_batch.
 
@@ -199,64 +203,96 @@ def init_model(config: ModelConfig) -> Model:
 
 
 class _GraphOps:
-    """Aggregation operators over the disjoint union of ``graphs``, built
-    once per batch.
+    """Operators of one layer over a disjoint union, built once per batch:
+    the layer reads ``n_in`` rows and writes ``n`` of them.
 
-    Each graph's node ids are shifted by the node count of the graphs before
-    it. ``nbr`` concatenates every node's ascending neighbor list and
-    ``dst`` names the receiving node of each entry; ``heads`` are the
-    offsets where the nonempty lists start. Max aggregation reduces over
-    these arrays. Sum, mean, gin and gcn use the scipy CSR ``A`` and
-    ``A_gcn`` built from them on first use: both are symmetric and take
-    O(E) memory.
+    ``_GraphOps(*graphs)`` reads and writes every node of the union; each
+    graph's node ids are shifted by the node count of the graphs before it,
+    and ``identity`` (all false unless given) is the identity mask. ``trim``
+    restricts it to a layer that writes only some of the rows it reads, and
+    ``keep`` then holds the input position of each written row (None when
+    every row is written).
+
+    ``nbr`` concatenates every written row's ascending neighbor list, as
+    input positions, ``dst`` names the written row of each entry and
+    ``heads`` are the offsets where the nonempty lists start; max
+    aggregation reduces over these arrays. Sum, mean, gin and gcn use the
+    n x n_in scipy CSR ``A`` and ``A_gcn`` built from them on first use, and
+    their transposes in backward.
     """
 
-    def __init__(self, *graphs: Graph):
+    def __init__(self, *graphs: Graph, identity: np.ndarray | None = None):
         adjacency = [nbrs for g in graphs for nbrs in g.adjacency]
         sizes = np.array([g.num_nodes for g in graphs], dtype=np.int64)
-        self.n = n = len(adjacency)
-        self.deg = deg = np.fromiter(map(len, adjacency), dtype=np.int64, count=n)
+        n = len(adjacency)
+        deg = np.fromiter(map(len, adjacency), dtype=np.int64, count=n)
         shift = np.repeat(np.repeat(np.cumsum(sizes) - sizes, sizes), deg)
-        self.nbr = shift + np.fromiter(chain.from_iterable(adjacency), dtype=np.int64,
-                                       count=int(deg.sum()))
+        nbr = shift + np.fromiter(chain.from_iterable(adjacency), dtype=np.int64,
+                                  count=int(deg.sum()))
+        if identity is None:
+            identity = np.zeros(n, dtype=bool)
+        self._index(deg, nbr, deg, identity)
+
+    def _index(self, deg: np.ndarray, nbr: np.ndarray, deg_in: np.ndarray,
+               identity: np.ndarray, keep: np.ndarray | None = None) -> None:
+        self.n = n = len(deg)
+        self.n_in = len(deg_in)
+        self.deg, self.nbr, self.deg_in = deg, nbr, deg_in
+        self.identity, self.keep = identity, keep
         self.dst = np.repeat(np.arange(n), deg)
         self.heads = (np.cumsum(deg) - deg)[deg > 0]
         self.has_nbrs = deg > 0
         self.inv_deg = np.where(deg > 0, 1.0 / np.maximum(deg, 1.0), 0.0)
 
+    def trim(self, rows_in: np.ndarray, rows_out: np.ndarray) -> _GraphOps:
+        """The operators of a layer that reads the ascending union rows
+        ``rows_in`` and writes ``rows_out``, a subset of them whose
+        neighbors all lie in ``rows_in``. Neighbors are renumbered
+        monotonically, so every list keeps its order: sums run in the same
+        order and max ties go to the same sender."""
+        pos = np.zeros(self.n, dtype=np.int64)
+        pos[rows_in] = np.arange(len(rows_in))
+        written = np.zeros(self.n, dtype=bool)
+        written[rows_out] = True
+        sub = _GraphOps.__new__(_GraphOps)
+        sub._index(self.deg[rows_out], pos[self.nbr[written[self.dst]]],
+                   self.deg[rows_in], self.identity[rows_in], keep=pos[rows_out])
+        return sub
+
     @cached_property
     def A(self) -> sp.csr_matrix:
         indptr = np.concatenate([[0], np.cumsum(self.deg)])
         return sp.csr_matrix((np.ones(self.nbr.size), self.nbr, indptr),
-                             shape=(self.n, self.n))
+                             shape=(self.n, self.n_in))
 
     @cached_property
     def A_gcn(self) -> sp.csr_matrix:
         """D^-1/2 (A + I) D^-1/2 with D the closed-neighborhood degrees."""
-        d_hat = 1.0 / np.sqrt(self.deg + 1.0)
+        d_out = 1.0 / np.sqrt(self.deg + 1.0)
+        d_in = 1.0 / np.sqrt(self.deg_in + 1.0)
         loops = np.arange(self.n)
         rows = np.concatenate([self.dst, loops])
-        cols = np.concatenate([self.nbr, loops])
-        return sp.csr_matrix((d_hat[rows] * d_hat[cols], (rows, cols)),
-                             shape=(self.n, self.n))
+        cols = np.concatenate([self.nbr, loops if self.keep is None else self.keep])
+        return sp.csr_matrix((d_out[rows] * d_in[cols], (rows, cols)),
+                             shape=(self.n, self.n_in))
 
 
 @dataclass
 class Tape:
-    """Recorded forward pass: the batch it ran over, the per-layer caches
-    and the union's output embeddings."""
+    """Recorded forward pass: the batch it ran over, whose per-layer
+    operators say which rows each layer read and wrote, and the per-layer
+    caches."""
 
     batch: Batch
     caches: list[dict]
-    out: np.ndarray
 
 
 def _agg_max(M: np.ndarray, ops: _GraphOps):
-    """Per-node max over neighbor rows of M, and the sending neighbor of
-    each maximum (-1 at isolated nodes). Ties go to the lowest-index
-    neighbor: the first hit in each ascending neighbor list."""
-    n, d = M.shape
-    S = np.zeros_like(M)
+    """Per written row, the max over neighbor rows of M, and the sending
+    neighbor of each maximum (-1 at isolated nodes). Ties go to the
+    lowest-index neighbor: the first hit in each ascending neighbor list."""
+    n, d = ops.n, M.shape[1]
+    S = np.zeros((n, d))
     src = np.full((n, d), -1, dtype=np.int64)
     if ops.nbr.size:
         Mn = M[ops.nbr]
@@ -297,10 +333,34 @@ def _messages_backward(lp, H, identity, G_M, grads, prefix):
     return G_H
 
 
+def _update(X: np.ndarray, W: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """X @ W.T + b over the rows a layer writes. numpy sends a one-row
+    product to BLAS gemv, which sums in another order than the gemm of a
+    multi-row product, so a lone row (the center of a one-ego batch) runs
+    doubled and rounds as it would among the rows of a whole graph."""
+    if len(X) == 1:
+        return (np.concatenate([X, X]) @ W.T + b)[:1]
+    return X @ W.T + b
+
+
+def _kept(H: np.ndarray, ops: _GraphOps) -> np.ndarray:
+    """The rows of H that the layer writes."""
+    return H if ops.keep is None else H[ops.keep]
+
+
+def _add_kept(G_H: np.ndarray, ops: _GraphOps, G_kept: np.ndarray) -> np.ndarray:
+    """Scatter-add the gradient of _kept(H, ops) into the gradient of H."""
+    if ops.keep is None:
+        G_H += G_kept
+    else:
+        G_H[ops.keep] += G_kept
+    return G_H
+
+
 def _layer_forward(lp: LayerParams, config: ModelConfig, ops: _GraphOps,
-                   H: np.ndarray, identity: np.ndarray) -> tuple[np.ndarray, dict]:
+                   H: np.ndarray) -> tuple[np.ndarray, dict]:
     cache: dict = {"H": H}
-    M = _messages(lp, H, identity)
+    M = _messages(lp, H, ops.identity)
     if config.flavor == "gcn":
         S = ops.A_gcn @ M
         cache["S"] = S
@@ -315,31 +375,31 @@ def _layer_forward(lp: LayerParams, config: ModelConfig, ops: _GraphOps,
         else:
             S, src = _agg_max(Mr, ops)
             cache["src"] = src
-        Z = np.concatenate([S, H], axis=1)
-        P = Z @ lp.update_weight.T + lp.update_bias
+        Z = np.concatenate([S, _kept(H, ops)], axis=1)
+        P = _update(Z, lp.update_weight, lp.update_bias)
         cache.update(Z=Z, P=P)
         return np.maximum(P, 0.0), cache
     # gin
     S = ops.A @ M
     eps = float(lp.gin_eps)
-    Z = (1.0 + eps) * H + S
-    P1 = Z @ lp.update_weight.T + lp.update_bias
+    Z = (1.0 + eps) * _kept(H, ops) + S
+    P1 = _update(Z, lp.update_weight, lp.update_bias)
     Hd = np.maximum(P1, 0.0)
-    P2 = Hd @ lp.mlp2_weight.T + lp.mlp2_bias
+    P2 = _update(Hd, lp.mlp2_weight, lp.mlp2_bias)
     cache.update(Z=Z, P1=P1, Hd=Hd, P2=P2)
     return np.maximum(P2, 0.0), cache
 
 
 def _layer_backward(lp: LayerParams, config: ModelConfig, ops: _GraphOps,
-                    cache: dict, identity: np.ndarray,
-                    G_out: np.ndarray, grads: dict, prefix: str) -> np.ndarray:
-    """Gradient of one layer; the symmetric A and A_gcn are their own
-    transposes."""
+                    cache: dict, G_out: np.ndarray, grads: dict,
+                    prefix: str) -> np.ndarray:
+    """Gradient of one layer with respect to the rows it read; aggregation
+    backpropagates through the transposed operators."""
     H = cache["H"]
     if config.flavor == "gcn":
         G_S = G_out * (cache["S"] > 0.0)
-        G_M = ops.A_gcn @ G_S
-        return _messages_backward(lp, H, identity, G_M, grads, prefix)
+        G_M = ops.A_gcn.T @ G_S
+        return _messages_backward(lp, H, ops.identity, G_M, grads, prefix)
     if config.flavor == "sage":
         G_P = G_out * (cache["P"] > 0.0)
         grads[prefix + "update_weight"] += G_P.T @ cache["Z"]
@@ -347,16 +407,15 @@ def _layer_backward(lp: LayerParams, config: ModelConfig, ops: _GraphOps,
         G_Z = G_P @ lp.update_weight
         d_out = config.hidden_dim
         G_S = G_Z[:, :d_out]
-        G_H_skip = G_Z[:, d_out:]
         if config.aggregation == "sum":
-            G_Mr = ops.A @ G_S
+            G_Mr = ops.A.T @ G_S
         elif config.aggregation == "mean":
-            G_Mr = ops.A @ (ops.inv_deg[:, None] * G_S)
+            G_Mr = ops.A.T @ (ops.inv_deg[:, None] * G_S)
         else:
-            G_Mr = _agg_max_backward(G_S, cache["src"], H.shape[0])
+            G_Mr = _agg_max_backward(G_S, cache["src"], ops.n_in)
         G_M = G_Mr * (cache["M"] > 0.0)
-        G_H = _messages_backward(lp, H, identity, G_M, grads, prefix)
-        return G_H + G_H_skip
+        G_H = _messages_backward(lp, H, ops.identity, G_M, grads, prefix)
+        return _add_kept(G_H, ops, G_Z[:, d_out:])
     # gin
     G_P2 = G_out * (cache["P2"] > 0.0)
     grads[prefix + "mlp2_weight"] += G_P2.T @ cache["Hd"]
@@ -367,10 +426,10 @@ def _layer_backward(lp: LayerParams, config: ModelConfig, ops: _GraphOps,
     grads[prefix + "update_bias"] += G_P1.sum(axis=0)
     G_Z = G_P1 @ lp.update_weight
     eps = float(lp.gin_eps)
-    grads[prefix + "gin_eps"] += np.sum(G_Z * H)
-    G_M = ops.A @ G_Z
-    G_H = _messages_backward(lp, H, identity, G_M, grads, prefix)
-    return G_H + (1.0 + eps) * G_Z
+    grads[prefix + "gin_eps"] += np.sum(G_Z * _kept(H, ops))
+    G_M = ops.A.T @ G_Z
+    G_H = _messages_backward(lp, H, ops.identity, G_M, grads, prefix)
+    return _add_kept(G_H, ops, (1.0 + eps) * G_Z)
 
 
 def _check_features(config: ModelConfig, g: Graph, x: np.ndarray) -> np.ndarray:
@@ -413,24 +472,45 @@ def input_features(config: ModelConfig, g: Graph) -> np.ndarray:
 @dataclass
 class Batch:
     """Disjoint union of graphs (plain, id_fast) or of ego nets (id_full)
-    with stacked inputs and the identity mask, built once and run in one
-    forward pass. ``rows`` holds the union row of every embedded node."""
+    with stacked inputs, built once and run in one forward pass.
+
+    ``ops`` covers the whole union and holds its identity mask. ``layers[l]``
+    holds the operators of layer l + 1: whole-graph batches share ``ops``
+    across every layer, while id_full layers run on receptive fields (see
+    make_batch). The last layer writes exactly ``rows``, the union row of
+    every embedded node, in order.
+    """
 
     ops: _GraphOps
     x: np.ndarray
-    identity: np.ndarray
     rows: np.ndarray
+    layers: list[_GraphOps]
+
+    @property
+    def identity(self) -> np.ndarray:
+        return self.ops.identity
 
 
-def _ego_batch(egos, xs) -> Batch:
-    """Disjoint union of ego nets whose local inputs are ``xs``; row i is
-    the center of ego i and the mask is the union of the identity masks."""
-    sizes = np.array([ego.subgraph.num_nodes for ego in egos], dtype=np.int64)
-    centers = np.array([ego.center_local_index for ego in egos], dtype=np.int64)
+def _ego_batch(egos, xs, num_layers: int) -> Batch:
+    """Disjoint union of ego nets whose local inputs are ``xs``, run by
+    ``num_layers`` layers; the mask is the union of the identity masks.
+
+    Layer l reads the rows R_{l-1} and writes R_l, the rows within
+    num_layers - l hops of their ego's center (R_0 is every row): the
+    center's output reads nothing else, and a row within h hops has all its
+    neighbors within h + 1. R_num_layers is the centers, one row per ego.
+    """
     identity = np.fromiter(chain.from_iterable(ego.identity_mask for ego in egos),
-                           dtype=bool, count=int(sizes.sum()))
-    ops = _GraphOps(*(ego.subgraph for ego in egos))
-    return Batch(ops, np.concatenate(xs), identity, np.cumsum(sizes) - sizes + centers)
+                           dtype=bool)
+    depth = np.fromiter(chain.from_iterable(ego.depth for ego in egos),
+                        dtype=np.int64, count=len(identity))
+    ops = _GraphOps(*(ego.subgraph for ego in egos), identity=identity)
+    layers, rows = [], np.arange(ops.n)
+    for hops in range(num_layers - 1, -1, -1):
+        written = np.flatnonzero(depth <= hops)
+        layers.append(ops.trim(rows, written))
+        rows = written
+    return Batch(ops, np.concatenate(xs), rows, layers)
 
 
 def make_batch(model: Model, graphs, xs, anchors=None) -> Batch:
@@ -447,14 +527,15 @@ def make_batch(model: Model, graphs, xs, anchors=None) -> Batch:
     empty = [np.zeros((0, cfg.input_dim))]
     if cfg.variant != "id_full":
         ops = _GraphOps(*graphs)
-        return Batch(ops, np.concatenate(empty + xs), np.zeros(ops.n, dtype=bool),
-                     np.arange(ops.n))
+        return Batch(ops, np.concatenate(empty + xs), np.arange(ops.n),
+                     [ops] * cfg.num_layers)
     if anchors is None:
         anchors = [[(v, v) for v in range(g.num_nodes)] for g in graphs]
     egos = [(extract_ego(g, u, cfg.num_layers, identity_at=v), x)
             for g, x, pairs in zip(graphs, xs, anchors) for u, v in pairs]
     return _ego_batch([ego for ego, _ in egos],
-                      empty + [x[list(ego.to_parent)] for ego, x in egos])
+                      empty + [x[list(ego.to_parent)] for ego, x in egos],
+                      cfg.num_layers)
 
 
 def zero_grads(model: Model) -> dict[str, np.ndarray]:
@@ -466,22 +547,21 @@ def forward_batch(model: Model, batch: Batch, tape_out: list | None = None) -> n
     a Tape of the pass is appended to ``tape_out`` when given."""
     caches = []
     H = batch.x
-    for lp in model.layers:
-        H, cache = _layer_forward(lp, model.config, batch.ops, H, batch.identity)
+    for lp, ops in zip(model.layers, batch.layers):
+        H, cache = _layer_forward(lp, model.config, ops, H)
         if tape_out is not None:
             caches.append(cache)
     if tape_out is not None:
-        tape_out.append(Tape(batch, caches, H))
-    return H[batch.rows]
+        tape_out.append(Tape(batch, caches))
+    return H
 
 
 def backward_batch(model: Model, batch: Batch, tape: Tape, G_rows: np.ndarray,
                    grads: dict[str, np.ndarray] | None = None):
     """Backpropagate gradients of the batch's row embeddings; returns
-    (grads, gradient with respect to the stacked inputs)."""
-    G_H = np.zeros_like(tape.out)
-    G_H[batch.rows] = G_rows
-    return backward_layers(model, tape, G_H, grads)
+    (grads, gradient with respect to the stacked inputs, one row per union
+    row)."""
+    return backward_layers(model, tape, G_rows, grads)
 
 
 def forward_plain(model: Model, g: Graph, x, tape_out: list | None = None) -> np.ndarray:
@@ -494,7 +574,8 @@ def forward_plain(model: Model, g: Graph, x, tape_out: list | None = None) -> np
 
 def backward_layers(model: Model, tape: Tape, G_H: np.ndarray,
                     grads: dict[str, np.ndarray] | None = None):
-    """Backpropagate a node-embedding gradient through the recorded layers.
+    """Backpropagate a gradient of the last layer's rows through the
+    recorded layers.
 
     Accumulates into ``grads`` (created zeroed when not given) and returns
     (grads, gradient with respect to the input features).
@@ -503,10 +584,8 @@ def backward_layers(model: Model, tape: Tape, G_H: np.ndarray,
         grads = zero_grads(model)
     G = np.asarray(G_H, dtype=np.float64)
     for i in range(len(model.layers) - 1, -1, -1):
-        G = _layer_backward(
-            model.layers[i], model.config, tape.batch.ops, tape.caches[i],
-            tape.batch.identity, G, grads, f"layers.{i}.",
-        )
+        G = _layer_backward(model.layers[i], model.config, tape.batch.layers[i],
+                            tape.caches[i], G, grads, f"layers.{i}.")
     return grads, G
 
 
@@ -526,14 +605,15 @@ def forward_id_full(model: Model, ego: EgoNet, x_local,
     """
     _require_id_full(model)
     x = _check_features(model.config, ego.subgraph, x_local)
-    return forward_batch(model, _ego_batch([ego], [x]), tape_out)[0]
+    return forward_batch(model, _ego_batch([ego], [x], model.config.num_layers),
+                         tape_out)[0]
 
 
 def backward_id_full(model: Model, ego: EgoNet, tape: Tape, g_center: np.ndarray,
                      grads: dict[str, np.ndarray] | None = None):
     """Backpropagate the center gradient of a forward_id_full pass on
     ``ego``; returns (grads, gradient with respect to its local inputs)."""
-    return backward_batch(model, tape.batch, tape, g_center, grads)
+    return backward_batch(model, tape.batch, tape, np.reshape(g_center, (1, -1)), grads)
 
 
 def forward_conditional(model: Model, g: Graph, u: int, v: int) -> np.ndarray:

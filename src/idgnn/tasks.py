@@ -275,8 +275,18 @@ def _backward(model: Model, p: _Prepared, cache: dict, G_logits: np.ndarray,
     backward_batch(model, p.batch, tape, G_H, grads)
 
 
+def _check_classes(model: Model, spec: TaskSpec) -> None:
+    if model.config.output_dim != spec.num_classes:
+        raise InputError(
+            f"model output_dim {model.config.output_dim} != task classes "
+            f"{spec.num_classes}"
+        )
+
+
 def predictions(model: Model, spec: TaskSpec, items) -> tuple[np.ndarray, np.ndarray]:
-    """Stacked (logits, labels) over every labeled unit in the items."""
+    """Stacked (logits, labels) over every labeled unit in the items; raises
+    InputError if the model's output width is not the task's class count."""
+    _check_classes(model, spec)
     p = _prepare(model, spec, items)
     if not p.labels.size:
         raise InputError("no labeled items to evaluate")
@@ -311,11 +321,7 @@ def train(model: Model, task: TaskSplit, epochs: int, lr: float = 0.01,
         raise InputError(f"lr must be positive and finite, got {lr}")
     started = time.monotonic()
     spec = task.spec
-    if model.config.output_dim != spec.num_classes:
-        raise InputError(
-            f"model output_dim {model.config.output_dim} != task classes "
-            f"{spec.num_classes}"
-        )
+    _check_classes(model, spec)
     prepared = _prepare(model, spec, task.train)
     if epochs and not prepared.labels.size:
         raise InputError("no labeled items in the training split")

@@ -1,12 +1,13 @@
 """Independent reference implementations used to freeze expected values.
 
 Everything here is deliberately naive (exhaustive enumeration, dense matrix
-powers, Floyd-Warshall) and shares no code with the package paths it checks.
+powers, Floyd-Warshall, dense message passing one graph at a time) and
+shares no code with the package paths it checks.
 """
 
 from __future__ import annotations
 
-from itertools import permutations
+from itertools import count, permutations
 
 import numpy as np
 
@@ -126,14 +127,15 @@ def max_scatter_naive(G_S: np.ndarray, src: np.ndarray, n: int) -> np.ndarray:
 def ego_by_induced_edges(g: Graph, center: int, k: int,
                          identity_at: int | None = None) -> EgoNet:
     """The K-hop ego net as build_graph over the induced edge list, with the
-    ball read off Floyd-Warshall distances."""
-    ball = [int(v) for v in np.flatnonzero(floyd_warshall(g)[center] <= k)]
+    ball and each node's depth read off Floyd-Warshall distances."""
+    dist = floyd_warshall(g)[center]
+    ball = [int(v) for v in np.flatnonzero(dist <= k)]
     local = {p: i for i, p in enumerate(ball)}
     edges = [(local[u], local[v]) for u, v in g.edges if u in local and v in local]
     feats = None if g.node_features is None else g.node_features[ball, :]
     identity = center if identity_at is None else identity_at
     return EgoNet(build_graph(len(ball), edges, feats), local[center], tuple(ball),
-                  tuple(p == identity for p in ball))
+                  tuple(p == identity for p in ball), tuple(int(dist[p]) for p in ball))
 
 
 def isomorphic_brute(g1: Graph, g2: Graph) -> bool:
@@ -163,3 +165,159 @@ def d_regular_sequential(n: int, d: int, seed: int) -> tuple[tuple[tuple[int, in
             if np.unique(keys).size == keys.size:
                 return tuple(sorted(zip(lo.tolist(), hi.tolist()))), restarts
         restarts += 1
+
+
+# ---------------------------------------------------------------------------
+# dense reference engine: the layer equations of idgnn.nn's docstring, run
+# one graph or ego net at a time on dense adjacency, every row at every
+# layer, with gradients from a generic reverse-mode tape of dense operations
+
+
+class _Var:
+    """A dense value in a reverse-mode graph. ``links`` pairs each input
+    with the map from this value's gradient to that input's share."""
+
+    _created = count()
+
+    def __init__(self, value, links=()):
+        self.value = np.asarray(value, dtype=np.float64)
+        self.links = links
+        self.grad = np.zeros_like(self.value)
+        self.order = next(_Var._created)  # inputs are created before users
+
+
+def _backprop(out: _Var, G: np.ndarray) -> None:
+    """Accumulate d(sum(G * out)) / d(v) into v.grad for every v out reads."""
+    seen, stack = {}, [out]
+    while stack:
+        v = stack.pop()
+        if id(v) not in seen:
+            seen[id(v)] = v
+            stack.extend(parent for parent, _ in v.links)
+    out.grad = out.grad + G
+    for v in sorted(seen.values(), key=lambda v: -v.order):
+        for parent, vjp in v.links:
+            parent.grad = parent.grad + vjp(v.grad)
+
+
+def _matmul(a: _Var, b: _Var) -> _Var:
+    return _Var(a.value @ b.value, ((a, lambda G: G @ b.value.T),
+                                    (b, lambda G: a.value.T @ G)))
+
+
+def _affine(h: _Var, w: _Var, b: _Var) -> _Var:
+    """h @ w.T + b with b added to every row."""
+    return _Var(h.value @ w.value.T + b.value,
+                ((h, lambda G: G @ w.value), (w, lambda G: G.T @ h.value),
+                 (b, lambda G: G.sum(axis=0))))
+
+
+def _add(a: _Var, b: _Var) -> _Var:
+    return _Var(a.value + b.value, ((a, lambda G: G), (b, lambda G: G)))
+
+
+def _one_plus_times(eps: _Var, h: _Var) -> _Var:
+    """(1 + eps) * h for a scalar eps."""
+    return _Var((1.0 + eps.value) * h.value,
+                ((eps, lambda G: np.sum(G * h.value)),
+                 (h, lambda G: (1.0 + eps.value) * G)))
+
+
+def _relu(a: _Var) -> _Var:
+    """max(a, 0); its subgradient at 0 is 0."""
+    return _Var(np.maximum(a.value, 0.0), ((a, lambda G: G * (a.value > 0.0)),))
+
+
+def _concat(a: _Var, b: _Var) -> _Var:
+    d = a.value.shape[1]
+    return _Var(np.concatenate([a.value, b.value], axis=1),
+                ((a, lambda G: G[:, :d]), (b, lambda G: G[:, d:])))
+
+
+def _where_rows(mask: np.ndarray, a: _Var, b: _Var) -> _Var:
+    """Row i of a where mask[i], else row i of b."""
+    m = mask[:, None]
+    return _Var(np.where(m, a.value, b.value),
+                ((a, lambda G: np.where(m, G, 0.0)), (b, lambda G: np.where(m, 0.0, G))))
+
+
+def _max_aggregate(M: _Var, g: Graph) -> _Var:
+    S, src = max_aggregate_naive(M.value, g)
+    n = M.value.shape[0]
+    return _Var(S, ((M, lambda G: max_scatter_naive(G, src, n)),))
+
+
+def _take_rows(a: _Var, rows: list[int]) -> _Var:
+    def vjp(G):
+        out = np.zeros_like(a.value)
+        for i, r in enumerate(rows):
+            out[r] += G[i]
+        return out
+    return _Var(a.value[rows], ((a, vjp),))
+
+
+def _dense_layer(cfg, p: dict, i: int, g: Graph, H: _Var, identity) -> _Var:
+    """One layer on graph g, all rows, from the docstring equations."""
+    n = g.num_nodes
+    A = np.zeros((n, n))
+    for u, v in g.edges:
+        A[u, v] = A[v, u] = 1.0
+    deg = A.sum(axis=1)
+    pre = f"layers.{i}."
+    msg1 = "msg1" if cfg.variant == "id_full" else "msg0"
+    M = _where_rows(np.array(identity, dtype=bool),
+                    _affine(H, p[pre + msg1 + "_weight"], p[pre + msg1 + "_bias"]),
+                    _affine(H, p[pre + "msg0_weight"], p[pre + "msg0_bias"]))
+    if cfg.flavor == "gcn":
+        d = 1.0 / np.sqrt(deg + 1.0)
+        return _relu(_matmul(_Var(d[:, None] * (A + np.eye(n)) * d[None, :]), M))
+    if cfg.flavor == "sage":
+        Mr = _relu(M)
+        if cfg.aggregation == "max":
+            S = _max_aggregate(Mr, g)
+        elif cfg.aggregation == "mean":
+            S = _matmul(_Var(A / np.maximum(deg, 1.0)[:, None]), Mr)
+        else:
+            S = _matmul(_Var(A), Mr)
+        Z = _concat(S, H)
+        return _relu(_affine(Z, p[pre + "update_weight"], p[pre + "update_bias"]))
+    Z = _add(_one_plus_times(p[pre + "gin_eps"], H), _matmul(_Var(A), M))
+    hidden = _relu(_affine(Z, p[pre + "update_weight"], p[pre + "update_bias"]))
+    return _relu(_affine(hidden, p[pre + "mlp2_weight"], p[pre + "mlp2_bias"]))
+
+
+def dense_reference(model, graphs, xs, anchors, G_rows: np.ndarray):
+    """Row embeddings of nn.make_batch(model, graphs, xs, anchors), and the
+    gradients of sum(G_rows * embeddings): (H, parameter grads by name,
+    input grads stacked like the batch's input rows).
+
+    Plain and id_fast models run each whole graph; id_full models run the
+    ego net of each anchor, read off Floyd-Warshall distances, with the
+    identity mask of its identity node (all false outside the ball).
+    """
+    cfg = model.config
+    units = []  # (graph, local inputs, identity mask, embedded rows)
+    for g, x, pairs in zip(graphs, xs, anchors or [None] * len(graphs)):
+        if cfg.variant != "id_full":
+            units.append((g, x, [False] * g.num_nodes, list(range(g.num_nodes))))
+            continue
+        for u, v in [(v, v) for v in range(g.num_nodes)] if pairs is None else pairs:
+            ego = ego_by_induced_edges(g, u, cfg.num_layers, identity_at=v)
+            units.append((ego.subgraph, x[list(ego.to_parent)], ego.identity_mask,
+                          [ego.center_local_index]))
+    params = {name: _Var(arr) for name, arr in model.named_parameters()}
+    H_rows, G_x, start = [], [], 0
+    for g, x, identity, rows in units:
+        x_var = _Var(x)
+        H = x_var
+        for i in range(cfg.num_layers):
+            H = _dense_layer(cfg, params, i, g, H, identity)
+        out = _take_rows(H, rows)
+        _backprop(out, G_rows[start:start + len(rows)])
+        start += len(rows)
+        H_rows.append(out.value)
+        G_x.append(x_var.grad)
+    empty_h, empty_x = np.zeros((0, cfg.hidden_dim)), np.zeros((0, cfg.input_dim))
+    return (np.concatenate([empty_h] + H_rows),
+            {name: var.grad for name, var in params.items()},
+            np.concatenate([empty_x] + G_x))

@@ -1,12 +1,15 @@
-"""A disjoint-union batch computes what the single-item entry points compute.
+"""A disjoint-union batch computes what the single-item entry points and an
+independent dense reference compute.
 
 One forward and one backward over make_batch must give the same row
-embeddings, parameter gradients and input gradients as forward_plain /
-backward_layers per graph (plain, id_fast) or forward_id_full /
-backward_id_full per ego net (id_full), to within 1e-12.
+embeddings, parameter gradients and input gradients, to within 1e-12, as
+forward_plain / backward_layers per graph (plain, id_fast) or
+forward_id_full / backward_id_full per ego net (id_full), and as
+oracles.dense_reference, which runs every row of every layer.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from idgnn.graph import build_graph, extract_ego
@@ -23,9 +26,11 @@ from idgnn.nn import (
     zero_grads,
 )
 from gradcheck import randomize
+from oracles import dense_reference
 
 SCHEMES = [("gcn", "mean"), ("sage", "sum"), ("sage", "mean"), ("sage", "max"),
            ("gin", "sum")]
+VARIANTS = ["plain", "id_full", "id_fast"]
 TOL = 1e-12
 
 
@@ -38,9 +43,9 @@ def graphs_with_isolated_nodes(draw):
 
 
 @st.composite
-def cases(draw):
-    flavor, agg = draw(st.sampled_from(SCHEMES))
-    variant = draw(st.sampled_from(["plain", "id_full", "id_fast"]))
+def cases(draw, scheme=None, variant=None):
+    flavor, agg = scheme or draw(st.sampled_from(SCHEMES))
+    variant = variant or draw(st.sampled_from(VARIANTS))
     cfg = ModelConfig(flavor=flavor, variant=variant, aggregation=agg,
                       num_layers=draw(st.integers(1, 3)), hidden_dim=3,
                       input_dim=2, output_dim=2, fast_k=1, seed=draw(st.integers(0, 9)))
@@ -98,6 +103,31 @@ def test_batch_equals_per_item(case):
     np.testing.assert_allclose(G_x, np.concatenate([np.zeros((0, 2))] + G_x_ref),
                                rtol=0, atol=TOL)
     assert_grads_close(grads, ref_grads)
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+@pytest.mark.parametrize("scheme", SCHEMES, ids=lambda s: "-".join(s))
+@given(data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_batch_equals_dense_oracle(scheme, variant, data):
+    cfg, graphs, anchors, seed = data.draw(cases(scheme, variant))
+    model = init_model(cfg)
+    randomize(model, seed=seed % 1000)
+    rng = np.random.default_rng(seed)
+    # inputs in {-1, 0, 1} repeat rows, so max aggregation meets ties
+    integer = data.draw(st.booleans())
+    xs = [rng.integers(-1, 2, size=(g.num_nodes, 2)).astype(float) if integer
+          else rng.normal(size=(g.num_nodes, 2)) for g in graphs]
+    anchors = anchors if variant == "id_full" else None
+    batch = make_batch(model, graphs, xs, anchors)
+    tapes = []
+    H = forward_batch(model, batch, tapes)
+    G_rows = rng.normal(size=H.shape)
+    grads, G_x = backward_batch(model, batch, tapes[0], G_rows)
+    H_ref, grads_ref, G_x_ref = dense_reference(model, graphs, xs, anchors, G_rows)
+    np.testing.assert_allclose(H, H_ref, rtol=0, atol=TOL)
+    np.testing.assert_allclose(G_x, G_x_ref, rtol=0, atol=TOL)
+    assert_grads_close(grads, grads_ref)
 
 
 def test_identity_outside_ball_runs_plain_scheme():

@@ -234,6 +234,44 @@ def test_unallocatable_width_exit_3(tmp_path, tiny_dataset, capsys):
     assert not ckpt.exists()
 
 
+def run_failing(argv) -> str:
+    """Run a call that must fail on its input: exit 2, one stderr line that
+    starts with ``error: ``, no traceback. Returns that line."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    assert code == 2
+    assert "Traceback" not in err.getvalue()
+    lines = err.getvalue().strip().split("\n")
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    return lines[0]
+
+
+@pytest.mark.parametrize("trained, evaluated", [("node-cc", "edge-spd"),
+                                                ("edge-spd", "node-cc")])
+def test_eval_rejects_checkpoint_of_other_task(tmp_path, trained, evaluated):
+    # node-cc has 10 classes and edge-spd 5; n = 40 leaves every SPD class
+    # populated, so making the task logs nothing
+    data, ckpt = str(tmp_path / "d.jsonl"), str(tmp_path / "m.ckpt")
+    assert run(["generate", "--family", "small-world", "--n", "40", "--k", "4",
+                "--p", "0.1", "--count", "4", "--seed", "0", "--out", data]) == 0
+    assert run(["train", "--data", data, "--task", trained, "--epochs", "1",
+                "--layers", "1", "--hidden", "4", "--out", ckpt]) == 0
+    line = run_failing(["eval", "--model", ckpt, "--data", data, "--task", evaluated])
+    assert "output_dim" in line
+
+
+def test_directory_paths_exit_2(tmp_path, tiny_dataset):
+    folder = tmp_path / "folder"
+    folder.mkdir()
+    run_failing(["train", "--data", tiny_dataset, "--task", "node-cc", "--epochs", "1",
+                 "--hidden", "4", "--out", str(folder)])
+    run_failing(["generate", "--family", "small-world", "--n", "16", "--k", "4",
+                 "--count", "2", "--seed", "0", "--out", str(folder)])
+    run_failing(["wl", "hash", str(folder)])
+    assert list(folder.iterdir()) == []
+
+
 class TestCheckpointHeader:
     """Malformed checkpoints written from a real ``train`` run end in exit 2
     with one stderr line, and parameters that overflow the logits in exit 4;

@@ -172,6 +172,7 @@ def test_extract_ego_equals_reference(data, center, k, identity_at, with_feature
     ego = extract_ego(g, center, k, identity_at=identity_at)
     ref = ego_by_induced_edges(g, center, k, identity_at=identity_at)
     assert _without_features(ego) == _without_features(ref)
+    assert ego.depth == ref.depth
     if with_features:
         np.testing.assert_array_equal(ego.subgraph.node_features,
                                       ref.subgraph.node_features)
