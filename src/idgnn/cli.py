@@ -36,6 +36,8 @@ from .generators import RNG_NAME, STREAM_SPLIT, GeneratorSpec, gen_dataset
 from .graph import build_graph
 from .nn import ModelConfig, init_model, load_model, save_model
 from .tasks import (
+    TASK_SPECS,
+    check_classes,
     make_graph_cc_task,
     make_node_cc_task,
     make_spd_task,
@@ -220,6 +222,7 @@ def _cmd_eval(args) -> int:
 
     task_kind = _TASK_ALIASES[args.task]
     model = load_model(args.model)
+    check_classes(model, TASK_SPECS[task_kind])
     records = load_jsonl(args.data)
     if not records:
         raise InputError(f"dataset {args.data} is empty")

@@ -22,10 +22,14 @@ aggregation is a segmented reduction over the concatenated neighbor lists
 layers run on receptive fields: of K layers, layer l reads the rows within
 K - l + 1 hops of their ego's center and writes those within K - l, since
 the center's output reads no other row, and its operators are the union's
-restricted to those rows. A split of a task is one batch: one forward and
-one backward per epoch. The single-item entry points are one-item batches:
-forward_plain embeds one graph, forward_id_full and backward_id_full one
-ego net, and forward_conditional one (u, v) anchor of make_batch.
+restricted to those rows. An id_full batch is built without a Graph per ego:
+one multi-source BFS per graph (graph.ego_union) yields the rows, depths,
+identity flags and CSR of all of that graph's ego nets as numpy arrays,
+which are stacked into the union's operators. A split of a task is one
+batch: one forward and one backward per epoch. The single-item entry points
+are one-item batches: forward_plain embeds one graph, forward_id_full and
+backward_id_full one ego net, and forward_conditional one (u, v) anchor of
+make_batch.
 
 All tensors are float64. Forward passes record a Tape of per-layer caches;
 backward walks the tape and returns exact gradients for every parameter
@@ -52,7 +56,7 @@ import scipy.sparse as sp
 
 from .counts import augment_features
 from .errors import InputError
-from .graph import EgoNet, Graph, extract_ego
+from .graph import EgoNet, Graph, ego_union
 
 FLAVORS = ("gcn", "sage", "gin")
 VARIANTS = ("plain", "id_full", "id_fast")
@@ -232,6 +236,14 @@ class _GraphOps:
         if identity is None:
             identity = np.zeros(n, dtype=bool)
         self._index(deg, nbr, deg, identity)
+
+    @classmethod
+    def from_csr(cls, deg: np.ndarray, nbr: np.ndarray, identity: np.ndarray) -> _GraphOps:
+        """The operators of a union given as its CSR: ``deg`` and the
+        concatenated ascending neighbor lists ``nbr``."""
+        ops = cls.__new__(cls)
+        ops._index(deg, nbr, deg, identity)
+        return ops
 
     def _index(self, deg: np.ndarray, nbr: np.ndarray, deg_in: np.ndarray,
                identity: np.ndarray, keep: np.ndarray | None = None) -> None:
@@ -491,26 +503,23 @@ class Batch:
         return self.ops.identity
 
 
-def _ego_batch(egos, xs, num_layers: int) -> Batch:
-    """Disjoint union of ego nets whose local inputs are ``xs``, run by
-    ``num_layers`` layers; the mask is the union of the identity masks.
+def _ego_batch(ops: _GraphOps, depth: np.ndarray, x: np.ndarray,
+               num_layers: int) -> Batch:
+    """Batch over a disjoint union of ego nets, ``ops`` with the identity
+    masks, whose rows lie ``depth`` hops from their ego's center and have
+    inputs ``x``, run by ``num_layers`` layers.
 
     Layer l reads the rows R_{l-1} and writes R_l, the rows within
     num_layers - l hops of their ego's center (R_0 is every row): the
     center's output reads nothing else, and a row within h hops has all its
     neighbors within h + 1. R_num_layers is the centers, one row per ego.
     """
-    identity = np.fromiter(chain.from_iterable(ego.identity_mask for ego in egos),
-                           dtype=bool)
-    depth = np.fromiter(chain.from_iterable(ego.depth for ego in egos),
-                        dtype=np.int64, count=len(identity))
-    ops = _GraphOps(*(ego.subgraph for ego in egos), identity=identity)
     layers, rows = [], np.arange(ops.n)
     for hops in range(num_layers - 1, -1, -1):
         written = np.flatnonzero(depth <= hops)
         layers.append(ops.trim(rows, written))
         rows = written
-    return Batch(ops, np.concatenate(xs), rows, layers)
+    return Batch(ops, x, rows, layers)
 
 
 def make_batch(model: Model, graphs, xs, anchors=None) -> Batch:
@@ -520,7 +529,9 @@ def make_batch(model: Model, graphs, xs, anchors=None) -> Batch:
     id_full models embed each ``(center, identity)`` anchor of graph i
     (``anchors[i]``; by default every node anchored at itself) through its
     own ego net of radius num_layers; an identity outside the ball leaves
-    that ego's mask empty.
+    that ego's mask empty. Each graph's ego nets come from one ego_union,
+    one search from all of its centers, and their rows, inputs and CSR are
+    stacked straight into the batch.
     """
     cfg = model.config
     xs = [_check_features(cfg, g, x) for g, x in zip(graphs, xs)]
@@ -530,12 +541,23 @@ def make_batch(model: Model, graphs, xs, anchors=None) -> Batch:
         return Batch(ops, np.concatenate(empty + xs), np.arange(ops.n),
                      [ops] * cfg.num_layers)
     if anchors is None:
-        anchors = [[(v, v) for v in range(g.num_nodes)] for g in graphs]
-    egos = [(extract_ego(g, u, cfg.num_layers, identity_at=v), x)
-            for g, x, pairs in zip(graphs, xs, anchors) for u, v in pairs]
-    return _ego_batch([ego for ego, _ in egos],
-                      empty + [x[list(ego.to_parent)] for ego, x in egos],
-                      cfg.num_layers)
+        anchors = [None] * len(graphs)
+    none = np.zeros(0, dtype=np.int64)
+    deg, nbr, depth, identity = [none], [none], [none], [np.zeros(0, dtype=bool)]
+    inputs, rows = list(empty), 0
+    for g, x, pairs in zip(graphs, xs, anchors):
+        pairs = (np.repeat(np.arange(g.num_nodes), 2) if pairs is None
+                 else np.asarray(pairs)).reshape(-1, 2)
+        union = ego_union(g, pairs[:, 0], pairs[:, 1], cfg.num_layers)
+        deg.append(union.deg)
+        nbr.append(rows + union.nbr)
+        depth.append(union.depth)
+        identity.append(union.identity)
+        inputs.append(x[union.parent])
+        rows += union.parent.size
+    ops = _GraphOps.from_csr(np.concatenate(deg), np.concatenate(nbr),
+                             np.concatenate(identity))
+    return _ego_batch(ops, np.concatenate(depth), np.concatenate(inputs), cfg.num_layers)
 
 
 def zero_grads(model: Model) -> dict[str, np.ndarray]:
@@ -605,8 +627,10 @@ def forward_id_full(model: Model, ego: EgoNet, x_local,
     """
     _require_id_full(model)
     x = _check_features(model.config, ego.subgraph, x_local)
-    return forward_batch(model, _ego_batch([ego], [x], model.config.num_layers),
-                         tape_out)[0]
+    ops = _GraphOps(ego.subgraph, identity=np.array(ego.identity_mask, dtype=bool))
+    batch = _ego_batch(ops, np.array(ego.depth, dtype=np.int64), x,
+                       model.config.num_layers)
+    return forward_batch(model, batch, tape_out)[0]
 
 
 def backward_id_full(model: Model, ego: EgoNet, tape: Tape, g_center: np.ndarray,

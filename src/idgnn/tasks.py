@@ -10,6 +10,11 @@ conditional embedding of u with identity at v and a linear head, while plain
 and id_fast concatenate two independent node embeddings into the pair MLP.
 id_fast inputs carry log(1 + count) closed-walk columns (nn.input_features).
 
+SPD labels come from one multi-source BFS per graph (graph.bfs_blocks)
+from every node, stopped at 4 hops: pairs farther apart and disconnected
+pairs share the ">= 5" class. Class pools are arrays of pair numbers in
+np.triu_indices order.
+
 Each split is prepared once as one nn.Batch: the disjoint union of its
 graphs (plain, id_fast) or of the ego nets of its labelled units (id_full),
 with the batch row of every node, center or pair. Training and evaluation
@@ -27,7 +32,7 @@ import numpy as np
 from .counts import clustering_direct, mean_clustering
 from .errors import InputError, NumericError
 from .generators import child_seed
-from .graph import Graph, bfs_distances
+from .graph import Graph, bfs_blocks
 from .nn import (
     Batch,
     Model,
@@ -61,6 +66,13 @@ class TaskSpec:
     def __post_init__(self):
         if self.kind not in TASK_KINDS:
             raise InputError(f"unknown task kind {self.kind!r}")
+
+
+TASK_SPECS = {
+    "node_cc": TaskSpec(kind="node_cc", num_classes=10, bin_edges=NODE_CC_BINS),
+    "edge_spd": TaskSpec(kind="edge_spd", num_classes=SPD_CLASSES),
+    "graph_cc": TaskSpec(kind="graph_cc", num_classes=10, bin_edges=GRAPH_CC_BINS),
+}
 
 
 @dataclass
@@ -117,7 +129,7 @@ def _bin_index(value: float, edges: tuple[float, ...]) -> int:
 
 def make_node_cc_task(graphs) -> TaskData:
     """Label every node with the bin of its clustering coefficient."""
-    spec = TaskSpec(kind="node_cc", num_classes=10, bin_edges=NODE_CC_BINS)
+    spec = TASK_SPECS["node_cc"]
     items = []
     for g in graphs:
         labels = np.array(
@@ -130,7 +142,7 @@ def make_node_cc_task(graphs) -> TaskData:
 
 def make_graph_cc_task(graphs) -> TaskData:
     """Label every graph with the bin of its mean clustering coefficient."""
-    spec = TaskSpec(kind="graph_cc", num_classes=10, bin_edges=GRAPH_CC_BINS)
+    spec = TASK_SPECS["graph_cc"]
     items = [
         LabeledGraph(graph=g, graph_label=_bin_index(mean_clustering(g), GRAPH_CC_BINS))
         for g in graphs
@@ -138,52 +150,59 @@ def make_graph_cc_task(graphs) -> TaskData:
     return TaskData(spec, items)
 
 
-def _spd_class(dist: int | None) -> int:
-    if dist is None:
-        return SPD_CLASSES - 1  # farther than the cap counts as ">= 5"
-    return min(dist, SPD_CLASSES) - 1
+def _spd_classes(g: Graph) -> np.ndarray:
+    """The n x n matrix of distance classes (-1 on the diagonal). Pairs
+    farther than SPD_CLASSES - 1 hops, or not connected, are all in the last
+    class, so the search stops at that many hops."""
+    n = g.num_nodes
+    dist = np.full(n * n, SPD_CLASSES, dtype=np.int8)
+    for lo, cells, depth in bfs_blocks(g, np.arange(n), SPD_CLASSES - 1):
+        dist[lo * n + cells] = depth
+    return dist.reshape(n, n) - 1
 
 
 def make_spd_task(graphs, pairs_per_graph: int, seed: int) -> TaskData:
     """Sample node pairs per graph, labeled by thresholded shortest-path
     distance (classes: 1, 2, 3, 4, >=5), stratified per class where possible.
+
+    The pairs u < v of a graph are numbered in np.triu_indices order. Each
+    class draws its share without replacement from its pool of pair numbers;
+    pairs still missing are drawn from what the classes left over, and the
+    chosen pairs are returned in ascending (u, v) order.
     """
     if pairs_per_graph < 1:
         raise InputError("pairs_per_graph must be >= 1")
-    spec = TaskSpec(kind="edge_spd", num_classes=SPD_CLASSES)
+    spec = TASK_SPECS["edge_spd"]
+    none = np.zeros(0, dtype=np.int64)
     items = []
     for gi, g in enumerate(graphs):
         rng = np.random.Generator(np.random.PCG64(child_seed(seed, gi)))
-        by_class: list[list[tuple[int, int]]] = [[] for _ in range(SPD_CLASSES)]
-        for u in range(g.num_nodes):
-            dist = bfs_distances(g, u, g.num_nodes)
-            for v in range(u + 1, g.num_nodes):
-                by_class[_spd_class(dist[v])].append((u, v))
+        u, v = np.triu_indices(g.num_nodes, 1)
+        classes = _spd_classes(g)[u, v]
         quota = pairs_per_graph // SPD_CLASSES
         extra = pairs_per_graph % SPD_CLASSES
-        chosen: list[tuple[int, int, int]] = []
-        leftovers: list[tuple[int, int, int]] = []
-        for c, pool in enumerate(by_class):
+        chosen, leftovers = [none], [none]
+        for c in range(SPD_CLASSES):
+            pool = np.flatnonzero(classes == c)
             want = quota + (1 if c < extra else 0)
-            if not pool:
+            if not pool.size:
                 if want:
                     log.warning(
                         "graph %d: no pairs at distance class %d, class skipped",
                         gi, c,
                     )
                 continue
-            take = min(want, len(pool))
-            idx = rng.choice(len(pool), size=take, replace=False)
-            picked = {int(i) for i in idx}
-            chosen.extend((pool[i][0], pool[i][1], c) for i in sorted(picked))
-            leftovers.extend(
-                (pool[i][0], pool[i][1], c) for i in range(len(pool)) if i not in picked
-            )
-        short = pairs_per_graph - len(chosen)
-        if short > 0 and leftovers:
-            idx = rng.choice(len(leftovers), size=min(short, len(leftovers)), replace=False)
-            chosen.extend(leftovers[int(i)] for i in sorted(idx))
-        items.append(LabeledGraph(graph=g, pairs=sorted(chosen)))
+            idx = rng.choice(pool.size, size=min(want, pool.size), replace=False)
+            chosen.append(pool[idx])
+            leftovers.append(np.delete(pool, idx))
+        picked, rest = np.concatenate(chosen), np.concatenate(leftovers)
+        short = pairs_per_graph - picked.size
+        if short > 0 and rest.size:
+            idx = rng.choice(rest.size, size=min(short, rest.size), replace=False)
+            picked = np.concatenate([picked, rest[idx]])
+        picked = np.sort(picked)
+        items.append(LabeledGraph(graph=g, pairs=list(zip(
+            u[picked].tolist(), v[picked].tolist(), classes[picked].tolist()))))
     return TaskData(spec, items)
 
 
@@ -275,7 +294,9 @@ def _backward(model: Model, p: _Prepared, cache: dict, G_logits: np.ndarray,
     backward_batch(model, p.batch, tape, G_H, grads)
 
 
-def _check_classes(model: Model, spec: TaskSpec) -> None:
+def check_classes(model: Model, spec: TaskSpec) -> None:
+    """Raise InputError unless the model's output width is the task's class
+    count."""
     if model.config.output_dim != spec.num_classes:
         raise InputError(
             f"model output_dim {model.config.output_dim} != task classes "
@@ -286,7 +307,7 @@ def _check_classes(model: Model, spec: TaskSpec) -> None:
 def predictions(model: Model, spec: TaskSpec, items) -> tuple[np.ndarray, np.ndarray]:
     """Stacked (logits, labels) over every labeled unit in the items; raises
     InputError if the model's output width is not the task's class count."""
-    _check_classes(model, spec)
+    check_classes(model, spec)
     p = _prepare(model, spec, items)
     if not p.labels.size:
         raise InputError("no labeled items to evaluate")
@@ -321,7 +342,7 @@ def train(model: Model, task: TaskSplit, epochs: int, lr: float = 0.01,
         raise InputError(f"lr must be positive and finite, got {lr}")
     started = time.monotonic()
     spec = task.spec
-    _check_classes(model, spec)
+    check_classes(model, spec)
     prepared = _prepare(model, spec, task.train)
     if epochs and not prepared.labels.size:
         raise InputError("no labeled items in the training split")

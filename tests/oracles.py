@@ -167,6 +167,46 @@ def d_regular_sequential(n: int, d: int, seed: int) -> tuple[tuple[tuple[int, in
         restarts += 1
 
 
+def spd_pairs_sequential(graphs, pairs_per_graph: int, seed: int):
+    """The SPD pair sampler with Python pools: per graph, every pair u < v
+    goes into the pool of its distance class (1, 2, 3, 4, >= 5 or
+    disconnected), read off Floyd-Warshall. Each class draws its share
+    without replacement, the shortfall is drawn from the leftovers, and the
+    chosen (u, v, class) triples are sorted. Returns the pairs of each graph
+    and the warnings logged for empty classes, in order."""
+    classes = 5
+    out, warnings = [], []
+    for gi, g in enumerate(graphs):
+        rng = np.random.Generator(np.random.PCG64(child_seed(seed, gi)))
+        D = floyd_warshall(g)
+        by_class: list[list[tuple[int, int]]] = [[] for _ in range(classes)]
+        for u in range(g.num_nodes):
+            for v in range(u + 1, g.num_nodes):
+                by_class[min(int(D[u, v]), classes) - 1].append((u, v))
+        quota, extra = divmod(pairs_per_graph, classes)
+        chosen: list[tuple[int, int, int]] = []
+        leftovers: list[tuple[int, int, int]] = []
+        for c, pool in enumerate(by_class):
+            want = quota + (1 if c < extra else 0)
+            if not pool:
+                if want:
+                    warnings.append(f"graph {gi}: no pairs at distance class {c}, "
+                                    "class skipped")
+                continue
+            idx = rng.choice(len(pool), size=min(want, len(pool)), replace=False)
+            picked = {int(i) for i in idx}
+            chosen.extend((pool[i][0], pool[i][1], c) for i in sorted(picked))
+            leftovers.extend(
+                (pool[i][0], pool[i][1], c) for i in range(len(pool)) if i not in picked
+            )
+        short = pairs_per_graph - len(chosen)
+        if short > 0 and leftovers:
+            idx = rng.choice(len(leftovers), size=min(short, len(leftovers)), replace=False)
+            chosen.extend(leftovers[int(i)] for i in sorted(idx))
+        out.append(sorted(chosen))
+    return out, warnings
+
+
 # ---------------------------------------------------------------------------
 # dense reference engine: the layer equations of idgnn.nn's docstring, run
 # one graph or ego net at a time on dense adjacency, every row at every

@@ -5,16 +5,21 @@ One forward and one backward over make_batch must give the same row
 embeddings, parameter gradients and input gradients, to within 1e-12, as
 forward_plain / backward_layers per graph (plain, id_fast) or
 forward_id_full / backward_id_full per ego net (id_full), and as
-oracles.dense_reference, which runs every row of every layer.
+oracles.dense_reference, which runs every row of every layer. The id_full
+operators themselves must equal, array for array, those built from
+oracles.ego_by_induced_edges one anchor at a time.
 """
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from idgnn import graph
 from idgnn.graph import build_graph, extract_ego
 from idgnn.nn import (
     ModelConfig,
+    _ego_batch,
+    _GraphOps,
     backward_batch,
     backward_id_full,
     backward_layers,
@@ -26,7 +31,7 @@ from idgnn.nn import (
     zero_grads,
 )
 from gradcheck import randomize
-from oracles import dense_reference
+from oracles import dense_reference, ego_by_induced_edges
 
 SCHEMES = [("gcn", "mean"), ("sage", "sum"), ("sage", "mean"), ("sage", "max"),
            ("gin", "sum")]
@@ -150,3 +155,50 @@ def test_identity_outside_ball_runs_plain_scheme():
         ego = extract_ego(g, u, 1, identity_at=v)
         np.testing.assert_allclose(row, forward_id_full(model, ego, x[list(ego.to_parent)]),
                                    rtol=0, atol=TOL)
+
+
+def assert_ops_equal(ops, ref):
+    for name in ("deg", "nbr", "deg_in", "identity"):
+        np.testing.assert_array_equal(getattr(ops, name), getattr(ref, name), err_msg=name)
+        assert getattr(ops, name).dtype == getattr(ref, name).dtype, name
+    assert (ops.keep is None) == (ref.keep is None)
+    if ops.keep is not None:
+        np.testing.assert_array_equal(ops.keep, ref.keep, err_msg="keep")
+
+
+@given(data=st.data())
+@settings(max_examples=200, deadline=None)
+def test_id_full_operators_equal_oracle_egos(data):
+    # arbitrary anchors put identities outside the ball and on isolated
+    # nodes, an empty anchor list leaves a graph out, None anchors every
+    # node at itself; small search blocks split each graph's centers
+    cfg, graphs, anchors, seed = data.draw(cases(variant="id_full"))
+    anchors = [data.draw(st.sampled_from([None, pairs, []])) for pairs in anchors]
+    if data.draw(st.booleans()):
+        anchors = None
+    model = init_model(cfg)
+    rng = np.random.default_rng(seed)
+    xs = [rng.normal(size=(g.num_nodes, 2)) for g in graphs]
+    cells = data.draw(st.sampled_from([None, 1, 2, 3, 5, 8, 13]))
+    with pytest.MonkeyPatch.context() as mp:
+        if cells is not None:
+            mp.setattr(graph, "_BFS_BLOCK_CELLS", cells)
+        batch = make_batch(model, graphs, xs, anchors)
+
+    egos, ego_xs = [], [np.zeros((0, 2))]
+    for i, (g, x) in enumerate(zip(graphs, xs)):
+        pairs = anchors[i] if anchors is not None else None
+        for u, v in [(v, v) for v in range(g.num_nodes)] if pairs is None else pairs:
+            egos.append(ego_by_induced_edges(g, u, cfg.num_layers, identity_at=v))
+            ego_xs.append(x[list(egos[-1].to_parent)])
+    identity = np.array([f for ego in egos for f in ego.identity_mask], dtype=bool)
+    depth = np.array([d for ego in egos for d in ego.depth], dtype=np.int64)
+    ref = _ego_batch(_GraphOps(*(ego.subgraph for ego in egos), identity=identity),
+                     depth, np.concatenate(ego_xs), cfg.num_layers)
+
+    assert_ops_equal(batch.ops, ref.ops)
+    assert len(batch.layers) == len(ref.layers) == cfg.num_layers
+    for ops, ref_ops in zip(batch.layers, ref.layers):
+        assert_ops_equal(ops, ref_ops)
+    np.testing.assert_array_equal(batch.rows, ref.rows)
+    assert batch.x.tobytes() == ref.x.tobytes() and batch.x.shape == ref.x.shape

@@ -2,6 +2,8 @@ import io
 import json
 import os
 import struct
+import subprocess
+import sys
 import warnings
 from contextlib import redirect_stderr, redirect_stdout
 
@@ -9,6 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import idgnn
 from idgnn.cli import main
 from idgnn.datasets import GraphRecord, load_jsonl, save_graph, save_jsonl
 from idgnn.graph import build_graph, relabel_graph
@@ -259,6 +262,26 @@ def test_eval_rejects_checkpoint_of_other_task(tmp_path, trained, evaluated):
                 "--layers", "1", "--hidden", "4", "--out", ckpt]) == 0
     line = run_failing(["eval", "--model", ckpt, "--data", data, "--task", evaluated])
     assert "output_dim" in line
+
+
+def test_eval_class_check_comes_before_the_task(tmp_path):
+    # on 8 small-world graphs with n = 16 no pair is 5 hops apart, so making
+    # the SPD task would log one warning per graph; the checkpoint's class
+    # count is checked first, and a separate process shows all of stderr
+    data, ckpt = str(tmp_path / "d.jsonl"), str(tmp_path / "m.ckpt")
+    assert run(["generate", "--family", "small-world", "--n", "16", "--k", "4",
+                "--p", "0.1", "--count", "8", "--seed", "0", "--out", data]) == 0
+    assert run(["train", "--data", data, "--task", "node-cc", "--epochs", "1",
+                "--layers", "1", "--hidden", "4", "--out", ckpt]) == 0
+    src = os.path.dirname(os.path.dirname(os.path.abspath(idgnn.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])))
+    proc = subprocess.run(
+        [sys.executable, "-m", "idgnn.cli", "eval", "--model", ckpt, "--data", data,
+         "--task", "edge-spd"], capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 2
+    lines = proc.stderr.strip().split("\n")
+    assert len(lines) == 1 and lines[0].startswith("error: ") and "output_dim" in lines[0]
 
 
 def test_directory_paths_exit_2(tmp_path, tiny_dataset):

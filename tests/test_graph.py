@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from idgnn import graph
 from idgnn.errors import InputError
 from idgnn.graph import (
+    bfs_blocks,
     bfs_distances,
     build_graph,
     extract_ego,
@@ -93,6 +95,55 @@ class TestBfs:
             for v in range(n):
                 expect = None if D[s, v] >= INF else int(D[s, v])
                 assert dist[v] == expect
+
+
+class TestBfsBlocks:
+    """The multi-source search gives Floyd-Warshall distances capped at the
+    hop limit, however its blocks split the sources."""
+
+    @staticmethod
+    def capped_distances(g, sources, cap):
+        dist = np.full((len(sources), g.num_nodes), -1, dtype=np.int64)
+        starts = []
+        for lo, cells, depth in bfs_blocks(g, sources, cap):
+            assert np.all(np.diff(cells) > 0)  # source-major, ascending nodes
+            starts.append(lo)
+            dist.reshape(-1)[lo * g.num_nodes + cells] = depth
+        return dist, starts
+
+    @pytest.mark.parametrize("per_block", [1, 2, 3])
+    @given(data=edges_strategy(max_n=12), cap=st.integers(0, 12),
+           repeats=st.lists(st.integers(0, 11), max_size=4))
+    @settings(max_examples=60, deadline=None)
+    def test_block_bound_matches_floyd_warshall(self, per_block, data, cap, repeats):
+        # 3 per block splits n + len(repeats) sources unevenly unless it divides
+        n, edges = data
+        g = build_graph(n, edges)
+        sources = list(range(n)) + [r % n for r in repeats]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(graph, "_BFS_BLOCK_CELLS", per_block * n)
+            dist, starts = self.capped_distances(g, sources, cap)
+        assert starts == list(range(0, len(sources), per_block))
+        D = floyd_warshall(g)[sources]
+        np.testing.assert_array_equal(dist, np.where(D <= cap, D, -1))
+
+    def test_uneven_split(self):
+        # 7 sources in blocks of 3: 3 + 3 + 1
+        g = build_graph(7, [(i, i + 1) for i in range(6)])
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(graph, "_BFS_BLOCK_CELLS", 3 * 7)
+            dist, starts = self.capped_distances(g, range(7), 2)
+        assert starts == [0, 3, 6]
+        D = floyd_warshall(g)
+        np.testing.assert_array_equal(dist, np.where(D <= 2, D, -1))
+
+    def test_no_sources_and_empty_graph(self):
+        assert list(bfs_blocks(build_graph(3, [(0, 1)]), [], 2)) == []
+        assert list(bfs_blocks(build_graph(0, []), [], 2)) == []
+
+    def test_negative_cap(self):
+        with pytest.raises(InputError):
+            list(bfs_blocks(build_graph(2, [(0, 1)]), [0], -1))
 
 
 class TestEgo:

@@ -1,7 +1,9 @@
 import collections
+import logging
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from idgnn.errors import InputError, NumericError
 from idgnn.generators import GeneratorSpec, gen_dataset, gen_small_world
@@ -31,6 +33,7 @@ from idgnn.tasks import (
     train,
 )
 from gradcheck import randomize
+from oracles import spd_pairs_sequential
 
 K3 = build_graph(3, [(0, 1), (1, 2), (0, 2)])
 STAR = build_graph(5, [(0, 1), (0, 2), (0, 3), (0, 4)])
@@ -97,6 +100,36 @@ class TestSpdTask:
         a = make_spd_task(graphs, 10, seed=3)
         b = make_spd_task(graphs, 10, seed=3)
         assert all(x.pairs == y.pairs for x, y in zip(a.items, b.items))
+
+
+@st.composite
+def spd_cases(draw):
+    """Graphs with n in 0..9, any edges (so disconnected parts and isolated
+    nodes), pairs_per_graph from 1 to past the pair count, and any seed."""
+    graphs = []
+    for n in draw(st.lists(st.integers(0, 9), min_size=1, max_size=4)):
+        ends = st.integers(0, max(n - 1, 0))
+        edges = draw(st.lists(st.tuples(ends, ends), max_size=2 * n)) if n else []
+        graphs.append(build_graph(n, edges))
+    most = max(g.num_nodes * (g.num_nodes - 1) // 2 for g in graphs)
+    return (graphs, draw(st.integers(1, most + 6)),
+            draw(st.integers(-2**63, 2**63 - 1)))
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(case=spd_cases())
+@example(case=([build_graph(0, []), build_graph(1, []), build_graph(2, [])], 1, 0))
+@example(case=([build_graph(2, [(0, 1)])], 4, -1))
+@example(case=([build_graph(7, [(0, 1), (2, 3), (3, 4)])], 40, 2**63 - 1))
+def test_spd_task_equals_sequential_sampler(caplog, case):
+    graphs, pairs_per_graph, seed = case
+    caplog.clear()
+    with caplog.at_level(logging.WARNING, logger="idgnn.tasks"):
+        task = make_spd_task(graphs, pairs_per_graph, seed)
+    pairs, warnings = spd_pairs_sequential(graphs, pairs_per_graph, seed)
+    assert [item.pairs for item in task.items] == pairs
+    assert [r.getMessage() for r in caplog.records] == warnings
 
 
 class TestSplit:
