@@ -15,9 +15,11 @@ from .counts import (
     clustering_direct,
     clustering_from_counts,
     graph_signature,
+    graph_signatures,
     identity_walk_counts,
     reachability,
     walk_count_features,
+    walk_count_features_many,
 )
 from .errors import CapabilityError, InputError, NumericError, ParseError
 from .expressiveness import ExperimentReport, certify_gnn_blindness, run_regular_experiment

@@ -20,8 +20,10 @@ import json
 import os
 import sys
 
+import numpy as np
+
 from . import __version__
-from .counts import augment_features
+from .counts import walk_count_features_many
 from .datasets import (
     GraphRecord,
     atomic_write_text,
@@ -113,9 +115,10 @@ def _cmd_generate(args) -> int:
 def _cmd_features(args) -> int:
     records = load_jsonl(args.data)
     out_records = []
-    for rec in records:
+    counts = walk_count_features_many([rec.graph for rec in records], args.k)
+    for rec, c in zip(records, counts):
         g = rec.graph
-        feats = augment_features(g, args.k)
+        feats = c if g.node_features is None else np.hstack([g.node_features, c])
         g2 = build_graph(g.num_nodes, g.edges, feats)
         out_records.append(GraphRecord(g2, rec.label, rec.node_labels))
     save_jsonl(out_records, args.out)
@@ -147,8 +150,8 @@ def _cmd_wl_compare(args) -> int:
 
 def _cmd_wl_dedupe(args) -> int:
     records = load_jsonl(args.data)
-    index = SignatureIndex()
-    kept = [rec for rec in records if index.add(rec.graph)]
+    flags = SignatureIndex().add_many([rec.graph for rec in records])
+    kept = [rec for rec, new in zip(records, flags) if new]
     save_jsonl(kept, args.out)
     _write_manifest(args.out, "wl-dedupe", _flags(args), [args.data], [args.out])
     print(f"kept {len(kept)} of {len(records)} graphs")
@@ -156,7 +159,11 @@ def _cmd_wl_dedupe(args) -> int:
 
 
 def _cmd_expressiveness(args) -> int:
-    k_list = [int(tok) for tok in args.k_list.split(",") if tok.strip()]
+    try:
+        k_list = [int(tok) for tok in args.k_list.split(",") if tok.strip()]
+    except ValueError:
+        raise InputError(f"--k-list must be comma-separated integers, "
+                         f"got {args.k_list!r}") from None
     report = run_regular_experiment(args.n, args.d, args.count, k_list, args.seed)
     if args.stamp:
         import datetime

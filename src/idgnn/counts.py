@@ -5,6 +5,20 @@ message-passing recursion and adjacency powers both count walks, not simple
 paths or simple cycles, and walks are the only reading consistent with the
 recovery formulas below (see clustering_from_counts). All counting is exact
 integer arithmetic; 64-bit overflow is detected and reported.
+
+There is one closed-walk kernel, ``walk_count_features_many``. It groups
+whole graphs into blocks whose dense size, the sum of n^2 over the block,
+stays within ``_WALK_BLOCK_CELLS`` (a larger graph is a block on its own),
+and runs each block as one block-diagonal int64 CSR matrix A built from the
+graphs' cached CSR arrays. It forms the powers A^a only up to a = ceil(k/2),
+two at a time, and reads diag(A^(a+b)) as the row sums of A^a * A^b
+(elementwise, b in {a, a+1}), which holds because A is symmetric. The
+64-bit check is sound and per graph: before forming A^(a+1) it requires
+max(A^a) * maxdeg <= 2^62, and before each row sum of X * Y it requires
+max(X) * max(Y) * (largest row count of X) <= 2^62, each over one graph's
+block, so a list raises CapabilityError exactly when one of its graphs
+would on its own. ``walk_count_features``, ``augment_features`` and
+``graph_signature`` are one-graph views of it.
 """
 
 from __future__ import annotations
@@ -77,42 +91,126 @@ def identity_walk_counts(ego: EgoNet, k: int) -> CountMatrix:
     return CountMatrix(counts, identity, k)
 
 
-def _adjacency_csr(g: Graph) -> sp.csr_matrix:
-    n = g.num_nodes
-    rows = []
-    cols = []
-    for u, v in g.edges:
-        rows.extend((u, v))
-        cols.extend((v, u))
-    data = np.ones(len(rows), dtype=np.int64)
-    return sp.csr_matrix((data, (rows, cols)), shape=(n, n), dtype=np.int64)
+# Graphs whose walk counts are computed together are grouped so that the
+# sum of n^2 over a block, which bounds the nonzeros of every power of its
+# adjacency matrix, stays within this many cells.
+_WALK_BLOCK_CELLS = 1 << 14
 
 
-def walk_count_features(g: Graph, k: int) -> np.ndarray:
-    """Closed-walk counts Diag(A^j) for j = 1..k, one row per node.
+def _walk_blocks(sizes: list[int]):
+    """Consecutive ``(start, stop)`` ranges of graphs, each holding at least
+    one graph and at most _WALK_BLOCK_CELLS cells unless it is one graph."""
+    start, cells = 0, 0
+    for i, n in enumerate(sizes):
+        if i > start and cells + n * n > _WALK_BLOCK_CELLS:
+            yield start, i
+            start, cells = i, 0
+        cells += n * n
+    if start < len(sizes):
+        yield start, len(sizes)
 
-    Computed by repeated sparse matrix products in int64; raises
-    CapabilityError if a count could exceed the 64-bit range. Column 2 is
-    the degree sequence and column 3 is twice the per-node triangle count.
+
+def _block_adjacency(graphs: list[Graph], sizes: np.ndarray,
+                     first_row: np.ndarray) -> sp.csr_matrix:
+    """The block-diagonal adjacency matrix of ``graphs``, from their CSR."""
+    csrs = [g.csr for g in graphs]
+    nnz = np.array([indices.size for _, indices in csrs], dtype=np.int64)
+    first_entry = np.cumsum(nnz) - nnz
+    indptr = np.concatenate([[0]] + [indptr[1:] for indptr, _ in csrs])
+    indptr[1:] += np.repeat(first_entry, sizes)
+    indices = np.concatenate([indices for _, indices in csrs])
+    indices += np.repeat(first_row, nnz)
+    data = np.ones(indices.size, dtype=np.int64)
+    n = int(indptr.size - 1)
+    return sp.csr_matrix((data, indices, indptr), shape=(n, n))
+
+
+def _graph_max(values: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    """Per-graph maxima of ``values``, which hold graph after graph from the
+    ascending ``starts``; a graph without values gets 0."""
+    out = np.zeros(starts.size, dtype=np.int64)
+    nonempty = np.append(starts[1:], values.size) > starts
+    if nonempty.any():
+        out[nonempty] = np.maximum.reduceat(values, starts[nonempty])
+    return out
+
+
+def _check_range(over: np.ndarray, length: int) -> None:
+    if over.any():
+        raise CapabilityError(
+            f"walk counts exceed the 64-bit integer range at length {length}"
+        )
+
+
+def _next_power(power: sp.csr_matrix, adj: sp.csr_matrix, max_deg: np.ndarray,
+                first_row: np.ndarray, length: int) -> sp.csr_matrix:
+    """power @ adj, after checking per graph that max(power) * maxdeg fits."""
+    top = _graph_max(power.data, power.indptr[first_row])
+    _check_range(top > _INT64_LIMIT // np.maximum(max_deg, 1), length)
+    return power @ adj
+
+
+def _row_dots(x: sp.csr_matrix, y: sp.csr_matrix, first_row: np.ndarray,
+              length: int) -> np.ndarray:
+    """Row sums of x * y (elementwise), after checking per graph that
+    max(x) * max(y) * (largest row count of x) fits."""
+    x_top = _graph_max(x.data, x.indptr[first_row])
+    y_top = _graph_max(y.data, y.indptr[first_row])
+    widest = _graph_max(np.diff(x.indptr), first_row)
+    _check_range(
+        x_top > _INT64_LIMIT // np.maximum(widest, 1) // np.maximum(y_top, 1), length
+    )
+    return np.asarray(x.multiply(y).sum(axis=1), dtype=np.int64).ravel()
+
+
+def _block_counts(graphs: list[Graph], k: int) -> np.ndarray:
+    """Closed-walk counts of one block of graphs, their rows stacked."""
+    sizes = np.array([g.num_nodes for g in graphs], dtype=np.int64)
+    first_row = np.cumsum(sizes) - sizes
+    try:
+        out = np.zeros((int(sizes.sum()), k), dtype=np.int64)
+    except ValueError as exc:  # the shape itself is out of range
+        raise InputError(f"walk length k={k} is too large: {exc}") from None
+    if not any(g.num_edges for g in graphs):
+        return out
+    adj = _block_adjacency(graphs, sizes, first_row)
+    max_deg = _graph_max(np.diff(adj.indptr), first_row)
+    # Column 1 is diag(A) = 0 (no self-loops); lo = A^a and hi = A^(a+1).
+    lo, hi, a = adj, None, 1
+    for j in range(2, k + 1):
+        if j // 2 > a:
+            lo, hi, a = hi, None, a + 1
+        if j % 2:
+            hi = _next_power(lo, adj, max_deg, first_row, j)
+            out[:, j - 1] = _row_dots(lo, hi, first_row, j)
+        else:
+            out[:, j - 1] = _row_dots(lo, lo, first_row, j)
+    return out
+
+
+def walk_count_features_many(graphs: list[Graph], k: int) -> list[np.ndarray]:
+    """Closed-walk counts Diag(A^j) for j = 1..k of every graph in
+    ``graphs``: one int64 array per graph with one row per node.
+
+    Raises CapabilityError if a count could exceed the 64-bit range, which
+    happens for a list exactly when it happens for one of its graphs alone.
+    Column 2 is the degree sequence and column 3 is twice the per-node
+    triangle count.
     """
     if k < 1:
         raise InputError(f"k must be >= 1, got {k}")
-    n = g.num_nodes
-    out = np.zeros((n, k), dtype=np.int64)
-    if n == 0 or g.num_edges == 0:
-        return out
-    adj = _adjacency_csr(g)
-    max_deg = max(g.degrees())
-    power = adj.copy()
-    out[:, 0] = power.diagonal()
-    for j in range(1, k):
-        if power.data.size and power.data.max() > _INT64_LIMIT // max(max_deg, 1):
-            raise CapabilityError(
-                f"walk counts exceed the 64-bit integer range at length {j + 1}"
-            )
-        power = power @ adj
-        out[:, j] = power.diagonal()
+    sizes = [g.num_nodes for g in graphs]
+    out: list[np.ndarray] = []
+    for start, stop in _walk_blocks(sizes):
+        counts = _block_counts(graphs[start:stop], k)
+        out.extend(np.split(counts, np.cumsum(sizes[start:stop - 1])))
     return out
+
+
+def walk_count_features(g: Graph, k: int) -> np.ndarray:
+    """Closed-walk counts Diag(A^j) for j = 1..k of one graph, one row per
+    node (see walk_count_features_many)."""
+    return walk_count_features_many([g], k)[0]
 
 
 def clustering_from_counts(row) -> float:
@@ -174,13 +272,21 @@ def reachability(g: Graph, u: int, v: int, k: int) -> bool:
     return bool(h[u])
 
 
+def graph_signatures(graphs: list[Graph], k: int) -> list[bytes]:
+    """Canonical byte signature of each graph: the sorted multiset of its
+    per-node closed-walk count rows. Equal for isomorphic graphs; refines
+    as k grows."""
+    sigs = []
+    for g, feats in zip(graphs, walk_count_features_many(graphs, k)):
+        rows = feats[np.lexsort(feats.T[::-1])].tolist()
+        body = ";".join(",".join(map(str, row)) for row in rows)
+        sigs.append(f"k={k};n={g.num_nodes};{body}".encode())
+    return sigs
+
+
 def graph_signature(g: Graph, k: int) -> bytes:
-    """Canonical byte signature: the sorted multiset of per-node closed-walk
-    count rows. Equal for isomorphic graphs; refines as k grows."""
-    feats = walk_count_features(g, k)
-    rows = sorted(tuple(int(x) for x in row) for row in feats)
-    body = ";".join(",".join(str(x) for x in row) for row in rows)
-    return f"k={k};n={g.num_nodes};{body}".encode()
+    """The signature of one graph (see graph_signatures)."""
+    return graph_signatures([g], k)[0]
 
 
 def augment_features(g: Graph, k: int) -> np.ndarray:

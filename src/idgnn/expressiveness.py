@@ -14,7 +14,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .counts import graph_signature, walk_count_features
+from .counts import graph_signatures, walk_count_features_many
 from .errors import CapabilityError, InputError
 from .generators import RNG_NAME, STREAM_SPLIT, child_seed, gen_d_regular
 from .graph import Graph
@@ -36,9 +36,25 @@ class SignatureIndex:
 
     buckets: dict[bytes, list[Graph]] = field(default_factory=dict)
 
+    def add_many(self, graphs: list[Graph]) -> list[bool]:
+        """Add ``graphs`` in order, as one add each; True for each one kept.
+
+        The signatures of all graphs come from one kernel call per
+        signature length.
+        """
+        lengths = [min(PREFILTER_K, max(g.num_nodes - 1, 1)) for g in graphs]
+        sigs: list[bytes] = [b""] * len(graphs)
+        for k in set(lengths):
+            where = [i for i, length in enumerate(lengths) if length == k]
+            for i, sig in zip(where, graph_signatures([graphs[i] for i in where], k)):
+                sigs[i] = sig
+        return [self._insert(g, sig) for g, sig in zip(graphs, sigs)]
+
     def add(self, g: Graph) -> bool:
         """Keep ``g`` unless it is isomorphic to a kept graph; True if kept."""
-        sig = graph_signature(g, min(PREFILTER_K, max(g.num_nodes - 1, 1)))
+        return self.add_many([g])[0]
+
+    def _insert(self, g: Graph, sig: bytes) -> bool:
         bucket = self.buckets.setdefault(sig, [])
         if any(are_isomorphic(g, other) for other in bucket):
             return False
@@ -88,7 +104,10 @@ def build_nonisomorphic_pool(n: int, d: int, graph_count: int, seed: int
     """Generate graph_count pairwise non-isomorphic d-regular graphs,
     regenerating on isomorphism hits. Returns (pool, regeneration count).
 
-    Candidates go through one SignatureIndex.
+    Candidates go through one SignatureIndex, in chunks of as many as the
+    pool still lacks (clipped at the attempt budget): a chunk holds only
+    candidates that drawing one at a time would also draw, so the pool,
+    the count and the budget error are those of the one-at-a-time loop.
     """
     kept = SignatureIndex()
     pool: list[Graph] = []
@@ -101,12 +120,15 @@ def build_nonisomorphic_pool(n: int, d: int, graph_count: int, seed: int
                 f"could not assemble {graph_count} non-isomorphic graphs "
                 f"within {budget} attempts (n={n}, d={d})"
             )
-        g = gen_d_regular(n, d, child_seed(seed, index))
-        index += 1
-        if kept.add(g):
-            pool.append(g)
-        else:
-            regen += 1
+        chunk = min(graph_count - len(pool), budget - index)
+        candidates = [gen_d_regular(n, d, child_seed(seed, i))
+                      for i in range(index, index + chunk)]
+        index += chunk
+        for g, new in zip(candidates, kept.add_many(candidates)):
+            if new:
+                pool.append(g)
+            else:
+                regen += 1
     return pool, regen
 
 
@@ -122,16 +144,16 @@ def run_regular_experiment(n: int, d: int, graph_count: int, k_list,
         raise InputError("graph_count must be >= 1")
     pool, regen = build_nonisomorphic_pool(n, d, graph_count, seed)
 
-    k_max = k_list[-1]
-    feats = [walk_count_features(g, k_max) for g in pool]
-
+    # The pool's count rows stacked, graph after graph; a graph's signature
+    # at length k is its rows' first k columns in sorted order.
+    rows = np.concatenate(walk_count_features_many(pool, k_list[-1]))
+    owner = np.repeat(np.arange(graph_count), n)
     fractions = {}
     for k in k_list:
-        sigs = {
-            tuple(sorted(tuple(int(x) for x in row[:k]) for row in f))
-            for f in feats
-        }
-        fractions[k] = len(sigs) / graph_count
+        cols = rows[:, :k]
+        canonical = cols[np.lexsort((*cols.T[::-1], owner))]
+        distinct = np.unique(canonical.reshape(graph_count, -1), axis=0)
+        fractions[k] = len(distinct) / graph_count
 
     hashes = [wl_graph_hash(g) for g in pool]
     counts: dict[int, int] = {}
@@ -174,7 +196,7 @@ def certify_gnn_blindness(g: Graph, model: Model, tol: float = 1e-9) -> bool:
     if not is_regular(g):
         raise InputError("blindness certificate requires a d-regular graph")
     g = replace(g, node_features=None)
-    H = forward_batch(model, make_batch(model, [g], [input_features(model.config, g)]))
+    H = forward_batch(model, make_batch(model, [g], input_features(model.config, [g])))
     if H.shape[0] <= 1:
         return True
     return bool(np.max(np.abs(H - H[0])) <= tol)

@@ -54,7 +54,7 @@ from itertools import chain
 import numpy as np
 import scipy.sparse as sp
 
-from .counts import augment_features
+from .counts import walk_count_features_many
 from .errors import InputError
 from .graph import EgoNet, Graph, ego_union
 
@@ -456,10 +456,10 @@ def _check_features(config: ModelConfig, g: Graph, x: np.ndarray) -> np.ndarray:
     return x
 
 
-def input_features(config: ModelConfig, g: Graph) -> np.ndarray:
-    """Model inputs for ``g``: its node features, or all-ones columns for a
-    graph without them, followed for id_fast by fast_k log(1 + count)
-    closed-walk columns.
+def input_features(config: ModelConfig, graphs: list[Graph]) -> list[np.ndarray]:
+    """Model inputs for each graph: its node features, or all-ones columns
+    for a graph without them, followed for id_fast by fast_k log(1 + count)
+    closed-walk columns, computed for all graphs by one kernel call.
 
     Raw counts grow geometrically with the walk length and, without a
     normalization layer (deliberately absent, for determinism), drown the
@@ -468,17 +468,22 @@ def input_features(config: ModelConfig, g: Graph) -> np.ndarray:
     integer counts.
     """
     fast = config.fast_k if config.variant == "id_fast" else 0
-    x = g.node_features
-    if x is None:
-        x = np.ones((g.num_nodes, config.input_dim - fast))
-    if fast:
-        x = np.concatenate([x, np.log1p(augment_features(g, fast)[:, -fast:])], axis=1)
-    if x.shape[1] != config.input_dim:
-        raise InputError(
-            f"model expects input_dim={config.input_dim} but task features "
-            f"have width {x.shape[1]}"
-        )
-    return x
+    bases = []
+    for g in graphs:
+        x = g.node_features
+        if x is None:
+            x = np.ones((g.num_nodes, config.input_dim - fast))
+        if x.shape[1] + fast != config.input_dim:
+            raise InputError(
+                f"model expects input_dim={config.input_dim} but task features "
+                f"have width {x.shape[1] + fast}"
+            )
+        bases.append(x)
+    if not fast:
+        return bases
+    counts = walk_count_features_many(graphs, fast)
+    return [np.concatenate([x, np.log1p(c.astype(np.float64))], axis=1)
+            for x, c in zip(bases, counts)]
 
 
 @dataclass
@@ -645,7 +650,7 @@ def forward_conditional(model: Model, g: Graph, u: int, v: int) -> np.ndarray:
     batch ``[[(u, v)]]``, so the ego net of u has radius num_layers and v is
     the identity node when it falls inside the ball."""
     _require_id_full(model)
-    batch = make_batch(model, [g], [input_features(model.config, g)], [[(u, v)]])
+    batch = make_batch(model, [g], input_features(model.config, [g]), [[(u, v)]])
     return forward_batch(model, batch)[0]
 
 

@@ -247,7 +247,7 @@ def _prepare(model: Model, spec: TaskSpec, items) -> _Prepared:
     pairs = [item.pairs or [] for item in items]
     conditional = task_wiring(spec, model) == "conditional"
     anchors = [[(u, v) for u, v, _ in p] for p in pairs] if conditional else None
-    xs = [input_features(model.config, g) for g in graphs]
+    xs = input_features(model.config, graphs)
     batch = make_batch(model, graphs, xs, anchors)
     if spec.kind == "node_cc":
         labels = [np.zeros(0, dtype=np.int64)] + [item.node_labels for item in items]

@@ -11,7 +11,8 @@ from itertools import count, permutations
 
 import numpy as np
 
-from idgnn.generators import GeneratorSpec, child_seed, generate_one
+from idgnn.errors import CapabilityError
+from idgnn.generators import GeneratorSpec, child_seed, gen_d_regular, generate_one
 from idgnn.graph import EgoNet, Graph, build_graph
 
 
@@ -42,6 +43,21 @@ def dense_power_diag(g: Graph, k: int) -> np.ndarray:
     P = np.eye(n, dtype=np.int64)
     for j in range(k):
         P = P @ A
+        out[:, j] = np.diag(P)
+    return out
+
+
+def walk_counts_exact(g: Graph, k: int) -> np.ndarray:
+    """Diag(A^j) for j = 1..k via dense matrix powers of Python integers
+    (dtype=object), which never overflow."""
+    n = g.num_nodes
+    A = np.zeros((n, n), dtype=object)
+    for u, v in g.edges:
+        A[u, v] = A[v, u] = 1
+    out = np.zeros((n, k), dtype=object)
+    P = np.eye(n, dtype=np.int64).astype(object)
+    for j in range(k):
+        P = P.dot(A)
         out[:, j] = np.diag(P)
     return out
 
@@ -165,6 +181,30 @@ def d_regular_sequential(n: int, d: int, seed: int) -> tuple[tuple[tuple[int, in
             if np.unique(keys).size == keys.size:
                 return tuple(sorted(zip(lo.tolist(), hi.tolist()))), restarts
         restarts += 1
+
+
+def nonisomorphic_pool_sequential(n: int, d: int, graph_count: int,
+                                  seed: int) -> tuple[list[Graph], int]:
+    """The pool loop one candidate at a time: draw candidate i from
+    child_seed(seed, i), keep it unless it is isomorphic (by brute force) to
+    a kept graph, and give up after 50 draws per requested graph. Returns
+    the pool and the number of rejected candidates."""
+    pool: list[Graph] = []
+    regen = index = 0
+    budget = max(graph_count, 1) * 50
+    while len(pool) < graph_count:
+        if index >= budget:
+            raise CapabilityError(
+                f"could not assemble {graph_count} non-isomorphic graphs "
+                f"within {budget} attempts (n={n}, d={d})"
+            )
+        g = gen_d_regular(n, d, child_seed(seed, index))
+        index += 1
+        if any(isomorphic_brute(g, kept) for kept in pool):
+            regen += 1
+        else:
+            pool.append(g)
+    return pool, regen
 
 
 def spd_pairs_sequential(graphs, pairs_per_graph: int, seed: int):

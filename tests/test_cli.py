@@ -284,6 +284,22 @@ def test_eval_class_check_comes_before_the_task(tmp_path):
     assert len(lines) == 1 and lines[0].startswith("error: ") and "output_dim" in lines[0]
 
 
+@pytest.mark.parametrize("k_list", ["a", "3.5", "3,x", "99999999999999999999"])
+def test_bad_k_list_exit_2(tmp_path, k_list):
+    out = tmp_path / "r.json"
+    run_failing(["expressiveness", "--n", "8", "--d", "3", "--count", "2",
+                 "--k-list", k_list, "--seed", "0", "--out", str(out)])
+    assert not out.exists()
+
+
+def test_features_huge_k_exit_2(tmp_path, tiny_dataset):
+    out = tmp_path / "f.jsonl"
+    line = run_failing(["features", "--data", tiny_dataset, "--k", "99999999999999999999",
+                        "--out", str(out)])
+    assert "k=99999999999999999999" in line
+    assert not out.exists()
+
+
 def test_directory_paths_exit_2(tmp_path, tiny_dataset):
     folder = tmp_path / "folder"
     folder.mkdir()

@@ -1,5 +1,9 @@
+from contextlib import contextmanager
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from idgnn import counts
 from idgnn.counts import (
     augment_features,
     clustering_direct,
@@ -8,10 +12,17 @@ from idgnn.counts import (
     identity_walk_counts,
     reachability,
     walk_count_features,
+    walk_count_features_many,
 )
 from idgnn.errors import CapabilityError, InputError
 from idgnn.graph import bfs_distances, build_graph, extract_ego, relabel_graph
-from oracles import count_walks_brute, dense_power_diag, random_mixed_graphs, triangle_count_at
+from oracles import (
+    count_walks_brute,
+    dense_power_diag,
+    random_mixed_graphs,
+    triangle_count_at,
+    walk_counts_exact,
+)
 
 K3 = build_graph(3, [(0, 1), (1, 2), (0, 2)])
 K2 = build_graph(2, [(0, 1)])
@@ -99,6 +110,97 @@ class TestWalkCountFeatures:
     def test_k_validation(self):
         with pytest.raises(InputError):
             walk_count_features(K3, 0)
+
+
+@st.composite
+def small_graphs(draw, max_n: int):
+    """Empty, edgeless, complete, star and arbitrary graphs (so isolated
+    nodes)."""
+    n = draw(st.integers(0, max_n))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    kind = draw(st.sampled_from(["edgeless", "complete", "star", "any"]))
+    if kind == "edgeless" or not pairs:
+        return build_graph(n, [])
+    if kind == "complete":
+        return build_graph(n, pairs)
+    if kind == "star":
+        return build_graph(n, pairs[:n - 1])
+    return build_graph(n, draw(st.sets(st.sampled_from(pairs))))
+
+
+# Block bounds of 1, 2, 3 and 5 cells split a list of graphs at many points.
+block_cells = st.sampled_from([None, 1, 2, 3, 5])
+
+
+@contextmanager
+def walk_block_cells(cells):
+    with pytest.MonkeyPatch.context() as mp:
+        if cells is not None:
+            mp.setattr(counts, "_WALK_BLOCK_CELLS", cells)
+        yield
+
+
+class TestWalkCountKernel:
+    @settings(max_examples=300, deadline=None)
+    @given(graphs=st.lists(small_graphs(9), max_size=6), k=st.integers(1, 12),
+           cells=block_cells)
+    def test_equals_exact_oracle(self, graphs, k, cells):
+        with walk_block_cells(cells):
+            out = walk_count_features_many(graphs, k)
+        assert len(out) == len(graphs)
+        for g, feats in zip(graphs, out):
+            assert feats.dtype == np.int64 and feats.shape == (g.num_nodes, k)
+            assert feats.tolist() == walk_counts_exact(g, k).tolist()
+
+    @settings(max_examples=120, deadline=None)
+    @given(graphs=st.lists(small_graphs(12), min_size=1, max_size=5),
+           k=st.integers(1, 40), cells=block_cells)
+    def test_overflow_per_graph(self, graphs, k, cells):
+        # a list raises exactly when one of its graphs raises on its own,
+        # and whatever comes back is exact, never a wrapped value
+        with walk_block_cells(cells):
+            alone = []
+            for g in graphs:
+                try:
+                    alone.append(walk_count_features(g, k))
+                except CapabilityError:
+                    alone.append(None)
+            try:
+                batch = walk_count_features_many(graphs, k)
+            except CapabilityError:
+                batch = None
+        assert (batch is None) == any(a is None for a in alone)
+        for i, g in enumerate(graphs):
+            exact = walk_counts_exact(g, k).tolist()
+            if alone[i] is not None:
+                assert alone[i].tolist() == exact
+            if batch is not None:
+                assert batch[i].tolist() == exact
+
+    def test_bounds_are_per_graph(self):
+        # K5 has the larger counts and the star the longer rows: the block's
+        # maxima taken together would fail the 64-bit check at k = 32, while
+        # each graph's own pass it
+        k5 = build_graph(5, [(i, j) for i in range(5) for j in range(i + 1, 5)])
+        star = build_graph(8, [(0, i) for i in range(1, 8)])
+        for feats, g in zip(walk_count_features_many([k5, star], 32), (k5, star)):
+            assert feats.tolist() == walk_counts_exact(g, 32).tolist()
+
+    def test_blocks_split_lists(self):
+        graphs = [build_graph(n, [(i, i + 1) for i in range(n - 1)]) for n in (3, 0, 2, 5, 1)]
+        assert list(counts._walk_blocks([g.num_nodes for g in graphs])) == [(0, 5)]
+        with walk_block_cells(9):
+            assert list(counts._walk_blocks([3, 0, 2, 5, 1])) == [(0, 2), (2, 3), (3, 4), (4, 5)]
+            out = walk_count_features_many(graphs, 5)
+        for g, feats in zip(graphs, out):
+            assert np.array_equal(feats, dense_power_diag(g, 5))
+
+    def test_empty_list_and_huge_k(self):
+        assert walk_count_features_many([], 4) == []
+        with pytest.raises(InputError):
+            walk_count_features_many([K3], 99999999999999999999)
+        with pytest.raises(InputError):
+            walk_count_features(build_graph(0, []), 2**62)
 
 
 class TestClustering:

@@ -1,16 +1,43 @@
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from idgnn.errors import InputError
+from idgnn import expressiveness
+from idgnn.errors import CapabilityError, InputError
 from idgnn.expressiveness import (
+    SignatureIndex,
     build_nonisomorphic_pool,
     certify_gnn_blindness,
     run_regular_experiment,
 )
 from idgnn.generators import gen_d_regular
-from idgnn.graph import build_graph
+from idgnn.graph import build_graph, relabel_graph
 from idgnn.nn import ModelConfig, init_model, make_walk_count_model
 from idgnn.wl import are_isomorphic
 from gradcheck import randomize
+from oracles import nonisomorphic_pool_sequential
+
+
+def pool_outcome(fn, *args):
+    """(pool edges, regen) or the CapabilityError message of one pool build."""
+    try:
+        pool, regen = fn(*args)
+    except CapabilityError as exc:
+        return str(exc)
+    return [g.edges for g in pool], regen
+
+
+def chunked_draws(monkeypatch, *args):
+    """build_nonisomorphic_pool's outcome and the seeds it drew candidates from."""
+    seeds = []
+
+    def recording(n, d, seed):
+        seeds.append(seed)
+        return gen_d_regular(n, d, seed)
+
+    with monkeypatch.context() as mp:
+        mp.setattr(expressiveness, "gen_d_regular", recording)
+        return pool_outcome(build_nonisomorphic_pool, *args), seeds
 
 
 class TestPool:
@@ -25,6 +52,63 @@ class TestPool:
     def test_all_regular(self):
         pool, _ = build_nonisomorphic_pool(16, 4, 6, seed=1)
         assert all(set(g.degrees()) == {4} for g in pool)
+
+    @settings(max_examples=40, deadline=None)
+    @given(nd=st.sampled_from([(n, d) for n in range(3, 7) for d in range(1, n)
+                               if n * d % 2 == 0]),
+           graph_count=st.integers(1, 4), seed=st.integers(0, 2**63 - 1))
+    def test_chunks_equal_sequential_loop(self, nd, graph_count, seed):
+        # small pools exhaust their classes, so both outcomes occur
+        n, d = nd
+        with pytest.MonkeyPatch.context() as mp:
+            got, seeds = chunked_draws(mp, n, d, graph_count, seed)
+        want = pool_outcome(nonisomorphic_pool_sequential, n, d, graph_count, seed)
+        assert got == want
+        draws = graph_count * 50 if isinstance(want, str) else graph_count + want[1]
+        assert seeds == [expressiveness.child_seed(seed, i) for i in range(draws)]
+
+    def test_regenerating_pool_equals_sequential_loop(self, monkeypatch):
+        got, seeds = chunked_draws(monkeypatch, 8, 3, 5, 0)
+        assert got == pool_outcome(nonisomorphic_pool_sequential, 8, 3, 5, 0)
+        assert got[1] == 7 and len(seeds) == 12
+
+    def test_budget_error_at_same_attempt(self, monkeypatch):
+        # K5 is the only 4-regular graph on 5 nodes
+        got, seeds = chunked_draws(monkeypatch, 5, 4, 5, 0)
+        assert got == pool_outcome(nonisomorphic_pool_sequential, 5, 4, 5, 0)
+        assert "within 250 attempts" in got and len(seeds) == 250
+
+
+class TestSignatureIndex:
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_batch_add_equals_sequential_adds(self, data):
+        # relabeled duplicates of a few bases of mixed sizes, so of mixed
+        # signature lengths, added at once, one by one and in chunks
+        bases = []
+        for _ in range(data.draw(st.integers(1, 4))):
+            n = data.draw(st.integers(0, 7))
+            pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+            edges = data.draw(st.sets(st.sampled_from(pairs))) if pairs else []
+            bases.append(build_graph(n, edges))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        graphs = []
+        for _ in range(data.draw(st.integers(0, 12))):
+            g = bases[int(rng.integers(len(bases)))]
+            graphs.append(relabel_graph(g, rng.permutation(g.num_nodes).tolist()))
+        sequential = SignatureIndex()
+        want = [sequential.add(g) for g in graphs]
+        batch = SignatureIndex()
+        assert batch.add_many(graphs) == want
+        cuts = sorted(data.draw(st.lists(st.integers(0, len(graphs)), max_size=3)))
+        chunked = SignatureIndex()
+        got = []
+        for lo, hi in zip([0] + cuts, cuts + [len(graphs)]):
+            got += chunked.add_many(graphs[lo:hi])
+        assert got == want
+        for index in (batch, chunked):
+            assert {sig: [g.edges for g in bucket] for sig, bucket in index.buckets.items()} \
+                == {sig: [g.edges for g in bucket] for sig, bucket in sequential.buckets.items()}
 
 
 class TestExperiment:
