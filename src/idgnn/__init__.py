@@ -38,14 +38,11 @@ from .nn import (
     ModelConfig,
     PairHead,
     edge_pair_score,
-    forward_conditional,
     forward_id_full,
     forward_plain,
     init_model,
     load_model,
     make_walk_count_model,
-    match_hidden_dim,
-    readout_graph,
     save_model,
 )
 from .optim import AdamState, adam_step, loss_xent

@@ -29,7 +29,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import CapabilityError, InputError
-from .graph import EgoNet, Graph
+from .graph import EgoNet, Graph, union_csr
 
 _INT64_LIMIT = np.int64(2**62)
 
@@ -110,19 +110,21 @@ def _walk_blocks(sizes: list[int]):
         yield start, len(sizes)
 
 
-def _block_adjacency(graphs: list[Graph], sizes: np.ndarray,
-                     first_row: np.ndarray) -> sp.csr_matrix:
+def _block_adjacency(graphs: list[Graph]) -> sp.csr_matrix:
     """The block-diagonal adjacency matrix of ``graphs``, from their CSR."""
-    csrs = [g.csr for g in graphs]
-    nnz = np.array([indices.size for _, indices in csrs], dtype=np.int64)
-    first_entry = np.cumsum(nnz) - nnz
-    indptr = np.concatenate([[0]] + [indptr[1:] for indptr, _ in csrs])
-    indptr[1:] += np.repeat(first_entry, sizes)
-    indices = np.concatenate([indices for _, indices in csrs])
-    indices += np.repeat(first_row, nnz)
-    data = np.ones(indices.size, dtype=np.int64)
+    indptr, indices = union_csr(graphs)
     n = int(indptr.size - 1)
-    return sp.csr_matrix((data, indices, indptr), shape=(n, n))
+    return sp.csr_matrix((np.ones(indices.size, dtype=np.int64), indices, indptr),
+                         shape=(n, n))
+
+
+def zero_counts(rows: int, k: int) -> np.ndarray:
+    """A zeroed ``rows`` x ``k`` int64 count matrix; InputError when numpy
+    cannot represent its shape."""
+    try:
+        return np.zeros((rows, k), dtype=np.int64)
+    except ValueError as exc:  # the shape itself is out of range
+        raise InputError(f"walk length k={k} is too large: {exc}") from None
 
 
 def _graph_max(values: np.ndarray, starts: np.ndarray) -> np.ndarray:
@@ -167,13 +169,10 @@ def _block_counts(graphs: list[Graph], k: int) -> np.ndarray:
     """Closed-walk counts of one block of graphs, their rows stacked."""
     sizes = np.array([g.num_nodes for g in graphs], dtype=np.int64)
     first_row = np.cumsum(sizes) - sizes
-    try:
-        out = np.zeros((int(sizes.sum()), k), dtype=np.int64)
-    except ValueError as exc:  # the shape itself is out of range
-        raise InputError(f"walk length k={k} is too large: {exc}") from None
+    out = zero_counts(int(sizes.sum()), k)
     if not any(g.num_edges for g in graphs):
         return out
-    adj = _block_adjacency(graphs, sizes, first_row)
+    adj = _block_adjacency(graphs)
     max_deg = _graph_max(np.diff(adj.indptr), first_row)
     # Column 1 is diag(A) = 0 (no self-loops); lo = A^a and hi = A^(a+1).
     lo, hi, a = adj, None, 1

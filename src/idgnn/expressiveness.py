@@ -14,7 +14,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .counts import graph_signatures, walk_count_features_many
+from .counts import graph_signatures, walk_count_features_many, zero_counts
 from .errors import CapabilityError, InputError
 from .generators import RNG_NAME, STREAM_SPLIT, child_seed, gen_d_regular
 from .graph import Graph
@@ -142,6 +142,9 @@ def run_regular_experiment(n: int, d: int, graph_count: int, k_list,
         raise InputError("k_list must contain integers >= 1")
     if graph_count < 1:
         raise InputError("graph_count must be >= 1")
+    # The count rows stacked below must have a shape numpy can represent:
+    # check before the pool is built (a bad n is the generator's to report).
+    zero_counts(graph_count * max(n, 0), k_list[-1])
     pool, regen = build_nonisomorphic_pool(n, d, graph_count, seed)
 
     # The pool's count rows stacked, graph after graph; a graph's signature

@@ -8,6 +8,7 @@ sources at once over the graph's CSR arrays, run on blocks of sources, and
 one ego-net builder on top of it, ``ego_union``, which lays out the ego nets
 of many anchors of a graph as one disjoint union of numpy arrays.
 ``bfs_distances`` and ``extract_ego`` are their one-source views.
+``union_csr`` lays out whole graphs as one disjoint union of CSR arrays.
 """
 
 from __future__ import annotations
@@ -68,6 +69,20 @@ class Graph:
         indices = np.fromiter((w for nbrs in self.adjacency for w in nbrs),
                               dtype=np.int64, count=int(indptr[-1]))
         return indptr, indices
+
+
+def union_csr(graphs) -> tuple[np.ndarray, np.ndarray]:
+    """``(indptr, indices)`` of the disjoint union of ``graphs``: their
+    cached CSR arrays, each graph's node ids shifted by the node count of
+    the graphs before it."""
+    csrs = [g.csr for g in graphs]
+    sizes = np.array([indptr.size - 1 for indptr, _ in csrs], dtype=np.int64)
+    nnz = np.array([indices.size for _, indices in csrs], dtype=np.int64)
+    indptr = np.concatenate([np.zeros(1, dtype=np.int64)] + [p[1:] for p, _ in csrs])
+    indptr[1:] += np.repeat(np.cumsum(nnz) - nnz, sizes)
+    indices = np.concatenate([np.zeros(0, dtype=np.int64)] + [i for _, i in csrs])
+    indices += np.repeat(np.cumsum(sizes) - sizes, nnz)
+    return indptr, indices
 
 
 @dataclass(frozen=True)

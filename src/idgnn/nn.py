@@ -25,11 +25,10 @@ the center's output reads no other row, and its operators are the union's
 restricted to those rows. An id_full batch is built without a Graph per ego:
 one multi-source BFS per graph (graph.ego_union) yields the rows, depths,
 identity flags and CSR of all of that graph's ego nets as numpy arrays,
-which are stacked into the union's operators. A split of a task is one
-batch: one forward and one backward per epoch. The single-item entry points
-are one-item batches: forward_plain embeds one graph, forward_id_full and
-backward_id_full one ego net, and forward_conditional one (u, v) anchor of
-make_batch.
+which are stacked into the union's operators; whole graphs come from
+graph.union_csr. A split of a task is one batch: one forward and one
+backward per epoch. forward_plain and forward_id_full/backward_id_full are
+one-item batches, of one graph and one ego net.
 
 All tensors are float64. Forward passes record a Tape of per-layer caches;
 backward walks the tape and returns exact gradients for every parameter
@@ -47,16 +46,15 @@ from __future__ import annotations
 import json
 import math
 import struct
-from dataclasses import dataclass, asdict, replace
+from dataclasses import dataclass, asdict
 from functools import cached_property
-from itertools import chain
 
 import numpy as np
 import scipy.sparse as sp
 
 from .counts import walk_count_features_many
 from .errors import InputError
-from .graph import EgoNet, Graph, ego_union
+from .graph import EgoNet, Graph, ego_union, union_csr
 
 FLAVORS = ("gcn", "sage", "gin")
 VARIANTS = ("plain", "id_full", "id_fast")
@@ -210,47 +208,29 @@ class _GraphOps:
     """Operators of one layer over a disjoint union, built once per batch:
     the layer reads ``n_in`` rows and writes ``n`` of them.
 
-    ``_GraphOps(*graphs)`` reads and writes every node of the union; each
-    graph's node ids are shifted by the node count of the graphs before it,
-    and ``identity`` (all false unless given) is the identity mask. ``trim``
-    restricts it to a layer that writes only some of the rows it reads, and
-    ``keep`` then holds the input position of each written row (None when
-    every row is written).
+    ``deg`` and ``nbr`` are the CSR of the written rows: each one's degree
+    and their concatenated ascending neighbor lists, as input positions.
+    ``deg_in`` holds the degrees of the rows read (``deg`` when every row
+    is written), ``identity`` their identity mask (all false unless given)
+    and ``keep`` the input position of each written row (None when every
+    row is written); ``trim`` restricts the operators to such a layer.
 
-    ``nbr`` concatenates every written row's ascending neighbor list, as
-    input positions, ``dst`` names the written row of each entry and
-    ``heads`` are the offsets where the nonempty lists start; max
-    aggregation reduces over these arrays. Sum, mean, gin and gcn use the
-    n x n_in scipy CSR ``A`` and ``A_gcn`` built from them on first use, and
-    their transposes in backward.
+    ``dst`` names the written row of each ``nbr`` entry and ``heads`` are
+    the offsets where the nonempty lists start; max aggregation reduces
+    over these arrays. Sum, mean, gin and gcn use the n x n_in scipy CSR
+    ``A`` and ``A_gcn`` built from them on first use, and their transposes
+    in backward.
     """
 
-    def __init__(self, *graphs: Graph, identity: np.ndarray | None = None):
-        adjacency = [nbrs for g in graphs for nbrs in g.adjacency]
-        sizes = np.array([g.num_nodes for g in graphs], dtype=np.int64)
-        n = len(adjacency)
-        deg = np.fromiter(map(len, adjacency), dtype=np.int64, count=n)
-        shift = np.repeat(np.repeat(np.cumsum(sizes) - sizes, sizes), deg)
-        nbr = shift + np.fromiter(chain.from_iterable(adjacency), dtype=np.int64,
-                                  count=int(deg.sum()))
-        if identity is None:
-            identity = np.zeros(n, dtype=bool)
-        self._index(deg, nbr, deg, identity)
-
-    @classmethod
-    def from_csr(cls, deg: np.ndarray, nbr: np.ndarray, identity: np.ndarray) -> _GraphOps:
-        """The operators of a union given as its CSR: ``deg`` and the
-        concatenated ascending neighbor lists ``nbr``."""
-        ops = cls.__new__(cls)
-        ops._index(deg, nbr, deg, identity)
-        return ops
-
-    def _index(self, deg: np.ndarray, nbr: np.ndarray, deg_in: np.ndarray,
-               identity: np.ndarray, keep: np.ndarray | None = None) -> None:
+    def __init__(self, deg: np.ndarray, nbr: np.ndarray,
+                 identity: np.ndarray | None = None,
+                 deg_in: np.ndarray | None = None, keep: np.ndarray | None = None):
         self.n = n = len(deg)
-        self.n_in = len(deg_in)
-        self.deg, self.nbr, self.deg_in = deg, nbr, deg_in
-        self.identity, self.keep = identity, keep
+        self.deg, self.nbr = deg, nbr
+        self.deg_in = deg if deg_in is None else deg_in
+        self.n_in = len(self.deg_in)
+        self.identity = np.zeros(self.n_in, dtype=bool) if identity is None else identity
+        self.keep = keep
         self.dst = np.repeat(np.arange(n), deg)
         self.heads = (np.cumsum(deg) - deg)[deg > 0]
         self.has_nbrs = deg > 0
@@ -266,10 +246,8 @@ class _GraphOps:
         pos[rows_in] = np.arange(len(rows_in))
         written = np.zeros(self.n, dtype=bool)
         written[rows_out] = True
-        sub = _GraphOps.__new__(_GraphOps)
-        sub._index(self.deg[rows_out], pos[self.nbr[written[self.dst]]],
-                   self.deg[rows_in], self.identity[rows_in], keep=pos[rows_out])
-        return sub
+        return _GraphOps(self.deg[rows_out], pos[self.nbr[written[self.dst]]],
+                         self.identity[rows_in], self.deg[rows_in], pos[rows_out])
 
     @cached_property
     def A(self) -> sp.csr_matrix:
@@ -503,10 +481,6 @@ class Batch:
     rows: np.ndarray
     layers: list[_GraphOps]
 
-    @property
-    def identity(self) -> np.ndarray:
-        return self.ops.identity
-
 
 def _ego_batch(ops: _GraphOps, depth: np.ndarray, x: np.ndarray,
                num_layers: int) -> Batch:
@@ -542,7 +516,8 @@ def make_batch(model: Model, graphs, xs, anchors=None) -> Batch:
     xs = [_check_features(cfg, g, x) for g, x in zip(graphs, xs)]
     empty = [np.zeros((0, cfg.input_dim))]
     if cfg.variant != "id_full":
-        ops = _GraphOps(*graphs)
+        indptr, nbr = union_csr(graphs)
+        ops = _GraphOps(np.diff(indptr), nbr)
         return Batch(ops, np.concatenate(empty + xs), np.arange(ops.n),
                      [ops] * cfg.num_layers)
     if anchors is None:
@@ -560,8 +535,7 @@ def make_batch(model: Model, graphs, xs, anchors=None) -> Batch:
         identity.append(union.identity)
         inputs.append(x[union.parent])
         rows += union.parent.size
-    ops = _GraphOps.from_csr(np.concatenate(deg), np.concatenate(nbr),
-                             np.concatenate(identity))
+    ops = _GraphOps(np.concatenate(deg), np.concatenate(nbr), np.concatenate(identity))
     return _ego_batch(ops, np.concatenate(depth), np.concatenate(inputs), cfg.num_layers)
 
 
@@ -581,14 +555,6 @@ def forward_batch(model: Model, batch: Batch, tape_out: list | None = None) -> n
     if tape_out is not None:
         tape_out.append(Tape(batch, caches))
     return H
-
-
-def backward_batch(model: Model, batch: Batch, tape: Tape, G_rows: np.ndarray,
-                   grads: dict[str, np.ndarray] | None = None):
-    """Backpropagate gradients of the batch's row embeddings; returns
-    (grads, gradient with respect to the stacked inputs, one row per union
-    row)."""
-    return backward_layers(model, tape, G_rows, grads)
 
 
 def forward_plain(model: Model, g: Graph, x, tape_out: list | None = None) -> np.ndarray:
@@ -616,11 +582,6 @@ def backward_layers(model: Model, tape: Tape, G_H: np.ndarray,
     return grads, G
 
 
-def _require_id_full(model: Model) -> None:
-    if model.config.variant != "id_full":
-        raise InputError(f"variant {model.config.variant!r} is not id_full")
-
-
 def forward_id_full(model: Model, ego: EgoNet, x_local,
                     tape_out: list | None = None) -> np.ndarray:
     """Center-node embedding from heterogeneous message passing on an ego
@@ -630,9 +591,11 @@ def forward_id_full(model: Model, ego: EgoNet, x_local,
     msg0. With an all-false mask (conditioning node outside the ball) this
     reduces to the plain scheme on the ego subgraph.
     """
-    _require_id_full(model)
+    if model.config.variant != "id_full":
+        raise InputError(f"variant {model.config.variant!r} is not id_full")
     x = _check_features(model.config, ego.subgraph, x_local)
-    ops = _GraphOps(ego.subgraph, identity=np.array(ego.identity_mask, dtype=bool))
+    indptr, nbr = union_csr([ego.subgraph])
+    ops = _GraphOps(np.diff(indptr), nbr, np.array(ego.identity_mask, dtype=bool))
     batch = _ego_batch(ops, np.array(ego.depth, dtype=np.int64), x,
                        model.config.num_layers)
     return forward_batch(model, batch, tape_out)[0]
@@ -642,24 +605,7 @@ def backward_id_full(model: Model, ego: EgoNet, tape: Tape, g_center: np.ndarray
                      grads: dict[str, np.ndarray] | None = None):
     """Backpropagate the center gradient of a forward_id_full pass on
     ``ego``; returns (grads, gradient with respect to its local inputs)."""
-    return backward_batch(model, tape.batch, tape, np.reshape(g_center, (1, -1)), grads)
-
-
-def forward_conditional(model: Model, g: Graph, u: int, v: int) -> np.ndarray:
-    """Embedding of u with the identity color placed at v: the one-anchor
-    batch ``[[(u, v)]]``, so the ego net of u has radius num_layers and v is
-    the identity node when it falls inside the ball."""
-    _require_id_full(model)
-    batch = make_batch(model, [g], input_features(model.config, [g]), [[(u, v)]])
-    return forward_batch(model, batch)[0]
-
-
-def readout_graph(embeddings: np.ndarray) -> np.ndarray:
-    """Global sum pooling over node embeddings."""
-    embeddings = np.asarray(embeddings, dtype=np.float64)
-    if embeddings.ndim != 2 or embeddings.shape[0] == 0:
-        raise InputError("readout needs a nonempty node-embedding matrix")
-    return embeddings.sum(axis=0)
+    return backward_layers(model, tape, np.reshape(g_center, (1, -1)), grads)
 
 
 def head_logits(model: Model, h: np.ndarray) -> np.ndarray:
@@ -669,12 +615,11 @@ def head_logits(model: Model, h: np.ndarray) -> np.ndarray:
 
 def head_backward(model: Model, h: np.ndarray, G_logits: np.ndarray,
                   grads: dict[str, np.ndarray]):
-    h2 = np.atleast_2d(h)
-    G2 = np.atleast_2d(G_logits)
-    grads["head.weight"] += G2.T @ h2
-    grads["head.bias"] += G2.sum(axis=0)
-    G_h = G2 @ model.head_weight
-    return G_h if np.ndim(h) > 1 else G_h[0]
+    """Accumulate the head's gradients for the embedding rows ``h``;
+    returns the gradient of ``h``."""
+    grads["head.weight"] += G_logits.T @ h
+    grads["head.bias"] += G_logits.sum(axis=0)
+    return G_logits @ model.head_weight
 
 
 def edge_pair_score(h_u: np.ndarray, h_v: np.ndarray, head: PairHead,
@@ -700,18 +645,16 @@ def edge_pair_score(h_u: np.ndarray, h_v: np.ndarray, head: PairHead,
 
 def edge_pair_backward(head: PairHead, cache: dict, G_logits: np.ndarray,
                        grads: dict[str, np.ndarray]):
-    """Accumulate the pair head's gradients; returns the gradients of h_u
-    and h_v, shaped like the scored inputs."""
-    G = np.atleast_2d(G_logits)
-    z = np.atleast_2d(cache["z"])
-    grads["pair.w2"] += G.T @ np.atleast_2d(cache["hid"])
-    grads["pair.b2"] += G.sum(axis=0)
-    G_p1 = (G @ head.w2) * (np.atleast_2d(cache["p1"]) > 0.0)
-    grads["pair.w1"] += G_p1.T @ z
+    """Accumulate the pair head's gradients for a matrix of scored pairs;
+    returns the gradients of h_u and h_v."""
+    grads["pair.w2"] += G_logits.T @ cache["hid"]
+    grads["pair.b2"] += G_logits.sum(axis=0)
+    G_p1 = (G_logits @ head.w2) * (cache["p1"] > 0.0)
+    grads["pair.w1"] += G_p1.T @ cache["z"]
     grads["pair.b1"] += G_p1.sum(axis=0)
-    G_z = (G_p1 @ head.w1).reshape(np.shape(cache["z"]))
-    d = G_z.shape[-1] // 2
-    return G_z[..., :d], G_z[..., d:]
+    G_z = G_p1 @ head.w1
+    d = G_z.shape[1] // 2
+    return G_z[:, :d], G_z[:, d:]
 
 
 # ---------------------------------------------------------------------------
@@ -749,28 +692,6 @@ def make_walk_count_model(k: int) -> Model:
         lp.update_weight[...] = select_agg
         lp.update_bias[...] = 0.0
     return model
-
-
-# ---------------------------------------------------------------------------
-# budget matching
-
-
-def match_hidden_dim(base: ModelConfig, variant: str,
-                     input_dim: int | None = None) -> int:
-    """Largest hidden width whose ``variant`` model stays within the plain
-    baseline's trainable-parameter budget."""
-    plain = replace(base, variant="plain")
-    budget = init_model(plain).num_parameters()
-    h = base.hidden_dim
-    while h > 1:
-        cand = replace(
-            base, variant=variant, hidden_dim=h,
-            input_dim=base.input_dim if input_dim is None else input_dim,
-        )
-        if init_model(cand).num_parameters() <= budget:
-            return h
-        h -= 1
-    return 1
 
 
 # ---------------------------------------------------------------------------

@@ -36,7 +36,7 @@ from .graph import Graph, bfs_blocks
 from .nn import (
     Batch,
     Model,
-    backward_batch,
+    backward_layers,
     edge_pair_backward,
     edge_pair_score,
     forward_batch,
@@ -256,7 +256,7 @@ def _prepare(model: Model, spec: TaskSpec, items) -> _Prepared:
     starts = np.cumsum(sizes) - sizes
     if spec.kind == "graph_cc":
         if not sizes.all():
-            raise InputError("readout needs a nonempty node-embedding matrix")
+            raise InputError("graph readout needs every graph to have a node")
         labels = np.array([item.graph_label for item in items], dtype=np.int64)
         return _Prepared(batch, labels, starts=starts)
     labels = np.array([c for p in pairs for _, _, c in p], dtype=np.int64)
@@ -291,7 +291,7 @@ def _backward(model: Model, p: _Prepared, cache: dict, G_logits: np.ndarray,
         G_H = head_backward(model, cache["Z"], G_logits, grads)
         if p.starts is not None:
             G_H = np.repeat(G_H, np.diff(p.starts, append=len(p.batch.rows)), axis=0)
-    backward_batch(model, p.batch, tape, G_H, grads)
+    backward_layers(model, tape, G_H, grads)
 
 
 def check_classes(model: Model, spec: TaskSpec) -> None:

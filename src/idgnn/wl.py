@@ -42,8 +42,11 @@ def _histogram(colors) -> tuple[tuple[int, int], ...]:
     return tuple(sorted(counts.items()))
 
 
-def _refine_rounds(g: Graph, init_colors=None):
-    """Yield canonical colorings round by round, starting from round 0."""
+def _stabilize(g: Graph, init_colors=None, visit=lambda colors: None):
+    """Refine canonical colorings to stabilization, at most max(num_nodes, 1)
+    rounds, calling ``visit`` on each distinct coloring in order, round 0
+    first. Returns the stable coloring and the number of rounds run,
+    including the one that repeated it."""
     n = g.num_nodes
     if init_colors is None:
         colors = [0] * n
@@ -53,27 +56,23 @@ def _refine_rounds(g: Graph, init_colors=None):
                 f"init_colors must have length {n}, got {len(init_colors)}"
             )
         colors = _canonical_ranks([int(c) for c in init_colors])
-    yield colors
-    while True:
-        sigs = [
+    visit(colors)
+    rounds = max(n, 1)
+    for r in range(1, rounds + 1):
+        new_colors = _canonical_ranks([
             (colors[v], tuple(sorted(colors[w] for w in g.adjacency[v])))
             for v in range(n)
-        ]
-        colors = _canonical_ranks(sigs)
-        yield colors
+        ])
+        if new_colors == colors:
+            return colors, r
+        colors = new_colors
+        visit(colors)
+    return colors, rounds
 
 
 def wl_refine(g: Graph, init_colors=None) -> WlColoring:
     """Run 1-WL color refinement to stabilization (at most num_nodes rounds)."""
-    rounds = _refine_rounds(g, init_colors)
-    colors = next(rounds)
-    num_rounds = 0
-    for _ in range(max(g.num_nodes, 1)):
-        new_colors = next(rounds)
-        num_rounds += 1
-        if new_colors == colors:
-            break
-        colors = new_colors
+    colors, num_rounds = _stabilize(g, init_colors)
     return WlColoring(tuple(colors), num_rounds, _histogram(colors))
 
 
@@ -81,15 +80,7 @@ def wl_graph_hash(g: Graph) -> int:
     """64-bit digest of the WL histogram trajectory; equal for isomorphic graphs."""
     h = hashlib.blake2b(digest_size=8)
     h.update(f"n={g.num_nodes};m={g.num_edges};".encode())
-    rounds = _refine_rounds(g)
-    prev = next(rounds)
-    h.update(repr(_histogram(prev)).encode())
-    for _ in range(max(g.num_nodes, 1)):
-        colors = next(rounds)
-        if colors == prev:
-            break
-        h.update(repr(_histogram(colors)).encode())
-        prev = colors
+    _stabilize(g, visit=lambda colors: h.update(repr(_histogram(colors)).encode()))
     return int.from_bytes(h.digest(), "big")
 
 

@@ -15,12 +15,13 @@ import numpy as np
 from idgnn.graph import Graph
 from idgnn.nn import (
     Model,
-    backward_batch,
+    backward_layers,
     edge_pair_backward,
     edge_pair_score,
     forward_batch,
     head_backward,
     head_logits,
+    input_features,
     make_batch,
     zero_grads,
 )
@@ -49,6 +50,13 @@ def randomize(model: Model, seed: int, scale: float = 0.3) -> None:
         arr[...] = rng.normal(scale=scale, size=arr.shape)
 
 
+def embed_anchor(model: Model, g: Graph, u: int, v: int) -> np.ndarray:
+    """Embedding of u with the identity color at v, from the one-anchor
+    batch ``[[(u, v)]]`` of an id_full model on the task inputs of g."""
+    batch = make_batch(model, [g], input_features(model.config, [g]), [[(u, v)]])
+    return forward_batch(model, batch)[0]
+
+
 def model_loss(model: Model, g: Graph, x: np.ndarray, labels: np.ndarray,
                record: bool = False):
     """Composite loss exercising layers, the linear head, and the pair head.
@@ -74,7 +82,7 @@ def model_loss(model: Model, g: Graph, x: np.ndarray, labels: np.ndarray,
     g_u, g_v = edge_pair_backward(model.pair_head, pair_caches[0], G_pair, grads)
     G_H[:1] += g_u
     G_H[-1:] += g_v
-    backward_batch(model, batch, tapes[0], G_H, grads)
+    backward_layers(model, tapes[0], G_H, grads)
     return loss, _pattern(tapes, pair_caches), grads
 
 

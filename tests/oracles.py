@@ -140,6 +140,19 @@ def max_scatter_naive(G_S: np.ndarray, src: np.ndarray, n: int) -> np.ndarray:
     return G_M
 
 
+def union_by_adjacency(graphs) -> tuple[np.ndarray, np.ndarray]:
+    """``(indptr, indices)`` of the disjoint union of ``graphs``, read off
+    their adjacency tuples one neighbor at a time: node v of a graph is
+    union row v plus the node count of the graphs before it."""
+    indptr, indices, offset = [0], [], 0
+    for g in graphs:
+        for nbrs in g.adjacency:
+            indices.extend(offset + w for w in nbrs)
+            indptr.append(len(indices))
+        offset += g.num_nodes
+    return np.array(indptr, dtype=np.int64), np.array(indices, dtype=np.int64)
+
+
 def ego_by_induced_edges(g: Graph, center: int, k: int,
                          identity_at: int | None = None) -> EgoNet:
     """The K-hop ego net as build_graph over the induced edge list, with the

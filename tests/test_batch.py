@@ -7,7 +7,8 @@ forward_plain / backward_layers per graph (plain, id_fast) or
 forward_id_full / backward_id_full per ego net (id_full), and as
 oracles.dense_reference, which runs every row of every layer. The id_full
 operators themselves must equal, array for array, those built from
-oracles.ego_by_induced_edges one anchor at a time.
+oracles.ego_by_induced_edges one anchor at a time and laid out as one union
+by oracles.union_by_adjacency.
 """
 
 import numpy as np
@@ -20,7 +21,6 @@ from idgnn.nn import (
     ModelConfig,
     _ego_batch,
     _GraphOps,
-    backward_batch,
     backward_id_full,
     backward_layers,
     forward_batch,
@@ -31,7 +31,7 @@ from idgnn.nn import (
     zero_grads,
 )
 from gradcheck import randomize
-from oracles import dense_reference, ego_by_induced_edges
+from oracles import dense_reference, ego_by_induced_edges, union_by_adjacency
 
 SCHEMES = [("gcn", "mean"), ("sage", "sum"), ("sage", "mean"), ("sage", "max"),
            ("gin", "sum")]
@@ -82,7 +82,7 @@ def test_batch_equals_per_item(case):
     tapes = []
     H = forward_batch(model, batch, tapes)
     G_rows = rng.normal(size=H.shape)
-    grads, G_x = backward_batch(model, batch, tapes[0], G_rows)
+    grads, G_x = backward_layers(model, tapes[0], G_rows)
 
     ref_grads = zero_grads(model)
     rows, G_x_ref = [], []
@@ -94,7 +94,7 @@ def test_batch_equals_per_item(case):
             rows.append(forward_id_full(model, ego, x[list(ego.to_parent)], item_tapes))
             G_x_ref.append(backward_id_full(model, ego, item_tapes[0], g_row, ref_grads)[1])
         outside = sum(not any(ego.identity_mask) for ego, _ in items)
-        assert batch.identity.sum() == len(items) - outside
+        assert batch.ops.identity.sum() == len(items) - outside
     else:
         offset = 0
         for g, x in zip(graphs, xs):
@@ -128,7 +128,7 @@ def test_batch_equals_dense_oracle(scheme, variant, data):
     tapes = []
     H = forward_batch(model, batch, tapes)
     G_rows = rng.normal(size=H.shape)
-    grads, G_x = backward_batch(model, batch, tapes[0], G_rows)
+    grads, G_x = backward_layers(model, tapes[0], G_rows)
     H_ref, grads_ref, G_x_ref = dense_reference(model, graphs, xs, anchors, G_rows)
     np.testing.assert_allclose(H, H_ref, rtol=0, atol=TOL)
     np.testing.assert_allclose(G_x, G_x_ref, rtol=0, atol=TOL)
@@ -148,7 +148,7 @@ def test_identity_outside_ball_runs_plain_scheme():
     # egos {0, 1}, {4}, {1, 2, 3}, {0, 1, 2}
     assert batch.ops.n == 9
     assert batch.rows.tolist() == [0, 2, 4, 7]
-    assert batch.identity.tolist() == [False, False, True, False, False, False,
+    assert batch.ops.identity.tolist() == [False, False, True, False, False, False,
                                        False, True, False]
     H = forward_batch(model, batch)
     for row, (u, v) in zip(H, [(0, 3), (4, 4), (2, 4), (1, 1)]):
@@ -193,8 +193,9 @@ def test_id_full_operators_equal_oracle_egos(data):
             ego_xs.append(x[list(egos[-1].to_parent)])
     identity = np.array([f for ego in egos for f in ego.identity_mask], dtype=bool)
     depth = np.array([d for ego in egos for d in ego.depth], dtype=np.int64)
-    ref = _ego_batch(_GraphOps(*(ego.subgraph for ego in egos), identity=identity),
-                     depth, np.concatenate(ego_xs), cfg.num_layers)
+    indptr, nbr = union_by_adjacency([ego.subgraph for ego in egos])
+    ref = _ego_batch(_GraphOps(np.diff(indptr), nbr, identity), depth,
+                     np.concatenate(ego_xs), cfg.num_layers)
 
     assert_ops_equal(batch.ops, ref.ops)
     assert len(batch.layers) == len(ref.layers) == cfg.num_layers

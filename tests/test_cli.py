@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import idgnn
+from idgnn import expressiveness
 from idgnn.cli import main
 from idgnn.datasets import GraphRecord, load_jsonl, save_graph, save_jsonl
 from idgnn.graph import build_graph, relabel_graph
@@ -298,6 +299,38 @@ def test_features_huge_k_exit_2(tmp_path, tiny_dataset):
                         "--out", str(out)])
     assert "k=99999999999999999999" in line
     assert not out.exists()
+
+
+def test_huge_k_list_rejected_before_the_pool(tmp_path, monkeypatch):
+    # the stacked count matrix of this k cannot exist, so no graph is drawn
+    def no_draws(*args):
+        raise AssertionError("the pool was built")
+
+    monkeypatch.setattr(expressiveness, "gen_d_regular", no_draws)
+    out = tmp_path / "r.json"
+    line = run_failing(["expressiveness", "--n", "96", "--d", "6", "--count", "100",
+                        "--k-list", "99999999999999999999", "--seed", "0",
+                        "--out", str(out)])
+    assert "k=99999999999999999999" in line
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("variant", ["plain", "id-full"])
+def test_graph_task_with_empty_graph_exit_2(tmp_path, variant):
+    # a 0-node graph has no node embedding to pool, whichever split holds it
+    graphs = [TWO_K3, C6, build_graph(0, []), TWO_K3, C6]
+    data, ckpt = str(tmp_path / "d.jsonl"), tmp_path / "m.ckpt"
+    save_jsonl([GraphRecord(g) for g in graphs], data)
+    line = run_failing(["train", "--data", data, "--task", "graph-cc", "--variant", variant,
+                        "--epochs", "1", "--layers", "1", "--hidden", "4",
+                        "--out", str(ckpt)])
+    assert "node" in line
+    assert not ckpt.exists()
+    good = str(tmp_path / "good.jsonl")
+    save_jsonl([GraphRecord(g) for g in graphs if g.num_nodes], good)
+    assert run(["train", "--data", good, "--task", "graph-cc", "--variant", variant,
+                "--epochs", "1", "--layers", "1", "--hidden", "4", "--out", str(ckpt)]) == 0
+    run_failing(["eval", "--model", str(ckpt), "--data", data, "--task", "graph-cc"])
 
 
 def test_directory_paths_exit_2(tmp_path, tiny_dataset):

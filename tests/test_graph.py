@@ -12,8 +12,9 @@ from idgnn.graph import (
     build_graph,
     extract_ego,
     relabel_graph,
+    union_csr,
 )
-from oracles import ego_by_induced_edges, floyd_warshall
+from oracles import ego_by_induced_edges, floyd_warshall, union_by_adjacency
 
 
 def edges_strategy(max_n=30):
@@ -241,3 +242,39 @@ def test_relabel_roundtrip():
     # features follow their nodes
     for v in range(4):
         assert h.node_features[perm[v], 0] == g.node_features[v, 0]
+
+
+@st.composite
+def graph_lists(draw):
+    """Up to 5 graphs with n = 0..8 and any edges, so 0-node graphs, edgeless
+    graphs and isolated nodes all occur; the empty list too."""
+    graphs = []
+    for n in draw(st.lists(st.integers(0, 8), max_size=5)):
+        ends = st.integers(0, max(n - 1, 0))
+        graphs.append(build_graph(n, draw(st.lists(st.tuples(ends, ends), max_size=2 * n))
+                                  if n else []))
+    return graphs
+
+
+@given(graph_lists())
+@settings(max_examples=200, deadline=None)
+def test_union_csr_equals_adjacency_union(graphs):
+    indptr, indices = union_csr(graphs)
+    ref_indptr, ref_indices = union_by_adjacency(graphs)
+    for got, ref in ((indptr, ref_indptr), (indices, ref_indices)):
+        np.testing.assert_array_equal(got, ref)
+        assert got.dtype == np.int64
+    # the cached per-graph arrays are read, never shifted in place
+    for g in graphs:
+        np.testing.assert_array_equal(g.csr[0], union_by_adjacency([g])[0])
+        np.testing.assert_array_equal(g.csr[1], union_by_adjacency([g])[1])
+
+
+def test_union_csr_edge_cases():
+    for graphs, n in (([], 0), ([build_graph(0, [])], 0),
+                      ([build_graph(0, []), build_graph(3, [(0, 2)]), build_graph(0, [])], 3)):
+        indptr, indices = union_csr(graphs)
+        assert indptr.size == n + 1 and indptr[0] == 0
+    indptr, indices = union_csr([build_graph(2, []), build_graph(3, [(0, 2)])])
+    assert indptr.tolist() == [0, 0, 0, 1, 1, 2]
+    assert indices.tolist() == [4, 2]

@@ -11,19 +11,18 @@ from idgnn.nn import (
     ModelConfig,
     backward_layers,
     edge_pair_score,
-    forward_conditional,
+    forward_batch,
     forward_id_full,
     forward_plain,
     head_logits,
     init_model,
     load_model,
     make_walk_count_model,
-    match_hidden_dim,
-    readout_graph,
     save_model,
     zero_grads,
 )
-from gradcheck import fd_check, model_loss, randomize
+from idgnn.tasks import _forward, _prepare, make_graph_cc_task
+from gradcheck import embed_anchor, fd_check, model_loss, randomize
 
 P3 = build_graph(3, [(0, 1), (1, 2)])
 K3 = build_graph(3, [(0, 1), (1, 2), (0, 2)])
@@ -196,7 +195,7 @@ class TestConditional:
     def test_self_conditioning_is_default_embedding(self):
         g = gen_small_world(12, 4, 0.2, 8)
         m = init_model(small_config(variant="id_full", input_dim=1))
-        h1 = forward_conditional(m, g, 4, 4)
+        h1 = embed_anchor(m, g, 4, 4)
         ego = extract_ego(g, 4, m.config.num_layers)
         h2 = forward_id_full(m, ego, np.ones((ego.subgraph.num_nodes, 1)))
         assert np.array_equal(h1, h2)
@@ -204,7 +203,7 @@ class TestConditional:
     def test_distance_sensitivity_with_count_weights(self):
         c8 = build_graph(8, [(i, (i + 1) % 8) for i in range(8)])
         m = make_walk_count_model(3)
-        h_by_dist = [forward_conditional(m, c8, 0, v) for v in (1, 2, 3)]
+        h_by_dist = [embed_anchor(m, c8, 0, v) for v in (1, 2, 3)]
         assert h_by_dist[0].tolist() == [1.0, 0.0, 3.0]
         assert h_by_dist[1].tolist() == [0.0, 1.0, 0.0]
         assert h_by_dist[2].tolist() == [0.0, 0.0, 1.0]
@@ -213,7 +212,7 @@ class TestConditional:
         p6 = build_graph(6, [(i, i + 1) for i in range(5)])
         m = init_model(small_config(variant="id_full", num_layers=2, input_dim=1))
         randomize(m, seed=4)
-        h = forward_conditional(m, p6, 0, 5)  # dist 5 > 2 layers
+        h = embed_anchor(m, p6, 0, 5)  # dist 5 > 2 layers
         ego = extract_ego(p6, 0, 2, identity_at=5)
         assert ego.identity_local_index is None
         for lp in m.layers:  # msg1 unused when mask is empty
@@ -222,23 +221,36 @@ class TestConditional:
         assert np.array_equal(h, h2)
 
 
+def graph_readout(graphs, seed=0):
+    """The graph-cc task's sum pooling of node embeddings (tasks._forward),
+    one row per graph, and the batch's node embeddings."""
+    m = init_model(small_config(output_dim=10))
+    randomize(m, seed=seed)
+    task = make_graph_cc_task(graphs)
+    p = _prepare(m, task.spec, task.items)
+    return _forward(m, p, record=False)[1]["Z"], forward_batch(m, p.batch)
+
+
 class TestReadoutAndPairs:
     def test_single_node(self):
-        assert readout_graph(np.array([[1.0, 2.0]])).tolist() == [1.0, 2.0]
+        Z, H = graph_readout([build_graph(1, [], [[1.0, 2.0, 3.0]])])
+        assert Z[0].tolist() == H[0].tolist()
 
     def test_two_equal_rows(self):
-        r = np.array([[1.0, -2.0], [1.0, -2.0]])
-        assert readout_graph(r).tolist() == [2.0, -4.0]
+        Z, H = graph_readout([build_graph(2, [(0, 1)])])
+        assert H[0].tolist() == H[1].tolist()
+        assert Z[0].tolist() == (2.0 * H[0]).tolist()
 
     def test_permutation_invariance(self):
         rng = np.random.default_rng(0)
-        H = rng.normal(size=(9, 4))
-        perm = rng.permutation(9)
-        assert np.allclose(readout_graph(H), readout_graph(H[perm]), atol=1e-12)
+        g = build_graph(9, [(i, (i * 4 + 1) % 9) for i in range(9)],
+                        rng.normal(size=(9, 3)))
+        Z, _ = graph_readout([g, relabel_graph(g, rng.permutation(9))], seed=2)
+        assert np.allclose(Z[0], Z[1], atol=1e-12)
 
     def test_empty_rejected(self):
         with pytest.raises(InputError):
-            readout_graph(np.zeros((0, 3)))
+            graph_readout([K3, build_graph(0, [])])
 
     def test_pair_score_zero_head_gives_bias(self):
         m = init_model(small_config())
@@ -353,16 +365,3 @@ class TestCheckpoint:
         path.write_bytes(b"NOTAMODEL")
         with pytest.raises(InputError):
             load_model(str(path))
-
-
-def test_match_hidden_dim_within_budget():
-    base = ModelConfig(flavor="sage", variant="plain", num_layers=3,
-                       hidden_dim=32, input_dim=1, output_dim=10, seed=0)
-    budget = init_model(base).num_parameters()
-    h = match_hidden_dim(base, "id_full")
-    from dataclasses import replace
-
-    shrunk = init_model(replace(base, variant="id_full", hidden_dim=h))
-    assert shrunk.num_parameters() <= budget
-    too_big = init_model(replace(base, variant="id_full", hidden_dim=h + 1))
-    assert too_big.num_parameters() > budget

@@ -11,11 +11,9 @@ from idgnn.graph import build_graph
 from idgnn.nn import (
     ModelConfig,
     edge_pair_score,
-    forward_conditional,
     forward_plain,
     head_logits,
     init_model,
-    readout_graph,
     zero_grads,
 )
 from idgnn.optim import loss_xent
@@ -32,7 +30,7 @@ from idgnn.tasks import (
     task_wiring,
     train,
 )
-from gradcheck import randomize
+from gradcheck import embed_anchor, randomize
 from oracles import spd_pairs_sequential
 
 K3 = build_graph(3, [(0, 1), (1, 2), (0, 2)])
@@ -303,14 +301,14 @@ def test_predictions_match_single_item_wiring(kind, variant):
         if variant == "plain":
             H = forward_plain(m, g, np.ones((g.num_nodes, 1)))
         else:
-            H = np.stack([forward_conditional(m, g, v, v) for v in range(g.num_nodes)])
+            H = np.stack([embed_anchor(m, g, v, v) for v in range(g.num_nodes)])
         if kind == "node_cc":
             expected.extend(head_logits(m, H))
         elif kind == "graph_cc":
-            expected.append(head_logits(m, readout_graph(H)))
+            expected.append(head_logits(m, H.sum(axis=0)))
         elif variant == "plain":
             expected.extend(edge_pair_score(H[u], H[v], m.pair_head) for u, v, _ in item.pairs)
         else:
-            expected.extend(head_logits(m, forward_conditional(m, g, u, v))
+            expected.extend(head_logits(m, embed_anchor(m, g, u, v))
                             for u, v, _ in item.pairs)
     np.testing.assert_allclose(logits, np.array(expected), rtol=0, atol=1e-12)

@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from idgnn.cli import main
+from idgnn.datasets import save_graph
 from idgnn.errors import CapabilityError
 from idgnn.generators import gen_d_regular, gen_small_world
 from idgnn.graph import build_graph, relabel_graph
@@ -74,6 +76,43 @@ class TestHash:
         k3 = build_graph(3, [(0, 1), (1, 2), (0, 2)])
         p3 = build_graph(3, [(0, 1), (1, 2)])
         assert wl_graph_hash(k3) != wl_graph_hash(p3)
+
+
+# Hashes (as `idgnn wl hash` prints them), round counts and stable colors
+# computed by an earlier implementation: a rewrite of the refinement loop
+# must keep every one of them, since hashes are compared across files.
+PINNED = [
+    (build_graph(0, []), "0271cee1f119ca88", 1, ()),
+    (build_graph(1, []), "3d0d5a17d0c16cb8", 1, (0,)),
+    (build_graph(4, [(0, 1), (1, 2), (2, 3)]), "ea06e309a2b506d5", 2, (0, 1, 1, 0)),
+    (TWO_K3, "e2d8f9d80261ce5a", 1, (0,) * 6),
+    (build_graph(8, [(i, i + 1) for i in range(7)]), "51583f21c4c1f66f", 4,
+     (0, 1, 2, 3, 3, 2, 1, 0)),
+    (gen_small_world(20, 4, 0.3, 4), "429b0ed9d7ed3184", 4,
+     (2, 10, 5, 7, 0, 4, 9, 1, 8, 18, 15, 16, 19, 14, 13, 11, 6, 3, 12, 17)),
+]
+
+
+@pytest.mark.parametrize("g, digest, rounds, colors", PINNED)
+def test_pinned_hash_and_rounds(tmp_path, capsys, g, digest, rounds, colors):
+    path = str(tmp_path / "g.json")
+    save_graph(g, path)
+    assert main(["wl", "hash", path]) == 0
+    assert capsys.readouterr().out == digest + "\n"
+    assert f"{wl_graph_hash(g):016x}" == digest
+    coloring = wl_refine(g)
+    assert (coloring.num_rounds, coloring.colors) == (rounds, colors)
+
+
+@pytest.mark.parametrize("g, init, rounds, colors", [
+    (C6, [0, 1, 0, 0, 0, 0], 3, (2, 3, 2, 1, 0, 1)),
+    (C6, [5, 5, 2, 2, 9, 9], 2, (3, 2, 0, 1, 4, 5)),
+    (build_graph(8, [(i, i + 1) for i in range(7)]), [3] * 8, 4, (0, 1, 2, 3, 3, 2, 1, 0)),
+    (build_graph(0, []), [], 1, ()),
+])
+def test_pinned_rounds_from_init_colors(g, init, rounds, colors):
+    coloring = wl_refine(g, init_colors=init)
+    assert (coloring.num_rounds, coloring.colors) == (rounds, colors)
 
 
 class TestIsomorphism:
