@@ -170,10 +170,14 @@ def _block_counts(graphs: list[Graph], k: int) -> np.ndarray:
     sizes = np.array([g.num_nodes for g in graphs], dtype=np.int64)
     first_row = np.cumsum(sizes) - sizes
     out = zero_counts(int(sizes.sum()), k)
-    if not any(g.num_edges for g in graphs):
-        return out
     adj = _block_adjacency(graphs)
-    max_deg = _graph_max(np.diff(adj.indptr), first_row)
+    deg = np.diff(adj.indptr)
+    if deg.max(initial=0) < 2:
+        # a closed walk on a matching steps to the partner and back, so the
+        # columns are 0, deg, 0, deg, ... and no count ever grows
+        out[:, 1::2] = deg[:, None]
+        return out
+    max_deg = _graph_max(deg, first_row)
     # Column 1 is diag(A) = 0 (no self-loops); lo = A^a and hi = A^(a+1).
     lo, hi, a = adj, None, 1
     for j in range(2, k + 1):

@@ -129,8 +129,9 @@ def build_graph(num_nodes: int, edges, node_features=None) -> Graph:
     canon = set()
     for u, v in edges:
         u, v = int(u), int(v)
-        _check_node(num_nodes, u, "edge endpoint")
-        _check_node(num_nodes, v, "edge endpoint")
+        if not (0 <= u < num_nodes and 0 <= v < num_nodes):
+            _check_node(num_nodes, u, "edge endpoint")
+            _check_node(num_nodes, v, "edge endpoint")
         if u == v:
             continue
         canon.add((u, v) if u < v else (v, u))

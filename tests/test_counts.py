@@ -1,4 +1,5 @@
 from contextlib import contextmanager
+import time
 
 import numpy as np
 import pytest
@@ -194,6 +195,31 @@ class TestWalkCountKernel:
             out = walk_count_features_many(graphs, 5)
         for g, feats in zip(graphs, out):
             assert np.array_equal(feats, dense_power_diag(g, 5))
+
+    def test_matchings_skip_the_power_chain(self):
+        # no node of degree 2 or more: the columns alternate 0, deg at any k
+        g = build_graph(5, [(1, 3)])
+        start = time.perf_counter()
+        feats = walk_count_features(g, 200_000)
+        assert time.perf_counter() - start < 1.0
+        deg = np.array([0, 1, 0, 1, 0])
+        assert not feats[:, 0::2].any()
+        assert (feats[:, 1::2] == deg[:, None]).all()
+        with walk_block_cells(None):
+            lone, empty = walk_count_features_many([g, build_graph(3, [])], 7)
+        assert lone.tolist() == walk_counts_exact(g, 7).tolist()
+        assert not empty.any()
+
+    def test_matching_in_a_mixed_block_still_raises(self):
+        # the path's counts pass 2^62 near length 124, so its block raises
+        # there, with or without a matching beside it
+        path = build_graph(3, [(0, 1), (1, 2)])
+        matching = build_graph(4, [(0, 1), (2, 3)])
+        assert walk_count_features_many([matching, path], 100)[1].tolist() == \
+            walk_counts_exact(path, 100).tolist()
+        for graphs in ([path], [matching, path], [path, matching]):
+            with pytest.raises(CapabilityError):
+                walk_count_features_many(graphs, 200)
 
     def test_empty_list_and_huge_k(self):
         assert walk_count_features_many([], 4) == []

@@ -44,6 +44,17 @@ class TestBuildGraph:
         with pytest.raises(InputError):
             build_graph(4, [(0, 5)])
 
+    @pytest.mark.parametrize("edges, bad", [
+        ([(0, 1), (-1, 2)], -1),
+        ([(1, 4)], 4),
+        ([(9, -3)], 9),
+        ([(2, 3), (0, 7), (-1, 0)], 7),
+    ])
+    def test_out_of_range_message_names_first_bad_endpoint(self, edges, bad):
+        with pytest.raises(InputError) as err:
+            build_graph(4, edges)
+        assert str(err.value) == f"edge endpoint {bad} out of range for graph with 4 nodes"
+
     def test_feature_row_mismatch(self):
         with pytest.raises(InputError):
             build_graph(3, [(0, 1)], node_features=[[1.0], [2.0]])

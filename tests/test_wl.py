@@ -1,12 +1,17 @@
+import signal
+from contextlib import contextmanager
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from idgnn.cli import main
-from idgnn.datasets import save_graph
+from idgnn.counts import graph_signature
+from idgnn.datasets import GraphRecord, save_graph, save_jsonl
 from idgnn.errors import CapabilityError
 from idgnn.generators import gen_d_regular, gen_small_world
 from idgnn.graph import build_graph, relabel_graph
+from idgnn import wl
 from idgnn.wl import are_isomorphic, wl_graph_hash, wl_refine
 from oracles import isomorphic_brute
 
@@ -197,8 +202,128 @@ def wl_equal_pairs(draw):
     return tuple(pair)
 
 
-@given(graph_pairs() | wl_equal_pairs())
-@settings(max_examples=300, deadline=None)
+def disjoint_union(*graphs):
+    edges, shift = [], 0
+    for g in graphs:
+        edges += [(u + shift, v + shift) for u, v in g.edges]
+        shift += g.num_nodes
+    return build_graph(shift, edges)
+
+
+@st.composite
+def disconnected_pairs(draw):
+    """A ∪ B and a relabeled A ∪ C on at most 7 nodes, C on B's nodes with
+    as many edges as B: the search meets nodes that cannot reach each other,
+    in components that may differ."""
+    def edge_set(n):
+        slots = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        return draw(st.sets(st.sampled_from(slots))) if slots else set()
+
+    n_a = draw(st.integers(1, 4))
+    n_b = draw(st.integers(1, 7 - n_a))
+    a, b_edges = build_graph(n_a, edge_set(n_a)), edge_set(n_b)
+    slots = [(u, v) for u in range(n_b) for v in range(u + 1, n_b)]
+    c = build_graph(n_b, draw(st.permutations(slots))[:len(b_edges)])
+    g2 = relabel_graph(disjoint_union(a, c), draw(st.permutations(range(n_a + n_b))))
+    return disjoint_union(a, build_graph(n_b, b_edges)), g2
+
+
+@given(graph_pairs() | wl_equal_pairs() | disconnected_pairs())
+@settings(max_examples=400, deadline=None)
 def test_are_isomorphic_matches_brute_force(pair):
     g1, g2 = pair
     assert are_isomorphic(g1, g2) == isomorphic_brute(g1, g2)
+    assert are_isomorphic(g2, g1) == are_isomorphic(g1, g2)
+
+
+# Both strongly regular with parameters (16, 6, 2, 2): every node has the
+# same closed-walk counts and ring sizes, and 1-WL gives one color, so only
+# the search itself tells them apart.
+ROOK_4X4 = build_graph(16, [(a, b) for a in range(16) for b in range(a + 1, 16)
+                            if a // 4 == b // 4 or a % 4 == b % 4])
+SHRIKHANDE = build_graph(16, [
+    (a, b) for a in range(16) for b in range(a + 1, 16)
+    if ((a // 4 - b // 4) % 4, (a % 4 - b % 4) % 4)
+    in {(0, 1), (0, 3), (1, 0), (3, 0), (1, 1), (3, 3)}])
+
+
+class TestStronglyRegularPair:
+    def test_every_invariant_agrees(self):
+        assert ROOK_4X4.degrees() == SHRIKHANDE.degrees() == [6] * 16
+        for k in range(1, 21):
+            assert graph_signature(ROOK_4X4, k) == graph_signature(SHRIKHANDE, k)
+        assert wl_graph_hash(ROOK_4X4) == wl_graph_hash(SHRIKHANDE)
+
+    def test_not_isomorphic(self):
+        rng = np.random.default_rng(3)
+        rook = relabel_graph(ROOK_4X4, rng.permutation(16).tolist())
+        assert not are_isomorphic(rook, SHRIKHANDE)
+        assert not are_isomorphic(SHRIKHANDE, rook)
+        assert are_isomorphic(ROOK_4X4, rook)
+        assert are_isomorphic(SHRIKHANDE, relabel_graph(SHRIKHANDE, rng.permutation(16).tolist()))
+
+    def test_components_cannot_share_an_image(self):
+        # two rook components must not both map onto the one rook of the other graph
+        both = disjoint_union(ROOK_4X4, SHRIKHANDE)
+        perm = np.random.default_rng(4).permutation(32).tolist()
+        assert not are_isomorphic(disjoint_union(ROOK_4X4, ROOK_4X4), both)
+        assert not are_isomorphic(both, disjoint_union(ROOK_4X4, ROOK_4X4))
+        assert are_isomorphic(disjoint_union(SHRIKHANDE, ROOK_4X4), relabel_graph(both, perm))
+
+    def test_dedupe_keeps_one_of_each(self, tmp_path, capsys):
+        rng = np.random.default_rng(6)
+        graphs = [relabel_graph(g, rng.permutation(16).tolist())
+                  for g in (ROOK_4X4, SHRIKHANDE) for _ in range(10)]
+        order = rng.permutation(len(graphs)).tolist()
+        path, out = str(tmp_path / "in.jsonl"), str(tmp_path / "out.jsonl")
+        save_jsonl([GraphRecord(graphs[i]) for i in order], path)
+        assert main(["wl", "dedupe", "--data", path, "--out", out]) == 0
+        assert capsys.readouterr().out == "kept 2 of 20 graphs\n"
+
+
+@contextmanager
+def time_limit(seconds):
+    """Fail, rather than hang, when the block runs longer than ``seconds``."""
+    def expire(signum, frame):
+        raise TimeoutError(f"took longer than {seconds} s")
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+class TestScale:
+    @pytest.mark.parametrize("n", [64, 96, 128])
+    @pytest.mark.parametrize("d", [3, 6])
+    def test_random_regular_pairs(self, monkeypatch, n, d):
+        g, other = gen_d_regular(n, d, 0), gen_d_regular(n, d, 1)
+        copy = relabel_graph(g, np.random.default_rng(n + d).permutation(n).tolist())
+        # are_isomorphic never reads signatures: it must find the difference itself
+        assert graph_signature(g, 10) != graph_signature(other, 10)
+        nodes, search = [], wl._extend
+
+        def counted(*args):
+            nodes.append(None)
+            return search(*args)
+
+        monkeypatch.setattr(wl, "_extend", counted)
+        # distance rings leave the search almost no wrong turns; adjacency
+        # alone takes hundreds to thousands of search nodes on these pairs
+        for a, b, same in ((g, copy, True), (copy, g, True), (g, other, False),
+                           (other, copy, False)):
+            nodes.clear()
+            with time_limit(10):
+                assert are_isomorphic(a, b) == same
+            assert len(nodes) <= 2 * n
+
+    def test_compare_at_max_size(self, tmp_path, capsys):
+        g = gen_d_regular(128, 3, 2)
+        a, b = str(tmp_path / "a.json"), str(tmp_path / "b.json")
+        save_graph(g, a)
+        save_graph(relabel_graph(g, np.random.default_rng(1).permutation(128).tolist()), b)
+        with time_limit(10):
+            assert main(["wl", "compare", a, b]) == 0
+        assert capsys.readouterr().out.splitlines()[-1] == "verdict: isomorphic"
