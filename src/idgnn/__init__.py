@@ -33,10 +33,8 @@ from .generators import (
 )
 from .graph import EgoNet, Graph, bfs_distances, build_graph, extract_ego, relabel_graph
 from .nn import (
-    LayerParams,
     Model,
     ModelConfig,
-    PairHead,
     edge_pair_score,
     forward_id_full,
     forward_plain,

@@ -40,6 +40,7 @@ from .nn import ModelConfig, init_model, load_model, save_model
 from .tasks import (
     TASK_SPECS,
     check_classes,
+    evaluate,
     make_graph_cc_task,
     make_node_cc_task,
     make_spd_task,
@@ -225,8 +226,6 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    from .tasks import evaluate
-
     task_kind = _TASK_ALIASES[args.task]
     model = load_model(args.model)
     check_classes(model, TASK_SPECS[task_kind])

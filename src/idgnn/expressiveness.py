@@ -28,7 +28,8 @@ _REGEN_BUDGET_FACTOR = 50
 @dataclass
 class SignatureIndex:
     """Pairwise non-isomorphic graphs kept so far, bucketed by closed-walk
-    signature (length min(PREFILTER_K, n - 1)).
+    signature of length PREFILTER_K, for graphs of every size: on n <= 10
+    nodes no count exceeds 9^10.
 
     Differing signatures certify non-isomorphism, so a new graph is checked
     by exact isomorphism only against its own bucket, in insertion order.
@@ -39,15 +40,9 @@ class SignatureIndex:
     def add_many(self, graphs: list[Graph]) -> list[bool]:
         """Add ``graphs`` in order, as one add each; True for each one kept.
 
-        The signatures of all graphs come from one kernel call per
-        signature length.
+        The signatures of all graphs come from one kernel call.
         """
-        lengths = [min(PREFILTER_K, max(g.num_nodes - 1, 1)) for g in graphs]
-        sigs: list[bytes] = [b""] * len(graphs)
-        for k in set(lengths):
-            where = [i for i, length in enumerate(lengths) if length == k]
-            for i, sig in zip(where, graph_signatures([graphs[i] for i in where], k)):
-                sigs[i] = sig
+        sigs = graph_signatures(graphs, PREFILTER_K)
         return [self._insert(g, sig) for g, sig in zip(graphs, sigs)]
 
     def add(self, g: Graph) -> bool:

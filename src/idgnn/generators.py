@@ -65,7 +65,10 @@ class GeneratorSpec:
 
 
 def child_seed(seed: int, index: int) -> int:
-    """Derive the per-item RNG seed from a base seed and an item index."""
+    """Derive the per-item RNG seed from a base seed and an item index, both
+    signed 64-bit integers."""
+    if not -2**63 <= int(seed) < 2**63:
+        raise InputError(f"seed {seed} is outside the signed 64-bit range")
     payload = struct.pack(">qq", int(seed), int(index))
     digest = hashlib.blake2b(payload, digest_size=8).digest()
     return int.from_bytes(digest, "big")

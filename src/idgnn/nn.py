@@ -2,8 +2,14 @@
 
 Three layer flavors share one heterogeneous message stage: every node's
 outgoing message goes through the msg0 linear map, except at the nodes of
-the boolean identity mask, whose messages go through msg1. Plain models
-alias msg1 to msg0, so the two schemes coincide whenever the mask is empty.
+the boolean identity mask, whose messages go through msg1. Only id_full
+models have msg1 tensors; plain and id_fast models send every message
+through msg0, as id_full does when the mask is empty.
+
+A model is its config and one parameter store, ``Model.params``: every
+trainable tensor keyed by its checkpoint name (``layers.0.msg0_weight``,
+``head.weight``, ``pair.w1``, ...) in the order of _layout(config). The
+gradient dicts use the same keys, and layers read their tensors under them.
 
 Flavors:
   gcn   h' = ReLU(A_norm @ M)  with symmetric normalization over the closed
@@ -86,6 +92,8 @@ class ModelConfig:
             raise InputError("num_layers must be >= 1")
         if min(self.hidden_dim, self.input_dim, self.output_dim) < 1:
             raise InputError("all dimensions must be >= 1")
+        if self.seed < 0:
+            raise InputError(f"seed must be nonnegative, got {self.seed}")
         if self.variant == "id_fast" and not 1 <= self.fast_k <= self.input_dim:
             raise InputError("id_fast requires 1 <= fast_k <= input_dim")
         if not self.aggregation:
@@ -101,55 +109,14 @@ class ModelConfig:
 
 
 @dataclass
-class LayerParams:
-    """Per-layer parameter tensors; unused slots are None for the flavor."""
-
-    msg0_weight: np.ndarray
-    msg0_bias: np.ndarray
-    msg1_weight: np.ndarray
-    msg1_bias: np.ndarray
-    update_weight: np.ndarray | None = None
-    update_bias: np.ndarray | None = None
-    mlp2_weight: np.ndarray | None = None
-    mlp2_bias: np.ndarray | None = None
-    gin_eps: np.ndarray | None = None
-
-
-@dataclass
-class PairHead:
-    """Two-layer perceptron scoring a concatenated embedding pair."""
-
-    w1: np.ndarray
-    b1: np.ndarray
-    w2: np.ndarray
-    b2: np.ndarray
-
-
-@dataclass
 class Model:
+    """A config and its parameter store (see the module docstring)."""
+
     config: ModelConfig
-    layers: list[LayerParams]
-    head_weight: np.ndarray
-    head_bias: np.ndarray
-    pair_head: PairHead
-
-    def named_parameters(self) -> list[tuple[str, np.ndarray]]:
-        """All trainable tensors, in the order of _layout(config).
-
-        Plain and id_fast models alias msg1 to msg0, so msg1 is omitted for
-        them (there is a single shared message function).
-        """
-        owners = {f"layers.{i}": lp for i, lp in enumerate(self.layers)}
-        owners["pair"] = self.pair_head
-        out = []
-        for name, _ in _layout(self.config):
-            group, _, attr = name.rpartition(".")
-            owner, attr = (self, f"head_{attr}") if group == "head" else (owners[group], attr)
-            out.append((name, getattr(owner, attr)))
-        return out
+    params: dict[str, np.ndarray]
 
     def num_parameters(self) -> int:
-        return sum(arr.size for _, arr in self.named_parameters())
+        return sum(arr.size for arr in self.params.values())
 
 
 def _uniform(rng: np.random.Generator, shape, fan_in: int) -> np.ndarray:
@@ -158,7 +125,7 @@ def _uniform(rng: np.random.Generator, shape, fan_in: int) -> np.ndarray:
 
 
 def _layout(config: ModelConfig) -> list[tuple[str, tuple[int, ...]]]:
-    """Name and shape of every trainable tensor, in named_parameters order,
+    """Name and shape of every trainable tensor, in Model.params order,
     computed without allocating anything."""
     h, out = config.hidden_dim, config.output_dim
     layout = []
@@ -187,17 +154,9 @@ def init_model(config: ModelConfig) -> Model:
     The same config and seed always produce bit-identical parameters.
     """
     rng = np.random.Generator(np.random.PCG64(config.seed))
-    t = {name: _uniform(rng, shape, shape[1]) if len(shape) == 2 else np.zeros(shape)
-         for name, shape in _layout(config)}
-    layers = []
-    for i in range(config.num_layers):
-        prefix = f"layers.{i}."
-        kw = {k[len(prefix):]: v for k, v in t.items() if k.startswith(prefix)}
-        kw.setdefault("msg1_weight", kw["msg0_weight"])
-        kw.setdefault("msg1_bias", kw["msg0_bias"])
-        layers.append(LayerParams(**kw))
-    pair = PairHead(t["pair.w1"], t["pair.b1"], t["pair.w2"], t["pair.b2"])
-    return Model(config, layers, t["head.weight"], t["head.bias"], pair)
+    return Model(config, {
+        name: _uniform(rng, shape, shape[1]) if len(shape) == 2 else np.zeros(shape)
+        for name, shape in _layout(config)})
 
 
 # ---------------------------------------------------------------------------
@@ -302,24 +261,28 @@ def _agg_max_backward(G_S: np.ndarray, src: np.ndarray, n: int) -> np.ndarray:
     return np.bincount(flat, weights=G_S[valid], minlength=n * d).reshape(n, d)
 
 
-def _messages(lp: LayerParams, H: np.ndarray, identity: np.ndarray):
-    M = H @ lp.msg0_weight.T + lp.msg0_bias
-    M[identity] = H[identity] @ lp.msg1_weight.T + lp.msg1_bias
+def _messages(p: dict, pre: str, H: np.ndarray, identity: np.ndarray):
+    """Messages of layer ``pre``: msg0, and msg1 at identity rows if it exists."""
+    M = H @ p[pre + "msg0_weight"].T + p[pre + "msg0_bias"]
+    if pre + "msg1_weight" in p:
+        M[identity] = H[identity] @ p[pre + "msg1_weight"].T + p[pre + "msg1_bias"]
     return M
 
 
-def _messages_backward(lp, H, identity, G_M, grads, prefix):
-    # aliased message functions share one gradient block
-    shared = lp.msg1_weight is lp.msg0_weight
-    G0 = G_M if shared else np.where(identity[:, None], 0.0, G_M)
-    grads[prefix + "msg0_weight"] += G0.T @ H
-    grads[prefix + "msg0_bias"] += G0.sum(axis=0)
-    G_H = G0 @ lp.msg0_weight
-    if not shared:
+def _messages_backward(p, pre, H, identity, G_M, grads):
+    split = pre + "msg1_weight" in p
+    G0 = G_M
+    if split:
+        G0 = G_M.copy()
+        G0[identity] = 0.0
+    grads[pre + "msg0_weight"] += G0.T @ H
+    grads[pre + "msg0_bias"] += G0.sum(axis=0)
+    G_H = G0 @ p[pre + "msg0_weight"]
+    if split:
         G1 = G_M[identity]
-        grads[prefix + "msg1_weight"] += G1.T @ H[identity]
-        grads[prefix + "msg1_bias"] += G1.sum(axis=0)
-        G_H[identity] += G1 @ lp.msg1_weight
+        grads[pre + "msg1_weight"] += G1.T @ H[identity]
+        grads[pre + "msg1_bias"] += G1.sum(axis=0)
+        G_H[identity] += G1 @ p[pre + "msg1_weight"]
     return G_H
 
 
@@ -347,10 +310,12 @@ def _add_kept(G_H: np.ndarray, ops: _GraphOps, G_kept: np.ndarray) -> np.ndarray
     return G_H
 
 
-def _layer_forward(lp: LayerParams, config: ModelConfig, ops: _GraphOps,
+def _layer_forward(model: Model, i: int, ops: _GraphOps,
                    H: np.ndarray) -> tuple[np.ndarray, dict]:
+    """Output rows of layer i, and the cache its backward reads."""
+    config, p, pre = model.config, model.params, f"layers.{i}."
     cache: dict = {"H": H}
-    M = _messages(lp, H, ops.identity)
+    M = _messages(p, pre, H, ops.identity)
     if config.flavor == "gcn":
         S = ops.A_gcn @ M
         cache["S"] = S
@@ -366,35 +331,35 @@ def _layer_forward(lp: LayerParams, config: ModelConfig, ops: _GraphOps,
             S, src = _agg_max(Mr, ops)
             cache["src"] = src
         Z = np.concatenate([S, _kept(H, ops)], axis=1)
-        P = _update(Z, lp.update_weight, lp.update_bias)
+        P = _update(Z, p[pre + "update_weight"], p[pre + "update_bias"])
         cache.update(Z=Z, P=P)
         return np.maximum(P, 0.0), cache
     # gin
     S = ops.A @ M
-    eps = float(lp.gin_eps)
+    eps = float(p[pre + "gin_eps"])
     Z = (1.0 + eps) * _kept(H, ops) + S
-    P1 = _update(Z, lp.update_weight, lp.update_bias)
+    P1 = _update(Z, p[pre + "update_weight"], p[pre + "update_bias"])
     Hd = np.maximum(P1, 0.0)
-    P2 = _update(Hd, lp.mlp2_weight, lp.mlp2_bias)
+    P2 = _update(Hd, p[pre + "mlp2_weight"], p[pre + "mlp2_bias"])
     cache.update(Z=Z, P1=P1, Hd=Hd, P2=P2)
     return np.maximum(P2, 0.0), cache
 
 
-def _layer_backward(lp: LayerParams, config: ModelConfig, ops: _GraphOps,
-                    cache: dict, G_out: np.ndarray, grads: dict,
-                    prefix: str) -> np.ndarray:
-    """Gradient of one layer with respect to the rows it read; aggregation
+def _layer_backward(model: Model, i: int, ops: _GraphOps, cache: dict,
+                    G_out: np.ndarray, grads: dict) -> np.ndarray:
+    """Gradient of layer i with respect to the rows it read; aggregation
     backpropagates through the transposed operators."""
+    config, p, pre = model.config, model.params, f"layers.{i}."
     H = cache["H"]
     if config.flavor == "gcn":
         G_S = G_out * (cache["S"] > 0.0)
         G_M = ops.A_gcn.T @ G_S
-        return _messages_backward(lp, H, ops.identity, G_M, grads, prefix)
+        return _messages_backward(p, pre, H, ops.identity, G_M, grads)
     if config.flavor == "sage":
         G_P = G_out * (cache["P"] > 0.0)
-        grads[prefix + "update_weight"] += G_P.T @ cache["Z"]
-        grads[prefix + "update_bias"] += G_P.sum(axis=0)
-        G_Z = G_P @ lp.update_weight
+        grads[pre + "update_weight"] += G_P.T @ cache["Z"]
+        grads[pre + "update_bias"] += G_P.sum(axis=0)
+        G_Z = G_P @ p[pre + "update_weight"]
         d_out = config.hidden_dim
         G_S = G_Z[:, :d_out]
         if config.aggregation == "sum":
@@ -404,21 +369,21 @@ def _layer_backward(lp: LayerParams, config: ModelConfig, ops: _GraphOps,
         else:
             G_Mr = _agg_max_backward(G_S, cache["src"], ops.n_in)
         G_M = G_Mr * (cache["M"] > 0.0)
-        G_H = _messages_backward(lp, H, ops.identity, G_M, grads, prefix)
+        G_H = _messages_backward(p, pre, H, ops.identity, G_M, grads)
         return _add_kept(G_H, ops, G_Z[:, d_out:])
     # gin
     G_P2 = G_out * (cache["P2"] > 0.0)
-    grads[prefix + "mlp2_weight"] += G_P2.T @ cache["Hd"]
-    grads[prefix + "mlp2_bias"] += G_P2.sum(axis=0)
-    G_Hd = G_P2 @ lp.mlp2_weight
+    grads[pre + "mlp2_weight"] += G_P2.T @ cache["Hd"]
+    grads[pre + "mlp2_bias"] += G_P2.sum(axis=0)
+    G_Hd = G_P2 @ p[pre + "mlp2_weight"]
     G_P1 = G_Hd * (cache["P1"] > 0.0)
-    grads[prefix + "update_weight"] += G_P1.T @ cache["Z"]
-    grads[prefix + "update_bias"] += G_P1.sum(axis=0)
-    G_Z = G_P1 @ lp.update_weight
-    eps = float(lp.gin_eps)
-    grads[prefix + "gin_eps"] += np.sum(G_Z * _kept(H, ops))
+    grads[pre + "update_weight"] += G_P1.T @ cache["Z"]
+    grads[pre + "update_bias"] += G_P1.sum(axis=0)
+    G_Z = G_P1 @ p[pre + "update_weight"]
+    eps = float(p[pre + "gin_eps"])
+    grads[pre + "gin_eps"] += np.sum(G_Z * _kept(H, ops))
     G_M = ops.A.T @ G_Z
-    G_H = _messages_backward(lp, H, ops.identity, G_M, grads, prefix)
+    G_H = _messages_backward(p, pre, H, ops.identity, G_M, grads)
     return _add_kept(G_H, ops, (1.0 + eps) * G_Z)
 
 
@@ -540,7 +505,7 @@ def make_batch(model: Model, graphs, xs, anchors=None) -> Batch:
 
 
 def zero_grads(model: Model) -> dict[str, np.ndarray]:
-    return {name: np.zeros_like(arr) for name, arr in model.named_parameters()}
+    return {name: np.zeros_like(arr) for name, arr in model.params.items()}
 
 
 def forward_batch(model: Model, batch: Batch, tape_out: list | None = None) -> np.ndarray:
@@ -548,8 +513,8 @@ def forward_batch(model: Model, batch: Batch, tape_out: list | None = None) -> n
     a Tape of the pass is appended to ``tape_out`` when given."""
     caches = []
     H = batch.x
-    for lp, ops in zip(model.layers, batch.layers):
-        H, cache = _layer_forward(lp, model.config, ops, H)
+    for i, ops in enumerate(batch.layers):
+        H, cache = _layer_forward(model, i, ops, H)
         if tape_out is not None:
             caches.append(cache)
     if tape_out is not None:
@@ -576,9 +541,8 @@ def backward_layers(model: Model, tape: Tape, G_H: np.ndarray,
     if grads is None:
         grads = zero_grads(model)
     G = np.asarray(G_H, dtype=np.float64)
-    for i in range(len(model.layers) - 1, -1, -1):
-        G = _layer_backward(model.layers[i], model.config, tape.batch.layers[i],
-                            tape.caches[i], G, grads, f"layers.{i}.")
+    for i in range(model.config.num_layers - 1, -1, -1):
+        G = _layer_backward(model, i, tape.batch.layers[i], tape.caches[i], G, grads)
     return grads, G
 
 
@@ -610,7 +574,7 @@ def backward_id_full(model: Model, ego: EgoNet, tape: Tape, g_center: np.ndarray
 
 def head_logits(model: Model, h: np.ndarray) -> np.ndarray:
     """Linear classifier head applied to one embedding or a matrix of them."""
-    return h @ model.head_weight.T + model.head_bias
+    return h @ model.params["head.weight"].T + model.params["head.bias"]
 
 
 def head_backward(model: Model, h: np.ndarray, G_logits: np.ndarray,
@@ -619,12 +583,12 @@ def head_backward(model: Model, h: np.ndarray, G_logits: np.ndarray,
     returns the gradient of ``h``."""
     grads["head.weight"] += G_logits.T @ h
     grads["head.bias"] += G_logits.sum(axis=0)
-    return G_logits @ model.head_weight
+    return G_logits @ model.params["head.weight"]
 
 
-def edge_pair_score(h_u: np.ndarray, h_v: np.ndarray, head: PairHead,
+def edge_pair_score(model: Model, h_u: np.ndarray, h_v: np.ndarray,
                     cache_out: list | None = None) -> np.ndarray:
-    """Class logits for ordered pairs: concat, then the two-layer head.
+    """Class logits for ordered pairs: concat, then the two-layer pair head.
 
     Row i of ``h_u`` and ``h_v`` is one pair; 1-D inputs score one pair.
     The concatenation is ordered, so swapping u and v generally changes the
@@ -634,25 +598,26 @@ def edge_pair_score(h_u: np.ndarray, h_v: np.ndarray, head: PairHead,
     h_v = np.asarray(h_v, dtype=np.float64)
     if h_u.shape != h_v.shape:
         raise InputError(f"pair dims differ: {h_u.shape} vs {h_v.shape}")
+    p = model.params
     z = np.concatenate([h_u, h_v], axis=-1)
-    p1 = z @ head.w1.T + head.b1
+    p1 = z @ p["pair.w1"].T + p["pair.b1"]
     hid = np.maximum(p1, 0.0)
-    logits = hid @ head.w2.T + head.b2
+    logits = hid @ p["pair.w2"].T + p["pair.b2"]
     if cache_out is not None:
         cache_out.append({"z": z, "p1": p1, "hid": hid})
     return logits
 
 
-def edge_pair_backward(head: PairHead, cache: dict, G_logits: np.ndarray,
+def edge_pair_backward(model: Model, cache: dict, G_logits: np.ndarray,
                        grads: dict[str, np.ndarray]):
     """Accumulate the pair head's gradients for a matrix of scored pairs;
     returns the gradients of h_u and h_v."""
     grads["pair.w2"] += G_logits.T @ cache["hid"]
     grads["pair.b2"] += G_logits.sum(axis=0)
-    G_p1 = (G_logits @ head.w2) * (cache["p1"] > 0.0)
+    G_p1 = (G_logits @ model.params["pair.w2"]) * (cache["p1"] > 0.0)
     grads["pair.w1"] += G_p1.T @ cache["z"]
     grads["pair.b1"] += G_p1.sum(axis=0)
-    G_z = G_p1 @ head.w1
+    G_z = G_p1 @ model.params["pair.w1"]
     d = G_z.shape[1] // 2
     return G_z[:, :d], G_z[:, d:]
 
@@ -684,13 +649,15 @@ def make_walk_count_model(k: int) -> Model:
     e1 = np.zeros(k)
     e1[0] = 1.0
     select_agg = np.concatenate([np.eye(k), np.zeros((k, k))], axis=1)
-    for i, lp in enumerate(model.layers):
-        lp.msg0_weight[...] = 0.0 if i == 0 else shift
-        lp.msg0_bias[...] = 0.0
-        lp.msg1_weight[...] = 0.0 if i == 0 else shift
-        lp.msg1_bias[...] = e1
-        lp.update_weight[...] = select_agg
-        lp.update_bias[...] = 0.0
+    p = model.params
+    for i in range(k):
+        pre = f"layers.{i}."
+        p[pre + "msg0_weight"][...] = 0.0 if i == 0 else shift
+        p[pre + "msg0_bias"][...] = 0.0
+        p[pre + "msg1_weight"][...] = 0.0 if i == 0 else shift
+        p[pre + "msg1_bias"][...] = e1
+        p[pre + "update_weight"][...] = select_agg
+        p[pre + "update_bias"][...] = 0.0
     return model
 
 
@@ -699,16 +666,15 @@ def make_walk_count_model(k: int) -> Model:
 
 
 def save_model(model: Model, path: str) -> None:
-    names = model.named_parameters()
     header = {
         "format": "idgnn-checkpoint",
         "version": 1,
         "config": asdict(model.config),
-        "params": [{"name": n, "shape": list(a.shape)} for n, a in names],
+        "params": [{"name": n, "shape": list(a.shape)} for n, a in model.params.items()],
     }
     header_bytes = json.dumps(header, separators=(",", ":")).encode()
     blob = b"".join(
-        np.ascontiguousarray(a, dtype="<f8").tobytes() for _, a in names
+        np.ascontiguousarray(a, dtype="<f8").tobytes() for a in model.params.values()
     )
     with open(path, "wb") as fh:
         fh.write(CHECKPOINT_MAGIC)
@@ -741,17 +707,17 @@ def load_model(path: str) -> Model:
         config = ModelConfig(**cfg)
     except (ValueError, KeyError, TypeError) as exc:
         raise InputError(f"{path}: bad checkpoint header: {exc}") from None
-    # checked before init_model, so a forged config allocates nothing
+    # checked before the tensors are built, so a forged config allocates nothing
     if config.num_layers > len(layout) or _layout(config) != layout:
         raise InputError(f"{path}: checkpoint parameters do not match its config")
     if len(blob) != 8 * sum(math.prod(shape) for _, shape in layout):
         raise InputError(f"{path}: checkpoint blob size mismatch")
-    if not np.isfinite(np.frombuffer(blob, dtype="<f8")).all():
+    values = np.frombuffer(blob, dtype="<f8")
+    if not np.isfinite(values).all():
         raise InputError(f"{path}: checkpoint parameters are not all finite")
-    model = init_model(config)
-    offset = 0
-    for _, arr in model.named_parameters():
-        arr[...] = np.frombuffer(blob, dtype="<f8", count=arr.size,
-                                 offset=offset).reshape(arr.shape)
-        offset += arr.size * 8
-    return model
+    params, offset = {}, 0
+    for name, shape in layout:
+        size = math.prod(shape)
+        params[name] = values[offset:offset + size].reshape(shape).astype(np.float64)
+        offset += size
+    return Model(config, params)

@@ -210,6 +210,8 @@ def split(task: TaskData, fraction: float, seed: int) -> TaskSplit:
     """Deterministic shuffled graph-level split; no graph straddles sides."""
     if not 0.0 < fraction < 1.0:
         raise InputError(f"fraction must be in (0, 1), got {fraction}")
+    if seed < 0:
+        raise InputError(f"seed must be nonnegative, got {seed}")
     order = np.random.Generator(np.random.PCG64(seed)).permutation(len(task.items))
     cut = int(round(fraction * len(task.items)))
     if cut == 0 or cut == len(task.items):
@@ -272,8 +274,8 @@ def _forward(model: Model, p: _Prepared, record: bool):
     cache: dict = {"tapes": [] if record else None, "pair": []}
     H = forward_batch(model, p.batch, cache["tapes"])
     if p.pairs is not None:
-        logits = edge_pair_score(H[p.pairs[:, 0]], H[p.pairs[:, 1]],
-                                 model.pair_head, cache["pair"])
+        logits = edge_pair_score(model, H[p.pairs[:, 0]], H[p.pairs[:, 1]],
+                                 cache["pair"])
         return logits, cache
     cache["Z"] = H if p.starts is None else np.add.reduceat(H, p.starts, axis=0)
     return head_logits(model, cache["Z"]), cache
@@ -284,7 +286,7 @@ def _backward(model: Model, p: _Prepared, cache: dict, G_logits: np.ndarray,
     """Accumulate the gradients of one forward pass in one backward pass."""
     tape = cache["tapes"][0]
     if p.pairs is not None:
-        G_u, G_v = edge_pair_backward(model.pair_head, cache["pair"][0], G_logits, grads)
+        G_u, G_v = edge_pair_backward(model, cache["pair"][0], G_logits, grads)
         G_H = np.zeros((len(p.batch.rows), model.config.hidden_dim))
         np.add.at(G_H, p.pairs, np.stack([G_u, G_v], axis=1))
     else:
@@ -346,7 +348,7 @@ def train(model: Model, task: TaskSplit, epochs: int, lr: float = 0.01,
     prepared = _prepare(model, spec, task.train)
     if epochs and not prepared.labels.size:
         raise InputError("no labeled items in the training split")
-    params = dict(model.named_parameters())
+    params = model.params
     state = AdamState()
     losses: list[float] = []
     for _ in range(epochs):

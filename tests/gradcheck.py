@@ -46,8 +46,23 @@ def randomize(model: Model, seed: int, scale: float = 0.3) -> None:
     """Give every tensor (including biases) nonzero random values so each
     parameter carries gradient signal."""
     rng = np.random.default_rng(seed)
-    for _, arr in model.named_parameters():
+    for arr in model.params.values():
         arr[...] = rng.normal(scale=scale, size=arr.shape)
+
+
+def tie_msg1(model: Model) -> None:
+    """Give every msg1 tensor of an id_full model its layer's msg0 values."""
+    p = model.params
+    for i in range(model.config.num_layers):
+        for kind in ("weight", "bias"):
+            p[f"layers.{i}.msg1_{kind}"][...] = p[f"layers.{i}.msg0_{kind}"]
+
+
+def copy_params(dst: Model, src: Model) -> None:
+    """Set every tensor of ``dst`` to the tensor of ``src`` with its name; a
+    plain model's names are those of the id_full model minus msg1."""
+    for name, arr in dst.params.items():
+        arr[...] = src.params[name]
 
 
 def embed_anchor(model: Model, g: Graph, u: int, v: int) -> np.ndarray:
@@ -71,7 +86,7 @@ def model_loss(model: Model, g: Graph, x: np.ndarray, labels: np.ndarray,
     H = forward_batch(model, batch, tapes)
     logits = head_logits(model, H)
     node_loss, G_logits = loss_xent(logits, labels)
-    pair_logits = edge_pair_score(H[:1], H[-1:], model.pair_head, pair_caches)
+    pair_logits = edge_pair_score(model, H[:1], H[-1:], pair_caches)
     pair_loss, G_pair = loss_xent(pair_logits, labels[:1])
     loss = node_loss + pair_loss
     if not record:
@@ -79,7 +94,7 @@ def model_loss(model: Model, g: Graph, x: np.ndarray, labels: np.ndarray,
 
     grads = zero_grads(model)
     G_H = head_backward(model, H, G_logits, grads)
-    g_u, g_v = edge_pair_backward(model.pair_head, pair_caches[0], G_pair, grads)
+    g_u, g_v = edge_pair_backward(model, pair_caches[0], G_pair, grads)
     G_H[:1] += g_u
     G_H[-1:] += g_v
     backward_layers(model, tapes[0], G_H, grads)
@@ -94,7 +109,7 @@ def fd_check(model: Model, g: Graph, x: np.ndarray, labels: np.ndarray,
     checked = excluded = 0
     worst = 0.0
     failures = []
-    for name, arr in model.named_parameters():
+    for name, arr in model.params.items():
         flat = arr.reshape(-1)
         gflat = grads[name].reshape(-1)
         for idx in range(flat.size):

@@ -398,7 +398,7 @@ def dense_reference(model, graphs, xs, anchors, G_rows: np.ndarray):
             ego = ego_by_induced_edges(g, u, cfg.num_layers, identity_at=v)
             units.append((ego.subgraph, x[list(ego.to_parent)], ego.identity_mask,
                           [ego.center_local_index]))
-    params = {name: _Var(arr) for name, arr in model.named_parameters()}
+    params = {name: _Var(arr) for name, arr in model.params.items()}
     H_rows, G_x, start = [], [], 0
     for g, x, identity, rows in units:
         x_var = _Var(x)

@@ -29,7 +29,7 @@ from idgnn.nn import (
     make_walk_count_model,
 )
 from idgnn.tasks import make_node_cc_task, make_spd_task, split, train
-from gradcheck import fd_check, randomize
+from gradcheck import copy_params, fd_check, randomize, tie_msg1
 from oracles import dense_power_diag, random_mixed_graphs
 
 
@@ -197,21 +197,13 @@ def test_criterion_8_reduction_property():
                                    aggregation=agg, seed=done)
             mf = init_model(cfg_full)
             randomize(mf, seed=done)
-            for lp in mf.layers:
-                lp.msg1_weight[...] = lp.msg0_weight
-                lp.msg1_bias[...] = lp.msg0_bias
+            tie_msg1(mf)
             cfg_plain = ModelConfig(flavor=flavor, variant="plain",
                                     num_layers=layers, hidden_dim=hidden,
                                     input_dim=2, output_dim=2,
                                     aggregation=agg, seed=done)
             mp = init_model(cfg_plain)
-            for lp_p, lp_f in zip(mp.layers, mf.layers):
-                lp_p.msg0_weight[...] = lp_f.msg0_weight
-                lp_p.msg0_bias[...] = lp_f.msg0_bias
-                for name in ("update_weight", "update_bias", "mlp2_weight",
-                             "mlp2_bias", "gin_eps"):
-                    if getattr(lp_p, name) is not None:
-                        getattr(lp_p, name)[...] = getattr(lp_f, name)
+            copy_params(mp, mf)
             center = int(rng.integers(g.num_nodes))
             ego = extract_ego(g, center, layers)
             x = rng.normal(size=(ego.subgraph.num_nodes, 2))

@@ -344,6 +344,64 @@ def test_directory_paths_exit_2(tmp_path, tiny_dataset):
     assert list(folder.iterdir()) == []
 
 
+OUT_OF_RANGE_SEEDS = [str(2**63), str(-2**63 - 1)]
+
+
+@pytest.mark.parametrize("seed", OUT_OF_RANGE_SEEDS)
+def test_generate_seed_outside_64_bits_exit_2(tmp_path, seed):
+    out = tmp_path / "d.jsonl"
+    line = run_failing(["generate", "--family", "d-regular", "--n", "8", "--d", "3",
+                        "--count", "2", "--seed", seed, "--out", str(out)])
+    assert "64-bit" in line
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("seed", OUT_OF_RANGE_SEEDS)
+def test_expressiveness_seed_outside_64_bits_exit_2(tmp_path, seed):
+    out = tmp_path / "r.json"
+    line = run_failing(["expressiveness", "--n", "8", "--d", "3", "--count", "2",
+                        "--k-list", "3", "--seed", seed, "--out", str(out)])
+    assert "64-bit" in line
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("seed", OUT_OF_RANGE_SEEDS)
+def test_train_edge_task_seed_outside_64_bits_exit_2(tmp_path, tiny_dataset, seed):
+    ckpt = tmp_path / "m.ckpt"
+    line = run_failing(["train", "--data", tiny_dataset, "--task", "edge-spd",
+                        "--epochs", "1", "--seed", seed, "--out", str(ckpt)])
+    assert "64-bit" in line
+    assert not ckpt.exists()
+
+
+@pytest.mark.parametrize("seed", OUT_OF_RANGE_SEEDS)
+def test_eval_edge_task_seed_outside_64_bits_exit_2(tmp_path, tiny_dataset, seed):
+    ckpt, out = str(tmp_path / "m.ckpt"), tmp_path / "e.json"
+    assert run(["train", "--data", tiny_dataset, "--task", "edge-spd", "--epochs", "0",
+                "--layers", "1", "--hidden", "4", "--out", ckpt]) == 0
+    line = run_failing(["eval", "--model", ckpt, "--data", tiny_dataset,
+                        "--task", "edge-spd", "--seed", seed, "--out", str(out)])
+    assert "64-bit" in line
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("task", ["node-cc", "edge-spd"])
+def test_train_negative_seed_exit_2(tmp_path, tiny_dataset, task):
+    ckpt = tmp_path / "m.ckpt"
+    line = run_failing(["train", "--data", tiny_dataset, "--task", task,
+                        "--epochs", "1", "--seed", "-1", "--out", str(ckpt)])
+    assert "seed must be nonnegative" in line
+    assert not ckpt.exists()
+
+
+@pytest.mark.parametrize("seed", ["-1", str(-2**63), str(2**63 - 1)])
+def test_signed_64_bit_seeds_generate_and_expressiveness(tmp_path, seed):
+    assert run(["generate", "--family", "d-regular", "--n", "8", "--d", "3",
+                "--count", "2", "--seed", seed, "--out", str(tmp_path / "d.jsonl")]) == 0
+    assert run(["expressiveness", "--n", "8", "--d", "3", "--count", "2",
+                "--k-list", "3", "--seed", seed, "--out", str(tmp_path / "r.json")]) == 0
+
+
 class TestCheckpointHeader:
     """Malformed checkpoints written from a real ``train`` run end in exit 2
     with one stderr line, and parameters that overflow the logits in exit 4;
@@ -394,6 +452,10 @@ class TestCheckpointHeader:
         (hlen,) = struct.unpack("<I", raw[8:12])
         self.assert_input_error(tmp_path, tiny_dataset, raw[:12 + hlen // 2], capsys)
         self.assert_input_error(tmp_path, tiny_dataset, raw[:10], capsys)
+
+    def test_negative_seed_rejected(self, tmp_path, tiny_dataset, raw, capsys):
+        self.assert_input_error(tmp_path, tiny_dataset, self.with_config(raw, seed=-1),
+                                capsys)
 
     def test_short_blob(self, tmp_path, tiny_dataset, raw, capsys):
         self.assert_input_error(tmp_path, tiny_dataset, raw[:-8], capsys)

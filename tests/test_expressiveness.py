@@ -83,8 +83,8 @@ class TestSignatureIndex:
     @settings(max_examples=100, deadline=None)
     @given(data=st.data())
     def test_batch_add_equals_sequential_adds(self, data):
-        # relabeled duplicates of a few bases of mixed sizes, so of mixed
-        # signature lengths, added at once, one by one and in chunks
+        # relabeled duplicates of a few bases of mixed sizes, down to the
+        # empty graph, added at once, one by one and in chunks
         bases = []
         for _ in range(data.draw(st.integers(1, 4))):
             n = data.draw(st.integers(0, 7))

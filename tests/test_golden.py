@@ -1,9 +1,14 @@
-"""Pinned output digests of the walk-count CLI paths at fixed seeds.
+"""Pinned output digests at fixed seeds.
 
 ``features`` (with and without existing node features), ``wl dedupe`` and
 ``expressiveness`` (JSON and CSV, one pool that regenerates) must keep
 writing these exact bytes: a change to how counts or signatures are
 computed may not change a single output byte.
+
+The checkpoints of freshly initialized models pin the parameter names,
+their order and shapes, the draw order of the initialization and which
+models have msg1 tensors. Initialization runs no BLAS, so these digests do
+not depend on the machine.
 """
 
 import hashlib
@@ -11,6 +16,7 @@ import hashlib
 import pytest
 
 from idgnn.cli import main
+from idgnn.nn import ModelConfig, init_model, save_model
 
 DIGESTS = {
     "f1.jsonl": "3e2f3948ce2ccb5781ad18b620442cf37d77e97f54c22dbfac88b8d52ef4bdfe",
@@ -20,6 +26,40 @@ DIGESTS = {
     "e16.csv": "df736ff879ca81b41677565e753e5d1df6c0b8bdc09e7e8a93d0f0a7eb60dfde",
     "e8.json": "503df2b69154646f29db6e131013b61c557c046dd4c3ce1d04e551bd433e60ed",
     "e8.csv": "e7ec151762344b2b30f256252ec9d886bf58e6c76f83aa3c9788a7eb8773f9a2",
+}
+
+# flavor/aggregation/variant -> sha256 of save_model(init_model(config))
+INIT_DIGESTS = {
+    "gcn/mean/plain":
+        "d0eee43951d27d8a62ae10714f21629aeda691e6efe4b4091a67dc6f86d4f3cd",
+    "gcn/mean/id_full":
+        "654f242059ac0f9ae9582c1cfe8edc76ea94c9156d104882c5e5d57416c2143b",
+    "gcn/mean/id_fast":
+        "fc60c42406783fe563dda694ae51a4a9c6884478897b7031fede080299388ecc",
+    "sage/sum/plain":
+        "4a0ada7f5f137b79064695c4096220bfb709a563cea9abb8bb8262003b937dd3",
+    "sage/sum/id_full":
+        "91fa7d873fdc3f95c99a4a3233a7a7fca8c5e91293d74ae6c96f8aac63e86c45",
+    "sage/sum/id_fast":
+        "cd66cd65fb14a94dfca2fae314b78b709e600353510d9b53cde46eeba63e9e03",
+    "sage/mean/plain":
+        "78446b0b3376c9bbcbc3378ad888134bde2f355cbb4c4f49cb419efc25f22f85",
+    "sage/mean/id_full":
+        "e8b7e6c17452bb08a87e9998197761badc2c5e7e69a77106be0c9bd9996c6f9b",
+    "sage/mean/id_fast":
+        "e5f5e9f433150d2da2cd9c11772b7a68e555ba7b69dbb2142241eab5f1329e32",
+    "sage/max/plain":
+        "eda86fb945ab54b16043def3987f8bc4fbbb1cc0d6d2871a64399d244725f080",
+    "sage/max/id_full":
+        "14107a9db19c035cfa7bf1a5eb753ce722ddbdc392e907051002fc27bfd74ca5",
+    "sage/max/id_fast":
+        "27d321665d94c63dc5b52c8f8993ef583803f37d44960e846ce6324f7872e9c2",
+    "gin/sum/plain":
+        "6ffa90926b4a13eba08e3cf8bfa825222e0ba21aa805557866b9e41ae2ad832c",
+    "gin/sum/id_full":
+        "bbd5ccdf9d4fcd275a68157db8749e0c870dacbfd680cd7548ed3e84c99b9261",
+    "gin/sum/id_fast":
+        "7e33f7bedb59771d961175608d36a808bf717464dfb5c495138414d742a40cc2",
 }
 
 
@@ -51,3 +91,14 @@ def outputs(tmp_path_factory):
 @pytest.mark.parametrize("name", sorted(DIGESTS))
 def test_output_digest(outputs, name):
     assert hashlib.sha256((outputs / name).read_bytes()).hexdigest() == DIGESTS[name]
+
+
+@pytest.mark.parametrize("key", sorted(INIT_DIGESTS))
+def test_initial_checkpoint_digest(tmp_path, key):
+    flavor, aggregation, variant = key.split("/")
+    cfg = ModelConfig(flavor=flavor, variant=variant, num_layers=2, hidden_dim=4,
+                      input_dim=3, output_dim=5, aggregation=aggregation,
+                      fast_k=2, seed=11)
+    path = tmp_path / "init.ckpt"
+    save_model(init_model(cfg), str(path))
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == INIT_DIGESTS[key]

@@ -22,7 +22,7 @@ from idgnn.nn import (
     zero_grads,
 )
 from idgnn.tasks import _forward, _prepare, make_graph_cc_task
-from gradcheck import embed_anchor, fd_check, model_loss, randomize
+from gradcheck import copy_params, embed_anchor, fd_check, model_loss, randomize, tie_msg1
 
 P3 = build_graph(3, [(0, 1), (1, 2)])
 K3 = build_graph(3, [(0, 1), (1, 2), (0, 2)])
@@ -39,23 +39,23 @@ class TestInit:
     def test_deterministic(self):
         a = init_model(small_config())
         b = init_model(small_config())
-        for (n1, p1), (n2, p2) in zip(a.named_parameters(), b.named_parameters()):
+        for (n1, p1), (n2, p2) in zip(a.params.items(), b.params.items()):
             assert n1 == n2
             assert np.array_equal(p1, p2)
 
-    def test_plain_msg1_aliased(self):
+    def test_plain_has_no_msg1(self):
+        # one message function: every layer has msg0 and no msg1 entry
         m = init_model(small_config(variant="plain"))
-        for lp in m.layers:
-            assert lp.msg1_weight is lp.msg0_weight
-            assert lp.msg1_bias is lp.msg0_bias
-        names = [n for n, _ in m.named_parameters()]
-        assert not any("msg1" in n for n in names)
+        for i in range(m.config.num_layers):
+            assert f"layers.{i}.msg0_weight" in m.params
+            assert f"layers.{i}.msg0_bias" in m.params
+        assert not any("msg1" in n for n in m.params)
 
     def test_id_full_has_independent_msg1(self):
         m = init_model(small_config(variant="id_full"))
-        assert m.layers[0].msg1_weight is not m.layers[0].msg0_weight
-        names = [n for n, _ in m.named_parameters()]
-        assert any("msg1" in n for n in names)
+        p = m.params
+        assert not np.shares_memory(p["layers.0.msg1_weight"], p["layers.0.msg0_weight"])
+        assert any("msg1" in n for n in p)
 
     def test_zero_hidden_rejected(self):
         with pytest.raises(InputError):
@@ -77,7 +77,7 @@ class TestForwardPlain:
     @pytest.mark.parametrize("flavor", ["gcn", "sage", "gin"])
     def test_zero_params_zero_embeddings(self, flavor):
         m = init_model(small_config(flavor=flavor))
-        for _, arr in m.named_parameters():
+        for arr in m.params.values():
             arr[...] = 0.0
         H = forward_plain(m, K3, np.ones((3, 3)))
         assert not H.any()
@@ -89,11 +89,11 @@ class TestForwardPlain:
                           hidden_dim=3, input_dim=3, output_dim=2,
                           aggregation="sum", seed=0)
         m = init_model(cfg)
-        lp = m.layers[0]
-        lp.msg0_weight[...] = np.eye(3)
-        lp.msg0_bias[...] = 0.0
-        lp.update_weight[...] = np.concatenate([np.eye(3), np.zeros((3, 3))], axis=1)
-        lp.update_bias[...] = 0.0
+        p = m.params
+        p["layers.0.msg0_weight"][...] = np.eye(3)
+        p["layers.0.msg0_bias"][...] = 0.0
+        p["layers.0.update_weight"][...] = np.concatenate([np.eye(3), np.zeros((3, 3))], axis=1)
+        p["layers.0.update_bias"][...] = 0.0
         x = np.eye(3)  # one-hot per node
         H = forward_plain(m, P3, x)
         assert H[1].tolist() == [1.0, 0.0, 1.0]
@@ -132,17 +132,9 @@ class TestForwardIdFull:
         cfg = small_config(flavor=flavor, variant="id_full")
         m = init_model(cfg)
         randomize(m, seed=11)
-        for lp in m.layers:
-            lp.msg1_weight[...] = lp.msg0_weight
-            lp.msg1_bias[...] = lp.msg0_bias
+        tie_msg1(m)
         plain = init_model(small_config(flavor=flavor, variant="plain"))
-        for lp_p, lp_f in zip(plain.layers, m.layers):
-            lp_p.msg0_weight[...] = lp_f.msg0_weight
-            lp_p.msg0_bias[...] = lp_f.msg0_bias
-            for name in ("update_weight", "update_bias", "mlp2_weight",
-                         "mlp2_bias", "gin_eps"):
-                if getattr(lp_p, name) is not None:
-                    getattr(lp_p, name)[...] = getattr(lp_f, name)
+        copy_params(plain, m)
         rng = np.random.default_rng(3)
         for center in (0, 5, 9):
             ego = extract_ego(g, center, cfg.num_layers)
@@ -161,11 +153,7 @@ class TestForwardIdFull:
         x = np.ones((3, 3))
         h = forward_id_full(m, ego, x)
         plain = init_model(small_config(variant="plain"))
-        for lp_p, lp_f in zip(plain.layers, m.layers):
-            lp_p.msg0_weight[...] = lp_f.msg0_weight
-            lp_p.msg0_bias[...] = lp_f.msg0_bias
-            lp_p.update_weight[...] = lp_f.update_weight
-            lp_p.update_bias[...] = lp_f.update_bias
+        copy_params(plain, m)
         h_plain = forward_plain(plain, ego.subgraph, x)[0]
         assert np.allclose(h, h_plain, atol=0, rtol=0)
 
@@ -215,8 +203,8 @@ class TestConditional:
         h = embed_anchor(m, p6, 0, 5)  # dist 5 > 2 layers
         ego = extract_ego(p6, 0, 2, identity_at=5)
         assert ego.identity_local_index is None
-        for lp in m.layers:  # msg1 unused when mask is empty
-            lp.msg1_weight[...] = 12345.0
+        for i in range(m.config.num_layers):  # msg1 unused when mask is empty
+            m.params[f"layers.{i}.msg1_weight"][...] = 12345.0
         h2 = forward_id_full(m, ego, np.ones((ego.subgraph.num_nodes, 1)))
         assert np.array_equal(h, h2)
 
@@ -255,9 +243,9 @@ class TestReadoutAndPairs:
     def test_pair_score_zero_head_gives_bias(self):
         m = init_model(small_config())
         for name in ("w1", "b1", "w2"):
-            getattr(m.pair_head, name)[...] = 0.0
-        m.pair_head.b2[...] = np.arange(4.0)
-        out = edge_pair_score(np.zeros(5), np.zeros(5), m.pair_head)
+            m.params[f"pair.{name}"][...] = 0.0
+        m.params["pair.b2"][...] = np.arange(4.0)
+        out = edge_pair_score(m, np.zeros(5), np.zeros(5))
         assert out.tolist() == [0.0, 1.0, 2.0, 3.0]
 
     def test_pair_score_order_matters(self):
@@ -265,24 +253,24 @@ class TestReadoutAndPairs:
         randomize(m, seed=3)
         a, b = np.arange(5.0), np.arange(5.0)[::-1].copy()
         assert not np.allclose(
-            edge_pair_score(a, b, m.pair_head), edge_pair_score(b, a, m.pair_head)
+            edge_pair_score(m, a, b), edge_pair_score(m, b, a)
         )
 
     def test_pair_head_identity_slice(self):
         cfg = small_config(hidden_dim=4, output_dim=4)
         m = init_model(cfg)
-        m.pair_head.w1[...] = np.concatenate([np.eye(4), np.zeros((4, 4))], axis=1)
-        m.pair_head.b1[...] = 0.0
-        m.pair_head.w2[...] = np.eye(4)
-        m.pair_head.b2[...] = 0.0
+        m.params["pair.w1"][...] = np.concatenate([np.eye(4), np.zeros((4, 4))], axis=1)
+        m.params["pair.b1"][...] = 0.0
+        m.params["pair.w2"][...] = np.eye(4)
+        m.params["pair.b2"][...] = 0.0
         h_u = np.array([0.5, 1.0, 0.0, 2.0])  # nonnegative: ReLU transparent
-        out = edge_pair_score(h_u, np.ones(4), m.pair_head)
+        out = edge_pair_score(m, h_u, np.ones(4))
         assert out.tolist() == h_u.tolist()
 
     def test_pair_dim_mismatch(self):
         m = init_model(small_config())
         with pytest.raises(InputError):
-            edge_pair_score(np.zeros(5), np.zeros(4), m.pair_head)
+            edge_pair_score(m, np.zeros(5), np.zeros(4))
 
 
 class TestGradients:
@@ -318,25 +306,15 @@ class TestGradients:
         cfg_f = small_config(variant="id_full", input_dim=1)
         mf = init_model(cfg_f)
         randomize(mf, seed=23)
-        for lp in mf.layers:
-            lp.msg1_weight[...] = lp.msg0_weight
-            lp.msg1_bias[...] = lp.msg0_bias
+        tie_msg1(mf)
         mp = init_model(small_config(variant="plain", input_dim=1))
-        for lp_p, lp_f in zip(mp.layers, mf.layers):
-            lp_p.msg0_weight[...] = lp_f.msg0_weight
-            lp_p.msg0_bias[...] = lp_f.msg0_bias
-            lp_p.update_weight[...] = lp_f.update_weight
-            lp_p.update_bias[...] = lp_f.update_bias
-        mp.head_weight[...] = mf.head_weight
-        mp.head_bias[...] = mf.head_bias
-        for name in ("w1", "b1", "w2", "b2"):
-            getattr(mp.pair_head, name)[...] = getattr(mf.pair_head, name)
+        copy_params(mp, mf)
         rng = np.random.default_rng(8)
         x = rng.normal(size=(10, 1))
         labels = rng.integers(0, 4, size=10)
         _, _, gf = model_loss(mf, g, x, labels, record=True)
         _, _, gp = model_loss(mp, g, x, labels, record=True)
-        for i in range(len(mf.layers)):
+        for i in range(cfg_f.num_layers):
             tied = gf[f"layers.{i}.msg0_weight"] + gf[f"layers.{i}.msg1_weight"]
             assert np.allclose(tied, gp[f"layers.{i}.msg0_weight"], atol=1e-10)
 
@@ -349,16 +327,17 @@ class TestCheckpoint:
         save_model(m, path)
         loaded = load_model(path)
         assert loaded.config == m.config
-        for (n1, p1), (n2, p2) in zip(m.named_parameters(), loaded.named_parameters()):
+        for (n1, p1), (n2, p2) in zip(m.params.items(), loaded.params.items()):
             assert n1 == n2
             assert np.array_equal(p1, p2)
 
-    def test_plain_roundtrip_keeps_aliasing(self, tmp_path):
+    def test_plain_roundtrip_has_no_msg1(self, tmp_path):
         m = init_model(small_config(variant="plain"))
         path = str(tmp_path / "m.ckpt")
         save_model(m, path)
         loaded = load_model(path)
-        assert loaded.layers[0].msg1_weight is loaded.layers[0].msg0_weight
+        assert "layers.0.msg0_weight" in loaded.params
+        assert not any("msg1" in n for n in loaded.params)
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "junk.ckpt"

@@ -193,7 +193,7 @@ class TestTrain:
         task = make_node_cc_task(tiny_dataset(6))
         ts = split(task, 0.5, seed=1)
         m = model_for("node_cc")
-        m.head_bias[0] = np.inf
+        m.params["head.bias"][0] = np.inf
         with pytest.raises(NumericError):
             train(m, ts, epochs=0)
 
@@ -235,7 +235,7 @@ class TestEvaluate:
     def test_accuracy_range_and_ties(self):
         task = make_node_cc_task(tiny_dataset(6))
         m = model_for("node_cc")
-        for _, arr in m.named_parameters():
+        for arr in m.params.values():
             arr[...] = 0.0
         # constant equal logits: argmax picks class 0 for every node
         acc = evaluate(m, task.spec, task.items)
@@ -272,7 +272,7 @@ def test_batched_task_gradients_match_finite_differences(kind, variant):
     _backward(m, p, cache, G_logits, grads)
     rng = np.random.default_rng(0)
     h = 1e-6
-    for name, arr in m.named_parameters():
+    for name, arr in m.params.items():
         flat = arr.reshape(-1)
         for idx in rng.choice(flat.size, size=min(3, flat.size), replace=False):
             orig = flat[idx]
@@ -307,7 +307,7 @@ def test_predictions_match_single_item_wiring(kind, variant):
         elif kind == "graph_cc":
             expected.append(head_logits(m, H.sum(axis=0)))
         elif variant == "plain":
-            expected.extend(edge_pair_score(H[u], H[v], m.pair_head) for u, v, _ in item.pairs)
+            expected.extend(edge_pair_score(m, H[u], H[v]) for u, v, _ in item.pairs)
         else:
             expected.extend(head_logits(m, embed_anchor(m, g, u, v))
                             for u, v, _ in item.pairs)
