@@ -22,7 +22,11 @@ def main() -> int:
     parser.add_argument("--k-list", default="3,4,5,6")
     args = parser.parse_args()
 
-    k_list = [int(tok) for tok in args.k_list.split(",")]
+    try:
+        k_list = [int(tok) for tok in args.k_list.split(",")]
+    except ValueError:
+        parser.exit(2, f"{parser.prog}: error: --k-list must be comma-separated "
+                       f"integers, got {args.k_list!r}\n")
     header = ["setting", "wl"] + [f"K={k}" for k in k_list]
     print("\t".join(header))
     for n, d in SETTINGS:

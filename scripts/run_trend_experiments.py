@@ -47,7 +47,11 @@ def main() -> int:
     parser.add_argument("--seeds", default="0,1,2")
     parser.add_argument("--epochs", type=int, default=200)
     args = parser.parse_args()
-    seeds = [int(s) for s in args.seeds.split(",")]
+    try:
+        seeds = [int(s) for s in args.seeds.split(",")]
+    except ValueError:
+        parser.exit(2, f"{parser.prog}: error: --seeds must be comma-separated "
+                       f"integers, got {args.seeds!r}\n")
     print("task,flavor,variant,seed,accuracy")
     if args.task in ("node-cc", "both"):
         run_node_cc(seeds, args.epochs)

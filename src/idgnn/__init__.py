@@ -14,8 +14,8 @@ from .counts import (
     augment_features,
     clustering_direct,
     clustering_from_counts,
+    count_signatures,
     graph_signature,
-    graph_signatures,
     identity_walk_counts,
     reachability,
     walk_count_features,
@@ -31,7 +31,7 @@ from .generators import (
     gen_scale_free,
     gen_small_world,
 )
-from .graph import EgoNet, Graph, bfs_distances, build_graph, extract_ego, relabel_graph
+from .graph import EgoNet, Graph, build_graph, extract_ego, relabel_graph
 from .nn import (
     Model,
     ModelConfig,

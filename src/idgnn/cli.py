@@ -20,10 +20,8 @@ import json
 import os
 import sys
 
-import numpy as np
-
 from . import __version__
-from .counts import walk_count_features_many
+from .counts import with_count_columns
 from .datasets import (
     GraphRecord,
     atomic_write_text,
@@ -115,13 +113,10 @@ def _cmd_generate(args) -> int:
 
 def _cmd_features(args) -> int:
     records = load_jsonl(args.data)
-    out_records = []
-    counts = walk_count_features_many([rec.graph for rec in records], args.k)
-    for rec, c in zip(records, counts):
-        g = rec.graph
-        feats = c if g.node_features is None else np.hstack([g.node_features, c])
-        g2 = build_graph(g.num_nodes, g.edges, feats)
-        out_records.append(GraphRecord(g2, rec.label, rec.node_labels))
+    graphs = [rec.graph for rec in records]
+    feats = with_count_columns(graphs, [g.node_features for g in graphs], args.k)
+    out_records = [GraphRecord(build_graph(g.num_nodes, g.edges, x), rec.label, rec.node_labels)
+                   for rec, g, x in zip(records, graphs, feats)]
     save_jsonl(out_records, args.out)
     _write_manifest(args.out, "features", _flags(args), [args.data], [args.out])
     print(f"appended {args.k} walk-count columns to {len(out_records)} graphs")

@@ -17,8 +17,12 @@ two at a time, and reads diag(A^(a+b)) as the row sums of A^a * A^b
 max(A^a) * maxdeg <= 2^62, and before each row sum of X * Y it requires
 max(X) * max(Y) * (largest row count of X) <= 2^62, each over one graph's
 block, so a list raises CapabilityError exactly when one of its graphs
-would on its own. ``walk_count_features``, ``augment_features`` and
-``graph_signature`` are one-graph views of it.
+would on its own. ``walk_count_features`` is its one-graph view.
+
+The count rows are read two ways, each coded once: ``count_signatures``
+turns count matrices into canonical signatures, and ``with_count_columns``
+appends them to per-graph base features. ``graph_signature`` and
+``augment_features`` are their one-graph views.
 """
 
 from __future__ import annotations
@@ -46,9 +50,6 @@ class CountMatrix:
     counts: np.ndarray
     identity_node: int
     k_max: int
-
-    def identity_row(self) -> np.ndarray:
-        return self.counts[self.identity_node]
 
 
 def identity_walk_counts(ego: EgoNet, k: int) -> CountMatrix:
@@ -275,29 +276,38 @@ def reachability(g: Graph, u: int, v: int, k: int) -> bool:
     return bool(h[u])
 
 
-def graph_signatures(graphs: list[Graph], k: int) -> list[bytes]:
-    """Canonical byte signature of each graph: the sorted multiset of its
-    per-node closed-walk count rows. Equal for isomorphic graphs; refines
-    as k grows."""
-    sigs = []
-    for g, feats in zip(graphs, walk_count_features_many(graphs, k)):
-        rows = feats[np.lexsort(feats.T[::-1])].tolist()
-        body = ";".join(",".join(map(str, row)) for row in rows)
-        sigs.append(f"k={k};n={g.num_nodes};{body}".encode())
-    return sigs
+def count_signatures(counts: list[np.ndarray]) -> list[bytes]:
+    """Canonical byte signature of each n x k int64 count matrix: a header of k
+    and n, then its rows in lexicographic order as int64 bytes. Equal
+    exactly when the matrices hold the same multiset of rows, so isomorphic
+    graphs get equal signatures, which refine as k grows."""
+    return [np.array(c.shape[::-1], dtype=np.int64).tobytes()
+            + c[np.lexsort(c.T[::-1])].tobytes()
+            for c in counts]
 
 
 def graph_signature(g: Graph, k: int) -> bytes:
-    """The signature of one graph (see graph_signatures)."""
-    return graph_signatures([g], k)[0]
+    """The signature of one graph's closed-walk counts up to length k (see
+    count_signatures)."""
+    return count_signatures([walk_count_features(g, k)])[0]
+
+
+def with_count_columns(graphs: list[Graph], bases: list[np.ndarray | None], k: int,
+                       transform=None) -> list[np.ndarray]:
+    """Each graph's base columns followed by its k closed-walk count columns
+    as floats, passed through ``transform`` if one is given; a None base
+    gives the count columns alone. The counts of all graphs come from one
+    kernel call."""
+    out = []
+    for base, c in zip(bases, walk_count_features_many(graphs, k)):
+        c = c.astype(np.float64)
+        if transform is not None:
+            c = transform(c)
+        out.append(c if base is None else np.concatenate([base, c], axis=1))
+    return out
 
 
 def augment_features(g: Graph, k: int) -> np.ndarray:
-    """Node features with closed-walk count columns appended (as floats).
-
-    Graphs without features get the count columns alone.
-    """
-    counts = walk_count_features(g, k).astype(np.float64)
-    if g.node_features is None:
-        return counts
-    return np.concatenate([g.node_features, counts], axis=1)
+    """Node features with closed-walk count columns appended (as floats);
+    a graph without features gets the count columns alone."""
+    return with_count_columns([g], [g.node_features], k)[0]

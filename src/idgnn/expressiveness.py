@@ -14,7 +14,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .counts import graph_signatures, walk_count_features_many, zero_counts
+from .counts import count_signatures, walk_count_features_many, zero_counts
 from .errors import CapabilityError, InputError
 from .generators import RNG_NAME, STREAM_SPLIT, child_seed, gen_d_regular
 from .graph import Graph
@@ -31,23 +31,21 @@ class SignatureIndex:
     signature of length PREFILTER_K, for graphs of every size: on n <= 10
     nodes no count exceeds 9^10.
 
-    Differing signatures certify non-isomorphism, so a new graph is checked
-    by exact isomorphism only against its own bucket, in insertion order.
+    Differing signatures (counts.count_signatures) certify non-isomorphism,
+    so a new graph is checked by exact isomorphism only against its own
+    bucket, in insertion order.
     """
 
     buckets: dict[bytes, list[Graph]] = field(default_factory=dict)
 
     def add_many(self, graphs: list[Graph]) -> list[bool]:
-        """Add ``graphs`` in order, as one add each; True for each one kept.
+        """Add ``graphs`` in order, keeping each one unless it is isomorphic
+        to a graph kept before it; True for each one kept.
 
         The signatures of all graphs come from one kernel call.
         """
-        sigs = graph_signatures(graphs, PREFILTER_K)
+        sigs = count_signatures(walk_count_features_many(graphs, PREFILTER_K))
         return [self._insert(g, sig) for g, sig in zip(graphs, sigs)]
-
-    def add(self, g: Graph) -> bool:
-        """Keep ``g`` unless it is isomorphic to a kept graph; True if kept."""
-        return self.add_many([g])[0]
 
     def _insert(self, g: Graph, sig: bytes) -> bool:
         bucket = self.buckets.setdefault(sig, [])
@@ -137,21 +135,15 @@ def run_regular_experiment(n: int, d: int, graph_count: int, k_list,
         raise InputError("k_list must contain integers >= 1")
     if graph_count < 1:
         raise InputError("graph_count must be >= 1")
-    # The count rows stacked below must have a shape numpy can represent:
-    # check before the pool is built (a bad n is the generator's to report).
+    # The pool's count rows must have a shape numpy can represent: check
+    # before the pool is built (a bad n is the generator's to report).
     zero_counts(graph_count * max(n, 0), k_list[-1])
     pool, regen = build_nonisomorphic_pool(n, d, graph_count, seed)
 
-    # The pool's count rows stacked, graph after graph; a graph's signature
-    # at length k is its rows' first k columns in sorted order.
-    rows = np.concatenate(walk_count_features_many(pool, k_list[-1]))
-    owner = np.repeat(np.arange(graph_count), n)
-    fractions = {}
-    for k in k_list:
-        cols = rows[:, :k]
-        canonical = cols[np.lexsort((*cols.T[::-1], owner))]
-        distinct = np.unique(canonical.reshape(graph_count, -1), axis=0)
-        fractions[k] = len(distinct) / graph_count
+    # A graph's signature at length k reads the first k of its count columns.
+    walks = walk_count_features_many(pool, k_list[-1])
+    fractions = {k: len(set(count_signatures([c[:, :k] for c in walks]))) / graph_count
+                 for k in k_list}
 
     hashes = [wl_graph_hash(g) for g in pool]
     counts: dict[int, int] = {}
@@ -176,11 +168,6 @@ def run_regular_experiment(n: int, d: int, graph_count: int, k_list,
     return report
 
 
-def is_regular(g: Graph) -> bool:
-    degs = set(g.degrees())
-    return len(degs) <= 1
-
-
 def certify_gnn_blindness(g: Graph, model: Model, tol: float = 1e-9) -> bool:
     """True iff a forward pass with constant features yields pairwise-equal
     node embeddings on a d-regular graph (the homogeneous failure mode).
@@ -191,7 +178,7 @@ def certify_gnn_blindness(g: Graph, model: Model, tol: float = 1e-9) -> bool:
     through its own ego network. Non-regular input is an error: the
     certificate is only meaningful for regular graphs.
     """
-    if not is_regular(g):
+    if len(set(g.degrees())) > 1:
         raise InputError("blindness certificate requires a d-regular graph")
     g = replace(g, node_features=None)
     H = forward_batch(model, make_batch(model, [g], input_features(model.config, [g])))

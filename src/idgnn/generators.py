@@ -46,29 +46,38 @@ class GeneratorSpec:
     rewire_or_triad_prob: float = 0.0
 
     def __post_init__(self):
-        if self.family not in FAMILIES:
-            raise InputError(f"unknown family {self.family!r}")
-        if not 0.0 <= self.rewire_or_triad_prob <= 1.0:
-            raise InputError("probability must be in [0, 1]")
-        n, p = self.num_nodes, self.degree_param
-        if self.family == "d_regular":
-            if (n * p) % 2 != 0:
-                raise InputError(f"n*d must be even for d-regular, got n={n}, d={p}")
-            if not 0 <= p < n:
-                raise InputError(f"d-regular needs 0 <= d < n, got d={p}, n={n}")
-        elif self.family == "small_world":
-            if p % 2 != 0 or p >= n:
-                raise InputError(f"small-world needs even k < n, got k={p}, n={n}")
-        else:
-            if not 1 <= p < n:
-                raise InputError(f"scale-free needs 1 <= m < n, got m={p}, n={n}")
+        _check_params(self.family, self.num_nodes, self.degree_param,
+                      self.rewire_or_triad_prob)
+
+
+def _check_params(family: str, n: int, param: int, prob: float) -> None:
+    """InputError unless ``family`` is known and n nodes, ``param`` (d, k or
+    m) and ``prob`` are valid for it; the spec and every generator check here."""
+    if family not in FAMILIES:
+        raise InputError(f"unknown family {family!r}")
+    if not 0.0 <= prob <= 1.0:
+        raise InputError(f"probability must be in [0, 1], got {prob}")
+    if family == "d_regular":
+        if not 0 <= param < n:
+            raise InputError(f"d-regular needs 0 <= d < n, got d={param}, n={n}")
+        if (n * param) % 2 != 0:
+            raise InputError(f"n*d must be even for d-regular, got n={n}, d={param}")
+    elif family == "small_world":
+        if param % 2 != 0 or not 0 <= param < n:
+            raise InputError(f"small-world needs even 0 <= k < n, got k={param}, n={n}")
+    elif not 1 <= param < n:
+        raise InputError(f"scale-free needs 1 <= m < n, got m={param}, n={n}")
+
+
+def _check_seed(seed: int) -> None:
+    if not -2**63 <= int(seed) < 2**63:
+        raise InputError(f"seed {seed} is outside the signed 64-bit range")
 
 
 def child_seed(seed: int, index: int) -> int:
     """Derive the per-item RNG seed from a base seed and an item index, both
     signed 64-bit integers."""
-    if not -2**63 <= int(seed) < 2**63:
-        raise InputError(f"seed {seed} is outside the signed 64-bit range")
+    _check_seed(seed)
     payload = struct.pack(">qq", int(seed), int(index))
     digest = hashlib.blake2b(payload, digest_size=8).digest()
     return int.from_bytes(digest, "big")
@@ -88,10 +97,7 @@ def gen_d_regular(n: int, d: int, seed: int) -> Graph:
     row wins, so the graph and the restart count are those of checking one
     shuffle at a time. The restart count is logged at debug level.
     """
-    if d < 0 or d >= n:
-        raise InputError(f"need 0 <= d < n, got d={d}, n={n}")
-    if (n * d) % 2 != 0:
-        raise InputError(f"n*d must be even, got n={n}, d={d}")
+    _check_params("d_regular", n, d, 0.0)
     rng = _rng(seed)
     stubs = np.repeat(np.arange(n, dtype=np.int64), d)
     restarts, batch = 0, 1
@@ -127,10 +133,7 @@ def gen_small_world(n: int, k: int, p: float, seed: int) -> Graph:
     count and simplicity; an edge keeps its original endpoint if no valid
     rewire target exists.
     """
-    if k % 2 != 0 or k >= n:
-        raise InputError(f"need even k < n, got k={k}, n={n}")
-    if not 0.0 <= p <= 1.0:
-        raise InputError(f"p must be in [0, 1], got {p}")
+    _check_params("small_world", n, k, p)
     rng = _rng(seed)
     edge_set: set[tuple[int, int]] = set()
 
@@ -165,10 +168,7 @@ def gen_scale_free(n: int, m: int, p_triad: float, seed: int) -> Graph:
     Growth starts from a clique on the first m nodes, so the edge count is
     always C(m, 2) + m * (n - m).
     """
-    if not 1 <= m < n:
-        raise InputError(f"need 1 <= m < n, got m={m}, n={n}")
-    if not 0.0 <= p_triad <= 1.0:
-        raise InputError(f"p_triad must be in [0, 1], got {p_triad}")
+    _check_params("scale_free", n, m, p_triad)
     rng = _rng(seed)
     edges = [(i, j) for i in range(m) for j in range(i + 1, m)]
     adj: list[set[int]] = [set() for _ in range(n)]
@@ -220,4 +220,5 @@ def gen_dataset(spec: GeneratorSpec, count: int, seed: int) -> list[Graph]:
     """Generate ``count`` graphs with per-graph seeds split from ``seed``."""
     if count < 0:
         raise InputError(f"count must be nonnegative, got {count}")
+    _check_seed(seed)
     return [generate_one(spec, child_seed(seed, i)) for i in range(count)]

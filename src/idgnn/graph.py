@@ -6,8 +6,8 @@ and safe to share across threads; all functions here are pure.
 There is one BFS, ``bfs_blocks``: a level-synchronous search from many
 sources at once over the graph's CSR arrays, run on blocks of sources, and
 one ego-net builder on top of it, ``ego_union``, which lays out the ego nets
-of many anchors of a graph as one disjoint union of numpy arrays.
-``bfs_distances`` and ``extract_ego`` are their one-source views.
+of many anchors of a graph as one disjoint union of numpy arrays;
+``extract_ego`` is its one-anchor view.
 ``union_csr`` lays out whole graphs as one disjoint union of CSR arrays.
 """
 
@@ -44,17 +44,6 @@ class Graph:
     @property
     def num_edges(self) -> int:
         return len(self.edges)
-
-    def degree(self, v: int) -> int:
-        return len(self.adjacency[v])
-
-    def neighbors(self, v: int) -> tuple[int, ...]:
-        return self.adjacency[v]
-
-    def has_edge(self, u: int, v: int) -> bool:
-        if u > v:
-            u, v = v, u
-        return v in self.adjacency[u]
 
     def degrees(self) -> list[int]:
         return [len(nbrs) for nbrs in self.adjacency]
@@ -103,13 +92,6 @@ class EgoNet:
     to_parent: tuple[int, ...]
     identity_mask: tuple[bool, ...]
     depth: tuple[int, ...]
-
-    @property
-    def identity_local_index(self) -> int | None:
-        for i, flag in enumerate(self.identity_mask):
-            if flag:
-                return i
-        return None
 
 
 def _check_node(g_or_n, v: int, name: str = "node") -> None:
@@ -208,23 +190,14 @@ def bfs_blocks(g: Graph, sources, cap: int):
         yield lo, cells[order], depth[order]
 
 
-def bfs_distances(g: Graph, source: int, cap: int) -> list[int | None]:
-    """Hop distances from ``source``; None for nodes farther than ``cap``."""
-    dist: list[int | None] = [None] * g.num_nodes
-    for _, cells, depth in bfs_blocks(g, [source], cap):
-        for v, d in zip(cells.tolist(), depth.tolist()):
-            dist[v] = d
-    return dist
-
-
 @dataclass(frozen=True)
 class EgoUnion:
     """The K-hop ego nets of several anchors of one graph, laid out as one
     disjoint union of rows: ego by ego in anchor order, and within an ego
     by ascending parent id (EgoNet's local order).
 
-    Per row: ``parent`` (parent-graph id), ``depth`` (hops from the ego's center) and ``identity`` (the row is its
-    ego's identity node). ``deg`` and ``nbr`` hold the union's CSR: each
+    Per row: ``parent`` (parent-graph id), ``depth`` (hops from the ego's
+    center) and ``identity`` (the row is its ego's identity node). ``deg`` and ``nbr`` hold the union's CSR: each
     row's parent neighbor list filtered to the ego's ball, as ascending
     union row ids.
     """

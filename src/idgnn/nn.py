@@ -58,7 +58,7 @@ from functools import cached_property
 import numpy as np
 import scipy.sparse as sp
 
-from .counts import walk_count_features_many
+from .counts import with_count_columns
 from .errors import InputError
 from .graph import EgoNet, Graph, ego_union, union_csr
 
@@ -402,7 +402,7 @@ def _check_features(config: ModelConfig, g: Graph, x: np.ndarray) -> np.ndarray:
 def input_features(config: ModelConfig, graphs: list[Graph]) -> list[np.ndarray]:
     """Model inputs for each graph: its node features, or all-ones columns
     for a graph without them, followed for id_fast by fast_k log(1 + count)
-    closed-walk columns, computed for all graphs by one kernel call.
+    closed-walk columns (counts.with_count_columns).
 
     Raw counts grow geometrically with the walk length and, without a
     normalization layer (deliberately absent, for determinism), drown the
@@ -422,11 +422,7 @@ def input_features(config: ModelConfig, graphs: list[Graph]) -> list[np.ndarray]
                 f"have width {x.shape[1] + fast}"
             )
         bases.append(x)
-    if not fast:
-        return bases
-    counts = walk_count_features_many(graphs, fast)
-    return [np.concatenate([x, np.log1p(c.astype(np.float64))], axis=1)
-            for x, c in zip(bases, counts)]
+    return with_count_columns(graphs, bases, fast, np.log1p) if fast else bases
 
 
 @dataclass

@@ -7,6 +7,7 @@ shares no code with the package paths it checks.
 
 from __future__ import annotations
 
+from collections import deque
 from itertools import count, permutations
 
 import numpy as np
@@ -75,13 +76,30 @@ def floyd_warshall(g: Graph) -> np.ndarray:
     return D
 
 
+def bfs_distances(g: Graph, source: int, cap: int) -> list[int | None]:
+    """Hop distances from ``source`` by a queue-based search, one node at a
+    time; None for nodes farther than ``cap``."""
+    dist: list[int | None] = [None] * g.num_nodes
+    dist[source] = 0
+    queue = deque([source])
+    while queue:
+        u = queue.popleft()
+        if dist[u] == cap:
+            continue
+        for w in g.adjacency[u]:
+            if dist[w] is None:
+                dist[w] = dist[u] + 1
+                queue.append(w)
+    return dist
+
+
 def triangle_count_at(g: Graph, v: int) -> int:
     nbrs = g.adjacency[v]
     return sum(
         1
         for i, a in enumerate(nbrs)
         for b in nbrs[i + 1:]
-        if g.has_edge(a, b)
+        if b in g.adjacency[a]
     )
 
 

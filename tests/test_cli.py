@@ -357,6 +357,24 @@ def test_generate_seed_outside_64_bits_exit_2(tmp_path, seed):
 
 
 @pytest.mark.parametrize("seed", OUT_OF_RANGE_SEEDS)
+def test_generate_zero_graphs_seed_outside_64_bits_exit_2(tmp_path, seed):
+    # the seed is checked even when no graph is drawn from it
+    out = tmp_path / "d.jsonl"
+    line = run_failing(["generate", "--family", "d-regular", "--n", "8", "--d", "3",
+                        "--count", "0", "--seed", seed, "--out", str(out)])
+    assert "64-bit" in line
+    assert not out.exists()
+
+
+def test_generate_zero_graphs_invalid_spec_exit_2(tmp_path):
+    out = tmp_path / "d.jsonl"
+    line = run_failing(["generate", "--family", "d-regular", "--n", "5", "--d", "3",
+                        "--count", "0", "--seed", "0", "--out", str(out)])
+    assert "even" in line
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("seed", OUT_OF_RANGE_SEEDS)
 def test_expressiveness_seed_outside_64_bits_exit_2(tmp_path, seed):
     out = tmp_path / "r.json"
     line = run_failing(["expressiveness", "--n", "8", "--d", "3", "--count", "2",

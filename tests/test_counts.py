@@ -9,15 +9,18 @@ from idgnn.counts import (
     augment_features,
     clustering_direct,
     clustering_from_counts,
+    count_signatures,
     graph_signature,
     identity_walk_counts,
     reachability,
     walk_count_features,
     walk_count_features_many,
+    with_count_columns,
 )
 from idgnn.errors import CapabilityError, InputError
-from idgnn.graph import bfs_distances, build_graph, extract_ego, relabel_graph
+from idgnn.graph import build_graph, extract_ego, relabel_graph
 from oracles import (
+    bfs_distances,
     count_walks_brute,
     dense_power_diag,
     random_mixed_graphs,
@@ -41,7 +44,7 @@ class TestIdentityWalkCounts:
         for j in range(1, 4):
             assert cm.counts[0, j - 1] == count_walks_brute(K3, 0, 0, j)
             assert cm.counts[1, j - 1] == count_walks_brute(K3, 1, 0, j)
-        assert cm.identity_row().tolist() == [0, 2, 2]
+        assert cm.counts[cm.identity_node].tolist() == [0, 2, 2]
         assert cm.counts[1].tolist() == [1, 1, 3]
 
     def test_isolated_node(self):
@@ -70,7 +73,7 @@ class TestIdentityWalkCounts:
             for center in range(0, g.num_nodes, 3):
                 ego = extract_ego(g, center, 4)
                 cm = identity_walk_counts(ego, 4)
-                identity = ego.identity_local_index
+                identity = ego.identity_mask.index(True)
                 for u in range(ego.subgraph.num_nodes):
                     for j in range(1, 5):
                         assert cm.counts[u, j - 1] == count_walks_brute(
@@ -100,7 +103,7 @@ class TestWalkCountFeatures:
             feats = walk_count_features(g, 5)
             for v in range(g.num_nodes):
                 cm = identity_walk_counts(extract_ego(g, v, 5), 5)
-                assert feats[v].tolist() == cm.identity_row().tolist()
+                assert feats[v].tolist() == cm.counts[cm.identity_node].tolist()
 
     def test_overflow_reported(self):
         n = 40
@@ -266,7 +269,7 @@ class TestClustering:
                 want = clustering_direct(g, v)
                 assert got == want
                 # cross-check the direct route against raw triangle counts
-                deg = g.degree(v)
+                deg = len(g.adjacency[v])
                 if deg >= 2:
                     assert want == triangle_count_at(g, v) / (deg * (deg - 1) / 2)
 
@@ -318,6 +321,60 @@ class TestSignature:
         g = gen_d_regular(16, 3, 4)
         h = relabel_graph(g, np.random.default_rng(0).permutation(16).tolist())
         assert graph_signature(g, 6) == graph_signature(h, 6)
+
+    @given(g=small_graphs(9), k=st.integers(1, 8), data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_relabeling_invariance_property(self, g, k, data):
+        perm = data.draw(st.permutations(range(g.num_nodes)))
+        assert graph_signature(relabel_graph(g, perm), k) == graph_signature(g, k)
+
+    @given(graphs=st.lists(small_graphs(9), max_size=6), k=st.integers(1, 8),
+           cells=block_cells)
+    @settings(max_examples=60, deadline=None)
+    def test_list_form_equals_one_graph_form(self, graphs, k, cells):
+        # mixed sizes, down to the 0- and 1-node graphs
+        graphs = [build_graph(0, []), build_graph(1, [])] + graphs
+        with walk_block_cells(cells):
+            sigs = count_signatures(walk_count_features_many(graphs, k))
+        assert sigs == [graph_signature(g, k) for g in graphs]
+
+    def test_signature_separates_sizes_and_lengths(self):
+        empty, point = build_graph(0, []), build_graph(1, [])
+        sigs = [graph_signature(g, k) for g in (empty, point, K2) for k in (1, 2)]
+        assert len(set(sigs)) == len(sigs)
+
+    @given(n=st.sampled_from([8, 10, 12]), count=st.integers(1, 5),
+           seed=st.integers(0, 2**32))
+    @settings(max_examples=10, deadline=None)
+    def test_table_fractions_count_distinct_signatures(self, n, count, seed):
+        from idgnn.expressiveness import build_nonisomorphic_pool, run_regular_experiment
+
+        report = run_regular_experiment(n, 3, count, [1, 2, 3, 4, 6], seed)
+        pool, _ = build_nonisomorphic_pool(n, 3, count, seed)
+        for k, fraction in report.fractions.items():
+            assert fraction == len({graph_signature(g, k) for g in pool}) / count
+
+
+@given(graphs=st.lists(small_graphs(9), max_size=6), k=st.integers(1, 6),
+       data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_augment_features_equals_builder(graphs, k, data):
+    # graphs with and without features, built as one list and one at a time
+    featured = []
+    for g in graphs:
+        if data.draw(st.booleans()):
+            width = data.draw(st.integers(0, 3))
+            g = build_graph(g.num_nodes, g.edges,
+                            np.arange(g.num_nodes * width, dtype=float).reshape(g.num_nodes, width))
+        featured.append(g)
+    built = with_count_columns(featured, [g.node_features for g in featured], k)
+    for g, x in zip(featured, built):
+        assert np.array_equal(augment_features(g, k), x)
+        width = 0 if g.node_features is None else g.node_features.shape[1]
+        assert x.shape == (g.num_nodes, width + k) and x.dtype == np.float64
+        assert np.array_equal(x[:, width:], walk_count_features(g, k))
+        if width:
+            assert np.array_equal(x[:, :width], g.node_features)
 
 
 def test_augment_features_widths():

@@ -97,7 +97,7 @@ class TestSignatureIndex:
             g = bases[int(rng.integers(len(bases)))]
             graphs.append(relabel_graph(g, rng.permutation(g.num_nodes).tolist()))
         sequential = SignatureIndex()
-        want = [sequential.add(g) for g in graphs]
+        want = [sequential.add_many([g])[0] for g in graphs]
         batch = SignatureIndex()
         assert batch.add_many(graphs) == want
         cuts = sorted(data.draw(st.lists(st.integers(0, len(graphs)), max_size=3)))

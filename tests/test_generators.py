@@ -16,10 +16,9 @@ from idgnn.generators import (
     gen_scale_free,
     gen_small_world,
 )
-from idgnn.graph import bfs_distances
 from idgnn.wl import wl_graph_hash
 
-from oracles import d_regular_sequential
+from oracles import bfs_distances, d_regular_sequential
 
 
 class TestDRegular:
@@ -185,6 +184,33 @@ class TestDataset:
     def test_unknown_family(self):
         with pytest.raises(InputError):
             GeneratorSpec("erdos", 10, 3)
+
+
+# (family, n, d/k/m, probability) sets that no generator accepts
+INVALID_PARAMS = [
+    ("d_regular", 5, 3, 0.0),  # n * d odd
+    ("d_regular", 4, 4, 0.0),  # d >= n
+    ("d_regular", 4, -2, 0.0),
+    ("small_world", 10, 3, 0.1),  # odd k
+    ("small_world", 10, 10, 0.1),  # k >= n
+    ("small_world", 10, -2, 0.1),
+    ("small_world", 10, 4, 1.5),
+    ("small_world", 10, 4, float("nan")),
+    ("scale_free", 3, 4, 0.0),  # m >= n
+    ("scale_free", 5, 0, 0.0),
+    ("scale_free", 10, 2, -0.1),
+]
+
+
+@pytest.mark.parametrize("family, n, param, prob", INVALID_PARAMS)
+def test_invalid_parameters_rejected_by_spec_and_generator(family, n, param, prob):
+    with pytest.raises(InputError):
+        GeneratorSpec(family, n, param, prob)
+    gen = {"d_regular": lambda: gen_d_regular(n, param, 0),
+           "small_world": lambda: gen_small_world(n, param, prob, 0),
+           "scale_free": lambda: gen_scale_free(n, param, prob, 0)}[family]
+    with pytest.raises(InputError):
+        gen()
 
 
 def test_simplicity_across_families():

@@ -16,6 +16,7 @@ from idgnn.nn import (
     forward_plain,
     head_logits,
     init_model,
+    input_features,
     load_model,
     make_walk_count_model,
     save_model,
@@ -64,6 +65,32 @@ class TestInit:
     def test_gin_requires_sum(self):
         with pytest.raises(InputError):
             small_config(flavor="gin", aggregation="max")
+
+
+class TestInputFeatures:
+    """Model inputs: the node features or all-ones columns, then, for
+    id_fast only, log(1 + count) closed-walk columns."""
+
+    GRAPHS = [K3, build_graph(3, [(0, 1)], node_features=[[2.0], [3.0], [5.0]]),
+              build_graph(0, [])]
+
+    def test_id_fast_appends_log_counts(self):
+        cfg = small_config(variant="id_fast", input_dim=4, fast_k=3)
+        xs = input_features(cfg, self.GRAPHS)
+        for g, x in zip(self.GRAPHS, xs):
+            base = np.ones((g.num_nodes, 1)) if g.node_features is None else g.node_features
+            want = np.concatenate([base, np.log1p(walk_count_features(g, 3).astype(float))],
+                                  axis=1)
+            assert x.tobytes() == want.tobytes() and x.shape == (g.num_nodes, 4)
+
+    def test_plain_keeps_the_base(self):
+        xs = input_features(small_config(input_dim=1), self.GRAPHS)
+        assert [x.tolist() for x in xs] == [[[1.0]] * 3, [[2.0], [3.0], [5.0]], []]
+
+    def test_width_mismatch(self):
+        with pytest.raises(InputError):
+            input_features(small_config(variant="id_fast", input_dim=4, fast_k=2),
+                           self.GRAPHS[1:2])
 
 
 class TestForwardPlain:
@@ -149,7 +176,7 @@ class TestForwardIdFull:
         m = init_model(cfg)
         randomize(m, seed=2)
         ego = extract_ego(g, 0, 2, identity_at=3)  # outside ball
-        assert ego.identity_local_index is None
+        assert not any(ego.identity_mask)
         x = np.ones((3, 3))
         h = forward_id_full(m, ego, x)
         plain = init_model(small_config(variant="plain"))
@@ -176,7 +203,7 @@ class TestForwardIdFull:
                     h = forward_id_full(m, ego, x)
                     assert h.tolist() == feats[v].astype(float).tolist()
                     cm = identity_walk_counts(ego, k)
-                    assert h.tolist() == cm.identity_row().astype(float).tolist()
+                    assert h.tolist() == cm.counts[cm.identity_node].astype(float).tolist()
 
 
 class TestConditional:
@@ -202,7 +229,7 @@ class TestConditional:
         randomize(m, seed=4)
         h = embed_anchor(m, p6, 0, 5)  # dist 5 > 2 layers
         ego = extract_ego(p6, 0, 2, identity_at=5)
-        assert ego.identity_local_index is None
+        assert not any(ego.identity_mask)
         for i in range(m.config.num_layers):  # msg1 unused when mask is empty
             m.params[f"layers.{i}.msg1_weight"][...] = 12345.0
         h2 = forward_id_full(m, ego, np.ones((ego.subgraph.num_nodes, 1)))

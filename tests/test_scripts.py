@@ -1,4 +1,5 @@
-"""Every script under ``scripts/`` imports and parses ``--help``.
+"""Every script under ``scripts/`` imports and parses ``--help``, and a
+malformed list flag exits 2 with one stderr line.
 
 No other test imports the scripts, so this is what notices when one of them
 uses a public name that the package no longer has.
@@ -19,11 +20,27 @@ def test_scripts_found():
     assert SCRIPTS
 
 
-@pytest.mark.parametrize("script", SCRIPTS, ids=lambda p: p.name)
-def test_script_help(script):
+def run_script(script, *args):
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [str(ROOT / "src")] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])))
-    proc = subprocess.run([sys.executable, str(script), "--help"], capture_output=True,
+    return subprocess.run([sys.executable, str(script), *args], capture_output=True,
                           text=True, env=env, timeout=120)
+
+
+@pytest.mark.parametrize("script", SCRIPTS, ids=lambda p: p.name)
+def test_script_help(script):
+    proc = run_script(script, "--help")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith("usage: ")
+
+
+@pytest.mark.parametrize("script, flag, value", [
+    ("run_regular_differentiation.py", "--k-list", "3,x"),
+    ("run_trend_experiments.py", "--seeds", "0,x"),
+])
+def test_script_bad_list_exit_2(script, flag, value):
+    # both fail while parsing, before any graph is generated
+    proc = run_script(ROOT / "scripts" / script, flag, value)
+    assert proc.returncode == 2
+    lines = proc.stderr.strip().split("\n")
+    assert len(lines) == 1 and "error:" in lines[0] and flag in lines[0]

@@ -62,7 +62,7 @@ class TestRefine:
         for v in range(g.num_nodes):
             for w in range(g.num_nodes):
                 if coloring.colors[v] == coloring.colors[w]:
-                    assert g.degree(v) == g.degree(w)
+                    assert len(g.adjacency[v]) == len(g.adjacency[w])
 
 
 class TestHash:
@@ -196,7 +196,7 @@ def wl_equal_pairs(draw):
                             for i in range(m)])
         if complement:
             g = build_graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)
-                                if not g.has_edge(u, v)])
+                                if v not in g.adjacency[u]])
         pair.append(relabel_graph(g, draw(st.permutations(range(n)))))
     assert wl_graph_hash(pair[0]) == wl_graph_hash(pair[1])
     return tuple(pair)
