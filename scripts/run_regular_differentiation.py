@@ -10,6 +10,7 @@ import argparse
 import sys
 import time
 
+from idgnn.errors import InputError
 from idgnn.expressiveness import run_regular_experiment
 
 SETTINGS = ((64, 4), (40, 5), (96, 6))
@@ -31,7 +32,10 @@ def main() -> int:
     print("\t".join(header))
     for n, d in SETTINGS:
         start = time.monotonic()
-        rep = run_regular_experiment(n, d, args.count, k_list, args.seed)
+        try:
+            rep = run_regular_experiment(n, d, args.count, k_list, args.seed)
+        except InputError as exc:
+            parser.exit(2, f"{parser.prog}: error: {exc}\n")
         row = [f"n={n},d={d}", f"{rep.wl_distinguished_fraction:.0%}"]
         row += [f"{rep.fractions[k]:.0%}" for k in k_list]
         row.append(f"({time.monotonic() - start:.1f}s)")

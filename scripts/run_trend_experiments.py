@@ -10,6 +10,7 @@ Prints one CSV line per run (task, flavor, variant, seed, accuracy).
 import argparse
 import sys
 
+from idgnn.errors import InputError
 from idgnn.generators import GeneratorSpec, gen_dataset
 from idgnn.nn import ModelConfig, init_model
 from idgnn.tasks import make_node_cc_task, make_spd_task, split, train
@@ -53,10 +54,13 @@ def main() -> int:
         parser.exit(2, f"{parser.prog}: error: --seeds must be comma-separated "
                        f"integers, got {args.seeds!r}\n")
     print("task,flavor,variant,seed,accuracy")
-    if args.task in ("node-cc", "both"):
-        run_node_cc(seeds, args.epochs)
-    if args.task in ("edge-spd", "both"):
-        run_edge_spd(seeds, args.epochs)
+    try:
+        if args.task in ("node-cc", "both"):
+            run_node_cc(seeds, args.epochs)
+        if args.task in ("edge-spd", "both"):
+            run_edge_spd(seeds, args.epochs)
+    except InputError as exc:
+        parser.exit(2, f"{parser.prog}: error: {exc}\n")
     return 0
 
 

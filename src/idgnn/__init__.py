@@ -54,4 +54,4 @@ from .tasks import (
     split,
     train,
 )
-from .wl import WlColoring, are_isomorphic, wl_graph_hash, wl_refine
+from .wl import WlColoring, are_isomorphic, wl_equivalent, wl_graph_hash, wl_refine

@@ -45,7 +45,7 @@ from .tasks import (
     split,
     train,
 )
-from .wl import are_isomorphic, wl_graph_hash
+from .wl import are_isomorphic, wl_equivalent, wl_graph_hash
 
 _TASK_ALIASES = {"node-cc": "node_cc", "edge-spd": "edge_spd", "graph-cc": "graph_cc"}
 _FAMILY_ALIASES = {
@@ -132,10 +132,9 @@ def _cmd_wl_hash(args) -> int:
 def _cmd_wl_compare(args) -> int:
     g1 = load_graph(args.graph1)
     g2 = load_graph(args.graph2)
-    h1, h2 = wl_graph_hash(g1), wl_graph_hash(g2)
-    print(f"{h1:016x}  {args.graph1}")
-    print(f"{h2:016x}  {args.graph2}")
-    if h1 != h2:
+    print(f"{wl_graph_hash(g1):016x}  {args.graph1}")
+    print(f"{wl_graph_hash(g2):016x}  {args.graph2}")
+    if not wl_equivalent(g1, g2):
         print("verdict: WL-distinguishable, NOT isomorphic")
     elif are_isomorphic(g1, g2):
         print("verdict: isomorphic")
@@ -241,18 +240,21 @@ def _cmd_eval(args) -> int:
 def _cmd_report(args) -> int:
     rows = []
     for path in args.reports:
-        with open(path) as fh:
-            obj = json.load(fh)
-        rows.append(
-            {
-                "report": os.path.splitext(os.path.basename(path))[0],
-                "flavor": obj["config"]["flavor"],
-                "variant": obj["config"]["variant"],
-                "task": obj["task"],
-                "seed": obj["seed"],
-                "accuracy": obj["final_val_accuracy"],
-            }
-        )
+        try:
+            with open(path, encoding="utf-8") as fh:
+                obj = json.load(fh)
+            rows.append(
+                {
+                    "report": os.path.splitext(os.path.basename(path))[0],
+                    "flavor": obj["config"]["flavor"],
+                    "variant": obj["config"]["variant"],
+                    "task": obj["task"],
+                    "seed": obj["seed"],
+                    "accuracy": obj["final_val_accuracy"],
+                }
+            )
+        except (ValueError, KeyError, TypeError) as exc:
+            raise InputError(f"{path}: not a train report: {exc!r}") from None
     buf = io.StringIO()
     writer = csv.DictWriter(
         buf, fieldnames=["report", "flavor", "variant", "task", "seed", "accuracy"],

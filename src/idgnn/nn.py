@@ -33,13 +33,14 @@ one multi-source BFS per graph (graph.ego_union) yields the rows, depths,
 identity flags and CSR of all of that graph's ego nets as numpy arrays,
 which are stacked into the union's operators; whole graphs come from
 graph.union_csr. A split of a task is one batch: one forward and one
-backward per epoch. forward_plain and forward_id_full/backward_id_full are
-one-item batches, of one graph and one ego net.
+backward per epoch. forward_plain is the batch of one graph and
+forward_id_full the batch of one anchor, so every id_full embedding runs on
+make_batch's ego net of radius num_layers.
 
-All tensors are float64. Forward passes record a Tape of per-layer caches;
-backward walks the tape and returns exact gradients for every parameter
-(max aggregation routes ties to the lowest-index maximizer, ReLU uses
-subgradient 0 at 0).
+All tensors are float64. A forward pass asked for a tape appends to it the
+cache of each layer, which holds that layer's operators; backward walks the
+tape and returns exact gradients for every parameter (max aggregation routes
+ties to the lowest-index maximizer, ReLU uses subgradient 0 at 0).
 
 Checkpoint layout: 8-byte magic ``IDGNNMDL``, little-endian uint32 header
 length, UTF-8 JSON header holding the config and a parameter index table
@@ -60,7 +61,7 @@ import scipy.sparse as sp
 
 from .counts import with_count_columns
 from .errors import InputError
-from .graph import EgoNet, Graph, ego_union, union_csr
+from .graph import Graph, ego_union, union_csr
 
 FLAVORS = ("gcn", "sage", "gin")
 VARIANTS = ("plain", "id_full", "id_fast")
@@ -226,16 +227,6 @@ class _GraphOps:
                              shape=(self.n, self.n_in))
 
 
-@dataclass
-class Tape:
-    """Recorded forward pass: the batch it ran over, whose per-layer
-    operators say which rows each layer read and wrote, and the per-layer
-    caches."""
-
-    batch: Batch
-    caches: list[dict]
-
-
 def _agg_max(M: np.ndarray, ops: _GraphOps):
     """Per written row, the max over neighbor rows of M, and the sending
     neighbor of each maximum (-1 at isolated nodes). Ties go to the
@@ -314,7 +305,7 @@ def _layer_forward(model: Model, i: int, ops: _GraphOps,
                    H: np.ndarray) -> tuple[np.ndarray, dict]:
     """Output rows of layer i, and the cache its backward reads."""
     config, p, pre = model.config, model.params, f"layers.{i}."
-    cache: dict = {"H": H}
+    cache: dict = {"ops": ops, "H": H}
     M = _messages(p, pre, H, ops.identity)
     if config.flavor == "gcn":
         S = ops.A_gcn @ M
@@ -345,12 +336,12 @@ def _layer_forward(model: Model, i: int, ops: _GraphOps,
     return np.maximum(P2, 0.0), cache
 
 
-def _layer_backward(model: Model, i: int, ops: _GraphOps, cache: dict,
+def _layer_backward(model: Model, i: int, cache: dict,
                     G_out: np.ndarray, grads: dict) -> np.ndarray:
     """Gradient of layer i with respect to the rows it read; aggregation
     backpropagates through the transposed operators."""
     config, p, pre = model.config, model.params, f"layers.{i}."
-    H = cache["H"]
+    ops, H = cache["ops"], cache["H"]
     if config.flavor == "gcn":
         G_S = G_out * (cache["S"] > 0.0)
         G_M = ops.A_gcn.T @ G_S
@@ -430,16 +421,13 @@ class Batch:
     """Disjoint union of graphs (plain, id_fast) or of ego nets (id_full)
     with stacked inputs, built once and run in one forward pass.
 
-    ``ops`` covers the whole union and holds its identity mask. ``layers[l]``
-    holds the operators of layer l + 1: whole-graph batches share ``ops``
-    across every layer, while id_full layers run on receptive fields (see
-    make_batch). The last layer writes exactly ``rows``, the union row of
-    every embedded node, in order.
+    ``layers[l]`` holds the operators of layer l + 1: whole-graph batches
+    share one across every layer, while id_full layers run on receptive
+    fields (see make_batch). The last layer writes one row per embedded
+    node, in order.
     """
 
-    ops: _GraphOps
     x: np.ndarray
-    rows: np.ndarray
     layers: list[_GraphOps]
 
 
@@ -459,7 +447,7 @@ def _ego_batch(ops: _GraphOps, depth: np.ndarray, x: np.ndarray,
         written = np.flatnonzero(depth <= hops)
         layers.append(ops.trim(rows, written))
         rows = written
-    return Batch(ops, x, rows, layers)
+    return Batch(x, layers)
 
 
 def make_batch(model: Model, graphs, xs, anchors=None) -> Batch:
@@ -479,8 +467,7 @@ def make_batch(model: Model, graphs, xs, anchors=None) -> Batch:
     if cfg.variant != "id_full":
         indptr, nbr = union_csr(graphs)
         ops = _GraphOps(np.diff(indptr), nbr)
-        return Batch(ops, np.concatenate(empty + xs), np.arange(ops.n),
-                     [ops] * cfg.num_layers)
+        return Batch(np.concatenate(empty + xs), [ops] * cfg.num_layers)
     if anchors is None:
         anchors = [None] * len(graphs)
     none = np.zeros(0, dtype=np.int64)
@@ -504,32 +491,29 @@ def zero_grads(model: Model) -> dict[str, np.ndarray]:
     return {name: np.zeros_like(arr) for name, arr in model.params.items()}
 
 
-def forward_batch(model: Model, batch: Batch, tape_out: list | None = None) -> np.ndarray:
+def forward_batch(model: Model, batch: Batch, tape: list | None = None) -> np.ndarray:
     """Embeddings of the batch's rows from one forward pass over the union;
-    a Tape of the pass is appended to ``tape_out`` when given."""
-    caches = []
+    each layer's cache is appended to ``tape`` when given."""
     H = batch.x
     for i, ops in enumerate(batch.layers):
         H, cache = _layer_forward(model, i, ops, H)
-        if tape_out is not None:
-            caches.append(cache)
-    if tape_out is not None:
-        tape_out.append(Tape(batch, caches))
+        if tape is not None:
+            tape.append(cache)
     return H
 
 
-def forward_plain(model: Model, g: Graph, x, tape_out: list | None = None) -> np.ndarray:
+def forward_plain(model: Model, g: Graph, x) -> np.ndarray:
     """All-node embeddings from homogeneous message passing (plain and
     id_fast variants; id_fast differs only in its augmented inputs)."""
     if model.config.variant == "id_full":
         raise InputError("id_full models embed nodes through forward_id_full")
-    return forward_batch(model, make_batch(model, [g], [x]), tape_out)
+    return forward_batch(model, make_batch(model, [g], [x]))
 
 
-def backward_layers(model: Model, tape: Tape, G_H: np.ndarray,
+def backward_layers(model: Model, tape: list[dict], G_H: np.ndarray,
                     grads: dict[str, np.ndarray] | None = None):
-    """Backpropagate a gradient of the last layer's rows through the
-    recorded layers.
+    """Backpropagate a gradient of the last layer's rows through the layer
+    caches that forward_batch recorded in ``tape``.
 
     Accumulates into ``grads`` (created zeroed when not given) and returns
     (grads, gradient with respect to the input features).
@@ -538,33 +522,25 @@ def backward_layers(model: Model, tape: Tape, G_H: np.ndarray,
         grads = zero_grads(model)
     G = np.asarray(G_H, dtype=np.float64)
     for i in range(model.config.num_layers - 1, -1, -1):
-        G = _layer_backward(model, i, tape.batch.layers[i], tape.caches[i], G, grads)
+        G = _layer_backward(model, i, tape[i], G, grads)
     return grads, G
 
 
-def forward_id_full(model: Model, ego: EgoNet, x_local,
-                    tape_out: list | None = None) -> np.ndarray:
-    """Center-node embedding from heterogeneous message passing on an ego
-    net, run as a one-ego batch.
-
-    Messages from the identity-masked node use msg1; all other nodes use
-    msg0. With an all-false mask (conditioning node outside the ball) this
-    reduces to the plain scheme on the ego subgraph.
-    """
+def forward_id_full(model: Model, g: Graph, center: int, identity_at: int,
+                    x) -> np.ndarray:
+    """Embedding of ``center`` with the identity color at ``identity_at``:
+    the one-anchor batch of make_batch, so heterogeneous message passing on
+    the ego net of radius num_layers, whose inputs are the rows of ``x``.
+    An identity outside the ball runs the plain scheme on the ego net."""
     if model.config.variant != "id_full":
         raise InputError(f"variant {model.config.variant!r} is not id_full")
-    x = _check_features(model.config, ego.subgraph, x_local)
-    indptr, nbr = union_csr([ego.subgraph])
-    ops = _GraphOps(np.diff(indptr), nbr, np.array(ego.identity_mask, dtype=bool))
-    batch = _ego_batch(ops, np.array(ego.depth, dtype=np.int64), x,
-                       model.config.num_layers)
-    return forward_batch(model, batch, tape_out)[0]
+    return forward_batch(model, make_batch(model, [g], [x], [[(center, identity_at)]]))[0]
 
 
-def backward_id_full(model: Model, ego: EgoNet, tape: Tape, g_center: np.ndarray,
+def backward_id_full(model: Model, tape: list[dict], g_center: np.ndarray,
                      grads: dict[str, np.ndarray] | None = None):
-    """Backpropagate the center gradient of a forward_id_full pass on
-    ``ego``; returns (grads, gradient with respect to its local inputs)."""
+    """Backpropagate the center gradient of a one-anchor id_full pass;
+    returns (grads, gradient with respect to the ego net's input rows)."""
     return backward_layers(model, tape, np.reshape(g_center, (1, -1)), grads)
 
 

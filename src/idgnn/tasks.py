@@ -271,8 +271,8 @@ def _prepare(model: Model, spec: TaskSpec, items) -> _Prepared:
 def _forward(model: Model, p: _Prepared, record: bool):
     """Logits of every labelled unit from one forward pass over the batch,
     plus the caches backward needs."""
-    cache: dict = {"tapes": [] if record else None, "pair": []}
-    H = forward_batch(model, p.batch, cache["tapes"])
+    cache: dict = {"tape": [] if record else None, "pair": []}
+    H = forward_batch(model, p.batch, cache["tape"])
     if p.pairs is not None:
         logits = edge_pair_score(model, H[p.pairs[:, 0]], H[p.pairs[:, 1]],
                                  cache["pair"])
@@ -284,16 +284,16 @@ def _forward(model: Model, p: _Prepared, record: bool):
 def _backward(model: Model, p: _Prepared, cache: dict, G_logits: np.ndarray,
               grads: dict) -> None:
     """Accumulate the gradients of one forward pass in one backward pass."""
-    tape = cache["tapes"][0]
+    n_rows = p.batch.layers[-1].n
     if p.pairs is not None:
         G_u, G_v = edge_pair_backward(model, cache["pair"][0], G_logits, grads)
-        G_H = np.zeros((len(p.batch.rows), model.config.hidden_dim))
+        G_H = np.zeros((n_rows, model.config.hidden_dim))
         np.add.at(G_H, p.pairs, np.stack([G_u, G_v], axis=1))
     else:
         G_H = head_backward(model, cache["Z"], G_logits, grads)
         if p.starts is not None:
-            G_H = np.repeat(G_H, np.diff(p.starts, append=len(p.batch.rows)), axis=0)
-    backward_layers(model, tape, G_H, grads)
+            G_H = np.repeat(G_H, np.diff(p.starts, append=n_rows), axis=0)
+    backward_layers(model, cache["tape"], G_H, grads)
 
 
 def check_classes(model: Model, spec: TaskSpec) -> None:

@@ -4,7 +4,9 @@ Color ids are canonical: each refinement round sorts the distinct
 (own color, sorted neighbor-color multiset) signatures and numbers them by
 rank, so colorings and hashes are invariant under node relabeling. The graph
 hash is the first 8 bytes of blake2b over the canonical histogram trajectory
-(a recorded implementation constant).
+(a recorded implementation constant). Ranks are taken within one graph, so
+WL-equivalent graphs hash alike but equal hashes do not make two graphs
+WL-equivalent: wl_equivalent decides that by refining their disjoint union.
 
 Exact isomorphism is one backtracking search over Python-int bitsets, with
 distance constraints propagated as in VF2 (Cordella et al., IEEE TPAMI 2004)
@@ -32,7 +34,7 @@ import hashlib
 from dataclasses import dataclass
 
 from .errors import CapabilityError, InputError
-from .graph import Graph
+from .graph import Graph, build_graph
 
 WL_HASH_NAME = "blake2b8(histogram-trajectory)"
 
@@ -96,11 +98,23 @@ def wl_refine(g: Graph, init_colors=None) -> WlColoring:
 
 
 def wl_graph_hash(g: Graph) -> int:
-    """64-bit digest of the WL histogram trajectory; equal for isomorphic graphs."""
+    """64-bit digest of the WL histogram trajectory: equal for WL-equivalent
+    (so for isomorphic) graphs, but equal digests do not imply
+    WL-equivalence, since each graph numbers its colors by its own ranks."""
     h = hashlib.blake2b(digest_size=8)
     h.update(f"n={g.num_nodes};m={g.num_edges};".encode())
     _stabilize(g, visit=lambda colors: h.update(repr(_histogram(colors)).encode()))
     return int.from_bytes(h.digest(), "big")
+
+
+def wl_equivalent(g1: Graph, g2: Graph) -> bool:
+    """Whether 1-WL cannot tell g1 and g2 apart: the stable coloring of
+    their disjoint union gives both halves the same color multiset."""
+    n1 = g1.num_nodes
+    union = build_graph(n1 + g2.num_nodes,
+                        g1.edges + tuple((u + n1, v + n1) for u, v in g2.edges))
+    colors, _ = _stabilize(union)
+    return sorted(colors[:n1]) == sorted(colors[n1:])
 
 
 def _rings(g: Graph) -> list[list[int]]:

@@ -21,22 +21,20 @@ from idgnn.nn import (
     forward_batch,
     head_backward,
     head_logits,
-    input_features,
     make_batch,
     zero_grads,
 )
 from idgnn.optim import loss_xent
 
 
-def _pattern(tapes, pair_caches) -> bytes:
+def _pattern(tape, pair_caches) -> bytes:
     h = hashlib.blake2b(digest_size=16)
-    for tape in tapes:
-        for cache in tape.caches:
-            for key in ("M", "S", "P", "P1", "P2"):
-                if key in cache:
-                    h.update((cache[key] > 0.0).tobytes())
-            if "src" in cache:
-                h.update(cache["src"].tobytes())
+    for cache in tape:
+        for key in ("M", "S", "P", "P1", "P2"):
+            if key in cache:
+                h.update((cache[key] > 0.0).tobytes())
+        if "src" in cache:
+            h.update(cache["src"].tobytes())
     for cache in pair_caches:
         h.update((cache["p1"] > 0.0).tobytes())
     return h.digest()
@@ -65,13 +63,6 @@ def copy_params(dst: Model, src: Model) -> None:
         arr[...] = src.params[name]
 
 
-def embed_anchor(model: Model, g: Graph, u: int, v: int) -> np.ndarray:
-    """Embedding of u with the identity color at v, from the one-anchor
-    batch ``[[(u, v)]]`` of an id_full model on the task inputs of g."""
-    batch = make_batch(model, [g], input_features(model.config, [g]), [[(u, v)]])
-    return forward_batch(model, batch)[0]
-
-
 def model_loss(model: Model, g: Graph, x: np.ndarray, labels: np.ndarray,
                record: bool = False):
     """Composite loss exercising layers, the linear head, and the pair head.
@@ -80,25 +71,25 @@ def model_loss(model: Model, g: Graph, x: np.ndarray, labels: np.ndarray,
     ego network). The loss is cross-entropy on per-node head logits plus
     cross-entropy on one pair score.
     """
-    tapes: list = []
+    tape: list = []
     pair_caches: list = []
     batch = make_batch(model, [g], [x])
-    H = forward_batch(model, batch, tapes)
+    H = forward_batch(model, batch, tape)
     logits = head_logits(model, H)
     node_loss, G_logits = loss_xent(logits, labels)
     pair_logits = edge_pair_score(model, H[:1], H[-1:], pair_caches)
     pair_loss, G_pair = loss_xent(pair_logits, labels[:1])
     loss = node_loss + pair_loss
     if not record:
-        return loss, _pattern(tapes, pair_caches), None
+        return loss, _pattern(tape, pair_caches), None
 
     grads = zero_grads(model)
     G_H = head_backward(model, H, G_logits, grads)
     g_u, g_v = edge_pair_backward(model, pair_caches[0], G_pair, grads)
     G_H[:1] += g_u
     G_H[-1:] += g_v
-    backward_layers(model, tapes[0], G_H, grads)
-    return loss, _pattern(tapes, pair_caches), grads
+    backward_layers(model, tape, G_H, grads)
+    return loss, _pattern(tape, pair_caches), grads
 
 
 def fd_check(model: Model, g: Graph, x: np.ndarray, labels: np.ndarray,

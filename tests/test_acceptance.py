@@ -97,8 +97,7 @@ def test_criterion_3_walk_count_oracle_equivalence():
                     cm = identity_walk_counts(ego, k)
                     row = cm.counts[cm.identity_node]
                     assert row.tolist() == oracle[v, :k].tolist()
-                    x = np.ones((ego.subgraph.num_nodes, k))
-                    h = forward_id_full(models[k], ego, x)
+                    h = forward_id_full(models[k], g, v, v, np.ones((g.num_nodes, k)))
                     assert h.tolist() == oracle[v, :k].astype(float).tolist()
             assert np.array_equal(walk_count_features(g, 6), oracle)
         assert time.monotonic() - start < 30.0
@@ -208,8 +207,9 @@ def test_criterion_8_reduction_property():
             center = int(rng.integers(g.num_nodes))
             ego = extract_ego(g, center, layers)
             x = rng.normal(size=(ego.subgraph.num_nodes, 2))
-            h_full = forward_id_full(mf, ego, x)
-            h_plain = forward_plain(mp, ego.subgraph, x)[ego.center_local_index]
+            c = ego.center_local_index
+            h_full = forward_id_full(mf, ego.subgraph, c, c, x)
+            h_plain = forward_plain(mp, ego.subgraph, x)[c]
             assert np.max(np.abs(h_full - h_plain)) <= 1e-12
             done += 1
 

@@ -3,8 +3,8 @@ independent dense reference compute.
 
 One forward and one backward over make_batch must give the same row
 embeddings, parameter gradients and input gradients, to within 1e-12, as
-forward_plain / backward_layers per graph (plain, id_fast) or
-forward_id_full / backward_id_full per ego net (id_full), and as
+one-graph batches through backward_layers (plain, id_fast) or one-anchor
+batches through backward_id_full (id_full), and as
 oracles.dense_reference, which runs every row of every layer. The id_full
 operators themselves must equal, array for array, those built from
 oracles.ego_by_induced_edges one anchor at a time and laid out as one union
@@ -25,7 +25,6 @@ from idgnn.nn import (
     backward_layers,
     forward_batch,
     forward_id_full,
-    forward_plain,
     init_model,
     make_batch,
     zero_grads,
@@ -79,29 +78,30 @@ def test_batch_equals_per_item(case):
     xs = [rng.normal(size=(g.num_nodes, 2)) for g in graphs]
     full = cfg.variant == "id_full"
     batch = make_batch(model, graphs, xs, anchors if full else None)
-    tapes = []
-    H = forward_batch(model, batch, tapes)
+    tape = []
+    H = forward_batch(model, batch, tape)
     G_rows = rng.normal(size=H.shape)
-    grads, G_x = backward_layers(model, tapes[0], G_rows)
+    grads, G_x = backward_layers(model, tape, G_rows)
 
     ref_grads = zero_grads(model)
     rows, G_x_ref = [], []
     if full:
-        items = [(extract_ego(g, u, cfg.num_layers, identity_at=v), x)
-                 for g, x, pairs in zip(graphs, xs, anchors) for u, v in pairs]
-        for (ego, x), g_row in zip(items, G_rows):
-            item_tapes = []
-            rows.append(forward_id_full(model, ego, x[list(ego.to_parent)], item_tapes))
-            G_x_ref.append(backward_id_full(model, ego, item_tapes[0], g_row, ref_grads)[1])
-        outside = sum(not any(ego.identity_mask) for ego, _ in items)
-        assert batch.ops.identity.sum() == len(items) - outside
+        items = [(g, x, u, v) for g, x, pairs in zip(graphs, xs, anchors) for u, v in pairs]
+        for (g, x, u, v), g_row in zip(items, G_rows):
+            item_tape = []
+            rows.append(forward_batch(model, make_batch(model, [g], [x], [[(u, v)]]),
+                                      item_tape)[0])
+            G_x_ref.append(backward_id_full(model, item_tape, g_row, ref_grads)[1])
+        outside = sum(not any(extract_ego(g, u, cfg.num_layers, identity_at=v).identity_mask)
+                      for g, _, u, v in items)
+        assert batch.layers[0].identity.sum() == len(items) - outside
     else:
         offset = 0
         for g, x in zip(graphs, xs):
-            item_tapes = []
-            rows.append(forward_plain(model, g, x, item_tapes))
+            item_tape = []
+            rows.append(forward_batch(model, make_batch(model, [g], [x]), item_tape))
             G_item = G_rows[offset:offset + g.num_nodes]
-            G_x_ref.append(backward_layers(model, item_tapes[0], G_item, ref_grads)[1])
+            G_x_ref.append(backward_layers(model, item_tape, G_item, ref_grads)[1])
             offset += g.num_nodes
     expected = np.concatenate([np.zeros((0, cfg.hidden_dim))] + [np.atleast_2d(r) for r in rows])
     np.testing.assert_allclose(H, expected, rtol=0, atol=TOL)
@@ -125,10 +125,10 @@ def test_batch_equals_dense_oracle(scheme, variant, data):
           else rng.normal(size=(g.num_nodes, 2)) for g in graphs]
     anchors = anchors if variant == "id_full" else None
     batch = make_batch(model, graphs, xs, anchors)
-    tapes = []
-    H = forward_batch(model, batch, tapes)
+    tape = []
+    H = forward_batch(model, batch, tape)
     G_rows = rng.normal(size=H.shape)
-    grads, G_x = backward_layers(model, tapes[0], G_rows)
+    grads, G_x = backward_layers(model, tape, G_rows)
     H_ref, grads_ref, G_x_ref = dense_reference(model, graphs, xs, anchors, G_rows)
     np.testing.assert_allclose(H, H_ref, rtol=0, atol=TOL)
     np.testing.assert_allclose(G_x, G_x_ref, rtol=0, atol=TOL)
@@ -146,15 +146,22 @@ def test_identity_outside_ball_runs_plain_scheme():
     x = np.random.default_rng(2).normal(size=(5, 2))
     batch = make_batch(model, [g], [x], [[(0, 3), (4, 4), (2, 4), (1, 1)]])
     # egos {0, 1}, {4}, {1, 2, 3}, {0, 1, 2}
-    assert batch.ops.n == 9
-    assert batch.rows.tolist() == [0, 2, 4, 7]
-    assert batch.ops.identity.tolist() == [False, False, True, False, False, False,
-                                       False, True, False]
+    assert batch.layers[0].n_in == 9
+    assert center_rows(batch).tolist() == [0, 2, 4, 7]
+    assert batch.layers[0].identity.tolist() == [False, False, True, False, False, False,
+                                                 False, True, False]
     H = forward_batch(model, batch)
     for row, (u, v) in zip(H, [(0, 3), (4, 4), (2, 4), (1, 1)]):
-        ego = extract_ego(g, u, 1, identity_at=v)
-        np.testing.assert_allclose(row, forward_id_full(model, ego, x[list(ego.to_parent)]),
+        np.testing.assert_allclose(row, forward_id_full(model, g, u, v, x),
                                    rtol=0, atol=TOL)
+
+
+def center_rows(batch):
+    """The union row of each embedded node: every layer's ``keep`` composed."""
+    rows = np.arange(batch.layers[0].n_in)
+    for ops in batch.layers:
+        rows = rows if ops.keep is None else rows[ops.keep]
+    return rows
 
 
 def assert_ops_equal(ops, ref):
@@ -197,9 +204,8 @@ def test_id_full_operators_equal_oracle_egos(data):
     ref = _ego_batch(_GraphOps(np.diff(indptr), nbr, identity), depth,
                      np.concatenate(ego_xs), cfg.num_layers)
 
-    assert_ops_equal(batch.ops, ref.ops)
     assert len(batch.layers) == len(ref.layers) == cfg.num_layers
     for ops, ref_ops in zip(batch.layers, ref.layers):
         assert_ops_equal(ops, ref_ops)
-    np.testing.assert_array_equal(batch.rows, ref.rows)
+    np.testing.assert_array_equal(center_rows(batch), center_rows(ref))
     assert batch.x.tobytes() == ref.x.tobytes() and batch.x.shape == ref.x.shape

@@ -97,6 +97,19 @@ class TestWl:
         out = capsys.readouterr().out
         assert "WL-indistinguishable, NOT isomorphic" in out
 
+    def test_compare_hash_collision_is_distinguishable(self, tmp_path, capsys):
+        # equal digests, but the degree sequences differ: 1-WL separates
+        # the pair at round 1
+        g = build_graph(7, [(0, 2), (0, 5), (0, 6), (1, 3), (1, 6), (2, 5), (3, 6), (4, 6)])
+        h = build_graph(7, [(0, 1), (0, 3), (0, 4), (0, 5), (0, 6), (1, 6), (3, 4), (4, 5)])
+        a, b = str(tmp_path / "a.json"), str(tmp_path / "b.json")
+        save_graph(g, a)
+        save_graph(h, b)
+        assert run(["wl", "compare", a, b]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0].split()[0] == lines[1].split()[0] == "872c82ef7a02bc13"
+        assert lines[2] == "verdict: WL-distinguishable, NOT isomorphic"
+
     def test_compare_relabeled(self, tmp_path, capsys):
         g = build_graph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)])
         h = relabel_graph(g, [3, 1, 4, 0, 2])
@@ -535,6 +548,17 @@ class TestReport:
         lines = open(out).read().strip().split("\n")
         assert lines[0] == "report,flavor,variant,task,seed,accuracy"
         assert len(lines) == 3
+
+    @pytest.mark.parametrize("content", [b"{not json", b"\xff\xfe{}", b'{"config": {}}'],
+                             ids=["not-json", "not-utf8", "missing-fields"])
+    def test_malformed_report_exit_2(self, tmp_path, capsys, content):
+        path = tmp_path / "bad.json"
+        path.write_bytes(content)
+        out = tmp_path / "summary.csv"
+        assert run(["report", str(path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err.strip().split("\n")
+        assert len(err) == 1 and err[0].startswith("error: ") and str(path) in err[0]
+        assert not out.exists()
 
 
 def test_capability_limit_exit_3(tmp_path, capsys):

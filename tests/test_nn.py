@@ -18,12 +18,13 @@ from idgnn.nn import (
     init_model,
     input_features,
     load_model,
+    make_batch,
     make_walk_count_model,
     save_model,
     zero_grads,
 )
 from idgnn.tasks import _forward, _prepare, make_graph_cc_task
-from gradcheck import copy_params, embed_anchor, fd_check, model_loss, randomize, tie_msg1
+from gradcheck import copy_params, fd_check, model_loss, randomize, tie_msg1
 
 P3 = build_graph(3, [(0, 1), (1, 2)])
 K3 = build_graph(3, [(0, 1), (1, 2), (0, 2)])
@@ -165,9 +166,10 @@ class TestForwardIdFull:
         rng = np.random.default_rng(3)
         for center in (0, 5, 9):
             ego = extract_ego(g, center, cfg.num_layers)
-            x = rng.normal(size=(ego.subgraph.num_nodes, cfg.input_dim))
-            h_full = forward_id_full(m, ego, x)
-            h_plain = forward_plain(plain, ego.subgraph, x)[ego.center_local_index]
+            x = rng.normal(size=(g.num_nodes, cfg.input_dim))
+            h_full = forward_id_full(m, g, center, center, x)
+            h_plain = forward_plain(plain, ego.subgraph,
+                                    x[list(ego.to_parent)])[ego.center_local_index]
             assert np.max(np.abs(h_full - h_plain)) <= 1e-12
 
     def test_mask_all_false_equals_plain(self):
@@ -177,17 +179,15 @@ class TestForwardIdFull:
         randomize(m, seed=2)
         ego = extract_ego(g, 0, 2, identity_at=3)  # outside ball
         assert not any(ego.identity_mask)
-        x = np.ones((3, 3))
-        h = forward_id_full(m, ego, x)
+        h = forward_id_full(m, g, 0, 3, np.ones((4, 3)))
         plain = init_model(small_config(variant="plain"))
         copy_params(plain, m)
-        h_plain = forward_plain(plain, ego.subgraph, x)[0]
+        h_plain = forward_plain(plain, ego.subgraph, np.ones((3, 3)))[0]
         assert np.allclose(h, h_plain, atol=0, rtol=0)
 
     def test_count_model_bridge_triangle(self):
         m = make_walk_count_model(3)
-        ego = extract_ego(K3, 0, 3)
-        h = forward_id_full(m, ego, np.ones((3, 3)))
+        h = forward_id_full(m, K3, 0, 0, np.ones((3, 3)))
         assert h.tolist() == [0.0, 2.0, 2.0]
 
     def test_count_model_bridge_random_graphs(self):
@@ -198,11 +198,9 @@ class TestForwardIdFull:
                 m = make_walk_count_model(k)
                 feats = walk_count_features(g, k)
                 for v in range(0, g.num_nodes, 4):
-                    ego = extract_ego(g, v, k)
-                    x = np.ones((ego.subgraph.num_nodes, k))
-                    h = forward_id_full(m, ego, x)
+                    h = forward_id_full(m, g, v, v, np.ones((g.num_nodes, k)))
                     assert h.tolist() == feats[v].astype(float).tolist()
-                    cm = identity_walk_counts(ego, k)
+                    cm = identity_walk_counts(extract_ego(g, v, k), k)
                     assert h.tolist() == cm.counts[cm.identity_node].astype(float).tolist()
 
 
@@ -210,15 +208,15 @@ class TestConditional:
     def test_self_conditioning_is_default_embedding(self):
         g = gen_small_world(12, 4, 0.2, 8)
         m = init_model(small_config(variant="id_full", input_dim=1))
-        h1 = embed_anchor(m, g, 4, 4)
-        ego = extract_ego(g, 4, m.config.num_layers)
-        h2 = forward_id_full(m, ego, np.ones((ego.subgraph.num_nodes, 1)))
+        x = np.ones((g.num_nodes, 1))
+        h1 = forward_id_full(m, g, 4, 4, x)
+        h2 = forward_batch(m, make_batch(m, [g], [x]))[4]
         assert np.array_equal(h1, h2)
 
     def test_distance_sensitivity_with_count_weights(self):
         c8 = build_graph(8, [(i, (i + 1) % 8) for i in range(8)])
         m = make_walk_count_model(3)
-        h_by_dist = [embed_anchor(m, c8, 0, v) for v in (1, 2, 3)]
+        h_by_dist = [forward_id_full(m, c8, 0, v, np.ones((8, 3))) for v in (1, 2, 3)]
         assert h_by_dist[0].tolist() == [1.0, 0.0, 3.0]
         assert h_by_dist[1].tolist() == [0.0, 1.0, 0.0]
         assert h_by_dist[2].tolist() == [0.0, 0.0, 1.0]
@@ -227,12 +225,13 @@ class TestConditional:
         p6 = build_graph(6, [(i, i + 1) for i in range(5)])
         m = init_model(small_config(variant="id_full", num_layers=2, input_dim=1))
         randomize(m, seed=4)
-        h = embed_anchor(m, p6, 0, 5)  # dist 5 > 2 layers
+        x = np.ones((6, 1))
+        h = forward_id_full(m, p6, 0, 5, x)  # dist 5 > 2 layers
         ego = extract_ego(p6, 0, 2, identity_at=5)
         assert not any(ego.identity_mask)
         for i in range(m.config.num_layers):  # msg1 unused when mask is empty
             m.params[f"layers.{i}.msg1_weight"][...] = 12345.0
-        h2 = forward_id_full(m, ego, np.ones((ego.subgraph.num_nodes, 1)))
+        h2 = forward_id_full(m, p6, 0, 5, x)
         assert np.array_equal(h, h2)
 
 
@@ -321,9 +320,9 @@ class TestGradients:
 
     def test_zero_upstream_zero_grads(self):
         m = init_model(small_config())
-        tapes = []
-        forward_plain(m, K3, np.ones((3, 3)), tapes)
-        grads, _ = backward_layers(m, tapes[0], np.zeros((3, 5)))
+        tape = []
+        forward_batch(m, make_batch(m, [K3], [np.ones((3, 3))]), tape)
+        grads, _ = backward_layers(m, tape, np.zeros((3, 5)))
         assert all(not g.any() for g in grads.values())
 
     def test_shared_message_gradients_match_tied_hetero(self):

@@ -1,5 +1,6 @@
 """Every script under ``scripts/`` imports and parses ``--help``, and a
-malformed list flag exits 2 with one stderr line.
+malformed list flag or a value the library rejects exits 2 with one stderr
+line.
 
 No other test imports the scripts, so this is what notices when one of them
 uses a public name that the package no longer has.
@@ -44,3 +45,15 @@ def test_script_bad_list_exit_2(script, flag, value):
     assert proc.returncode == 2
     lines = proc.stderr.strip().split("\n")
     assert len(lines) == 1 and "error:" in lines[0] and flag in lines[0]
+
+
+@pytest.mark.parametrize("script, args, message", [
+    ("run_regular_differentiation.py", ["--k-list", "0"], "k_list"),
+    ("run_trend_experiments.py", ["--task", "node-cc", "--seeds", "-1"], "seed"),
+])
+def test_script_rejected_value_exit_2(script, args, message):
+    # the library rejects the value before any training starts
+    proc = run_script(ROOT / "scripts" / script, *args)
+    assert proc.returncode == 2
+    lines = proc.stderr.strip().split("\n")
+    assert len(lines) == 1 and "error:" in lines[0] and message in lines[0]

@@ -11,9 +11,11 @@ from idgnn.graph import build_graph
 from idgnn.nn import (
     ModelConfig,
     edge_pair_score,
+    forward_id_full,
     forward_plain,
     head_logits,
     init_model,
+    input_features,
     zero_grads,
 )
 from idgnn.optim import loss_xent
@@ -30,7 +32,7 @@ from idgnn.tasks import (
     task_wiring,
     train,
 )
-from gradcheck import embed_anchor, randomize
+from gradcheck import randomize
 from oracles import spd_pairs_sequential
 
 K3 = build_graph(3, [(0, 1), (1, 2), (0, 2)])
@@ -298,10 +300,11 @@ def test_predictions_match_single_item_wiring(kind, variant):
     expected = []
     for item in task.items:
         g = item.graph
+        x = input_features(m.config, [g])[0]
         if variant == "plain":
             H = forward_plain(m, g, np.ones((g.num_nodes, 1)))
         else:
-            H = np.stack([embed_anchor(m, g, v, v) for v in range(g.num_nodes)])
+            H = np.stack([forward_id_full(m, g, v, v, x) for v in range(g.num_nodes)])
         if kind == "node_cc":
             expected.extend(head_logits(m, H))
         elif kind == "graph_cc":
@@ -309,6 +312,6 @@ def test_predictions_match_single_item_wiring(kind, variant):
         elif variant == "plain":
             expected.extend(edge_pair_score(m, H[u], H[v]) for u, v, _ in item.pairs)
         else:
-            expected.extend(head_logits(m, embed_anchor(m, g, u, v))
+            expected.extend(head_logits(m, forward_id_full(m, g, u, v, x))
                             for u, v, _ in item.pairs)
     np.testing.assert_allclose(logits, np.array(expected), rtol=0, atol=1e-12)

@@ -3,7 +3,7 @@ from contextlib import contextmanager
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from idgnn.cli import main
 from idgnn.counts import graph_signature
@@ -12,7 +12,7 @@ from idgnn.errors import CapabilityError
 from idgnn.generators import gen_d_regular, gen_small_world
 from idgnn.graph import build_graph, relabel_graph
 from idgnn import wl
-from idgnn.wl import are_isomorphic, wl_graph_hash, wl_refine
+from idgnn.wl import are_isomorphic, wl_equivalent, wl_graph_hash, wl_refine
 from oracles import isomorphic_brute
 
 TWO_K3 = build_graph(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
@@ -234,6 +234,28 @@ def test_are_isomorphic_matches_brute_force(pair):
     g1, g2 = pair
     assert are_isomorphic(g1, g2) == isomorphic_brute(g1, g2)
     assert are_isomorphic(g2, g1) == are_isomorphic(g1, g2)
+
+
+# Their hashes collide, but the degree sequences differ, so 1-WL separates
+# them at round 1.
+HASH_TWINS = (
+    build_graph(7, [(0, 2), (0, 5), (0, 6), (1, 3), (1, 6), (2, 5), (3, 6), (4, 6)]),
+    build_graph(7, [(0, 1), (0, 3), (0, 4), (0, 5), (0, 6), (1, 6), (3, 4), (4, 5)]),
+)
+
+
+@given(graph_pairs() | wl_equal_pairs() | disconnected_pairs())
+@example(HASH_TWINS)
+@settings(max_examples=400, deadline=None)
+def test_isomorphic_then_wl_equivalent_then_equal_hashes(pair):
+    g1, g2 = pair
+    same = wl_equivalent(g1, g2)
+    assert wl_equivalent(g2, g1) == same
+    if are_isomorphic(g1, g2):
+        assert same
+    if same:
+        assert wl_graph_hash(g1) == wl_graph_hash(g2)
+        assert sorted(g1.degrees()) == sorted(g2.degrees())
 
 
 # Both strongly regular with parameters (16, 6, 2, 2): every node has the
