@@ -23,24 +23,27 @@ the disjoint union of whole graphs (plain, id_fast) or of ego nets
 (id_full, identity mask true at each ego's identity node). Messages are per
 sender node, so aggregation is a product with the union's scipy CSR
 adjacency (sum, mean, gin) or its normalized form (gcn), and max
-aggregation is a segmented reduction over the concatenated neighbor lists
-(see _GraphOps). Whole-graph batches run every layer on all rows. id_full
-layers run on receptive fields: of K layers, layer l reads the rows within
-K - l + 1 hops of their ego's center and writes those within K - l, since
-the center's output reads no other row, and its operators are the union's
-restricted to those rows. An id_full batch is built without a Graph per ego:
-one multi-source BFS per graph (graph.ego_union) yields the rows, depths,
-identity flags and CSR of all of that graph's ego nets as numpy arrays,
-which are stacked into the union's operators; whole graphs come from
-graph.union_csr. A split of a task is one batch: one forward and one
-backward per epoch. forward_plain is the batch of one graph and
-forward_id_full the batch of one anchor, so every id_full embedding runs on
-make_batch's ego net of radius num_layers.
+aggregation reduces, per degree k, the rows x k table of the neighbor
+messages of the rows of degree k (_GraphOps.buckets). Whole-graph batches
+run every layer on all rows. id_full layers run on receptive fields: of K
+layers, layer l reads the rows within K - l + 1 hops of their ego's center
+and writes those within K - l, since the center's output reads no other
+row, and its operators are the union's restricted to those rows. An id_full
+batch is built without a Graph per ego: one multi-source BFS per graph
+(graph.ego_union) yields the rows, depths, identity flags and CSR of all of
+that graph's ego nets as numpy arrays, which are stacked into the union's
+operators; whole graphs come from graph.union_csr. A split of a task is one
+batch: one forward and one backward per epoch. forward_plain is the batch
+of one graph and forward_id_full the batch of one anchor, so every id_full
+embedding runs on make_batch's ego net of radius num_layers.
 
 All tensors are float64. A forward pass asked for a tape appends to it the
 cache of each layer, which holds that layer's operators; backward walks the
 tape and returns exact gradients for every parameter (max aggregation routes
 ties to the lowest-index maximizer, ReLU uses subgradient 0 at 0).
+
+Importing the module sets glibc's allocator, process-wide, to keep freed
+blocks for reuse across epochs (_keep_freed_memory).
 
 Checkpoint layout: 8-byte magic ``IDGNNMDL``, little-endian uint32 header
 length, UTF-8 JSON header holding the config and a parameter index table
@@ -50,6 +53,7 @@ parameter blob.
 
 from __future__ import annotations
 
+import ctypes
 import json
 import math
 import struct
@@ -70,6 +74,24 @@ AGGREGATIONS = ("sum", "mean", "max")
 _FLAVOR_DEFAULT_AGG = {"gcn": "mean", "sage": "max", "gin": "sum"}
 
 CHECKPOINT_MAGIC = b"IDGNNMDL"
+
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3  # glibc malloc.h
+
+
+def _keep_freed_memory() -> None:
+    """Serve blocks of up to 32 MiB from glibc's heap and trim it only past
+    256 MiB, process-wide; by default each large numpy temporary is mapped
+    and unmapped on its own, so every epoch faults its pages in afresh.
+    Does nothing where the C library has no mallopt."""
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, TypeError, AttributeError):
+        return
+    mallopt(_M_MMAP_THRESHOLD, 32 << 20)
+    mallopt(_M_TRIM_THRESHOLD, 256 << 20)
+
+
+_keep_freed_memory()
 
 
 @dataclass(frozen=True)
@@ -175,11 +197,11 @@ class _GraphOps:
     and ``keep`` the input position of each written row (None when every
     row is written); ``trim`` restricts the operators to such a layer.
 
-    ``dst`` names the written row of each ``nbr`` entry and ``heads`` are
-    the offsets where the nonempty lists start; max aggregation reduces
-    over these arrays. Sum, mean, gin and gcn use the n x n_in scipy CSR
-    ``A`` and ``A_gcn`` built from them on first use, and their transposes
-    in backward.
+    ``dst`` names the written row of each ``nbr`` entry. Max aggregation
+    reads ``buckets``, built from these arrays on first use; sum, mean, gin
+    and gcn use the n x n_in scipy CSR ``A`` and ``A_gcn``, likewise built
+    on first use, and their transposes in backward. Whole-graph batches
+    share one _GraphOps across their layers, so each is built once.
     """
 
     def __init__(self, deg: np.ndarray, nbr: np.ndarray,
@@ -192,8 +214,6 @@ class _GraphOps:
         self.identity = np.zeros(self.n_in, dtype=bool) if identity is None else identity
         self.keep = keep
         self.dst = np.repeat(np.arange(n), deg)
-        self.heads = (np.cumsum(deg) - deg)[deg > 0]
-        self.has_nbrs = deg > 0
         self.inv_deg = np.where(deg > 0, 1.0 / np.maximum(deg, 1.0), 0.0)
 
     def trim(self, rows_in: np.ndarray, rows_out: np.ndarray) -> _GraphOps:
@@ -208,6 +228,17 @@ class _GraphOps:
         written[rows_out] = True
         return _GraphOps(self.deg[rows_out], pos[self.nbr[written[self.dst]]],
                          self.identity[rows_in], self.deg[rows_in], pos[rows_out])
+
+    @cached_property
+    def buckets(self) -> list[tuple[np.ndarray, np.ndarray]]:
+        """For each distinct nonzero degree k, ascending: the written rows
+        of degree k and their rows x k table of ascending neighbors."""
+        starts = np.cumsum(self.deg) - self.deg
+        plan = []
+        for k in np.unique(self.deg[self.deg > 0]):
+            rows = np.flatnonzero(self.deg == k)
+            plan.append((rows, self.nbr[starts[rows, None] + np.arange(k)]))
+        return plan
 
     @cached_property
     def A(self) -> sp.csr_matrix:
@@ -230,18 +261,22 @@ class _GraphOps:
 def _agg_max(M: np.ndarray, ops: _GraphOps):
     """Per written row, the max over neighbor rows of M, and the sending
     neighbor of each maximum (-1 at isolated nodes). Ties go to the
-    lowest-index neighbor: the first hit in each ascending neighbor list."""
+    lowest-index neighbor: the first hit in each ascending neighbor list.
+    A NaN message makes its column's maximum NaN."""
     n, d = ops.n, M.shape[1]
     S = np.zeros((n, d))
     src = np.full((n, d), -1, dtype=np.int64)
-    if ops.nbr.size:
-        Mn = M[ops.nbr]
-        S[ops.has_nbrs] = np.maximum.reduceat(Mn, ops.heads, axis=0)
-        # not-below rather than equal, so a NaN maximum still picks a sender
-        hit = ~(Mn < S[ops.dst])
-        pos = np.where(hit, np.arange(len(Mn))[:, None], len(Mn))
-        first = np.minimum.reduceat(pos, ops.heads, axis=0)
-        src[ops.has_nbrs] = ops.nbr[first]
+    for rows, table in ops.buckets:
+        T = M[table]
+        top = T.max(axis=1)
+        # The first not-below slot carries the largest of the weights k..1
+        # (np.argmax over a middle axis makes one call per row and column).
+        # Not-below rather than equal, so a NaN maximum still picks a sender.
+        k = table.shape[1]
+        w = np.arange(k, 0, -1, dtype=np.min_scalar_type(k))[:, None]
+        first = k - (~(T < top[:, None]) * w).max(axis=1)
+        S[rows] = top
+        src[rows] = table.ravel()[first + k * np.arange(len(rows))[:, None]]
     return S, src
 
 

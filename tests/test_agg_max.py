@@ -56,3 +56,49 @@ def test_ties_route_to_lowest_neighbor():
     assert S[0].tolist() == [3.0, 5.0, 4.0]
     assert src[0].tolist() == [2, 1, 1]
     assert src[1:].tolist() == [[0, 0, 0]] * 3
+
+
+def test_nan_message_makes_a_nan_max_sent_by_the_first_neighbor():
+    # node 0 sees neighbors 1, 2, 3; neighbor 2's message is NaN in column 0
+    g = build_graph(4, [(0, 1), (0, 2), (0, 3)])
+    M = np.array([[0.0, 0.0],
+                  [1.0, 1.0],
+                  [np.nan, 7.0],
+                  [5.0, 2.0]])
+    S, src = _agg_max(M, graph_ops(g))
+    assert np.isnan(S[0, 0]) and src[0, 0] == 1
+    assert S[0, 1] == 7.0 and src[0, 1] == 2
+    assert not np.isnan(S[1:]).any()
+    assert src[1:].tolist() == [[0, 0]] * 3
+
+
+def test_bucket_plan_on_a_skewed_batch():
+    # a hub of degree 300 (past 255, so its slot weights take 16 bits), five
+    # isolated nodes and a path of five nodes
+    edges = [(0, j) for j in range(1, 301)] + [(j, j + 1) for j in range(306, 310)]
+    g = build_graph(311, edges)
+    has_nbrs = np.array([len(a) > 0 for a in g.adjacency])
+    M = np.random.default_rng(0).integers(-2, 3, size=(g.num_nodes, 3)).astype(float)
+    S_ref, src_ref = max_aggregate_naive(M, g)
+    ops = graph_ops(g)
+    written = np.arange(g.num_nodes)
+    # a layer that writes the hub, an isolated node and path nodes
+    kept = np.array([0, 1, 302, 306, 308])
+    for ops, rows_out in ((ops, written), (ops.trim(written, kept), kept)):
+        seen = np.zeros(ops.n, dtype=int)
+        degrees = []
+        for rows, table in ops.buckets:
+            seen[rows] += 1
+            degrees.append(table.shape[1])
+            assert table.shape == (len(rows), ops.deg[rows[0]])
+            for r, nbrs in zip(rows, table):
+                assert nbrs.tolist() == list(g.adjacency[rows_out[r]])
+                assert (np.diff(nbrs) > 0).all()
+        assert degrees == sorted(set(degrees))
+        np.testing.assert_array_equal(seen, has_nbrs[rows_out])
+        S, src = _agg_max(M, ops)
+        np.testing.assert_array_equal(S, S_ref[rows_out])
+        np.testing.assert_array_equal(src, src_ref[rows_out])
+        isolated = ~has_nbrs[rows_out]
+        assert isolated.any()
+        assert (S[isolated] == 0.0).all() and (src[isolated] == -1).all()

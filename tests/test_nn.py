@@ -1,3 +1,5 @@
+import platform
+import types
 import zlib
 
 import numpy as np
@@ -5,8 +7,9 @@ import pytest
 
 from idgnn.counts import identity_walk_counts, walk_count_features
 from idgnn.errors import InputError
-from idgnn.generators import gen_d_regular, gen_small_world
+from idgnn.generators import GeneratorSpec, gen_d_regular, gen_dataset, gen_small_world
 from idgnn.graph import build_graph, extract_ego, relabel_graph
+from idgnn import nn
 from idgnn.nn import (
     ModelConfig,
     backward_layers,
@@ -23,7 +26,7 @@ from idgnn.nn import (
     save_model,
     zero_grads,
 )
-from idgnn.tasks import _forward, _prepare, make_graph_cc_task
+from idgnn.tasks import _forward, _prepare, make_graph_cc_task, make_node_cc_task, split, train
 from gradcheck import copy_params, fd_check, model_loss, randomize, tie_msg1
 
 P3 = build_graph(3, [(0, 1), (1, 2)])
@@ -370,3 +373,35 @@ class TestCheckpoint:
         path.write_bytes(b"NOTAMODEL")
         with pytest.raises(InputError):
             load_model(str(path))
+
+
+class TestFreedMemory:
+    @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc mallopt only")
+    def test_training_epochs_take_few_page_faults(self):
+        import resource
+
+        # sage max id_fast on 32 small-world graphs of 40 nodes: each layer's
+        # temporaries are 1,280 x 32 floats, above glibc's default mmap
+        # threshold, so without the allocator setting every epoch maps and
+        # faults them in afresh (thousands of faults per epoch)
+        graphs = gen_dataset(GeneratorSpec("small_world", 40, 4, 0.3), 32, 1)
+        task = split(make_node_cc_task(graphs), 0.8, 1)
+        model = init_model(ModelConfig("sage", "id_fast", 3, 32, 11,
+                                       task.spec.num_classes, "max"))
+        train(model, task, epochs=1)
+        epochs = 8
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        train(model, task, epochs=epochs)
+        faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+        assert faults < 200 * epochs
+
+    def test_sets_both_thresholds_through_mallopt(self, monkeypatch):
+        calls = []
+        libc = types.SimpleNamespace(mallopt=lambda *args: calls.append(args))
+        monkeypatch.setattr(nn.ctypes, "CDLL", lambda name: libc)
+        nn._keep_freed_memory()
+        assert calls == [(-3, 32 << 20), (-1, 256 << 20)]
+
+    def test_does_nothing_without_mallopt(self, monkeypatch):
+        monkeypatch.setattr(nn.ctypes, "CDLL", lambda name: types.SimpleNamespace())
+        nn._keep_freed_memory()
