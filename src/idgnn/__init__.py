@@ -12,7 +12,6 @@ __version__ = "0.1.0"
 from .counts import (
     CountMatrix,
     augment_features,
-    clustering_direct,
     clustering_from_counts,
     count_signatures,
     graph_signature,

@@ -23,6 +23,9 @@ The count rows are read two ways, each coded once: ``count_signatures``
 turns count matrices into canonical signatures, and ``with_count_columns``
 appends them to per-graph base features. ``graph_signature`` and
 ``augment_features`` are their one-graph views.
+
+``clustering_from_counts`` is the one clustering formula; the clustering
+task labels in ``tasks`` read it.
 """
 
 from __future__ import annotations
@@ -217,38 +220,20 @@ def walk_count_features(g: Graph, k: int) -> np.ndarray:
     return walk_count_features_many([g], k)[0]
 
 
-def clustering_from_counts(row) -> float:
-    """Clustering coefficient recovered from a closed-walk count vector.
+def clustering_from_counts(counts) -> float | np.ndarray:
+    """Clustering coefficients from closed-walk counts: a float for one
+    count row, an array for a matrix of rows, each with counts up to length 3.
 
     Uses count(2) = degree and count(3) = 2 * triangles: the coefficient is
     count(3) / (count(2) * (count(2) - 1)), the executable form of the
-    triangles-over-neighbor-pairs definition. Degenerate when degree < 2,
-    where it is defined as 0.
+    triangles-over-neighbor-pairs definition, and 0 when degree < 2.
     """
-    row = [int(x) for x in row]
-    if len(row) < 3:
-        raise InputError(f"need counts up to length 3, got {len(row)}")
-    deg = row[1]
-    if deg < 2:
-        return 0.0
-    return row[2] / (deg * (deg - 1))
-
-
-def clustering_direct(g: Graph, v: int) -> float:
-    """Clustering coefficient by direct neighbor-pair edge counting."""
-    nbrs = g.adjacency[v]
-    deg = len(nbrs)
-    if deg < 2:
-        return 0.0
-    nbr_set = set(nbrs)
-    links = sum(1 for u in nbrs for w in g.adjacency[u] if w > u and w in nbr_set)
-    return links / (deg * (deg - 1) / 2)
-
-
-def mean_clustering(g: Graph) -> float:
-    if g.num_nodes == 0:
-        return 0.0
-    return sum(clustering_direct(g, v) for v in range(g.num_nodes)) / g.num_nodes
+    c = np.asarray(counts, dtype=np.int64)
+    if c.ndim not in (1, 2) or c.shape[-1] < 3:
+        raise InputError(f"need counts up to length 3, got shape {c.shape}")
+    deg = c[..., 1]
+    cc = np.divide(c[..., 2], deg * (deg - 1), out=np.zeros(deg.shape), where=deg > 1)
+    return cc if c.ndim == 2 else float(cc)
 
 
 def reachability(g: Graph, u: int, v: int, k: int) -> bool:

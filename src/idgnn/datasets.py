@@ -3,7 +3,8 @@
 A graph object is ``{"num_nodes": n, "edges": [[u, v], ...],
 "node_features": [[...], ...]}`` where ``node_features`` is optional.
 Datasets are JSONL, one graph object per line, with optional per-graph
-``"label"`` and per-node ``"node_labels"`` fields.
+``"label"`` and per-node ``"node_labels"`` fields. Node counts, endpoints
+and labels must be JSON integers: ``true``, ``2.0`` or ``"1"`` is rejected.
 """
 
 from __future__ import annotations
@@ -31,11 +32,20 @@ def graph_to_obj(g: Graph) -> dict:
     return obj
 
 
+def _json_int(value, what: str) -> int:
+    """``value`` if it is a JSON integer, else ParseError (booleans too)."""
+    if type(value) is not int:
+        raise ParseError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
 def graph_from_obj(obj: dict) -> Graph:
     try:
-        return build_graph(
-            int(obj["num_nodes"]), obj["edges"], obj.get("node_features")
-        )
+        n, edges = _json_int(obj["num_nodes"], "num_nodes"), obj["edges"]
+        for u, v in edges:
+            if type(u) is not int or type(v) is not int:
+                raise ParseError(f"edge endpoints must be integers, got {[u, v]!r}")
+        return build_graph(n, edges, obj.get("node_features"))
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ParseError(f"bad graph object: {exc}") from exc
 
@@ -54,9 +64,10 @@ def record_from_obj(obj: dict) -> GraphRecord:
     label = obj.get("label")
     node_labels = obj.get("node_labels")
     try:
-        label = None if label is None else int(label)
-        node_labels = None if node_labels is None else [int(x) for x in node_labels]
-    except (TypeError, ValueError, OverflowError) as exc:
+        label = None if label is None else _json_int(label, "label")
+        node_labels = (None if node_labels is None
+                       else [_json_int(x, "node label") for x in node_labels])
+    except (TypeError, ValueError) as exc:
         raise ParseError(f"bad label: {exc}") from None
     if node_labels is not None and len(node_labels) != g.num_nodes:
         raise ParseError(f"{len(node_labels)} node_labels for {g.num_nodes} nodes")

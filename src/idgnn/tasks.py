@@ -4,6 +4,8 @@ Three task kinds: per-node clustering-coefficient classification (10 bins on
 [0, 1]), shortest-path-distance classification on sampled node pairs (5-way:
 distances 1..4 and >= 5), and per-graph mean clustering-coefficient
 classification (10 bins on [0, 0.5], matching the generator sweep range).
+Clustering labels come from one walk-count kernel call, binned by one
+np.searchsorted: bins are half-open, the top one closed, outliers clamped.
 
 Edge-task wiring follows the variant: id_full scores a pair through the
 conditional embedding of u with identity at v and a linear head, while plain
@@ -29,7 +31,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .counts import clustering_direct, mean_clustering
+from .counts import clustering_from_counts, walk_count_features_many, zero_counts
 from .errors import InputError, NumericError
 from .generators import child_seed
 from .graph import Graph, bfs_blocks
@@ -117,37 +119,35 @@ class TrainReport:
         return obj
 
 
-def _bin_index(value: float, edges: tuple[float, ...]) -> int:
-    """Index of the half-open bin [edges[i], edges[i+1]) holding value; the
-    top bin is closed and values beyond it clamp into it."""
-    nbins = len(edges) - 1
-    for i in range(nbins):
-        if value < edges[i + 1]:
-            return i
-    return nbins - 1
+def _bins(spec: TaskSpec, values) -> np.ndarray:
+    return np.searchsorted(spec.bin_edges[1:-1], values, side="right")
+
+
+def _clustering(graphs) -> tuple[np.ndarray, np.ndarray]:
+    """Every node's clustering coefficient, graph after graph, from one
+    walk-count kernel call; and the rows where graphs 2, 3, ... start."""
+    counts = walk_count_features_many(graphs, 3)
+    cuts = np.cumsum([len(c) for c in counts[:-1]], dtype=np.int64)
+    return clustering_from_counts(np.concatenate([zero_counts(0, 3), *counts])), cuts
 
 
 def make_node_cc_task(graphs) -> TaskData:
     """Label every node with the bin of its clustering coefficient."""
     spec = TASK_SPECS["node_cc"]
-    items = []
-    for g in graphs:
-        labels = np.array(
-            [_bin_index(clustering_direct(g, v), NODE_CC_BINS) for v in range(g.num_nodes)],
-            dtype=np.int64,
-        )
-        items.append(LabeledGraph(graph=g, node_labels=labels))
-    return TaskData(spec, items)
+    cc, cuts = _clustering(graphs)
+    return TaskData(spec, [LabeledGraph(graph=g, node_labels=y)
+                           for g, y in zip(graphs, np.split(_bins(spec, cc), cuts))])
 
 
 def make_graph_cc_task(graphs) -> TaskData:
-    """Label every graph with the bin of its mean clustering coefficient."""
+    """Label every graph with the bin of its mean clustering coefficient:
+    the node coefficients summed in node order over the node count, or 0
+    for a graph without nodes."""
     spec = TASK_SPECS["graph_cc"]
-    items = [
-        LabeledGraph(graph=g, graph_label=_bin_index(mean_clustering(g), GRAPH_CC_BINS))
-        for g in graphs
-    ]
-    return TaskData(spec, items)
+    cc, cuts = _clustering(graphs)
+    means = [sum(c.tolist()) / c.size if c.size else 0.0 for c in np.split(cc, cuts)]
+    return TaskData(spec, [LabeledGraph(graph=g, graph_label=label)
+                           for g, label in zip(graphs, _bins(spec, means).tolist())])
 
 
 def _spd_classes(g: Graph) -> np.ndarray:
@@ -316,11 +316,16 @@ def predictions(model: Model, spec: TaskSpec, items) -> tuple[np.ndarray, np.nda
     return _forward(model, p, record=False)[0], p.labels
 
 
+def _unchecked_floats():
+    """Silences numpy overflow and invalid warnings; finite checks decide."""
+    return np.errstate(over="ignore", invalid="ignore")
+
+
 def evaluate(model: Model, spec: TaskSpec, items) -> float:
     """Argmax accuracy; ties break toward the lowest class index. Raises
     NumericError if a logit is not finite (finite parameters can still
     overflow)."""
-    with np.errstate(over="ignore", invalid="ignore"):
+    with _unchecked_floats():
         logits, labels = predictions(model, spec, items)
     if not np.isfinite(logits).all():
         raise NumericError("evaluation produced non-finite logits")
@@ -351,14 +356,15 @@ def train(model: Model, task: TaskSplit, epochs: int, lr: float = 0.01,
     params = model.params
     state = AdamState()
     losses: list[float] = []
-    for _ in range(epochs):
-        logits, cache = _forward(model, prepared, record=True)
-        loss, G_logits = loss_xent(logits, prepared.labels)
-        losses.append(loss)
-        grads = zero_grads(model)
-        _backward(model, prepared, cache, G_logits, grads)
-        del cache  # free this epoch's tape before the next forward
-        adam_step(params, grads, state, lr=lr)
+    with _unchecked_floats():
+        for _ in range(epochs):
+            logits, cache = _forward(model, prepared, record=True)
+            loss, G_logits = loss_xent(logits, prepared.labels)
+            losses.append(loss)
+            grads = zero_grads(model)
+            _backward(model, prepared, cache, G_logits, grads)
+            del cache  # free this epoch's tape before the next forward
+            adam_step(params, grads, state, lr=lr)
     if not all(np.isfinite(arr).all() for arr in params.values()):
         raise NumericError("training left non-finite parameters")
     accuracy = evaluate(model, spec, task.val)

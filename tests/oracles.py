@@ -103,6 +103,28 @@ def triangle_count_at(g: Graph, v: int) -> int:
     )
 
 
+def clustering_direct(g: Graph, v: int) -> float:
+    """Clustering coefficient by direct neighbor-pair edge counting."""
+    nbrs = g.adjacency[v]
+    deg = len(nbrs)
+    if deg < 2:
+        return 0.0
+    nbr_set = set(nbrs)
+    links = sum(1 for u in nbrs for w in g.adjacency[u] if w > u and w in nbr_set)
+    return links / (deg * (deg - 1) / 2)
+
+
+def bin_index(value: float, edges: tuple[float, ...]) -> int:
+    """Index of the half-open bin [edges[i], edges[i+1]) holding value, by a
+    scan from the bottom; the top bin is closed and values beyond it clamp
+    into it."""
+    nbins = len(edges) - 1
+    for i in range(nbins):
+        if value < edges[i + 1]:
+            return i
+    return nbins - 1
+
+
 def random_mixed_graphs(count: int, seed: int, max_n: int = 40) -> list[Graph]:
     """Seeded graphs drawn across all three generator families."""
     graphs = []

@@ -12,7 +12,6 @@ import pytest
 
 from idgnn.cli import main as cli_main
 from idgnn.counts import (
-    clustering_direct,
     clustering_from_counts,
     identity_walk_counts,
     reachability,
@@ -30,7 +29,7 @@ from idgnn.nn import (
 )
 from idgnn.tasks import make_node_cc_task, make_spd_task, split, train
 from gradcheck import copy_params, fd_check, randomize, tie_msg1
-from oracles import bfs_distances, dense_power_diag, random_mixed_graphs
+from oracles import bfs_distances, clustering_direct, dense_power_diag, random_mixed_graphs
 
 
 @contextmanager

@@ -287,15 +287,38 @@ def test_eval_class_check_comes_before_the_task(tmp_path):
                 "--p", "0.1", "--count", "8", "--seed", "0", "--out", data]) == 0
     assert run(["train", "--data", data, "--task", "node-cc", "--epochs", "1",
                 "--layers", "1", "--hidden", "4", "--out", ckpt]) == 0
-    src = os.path.dirname(os.path.dirname(os.path.abspath(idgnn.__file__)))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [src] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])))
-    proc = subprocess.run(
-        [sys.executable, "-m", "idgnn.cli", "eval", "--model", ckpt, "--data", data,
-         "--task", "edge-spd"], capture_output=True, text=True, env=env, timeout=120)
+    proc = run_process(["eval", "--model", ckpt, "--data", data, "--task", "edge-spd"])
     assert proc.returncode == 2
     lines = proc.stderr.strip().split("\n")
     assert len(lines) == 1 and lines[0].startswith("error: ") and "output_dim" in lines[0]
+
+
+def run_process(argv):
+    """Run the CLI in a separate process, so that everything it writes to
+    stderr, numpy warnings and log records included, is seen."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(idgnn.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])))
+    return subprocess.run([sys.executable, "-m", "idgnn.cli", *argv],
+                          capture_output=True, text=True, env=env, timeout=120)
+
+
+@pytest.mark.parametrize("config", [
+    ["--flavor", "sage", "--aggregation", "max", "--variant", "id-fast"],
+    ["--flavor", "gcn", "--variant", "id-full"],
+], ids=["sage-max-id-fast", "gcn-id-full"])
+def test_train_overflow_one_stderr_line_exit_4(tmp_path, tiny_dataset, config):
+    # the first Adam step at lr = 1e308 overflows the parameters, the next
+    # forward pass meets inf and nan, and the loss check reports it; numpy
+    # warnings on the way would be further stderr lines
+    ckpt = tmp_path / "m.ckpt"
+    proc = run_process(["train", "--data", tiny_dataset, "--task", "node-cc", *config,
+                        "--epochs", "4", "--lr", "1e308", "--out", str(ckpt)])
+    assert proc.returncode == 4
+    assert proc.stdout == ""
+    lines = proc.stderr.strip().split("\n")
+    assert len(lines) == 1 and lines[0].startswith("numeric failure: ")
+    assert not ckpt.exists()
 
 
 @pytest.mark.parametrize("k_list", ["a", "3.5", "3,x", "99999999999999999999"])

@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 from idgnn import counts
 from idgnn.counts import (
     augment_features,
-    clustering_direct,
     clustering_from_counts,
     count_signatures,
     graph_signature,
@@ -21,6 +20,7 @@ from idgnn.errors import CapabilityError, InputError
 from idgnn.graph import build_graph, extract_ego, relabel_graph
 from oracles import (
     bfs_distances,
+    clustering_direct,
     count_walks_brute,
     dense_power_diag,
     random_mixed_graphs,
@@ -259,6 +259,19 @@ class TestClustering:
     def test_degenerate_low_degree(self):
         assert clustering_from_counts([1, 1, 0]) == 0.0
         assert clustering_direct(K2, 0) == 0.0
+
+    def test_matrix_gives_one_coefficient_per_row(self):
+        feats = walk_count_features(PAW, 4)
+        got = clustering_from_counts(feats)
+        assert got.dtype == np.float64 and got.shape == (4,)
+        assert got.tolist() == [clustering_from_counts(row) for row in feats]
+        assert clustering_from_counts(np.zeros((0, 3), dtype=np.int64)).shape == (0,)
+
+    @pytest.mark.parametrize("counts", [[0, 2], np.zeros((3, 2), dtype=np.int64), 5,
+                                        np.zeros((1, 1, 3), dtype=np.int64)])
+    def test_needs_three_counts(self, counts):
+        with pytest.raises(InputError):
+            clustering_from_counts(counts)
 
     def test_counts_equal_direct_everywhere(self):
         # exact rational agreement between the two routes, all families

@@ -67,7 +67,23 @@ def test_bad_graph_object_reports_line(tmp_path):
     b'{"num_nodes": 1e999, "edges": []}',
     b'{"num_nodes": 2, "edges": [[0, 1e999]]}',
     b'{"num_nodes": 2, "edges": []}\xff',
-], ids=["label-text", "label-inf", "node-label-list", "nodes-inf", "edge-inf", "not-utf8"])
+    b'{"num_nodes": 2.9, "edges": []}',
+    b'{"num_nodes": 2.0, "edges": []}',
+    b'{"num_nodes": 1e20, "edges": []}',
+    b'{"num_nodes": true, "edges": []}',
+    b'{"num_nodes": "2", "edges": []}',
+    b'{"num_nodes": 2, "edges": [[0, 1.7]]}',
+    b'{"num_nodes": 2, "edges": [["0", 1]]}',
+    b'{"num_nodes": 2, "edges": [[false, true]]}',
+    b'{"num_nodes": 2, "edges": [[0, 1]], "label": true}',
+    b'{"num_nodes": 2, "edges": [[0, 1]], "label": 1.0}',
+    b'{"num_nodes": 2, "edges": [[0, 1]], "node_labels": [0, 1.5]}',
+    b'{"num_nodes": 2, "edges": [[0, 1]], "node_labels": [true, 0]}',
+    b'{"num_nodes": 2, "edges": [[0, 1]], "node_labels": "01"}',
+], ids=["label-text", "label-inf", "node-label-list", "nodes-inf", "edge-inf", "not-utf8",
+        "nodes-fraction", "nodes-float", "nodes-1e20", "nodes-bool", "nodes-text",
+        "edge-fraction", "edge-text", "edge-bool", "label-bool", "label-float",
+        "node-label-fraction", "node-label-bool", "node-labels-text"])
 def test_bad_record_reports_line(tmp_path, line):
     path = tmp_path / "bad.jsonl"
     path.write_bytes(b'{"num_nodes": 2, "edges": []}\n' + line + b"\n")

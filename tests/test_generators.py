@@ -5,7 +5,6 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from idgnn import generators
-from idgnn.counts import clustering_direct
 from idgnn.datasets import GraphRecord, record_to_obj, dumps_canonical
 from idgnn.errors import CapabilityError, InputError
 from idgnn.generators import (
@@ -18,7 +17,7 @@ from idgnn.generators import (
 )
 from idgnn.wl import wl_graph_hash
 
-from oracles import bfs_distances, d_regular_sequential
+from oracles import bfs_distances, clustering_direct, d_regular_sequential
 
 
 class TestDRegular:

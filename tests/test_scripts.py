@@ -1,6 +1,7 @@
 """Every script under ``scripts/`` imports and parses ``--help``, and a
 malformed list flag or a value the library rejects exits 2 with one stderr
-line.
+line. ``run_trend_experiments.py`` also runs both of its tasks for one
+epoch.
 
 No other test imports the scripts, so this is what notices when one of them
 uses a public name that the package no longer has.
@@ -57,3 +58,16 @@ def test_script_rejected_value_exit_2(script, args, message):
     assert proc.returncode == 2
     lines = proc.stderr.strip().split("\n")
     assert len(lines) == 1 and "error:" in lines[0] and message in lines[0]
+
+
+def test_trend_experiments_one_epoch():
+    # both tasks, node-cc labels included, at one seed and one epoch
+    proc = run_script(ROOT / "scripts" / "run_trend_experiments.py",
+                      "--seeds", "0", "--epochs", "1")
+    assert proc.returncode == 0, proc.stderr
+    header, *rows = proc.stdout.strip().split("\n")
+    assert header == "task,flavor,variant,seed,accuracy"
+    assert [row.split(",")[:4] for row in rows] == [
+        ["node-cc", "sage", "plain", "0"], ["node-cc", "sage", "id_fast", "0"],
+        ["edge-spd", "gcn", "plain", "0"], ["edge-spd", "gcn", "id_full", "0"]]
+    assert all(0.0 <= float(row.split(",")[4]) <= 1.0 for row in rows)

@@ -20,6 +20,8 @@ from idgnn.nn import (
 )
 from idgnn.optim import loss_xent
 from idgnn.tasks import (
+    GRAPH_CC_BINS,
+    NODE_CC_BINS,
     _backward,
     _forward,
     _prepare,
@@ -33,11 +35,15 @@ from idgnn.tasks import (
     train,
 )
 from gradcheck import randomize
-from oracles import spd_pairs_sequential
+from oracles import bin_index, clustering_direct, random_mixed_graphs, spd_pairs_sequential
 
 K3 = build_graph(3, [(0, 1), (1, 2), (0, 2)])
 STAR = build_graph(5, [(0, 1), (0, 2), (0, 3), (0, 4)])
 PAW = build_graph(4, [(0, 1), (1, 2), (0, 2), (0, 3)])
+# node 0 has degree 5 and 3 links among its neighbors: c = 0.3 exactly, the
+# lower edge of node bin 3
+DEG5_ON_EDGE = build_graph(6, [(0, 1), (0, 2), (0, 3), (0, 4), (0, 5),
+                               (1, 2), (2, 3), (3, 4)])
 
 
 def tiny_dataset(count=10, seed=0):
@@ -74,6 +80,41 @@ class TestGraphCcTask:
         g = gen_small_world(12, 4, 0.0, 0)  # every node c = 0.5
         task = make_graph_cc_task([g])
         assert task.items[0].graph_label == 9
+
+
+@st.composite
+def cc_graphs(draw):
+    """Graphs on 0..12 nodes with any edges (so empty, one- and two-node
+    graphs and isolated nodes), mixed with graphs of the three generator
+    families, in any order."""
+    graphs = []
+    for n in draw(st.lists(st.integers(0, 12), max_size=5)):
+        ends = st.integers(0, max(n - 1, 0))
+        edges = draw(st.lists(st.tuples(ends, ends), max_size=3 * n)) if n else []
+        graphs.append(build_graph(n, edges))
+    graphs += random_mixed_graphs(draw(st.integers(0, 3)), draw(st.integers(0, 2**32)),
+                                  max_n=20)
+    return draw(st.permutations(graphs))
+
+
+@settings(max_examples=200, deadline=None)
+@given(graphs=cc_graphs())
+@example(graphs=[build_graph(0, []), build_graph(1, []), build_graph(2, []),
+                 build_graph(2, [(0, 1)])])
+@example(graphs=[DEG5_ON_EDGE, K3, STAR, PAW])
+# mean 3 / 12 = 0.25 exactly, the lower edge of graph bin 5
+@example(graphs=[build_graph(12, [(0, 1), (1, 2), (0, 2)])])
+def test_cc_labels_equal_direct_oracle(graphs):
+    node_task, graph_task = make_node_cc_task(graphs), make_graph_cc_task(graphs)
+    assert len(node_task.items) == len(graph_task.items) == len(graphs)
+    for g, node_item, graph_item in zip(graphs, node_task.items, graph_task.items):
+        cc = [clustering_direct(g, v) for v in range(g.num_nodes)]
+        assert node_item.graph is g and graph_item.graph is g
+        assert node_item.node_labels.dtype == np.int64
+        assert node_item.node_labels.tolist() == [bin_index(c, NODE_CC_BINS) for c in cc]
+        mean = sum(cc) / g.num_nodes if g.num_nodes else 0.0
+        assert type(graph_item.graph_label) is int
+        assert graph_item.graph_label == bin_index(mean, GRAPH_CC_BINS)
 
 
 class TestSpdTask:
