@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import io
+from collections import Counter
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -19,7 +20,7 @@ from .errors import CapabilityError, InputError
 from .generators import RNG_NAME, STREAM_SPLIT, child_seed, gen_d_regular
 from .graph import Graph
 from .nn import Model, forward_batch, input_features, make_batch
-from .wl import are_isomorphic, wl_graph_hash
+from .wl import IsoState, iso_state, isomorphic_states, wl_graph_hash
 
 PREFILTER_K = 10
 _REGEN_BUDGET_FACTOR = 50
@@ -33,10 +34,12 @@ class SignatureIndex:
 
     Differing signatures (counts.count_signatures) certify non-isomorphism,
     so a new graph is checked by exact isomorphism only against its own
-    bucket, in insertion order.
+    bucket, in insertion order. From a bucket's first collision on,
+    ``states[sig]`` holds the wl.iso_state of each of its graphs, built once.
     """
 
     buckets: dict[bytes, list[Graph]] = field(default_factory=dict)
+    states: dict[bytes, list[IsoState]] = field(default_factory=dict)
 
     def add_many(self, graphs: list[Graph]) -> list[bool]:
         """Add ``graphs`` in order, keeping each one unless it is isomorphic
@@ -49,8 +52,13 @@ class SignatureIndex:
 
     def _insert(self, g: Graph, sig: bytes) -> bool:
         bucket = self.buckets.setdefault(sig, [])
-        if any(are_isomorphic(g, other) for other in bucket):
-            return False
+        if bucket:
+            if sig not in self.states:
+                self.states[sig] = [iso_state(bucket[0])]
+            states, state = self.states[sig], iso_state(g)
+            if any(isomorphic_states(state, other) for other in states):
+                return False
+            states.append(state)
         bucket.append(g)
         return True
 
@@ -104,7 +112,6 @@ def build_nonisomorphic_pool(n: int, d: int, graph_count: int, seed: int
     """
     kept = SignatureIndex()
     pool: list[Graph] = []
-    regen = 0
     index = 0
     budget = max(graph_count, 1) * _REGEN_BUDGET_FACTOR
     while len(pool) < graph_count:
@@ -117,12 +124,8 @@ def build_nonisomorphic_pool(n: int, d: int, graph_count: int, seed: int
         candidates = [gen_d_regular(n, d, child_seed(seed, i))
                       for i in range(index, index + chunk)]
         index += chunk
-        for g, new in zip(candidates, kept.add_many(candidates)):
-            if new:
-                pool.append(g)
-            else:
-                regen += 1
-    return pool, regen
+        pool += [g for g, new in zip(candidates, kept.add_many(candidates)) if new]
+    return pool, index - len(pool)  # the candidates not kept
 
 
 def run_regular_experiment(n: int, d: int, graph_count: int, k_list,
@@ -145,12 +148,9 @@ def run_regular_experiment(n: int, d: int, graph_count: int, k_list,
     fractions = {k: len(set(count_signatures([c[:, :k] for c in walks]))) / graph_count
                  for k in k_list}
 
-    hashes = [wl_graph_hash(g) for g in pool]
-    counts: dict[int, int] = {}
-    for h in hashes:
-        counts[h] = counts.get(h, 0) + 1
-    singletons = sum(1 for h in hashes if counts[h] == 1)
-    report = ExperimentReport(
+    counts = Counter(wl_graph_hash(g) for g in pool)
+    singletons = sum(1 for c in counts.values() if c == 1)
+    return ExperimentReport(
         settings={
             "n": n,
             "d": d,
@@ -165,7 +165,6 @@ def run_regular_experiment(n: int, d: int, graph_count: int, k_list,
         wl_all_equal=len(counts) == 1,
         num_regen_for_nonisomorphism=regen,
     )
-    return report
 
 
 def certify_gnn_blindness(g: Graph, model: Model, tol: float = 1e-9) -> bool:

@@ -640,8 +640,8 @@ def make_walk_count_model(k: int) -> Model:
     Layer 1 zeroes its input and emits the identity indicator into slot 1;
     later layers shift the count vector down one slot and inject the
     indicator. All values stay nonnegative, so the ReLUs never clip and the
-    float64 arithmetic is exact integer arithmetic at desk scale. Run it on
-    extract_ego(g, v, k) with all-ones (or any) features of width k.
+    float64 arithmetic is exact integer arithmetic at desk scale. Run it as
+    forward_id_full(model, g, v, v, x), any x of width k, for node v's counts.
     """
     if k < 1:
         raise InputError(f"k must be >= 1, got {k}")

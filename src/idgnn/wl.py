@@ -11,27 +11,31 @@ WL-equivalent: wl_equivalent decides that by refining their disjoint union.
 Exact isomorphism is one backtracking search over Python-int bitsets, with
 distance constraints propagated as in VF2 (Cordella et al., IEEE TPAMI 2004)
 and the refinement idea of nauty/Traces (McKay & Piperno, J. Symb. Comput.
-2014). Each graph gets distance rings: ``rings[s][k]`` is the bitmask of the
-nodes k hops from s, plus one ring of the nodes s cannot reach. A node's
-candidate images are the nodes of the other graph with the same stable WL
-color and ring sizes. Mapping u to c leaves every unplaced x only the
-candidates in c's ring at x's distance from u, and the search branches next
-on the node with the fewest candidates. Isomorphisms preserve distances, so
-no true image is ever pruned; distance 1 is adjacency and distance 0 keeps
-images distinct, so a complete assignment is an isomorphism. 1-WL gives
-d-regular graphs one color, so on them the rings do the work: relabeled
-random 3- and 6-regular pairs with 128 nodes take n + 1 search nodes and
-about 8 ms, and non-isomorphic draws differ in ring sizes and take about
-2 ms (2 vCPUs, Python 3.11). The rings come from bitmask BFS over
-all sources at once rather than from ``graph.bfs_blocks``, whose numpy
-set-up alone costs about 0.1 ms on a 10-node graph, seven times the
-bitmask rings.
+2014). A graph's search state (iso_state) is built once: its distance rings,
+``rings[s][k]`` the bitmask of the nodes k hops from s plus one ring of the
+nodes s cannot reach, and each node's key, its stable WL color and ring
+sizes. Comparing two states (isomorphic_states) gives each node the nodes of
+the other graph with its key as candidate images. Mapping u to c leaves
+every unplaced x only the candidates in c's ring at x's distance from u, and
+the search branches next on the node with the fewest candidates.
+Isomorphisms preserve distances, so no true image is ever pruned; distance 1
+is adjacency and distance 0 keeps images distinct, so a complete assignment
+is an isomorphism. 1-WL gives d-regular graphs one color, so on them the
+rings do the work: relabeled random 3- and 6-regular pairs with 128 nodes
+take n + 1 search nodes and about 8 ms, and non-isomorphic draws differ in
+ring sizes and take about 2 ms (2 vCPUs, Python 3.11). The rings come from
+bitmask BFS over all sources at once rather than from ``graph.bfs_blocks``,
+whose numpy set-up alone costs about 0.1 ms on a 10-node graph, seven times
+the bitmask rings. expressiveness.SignatureIndex builds a graph's state
+only when its signature collides, and then once.
 """
 
 from __future__ import annotations
 
 import hashlib
+from collections import Counter
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import CapabilityError, InputError
 from .graph import Graph, build_graph
@@ -57,10 +61,7 @@ def _canonical_ranks(signatures: list) -> list[int]:
 
 
 def _histogram(colors) -> tuple[tuple[int, int], ...]:
-    counts: dict[int, int] = {}
-    for c in colors:
-        counts[c] = counts.get(c, 0) + 1
-    return tuple(sorted(counts.items()))
+    return tuple(sorted(Counter(colors).items()))
 
 
 def _stabilize(g: Graph, init_colors=None, visit=lambda colors: None):
@@ -190,40 +191,38 @@ def _extend(cand: list[int], free: int, rings1, rings2) -> bool:
     return False
 
 
-def _iso_backtrack(g1: Graph, g2: Graph, colors1, colors2) -> bool:
-    """Whether some bijection keeping WL colors and all distances maps g1
-    onto g2."""
-    rings1, rings2 = _rings(g1), _rings(g2)
-    # a candidate image shares the node's stable WL color and ring sizes
-    def keys(colors, rings):
-        return [(c, tuple(map(int.bit_count, r))) for c, r in zip(colors, rings)]
+class IsoState(NamedTuple):
+    """One graph's distance rings and node keys (stable WL color, ring sizes)."""
 
-    keys1, keys2 = keys(colors1, rings1), keys(colors2, rings2)
-    if sorted(keys1) != sorted(keys2):
+    rings: list[list[int]]
+    keys: list[tuple]
+
+
+def iso_state(g: Graph) -> IsoState:
+    """The search state of ``g``; raises CapabilityError above MAX_ISO_NODES."""
+    if g.num_nodes > MAX_ISO_NODES:
+        raise CapabilityError(f"exact isomorphism limited to {MAX_ISO_NODES} nodes")
+    rings = _rings(g)
+    return IsoState(rings, [(c, tuple(map(int.bit_count, r)))
+                            for c, r in zip(wl_refine(g).colors, rings)])
+
+
+def isomorphic_states(s1: IsoState, s2: IsoState) -> bool:
+    """Whether some bijection keeping keys and all distances maps the graph
+    of ``s1`` onto that of ``s2``. Equal key multisets imply equal node and
+    edge counts, degrees and WL histograms: ring 1 holds the neighbors (an
+    isolated node has only two rings, any other at least three), and the
+    colors make up the stable histogram."""
+    if sorted(s1.keys) != sorted(s2.keys):
         return False
     by_key: dict[tuple, int] = {}
-    for v, key in enumerate(keys2):
+    for v, key in enumerate(s2.keys):
         by_key[key] = by_key.get(key, 0) | 1 << v
-    cand = [by_key[key] for key in keys1]
-    return _extend(cand, (1 << g1.num_nodes) - 1, rings1, rings2)
+    cand = [by_key[key] for key in s1.keys]
+    return _extend(cand, (1 << len(cand)) - 1, s1.rings, s2.rings)
 
 
 def are_isomorphic(g1: Graph, g2: Graph) -> bool:
-    """Exact isomorphism test: the distance-ring search (see the module
-    docstring) after cheap size, degree and WL-histogram checks.
-
-    Desk-scale only; raises CapabilityError above MAX_ISO_NODES nodes.
-    """
-    if max(g1.num_nodes, g2.num_nodes) > MAX_ISO_NODES:
-        raise CapabilityError(
-            f"exact isomorphism limited to {MAX_ISO_NODES} nodes"
-        )
-    if g1.num_nodes != g2.num_nodes or g1.num_edges != g2.num_edges:
-        return False
-    if sorted(g1.degrees()) != sorted(g2.degrees()):
-        return False
-    c1 = wl_refine(g1)
-    c2 = wl_refine(g2)
-    if c1.histogram != c2.histogram:
-        return False
-    return _iso_backtrack(g1, g2, c1.colors, c2.colors)
+    """Exact isomorphism test: compare the two graphs' search states.
+    Desk-scale only; raises CapabilityError above MAX_ISO_NODES nodes."""
+    return isomorphic_states(iso_state(g1), iso_state(g2))

@@ -1,6 +1,7 @@
 import io
 import json
 import os
+import resource
 import struct
 import subprocess
 import sys
@@ -293,14 +294,52 @@ def test_eval_class_check_comes_before_the_task(tmp_path):
     assert len(lines) == 1 and lines[0].startswith("error: ") and "output_dim" in lines[0]
 
 
-def run_process(argv):
+def run_process(argv, env=os.environ, **kwargs):
     """Run the CLI in a separate process, so that everything it writes to
     stderr, numpy warnings and log records included, is seen."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(idgnn.__file__)))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [src] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])))
+    env = dict(env, PYTHONPATH=os.pathsep.join(
+        [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])))
     return subprocess.run([sys.executable, "-m", "idgnn.cli", *argv],
-                          capture_output=True, text=True, env=env, timeout=120)
+                          capture_output=True, text=True, env=env, timeout=120, **kwargs)
+
+
+def test_huge_num_nodes_exit_3(tmp_path):
+    # build_graph allocates per node, so the node cap must stop this one-line
+    # file before any allocation; the child's address space is limited, so a
+    # missing cap fails the message check instead of exhausting memory
+    path = tmp_path / "g.json"
+    path.write_text('{"num_nodes": 10000000000, "edges": []}')
+    limit = 2 << 30
+    proc = run_process(["wl", "hash", str(path)], preexec_fn=lambda: resource.setrlimit(
+        resource.RLIMIT_AS, (limit, limit)))
+    assert proc.returncode == 3
+    assert proc.stdout == ""
+    lines = proc.stderr.strip().split("\n")
+    assert len(lines) == 1 and lines[0].startswith("capability error: num_nodes ")
+
+
+def test_outputs_do_not_depend_on_blas_threads(tmp_path):
+    # the rerun promise holds at a fixed BLAS thread count; these outputs
+    # also agree across counts (trained parameters may not: the thread count
+    # can change how BLAS sums)
+    data, fixed = str(tmp_path / "d.jsonl"), str(tmp_path / "fixed.ckpt")
+    config = ["--task", "edge-spd", "--flavor", "gcn", "--variant", "id-full"]
+    assert run(["generate", "--family", "small-world", "--n", "20", "--k", "4", "--p", "0.2",
+                "--count", "8", "--seed", "1", "--out", data]) == 0
+    assert run(["train", "--data", data, *config, "--epochs", "3", "--out", fixed]) == 0
+    outputs = []
+    for threads in ("1", "2"):
+        out = tmp_path / threads
+        out.mkdir()
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+        for argv in (["train", "--data", data, *config, "--epochs", "0",
+                      "--out", str(out / "m.ckpt"), "--report", str(out / "r.json")],
+                     ["eval", "--model", fixed, "--data", data, "--task", "edge-spd",
+                      "--out", str(out / "e.json")]):
+            assert run_process(argv, env=env).returncode == 0
+        outputs.append([(out / name).read_bytes() for name in ("m.ckpt", "r.json", "e.json")])
+    assert outputs[0] == outputs[1]
 
 
 @pytest.mark.parametrize("config", [

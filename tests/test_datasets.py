@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from idgnn.datasets import (
+    MAX_NODES,
     GraphRecord,
     graph_from_obj,
     graph_to_obj,
@@ -12,7 +13,7 @@ from idgnn.datasets import (
     save_graph,
     save_jsonl,
 )
-from idgnn.errors import ParseError
+from idgnn.errors import CapabilityError, ParseError
 from idgnn.graph import build_graph
 
 
@@ -109,3 +110,10 @@ def test_node_labels_length_must_match(tmp_path, labels):
     with pytest.raises(ParseError) as err:
         load_jsonl(str(path))
     assert "line 2" in str(err.value) and "node_labels" in str(err.value)
+
+
+def test_num_nodes_above_cap_is_capability_error():
+    # build_graph allocates per node: the cap is checked before it runs
+    assert MAX_NODES >= 10**6
+    with pytest.raises(CapabilityError, match="num_nodes"):
+        graph_from_obj({"num_nodes": MAX_NODES + 1, "edges": []})

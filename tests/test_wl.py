@@ -9,6 +9,7 @@ from idgnn.cli import main
 from idgnn.counts import graph_signature
 from idgnn.datasets import GraphRecord, save_graph, save_jsonl
 from idgnn.errors import CapabilityError
+from idgnn.expressiveness import SignatureIndex
 from idgnn.generators import gen_d_regular, gen_small_world
 from idgnn.graph import build_graph, relabel_graph
 from idgnn import wl
@@ -349,3 +350,106 @@ class TestScale:
         with time_limit(10):
             assert main(["wl", "compare", a, b]) == 0
         assert capsys.readouterr().out.splitlines()[-1] == "verdict: isomorphic"
+
+
+def _hamilton(p, q):
+    a1, b1, c1, d1 = p
+    a2, b2, c2, d2 = q
+    return (a1 * a2 - b1 * b2 - c1 * c2 - d1 * d2, a1 * b2 + b1 * a2 + c1 * d2 - d1 * c2,
+            a1 * c2 - b1 * d2 + c1 * a2 + d1 * b2, a1 * d2 + b1 * c2 - c1 * b2 + d1 * a2)
+
+
+# The five groups of order 8 as products of element indices 0..7, identity 0:
+# Z4 x Z2 and D4 index (x, y) as 2x + y, with D4's y the reflection bit, and
+# Q8 indexes the unit quaternions +1, +i, +j, +k, -1, -i, -j, -k.
+QUATERNIONS = [tuple(s * (i == u) for i in range(4)) for s in (1, -1) for u in range(4)]
+ORDER_8_GROUPS = {
+    "Z8": lambda a, b: (a + b) % 8,
+    "Z4xZ2": lambda a, b: (a // 2 + b // 2) % 4 * 2 + (a ^ b) % 2,
+    "Z2^3": lambda a, b: a ^ b,
+    "D4": lambda a, b: (a // 2 + (-1) ** (a % 2) * (b // 2)) % 4 * 2 + (a ^ b) % 2,
+    "Q8": lambda a, b: QUATERNIONS.index(_hamilton(QUATERNIONS[a], QUATERNIONS[b])),
+}
+
+
+def latin_square_graph(mul):
+    """The Latin-square graph of an order-8 group's Cayley table: one node per
+    cell (a, b), two cells adjacent when they share a row, a column or the
+    symbol a * b. Every group gives srg(64, 21, 8, 6)."""
+    cells = [(a, b, mul(a, b)) for a in range(8) for b in range(8)]
+    return build_graph(64, [(i, j) for i in range(64) for j in range(i + 1, 64)
+                            if any(x == y for x, y in zip(cells[i], cells[j]))])
+
+
+LATIN = {name: latin_square_graph(mul) for name, mul in ORDER_8_GROUPS.items()}
+
+
+@pytest.fixture
+def search_nodes(monkeypatch):
+    """Counts of the calls of wl._extend (search nodes), wl._rings and
+    wl.wl_refine made while the test runs."""
+    calls = dict.fromkeys(["_extend", "_rings", "wl_refine"], 0)
+
+    def counting(name):
+        fn = getattr(wl, name)
+
+        def counted(*args):
+            calls[name] += 1
+            return fn(*args)
+        return counted
+
+    for name in calls:
+        monkeypatch.setattr(wl, name, counting(name))
+    return calls
+
+
+class TestLatinSquareGraphs:
+    """A hard family: 1-WL, closed-walk signatures and the distance rings
+    all agree across the five groups, so only the search separates them.
+    Z2^3 against D4 takes 125,057 search nodes and about 4 s, so it is not
+    run here."""
+
+    def test_groups_are_distinct_and_every_invariant_agrees(self):
+        def orders(mul):
+            def order(a):
+                x, k = a, 1
+                while x:
+                    x, k = mul(x, a), k + 1
+                return k
+            return sorted(map(order, range(8)))
+
+        assert len({tuple(orders(mul)) for mul in ORDER_8_GROUPS.values()}) == 5
+        for g in LATIN.values():
+            assert g.degrees() == [21] * 64 and g.num_edges == 672
+            assert graph_signature(g, 10) == graph_signature(LATIN["Z8"], 10)
+            assert wl_graph_hash(g) == wl_graph_hash(LATIN["Z8"])
+
+    @pytest.mark.parametrize("first, second, bound", [
+        ("Q8", "Z2^3", 12_161), ("Z2^3", "Q8", 14_465)])
+    def test_q8_against_z2_cubed(self, search_nodes, first, second, bound):
+        with time_limit(20):
+            assert not are_isomorphic(LATIN[first], LATIN[second])
+        assert search_nodes["_extend"] <= bound
+
+    @pytest.mark.parametrize("name", list(ORDER_8_GROUPS))
+    def test_relabeled_copy(self, search_nodes, name):
+        perm = np.random.default_rng(0).permutation(64).tolist()
+        assert are_isomorphic(LATIN[name], relabel_graph(LATIN[name], perm))
+        assert search_nodes["_extend"] <= 2 * 64
+
+    def test_index_builds_each_state_once(self, search_nodes):
+        # Q8 is alone until Z2^3 collides with it; each later graph is
+        # compared against both kept graphs from its one state
+        rng = np.random.default_rng(1)
+        q8, z2 = LATIN["Q8"], LATIN["Z2^3"]
+        graphs = [q8, z2, relabel_graph(z2, rng.permutation(64).tolist()),
+                  relabel_graph(q8, rng.permutation(64).tolist())]
+        with time_limit(40):
+            assert SignatureIndex().add_many(graphs) == [True, True, False, False]
+        assert search_nodes["_rings"] == search_nodes["wl_refine"] == 4
+        assert search_nodes["_extend"] <= 29_507
+
+    def test_index_builds_no_state_without_collision(self, search_nodes):
+        paths = [build_graph(n, [(i, i + 1) for i in range(n - 1)]) for n in range(1, 21)]
+        assert SignatureIndex().add_many(paths) == [True] * 20
+        assert search_nodes["_rings"] == search_nodes["wl_refine"] == 0
