@@ -137,4 +137,6 @@ def load_jsonl(path: str) -> list[GraphRecord]:
                 records.append(record_from_obj(obj))
             except ParseError as exc:
                 raise ParseError(str(exc), lineno) from exc
+            except CapabilityError as exc:
+                raise CapabilityError(f"line {lineno}: {exc}") from exc
     return records

@@ -25,22 +25,26 @@ sender node, so aggregation is a product with the union's scipy CSR
 adjacency (sum, mean, gin) or its normalized form (gcn), and max
 aggregation reduces, per degree k, the rows x k table of the neighbor
 messages of the rows of degree k (_GraphOps.buckets). Whole-graph batches
-run every layer on all rows. id_full layers run on receptive fields: of K
-layers, layer l reads the rows within K - l + 1 hops of their ego's center
-and writes those within K - l, since the center's output reads no other
-row, and its operators are the union's restricted to those rows. An id_full
-batch is built without a Graph per ego: one multi-source BFS per graph
-(graph.ego_union) yields the rows, depths, identity flags and CSR of all of
-that graph's ego nets as numpy arrays, which are stacked into the union's
-operators; whole graphs come from graph.union_csr. A split of a task is one
-batch: one forward and one backward per epoch. forward_plain is the batch
-of one graph and forward_id_full the batch of one anchor, so every id_full
-embedding runs on make_batch's ego net of radius num_layers.
+run every layer on all rows, laid out by graph.union_csr. id_full layers
+run on receptive fields: of K layers, layer l reads rows within K - l + 1
+hops of their ego's center and writes rows within K - l, since the
+center's output reads no other row. An id_full batch is built without a
+Graph per ego: one multi-source BFS per graph (graph.ego_union) yields the
+rows, depths, identity flags and CSR of all of that graph's ego nets as
+numpy arrays. An ego row more than l hops from its ego's identity row and
+truncated rows computes its node's whole-graph value at layer l, so each
+graph is also laid out once as whole-graph rows, and reads of such ego
+rows go to those: each identity-free row is computed once per graph, not
+once per ego (make_batch). The layer code is the same for both kinds of
+row. A split of a task is one batch: one forward and one backward per
+epoch. forward_plain is the batch of one graph and forward_id_full the
+batch of one anchor, so every id_full embedding runs on make_batch's ego
+net of radius num_layers.
 
 All tensors are float64. A forward pass asked for a tape appends to it the
 cache of each layer, which holds that layer's operators; backward walks the
 tape and returns exact gradients for every parameter (max aggregation routes
-ties to the lowest-index maximizer, ReLU uses subgradient 0 at 0).
+ties to the first maximizer in list order, ReLU uses subgradient 0 at 0).
 
 Importing the module sets glibc's allocator, process-wide, to keep freed
 blocks for reuse across epochs (_keep_freed_memory).
@@ -188,14 +192,16 @@ def init_model(config: ModelConfig) -> Model:
 
 class _GraphOps:
     """Operators of one layer over a disjoint union, built once per batch:
-    the layer reads ``n_in`` rows and writes ``n`` of them.
+    the layer reads ``n_in`` rows and writes ``n`` rows.
 
     ``deg`` and ``nbr`` are the CSR of the written rows: each one's degree
     and their concatenated ascending neighbor lists, as input positions.
     ``deg_in`` holds the degrees of the rows read (``deg`` when every row
     is written), ``identity`` their identity mask (all false unless given)
-    and ``keep`` the input position of each written row (None when every
-    row is written); ``trim`` restricts the operators to such a layer.
+    and ``keep`` the input position each written row reads as itself (None
+    when every row is written); ``trim`` builds such a layer. In an id_full
+    layer, ``nbr`` and ``keep`` may point at a whole-graph row in place of
+    an ego row of the same node, so ``keep`` may repeat (see make_batch).
 
     ``dst`` names the written row of each ``nbr`` entry. Max aggregation
     reads ``buckets``, built from these arrays on first use; sum, mean, gin
@@ -216,18 +222,24 @@ class _GraphOps:
         self.dst = np.repeat(np.arange(n), deg)
         self.inv_deg = np.where(deg > 0, 1.0 / np.maximum(deg, 1.0), 0.0)
 
-    def trim(self, rows_in: np.ndarray, rows_out: np.ndarray) -> _GraphOps:
-        """The operators of a layer that reads the ascending union rows
-        ``rows_in`` and writes ``rows_out``, a subset of them whose
-        neighbors all lie in ``rows_in``. Neighbors are renumbered
-        monotonically, so every list keeps its order: sums run in the same
-        order and max ties go to the same sender."""
+    def trim(self, rows_out: np.ndarray, read: np.ndarray,
+             order: np.ndarray) -> tuple[_GraphOps, np.ndarray]:
+        """The operators of a layer that writes the union rows ``rows_out``,
+        in that order, and reads row ``read[r]`` wherever a written row
+        reads row r, a neighbor or itself; and the rows it reads, in the
+        order of the permutation ``order``. Every list keeps its order, so
+        sums run in list order and max ties go to the first sender in it."""
+        deg = self.deg[rows_out]
+        offsets = (np.cumsum(self.deg) - self.deg)[rows_out] - (np.cumsum(deg) - deg)
+        nbr = read[self.nbr[np.repeat(offsets, deg) + np.arange(deg.sum())]]
+        keep = read[rows_out]
+        seen = np.zeros(self.n, dtype=bool)
+        seen[nbr] = seen[keep] = True
+        rows_in = order[seen[order]]
         pos = np.zeros(self.n, dtype=np.int64)
-        pos[rows_in] = np.arange(len(rows_in))
-        written = np.zeros(self.n, dtype=bool)
-        written[rows_out] = True
-        return _GraphOps(self.deg[rows_out], pos[self.nbr[written[self.dst]]],
-                         self.identity[rows_in], self.deg[rows_in], pos[rows_out])
+        pos[rows_in] = np.arange(rows_in.size)
+        return (_GraphOps(deg, pos[nbr], self.identity[rows_in], self.deg[rows_in],
+                          pos[keep]), rows_in)
 
     @cached_property
     def buckets(self) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -248,7 +260,9 @@ class _GraphOps:
 
     @cached_property
     def A_gcn(self) -> sp.csr_matrix:
-        """D^-1/2 (A + I) D^-1/2 with D the closed-neighborhood degrees."""
+        """D^-1/2 (A + I) D^-1/2 with D the closed-neighborhood degrees.
+        Building it sorts each row by input position, which follows node
+        order (see make_batch), so the self loop sums at its node's place."""
         d_out = 1.0 / np.sqrt(self.deg + 1.0)
         d_in = 1.0 / np.sqrt(self.deg_in + 1.0)
         loops = np.arange(self.n)
@@ -260,8 +274,9 @@ class _GraphOps:
 
 def _agg_max(M: np.ndarray, ops: _GraphOps):
     """Per written row, the max over neighbor rows of M, and the sending
-    neighbor of each maximum (-1 at isolated nodes). Ties go to the
-    lowest-index neighbor: the first hit in each ascending neighbor list.
+    neighbor of each maximum (-1 at isolated nodes). Ties go to the first
+    sender in list order, the neighbor of lowest node id: an id_full list
+    mixes ego rows and whole-graph rows, which make_batch orders by node.
     A NaN message makes its column's maximum NaN."""
     n, d = ops.n, M.shape[1]
     S = np.zeros((n, d))
@@ -328,11 +343,13 @@ def _kept(H: np.ndarray, ops: _GraphOps) -> np.ndarray:
 
 
 def _add_kept(G_H: np.ndarray, ops: _GraphOps, G_kept: np.ndarray) -> np.ndarray:
-    """Scatter-add the gradient of _kept(H, ops) into the gradient of H."""
+    """Scatter-add the gradient of _kept(H, ops) into the gradient of H;
+    the rows of a repeated ``keep`` position add up."""
     if ops.keep is None:
         G_H += G_kept
     else:
-        G_H[ops.keep] += G_kept
+        G_H += sp.csc_matrix((np.ones(ops.n), ops.keep, np.arange(ops.n + 1)),
+                             shape=(ops.n_in, ops.n)) @ G_kept
     return G_H
 
 
@@ -458,31 +475,39 @@ class Batch:
 
     ``layers[l]`` holds the operators of layer l + 1: whole-graph batches
     share one across every layer, while id_full layers run on receptive
-    fields (see make_batch). The last layer writes one row per embedded
-    node, in order.
+    fields and read whole-graph rows where no identity reaches (see
+    make_batch). Input row i is row ``nodes[i]`` of the stacked inputs of
+    the graphs. The last layer writes one row per embedded node, in order.
     """
 
     x: np.ndarray
     layers: list[_GraphOps]
+    nodes: np.ndarray
 
 
-def _ego_batch(ops: _GraphOps, depth: np.ndarray, x: np.ndarray,
-               num_layers: int) -> Batch:
-    """Batch over a disjoint union of ego nets, ``ops`` with the identity
-    masks, whose rows lie ``depth`` hops from their ego's center and have
-    inputs ``x``, run by ``num_layers`` layers.
-
-    Layer l reads the rows R_{l-1} and writes R_l, the rows within
-    num_layers - l hops of their ego's center (R_0 is every row): the
-    center's output reads nothing else, and a row within h hops has all its
-    neighbors within h + 1. R_num_layers is the centers, one row per ego.
-    """
-    layers, rows = [], np.arange(ops.n)
-    for hops in range(num_layers - 1, -1, -1):
-        written = np.flatnonzero(depth <= hops)
-        layers.append(ops.trim(rows, written))
-        rows = written
-    return Batch(x, layers)
+def _ego_layout(graphs, anchors, k: int) -> tuple[_GraphOps, np.ndarray, np.ndarray]:
+    """The ego nets of radius ``k`` around the anchors of make_batch, one
+    ego_union per graph, stacked into one disjoint union: its operators,
+    with the identity masks, and per row its hops from its ego's center and
+    its node in the disjoint union of the graphs."""
+    if anchors is None:
+        anchors = [None] * len(graphs)
+    none = np.zeros(0, dtype=np.int64)
+    deg, nbr, depth, identity, node = [none], [none], [none], [none > 0], [none]
+    rows = nodes = 0
+    for g, pairs in zip(graphs, anchors):
+        pairs = (np.repeat(np.arange(g.num_nodes), 2) if pairs is None
+                 else np.asarray(pairs)).reshape(-1, 2)
+        union = ego_union(g, pairs[:, 0], pairs[:, 1], k)
+        deg.append(union.deg)
+        nbr.append(rows + union.nbr)
+        depth.append(union.depth)
+        identity.append(union.identity)
+        node.append(nodes + union.parent)
+        rows += union.parent.size
+        nodes += g.num_nodes
+    return (_GraphOps(np.concatenate(deg), np.concatenate(nbr), np.concatenate(identity)),
+            np.concatenate(depth), np.concatenate(node))
 
 
 def make_batch(model: Model, graphs, xs, anchors=None) -> Batch:
@@ -491,35 +516,52 @@ def make_batch(model: Model, graphs, xs, anchors=None) -> Batch:
     Plain and id_fast models embed every node of every graph, in order.
     id_full models embed each ``(center, identity)`` anchor of graph i
     (``anchors[i]``; by default every node anchored at itself) through its
-    own ego net of radius num_layers; an identity outside the ball leaves
-    that ego's mask empty. Each graph's ego nets come from one ego_union,
-    one search from all of its centers, and their rows, inputs and CSR are
-    stacked straight into the batch.
+    own ego net of radius K = num_layers; an identity outside the ball
+    leaves that ego's mask empty. Each graph's ego nets come from one
+    ego_union (_ego_layout).
+
+    An ego row's layer-l value equals its node's whole-graph value when the
+    row lies more than l hops, within its ego, from the identity row and
+    from every truncated row (a depth-K row with fewer neighbors than its
+    node). One level sweep over the egos' CSR finds these hops. Every read
+    of such a row, by a neighbor (``nbr``) or by itself (``keep``, which may
+    then repeat), goes to the whole-graph row of its node instead: the
+    graphs are laid out once more as whole-graph rows (graph.union_csr).
+    From the centers down, each layer writes the ego and whole-graph rows
+    the next one reads. A kept whole-graph row stands for ego rows of its
+    node that are dropped, so no layer reads or writes more rows than the
+    ego nets alone would. Rows are ordered by node, so every neighbor list
+    ascends and sums run in the order of the ego nets.
     """
     cfg = model.config
     xs = [_check_features(cfg, g, x) for g, x in zip(graphs, xs)]
-    empty = [np.zeros((0, cfg.input_dim))]
+    x = np.concatenate([np.zeros((0, cfg.input_dim))] + xs)
+    indptr, nbr = union_csr(graphs)
+    whole = _GraphOps(np.diff(indptr), nbr)
     if cfg.variant != "id_full":
-        indptr, nbr = union_csr(graphs)
-        ops = _GraphOps(np.diff(indptr), nbr)
-        return Batch(np.concatenate(empty + xs), [ops] * cfg.num_layers)
-    if anchors is None:
-        anchors = [None] * len(graphs)
-    none = np.zeros(0, dtype=np.int64)
-    deg, nbr, depth, identity = [none], [none], [none], [np.zeros(0, dtype=bool)]
-    inputs, rows = list(empty), 0
-    for g, x, pairs in zip(graphs, xs, anchors):
-        pairs = (np.repeat(np.arange(g.num_nodes), 2) if pairs is None
-                 else np.asarray(pairs)).reshape(-1, 2)
-        union = ego_union(g, pairs[:, 0], pairs[:, 1], cfg.num_layers)
-        deg.append(union.deg)
-        nbr.append(rows + union.nbr)
-        depth.append(union.depth)
-        identity.append(union.identity)
-        inputs.append(x[union.parent])
-        rows += union.parent.size
-    ops = _GraphOps(np.concatenate(deg), np.concatenate(nbr), np.concatenate(identity))
-    return _ego_batch(ops, np.concatenate(depth), np.concatenate(inputs), cfg.num_layers)
+        return Batch(x, [whole] * cfg.num_layers, np.arange(whole.n))
+    k = cfg.num_layers
+    ego, depth, node = _ego_layout(graphs, anchors, k)
+    e = ego.n
+    far = ~(ego.identity | (depth == k) & (ego.deg < whole.deg[node]))
+    # per row of the union of ego rows and whole-graph rows: the hops from
+    # the nearest identity or truncated ego row, up to k (0 on whole-graph
+    # rows, which read themselves)
+    hops = np.zeros(e + whole.n, dtype=np.int64)
+    for _ in range(k):
+        hops[:e] += far
+        far[ego.dst[~far[ego.nbr]]] = False
+    union = _GraphOps(np.concatenate([ego.deg, whole.deg]),
+                      np.concatenate([ego.nbr, e + whole.nbr]),
+                      np.concatenate([ego.identity, np.zeros(whole.n, dtype=bool)]))
+    own = np.arange(union.n)
+    node = np.concatenate([node, own[:whole.n]])
+    order = np.argsort(node, kind="stable")
+    layers, rows = [], np.flatnonzero(depth == 0)
+    for l in range(k - 1, -1, -1):
+        layer, rows = union.trim(rows, np.where(hops <= l, own, e + node), order)
+        layers.insert(0, layer)
+    return Batch(x[node[rows]], layers, node[rows])
 
 
 def zero_grads(model: Model) -> dict[str, np.ndarray]:
@@ -575,7 +617,7 @@ def forward_id_full(model: Model, g: Graph, center: int, identity_at: int,
 def backward_id_full(model: Model, tape: list[dict], g_center: np.ndarray,
                      grads: dict[str, np.ndarray] | None = None):
     """Backpropagate the center gradient of a one-anchor id_full pass;
-    returns (grads, gradient with respect to the ego net's input rows)."""
+    returns (grads, gradient with respect to the batch's input rows)."""
     return backward_layers(model, tape, np.reshape(g_center, (1, -1)), grads)
 
 

@@ -12,15 +12,18 @@ import hashlib
 
 import numpy as np
 
-from idgnn.graph import Graph
+from idgnn.graph import Graph, build_graph
 from idgnn.nn import (
     Model,
+    ModelConfig,
+    _ego_layout,
     backward_layers,
     edge_pair_backward,
     edge_pair_score,
     forward_batch,
     head_backward,
     head_logits,
+    init_model,
     make_batch,
     zero_grads,
 )
@@ -63,17 +66,44 @@ def copy_params(dst: Model, src: Model) -> None:
         arr[...] = src.params[name]
 
 
+def shared_rows_case(flavor: str, aggregation: str = "", seed: int = 0):
+    """An id_full case whose batch reads whole-graph rows, some of them as
+    the own row of several ego rows (a repeated ``keep``): a path of 6
+    nodes, 3 layers, identities 2 or more hops from their centers and
+    repeated centers. Returns (model, graph, inputs, labels, anchors)."""
+    g = build_graph(6, [(i, i + 1) for i in range(5)])
+    anchors = [(0, 2), (0, 3), (5, 3), (5, 2), (1, 4), (4, 1), (2, 5)]
+    model = init_model(ModelConfig(flavor=flavor, variant="id_full", aggregation=aggregation,
+                                   num_layers=3, hidden_dim=3, input_dim=2, output_dim=3,
+                                   seed=seed))
+    randomize(model, seed=seed + 50)
+    rng = np.random.default_rng(seed)
+    return model, g, rng.normal(size=(6, 2)), rng.integers(0, 3, size=len(anchors)), anchors
+
+
+def assert_shares_rows(model: Model, g: Graph, x: np.ndarray, anchors) -> None:
+    """The one-graph batch of ``anchors`` reads fewer rows than its ego nets
+    would alone, and some layer's ``keep`` repeats."""
+    k = model.config.num_layers
+    batch = make_batch(model, [g], [x], [anchors])
+    depth = _ego_layout([g], [anchors], k)[1]
+    assert sum(ops.n_in for ops in batch.layers) < sum(
+        int((depth <= k - l).sum()) for l in range(k))
+    assert any(np.unique(ops.keep).size < ops.keep.size for ops in batch.layers)
+
+
 def model_loss(model: Model, g: Graph, x: np.ndarray, labels: np.ndarray,
-               record: bool = False):
+               record: bool = False, anchors=None):
     """Composite loss exercising layers, the linear head, and the pair head.
 
     The graph runs as one batch (id_full models embed each node through its
-    ego network). The loss is cross-entropy on per-node head logits plus
-    cross-entropy on one pair score.
+    ego network, or each of ``anchors`` when given). The loss is
+    cross-entropy on per-row head logits plus cross-entropy on one pair
+    score.
     """
     tape: list = []
     pair_caches: list = []
-    batch = make_batch(model, [g], [x])
+    batch = make_batch(model, [g], [x], None if anchors is None else [anchors])
     H = forward_batch(model, batch, tape)
     logits = head_logits(model, H)
     node_loss, G_logits = loss_xent(logits, labels)
@@ -93,10 +123,10 @@ def model_loss(model: Model, g: Graph, x: np.ndarray, labels: np.ndarray,
 
 
 def fd_check(model: Model, g: Graph, x: np.ndarray, labels: np.ndarray,
-             h: float = 1e-5, rel_tol: float = 1e-4):
-    """Check every coordinate of every tensor; returns
+             h: float = 1e-5, rel_tol: float = 1e-4, anchors=None):
+    """Check every coordinate of every tensor of model_loss; returns
     (checked, excluded, worst_rel_err, failures)."""
-    _, _, grads = model_loss(model, g, x, labels, record=True)
+    _, _, grads = model_loss(model, g, x, labels, record=True, anchors=anchors)
     checked = excluded = 0
     worst = 0.0
     failures = []
@@ -106,9 +136,9 @@ def fd_check(model: Model, g: Graph, x: np.ndarray, labels: np.ndarray,
         for idx in range(flat.size):
             orig = flat[idx]
             flat[idx] = orig + h
-            lp, pat_p, _ = model_loss(model, g, x, labels)
+            lp, pat_p, _ = model_loss(model, g, x, labels, anchors=anchors)
             flat[idx] = orig - h
-            lm, pat_m, _ = model_loss(model, g, x, labels)
+            lm, pat_m, _ = model_loss(model, g, x, labels, anchors=anchors)
             flat[idx] = orig
             if pat_p != pat_m:
                 excluded += 1

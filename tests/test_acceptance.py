@@ -28,7 +28,14 @@ from idgnn.nn import (
     make_walk_count_model,
 )
 from idgnn.tasks import make_node_cc_task, make_spd_task, split, train
-from gradcheck import copy_params, fd_check, randomize, tie_msg1
+from gradcheck import (
+    assert_shares_rows,
+    copy_params,
+    fd_check,
+    randomize,
+    shared_rows_case,
+    tie_msg1,
+)
 from oracles import bfs_distances, clustering_direct, dense_power_diag, random_mixed_graphs
 
 
@@ -174,6 +181,16 @@ def test_criterion_7_gradient_correctness():
                     )
                     assert not failures, (flavor, variant, seed, failures[:3])
                     assert checked > 0
+            # id_full batches reading whole-graph rows, some of them as the
+            # own row of several ego rows
+            for seed in range(5):
+                m, g, x, labels, anchors = shared_rows_case(flavor, seed=seed)
+                assert_shares_rows(m, g, x, anchors)
+                checked, excluded, worst, failures = fd_check(
+                    m, g, x, labels, h=1e-5, rel_tol=1e-4, anchors=anchors
+                )
+                assert not failures, (flavor, "shared rows", seed, failures[:3])
+                assert checked > 0
 
 
 def test_criterion_8_reduction_property():

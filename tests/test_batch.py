@@ -5,8 +5,15 @@ One forward and one backward over make_batch must give the same row
 embeddings, parameter gradients and input gradients, to within 1e-12, as
 one-graph batches through backward_layers (plain, id_fast) or one-anchor
 batches through backward_id_full (id_full), and as
-oracles.dense_reference, which runs every row of every layer. The id_full
-operators themselves must equal, array for array, those built from
+oracles.dense_reference, which runs every row of every layer. Input
+gradients are compared summed onto the rows of each graph's inputs: an
+id_full batch reads a node's input through one whole-graph row wherever
+its egos' rows compute the plain value.
+
+An id_full batch must also give the embeddings, bit for bit, of the
+unshared batch of the same ego layout, in which every ego net computes
+alone, and read and write no more rows in any layer. The ego layout itself
+must equal, array for array, the one built from
 oracles.ego_by_induced_edges one anchor at a time and laid out as one union
 by oracles.union_by_adjacency.
 """
@@ -18,8 +25,9 @@ from hypothesis import given, settings, strategies as st
 from idgnn import graph
 from idgnn.graph import build_graph, extract_ego
 from idgnn.nn import (
+    Batch,
     ModelConfig,
-    _ego_batch,
+    _ego_layout,
     _GraphOps,
     backward_id_full,
     backward_layers,
@@ -39,8 +47,8 @@ TOL = 1e-12
 
 
 @st.composite
-def graphs_with_isolated_nodes(draw):
-    n = draw(st.integers(1, 7))
+def graphs_with_isolated_nodes(draw, max_n=7):
+    n = draw(st.integers(1, max_n))
     isolated = draw(st.integers(0, 2))
     pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
     return build_graph(n + isolated, draw(st.lists(pairs, max_size=2 * n)))
@@ -68,6 +76,25 @@ def assert_grads_close(a, b):
         np.testing.assert_allclose(a[name], b[name], rtol=0, atol=TOL, err_msg=name)
 
 
+def onto_inputs(nodes, G_x, num_nodes):
+    """Input-row gradients ``G_x`` summed onto the stacked input rows
+    ``nodes`` of graphs with ``num_nodes`` nodes in all."""
+    out = np.zeros((num_nodes, G_x.shape[1]))
+    np.add.at(out, nodes, G_x)
+    return out
+
+
+def unshared_batch(ops, depth, node, x, num_layers):
+    """The id_full batch of an ego layout with no whole-graph rows: each ego
+    net computes alone, its rows in ego-major order. ``x`` stacks the
+    graphs' inputs."""
+    every, layers, rows = np.arange(ops.n), [], np.flatnonzero(depth == 0)
+    for _ in range(num_layers):
+        layer, rows = ops.trim(rows, every, every)
+        layers.insert(0, layer)
+    return Batch(x[node[rows]], layers, node[rows])
+
+
 @given(cases())
 @settings(max_examples=200, deadline=None)
 def test_batch_equals_per_item(case):
@@ -84,29 +111,33 @@ def test_batch_equals_per_item(case):
     grads, G_x = backward_layers(model, tape, G_rows)
 
     ref_grads = zero_grads(model)
-    rows, G_x_ref = [], []
+    rows, G_x_ref = [], [np.zeros((g.num_nodes, 2)) for g in graphs]
     if full:
-        items = [(g, x, u, v) for g, x, pairs in zip(graphs, xs, anchors) for u, v in pairs]
-        for (g, x, u, v), g_row in zip(items, G_rows):
+        items = [(i, u, v) for i, pairs in enumerate(anchors) for u, v in pairs]
+        for (i, u, v), g_row in zip(items, G_rows):
             item_tape = []
-            rows.append(forward_batch(model, make_batch(model, [g], [x], [[(u, v)]]),
-                                      item_tape)[0])
-            G_x_ref.append(backward_id_full(model, item_tape, g_row, ref_grads)[1])
-        outside = sum(not any(extract_ego(g, u, cfg.num_layers, identity_at=v).identity_mask)
-                      for g, _, u, v in items)
+            item = make_batch(model, [graphs[i]], [xs[i]], [[(u, v)]])
+            rows.append(forward_batch(model, item, item_tape)[0])
+            G_item = backward_id_full(model, item_tape, g_row, ref_grads)[1]
+            G_x_ref[i] += onto_inputs(item.nodes, G_item, graphs[i].num_nodes)
+        outside = sum(not any(extract_ego(graphs[i], u, cfg.num_layers,
+                                          identity_at=v).identity_mask)
+                      for i, u, v in items)
         assert batch.layers[0].identity.sum() == len(items) - outside
     else:
         offset = 0
-        for g, x in zip(graphs, xs):
+        for i, (g, x) in enumerate(zip(graphs, xs)):
             item_tape = []
-            rows.append(forward_batch(model, make_batch(model, [g], [x]), item_tape))
+            item = make_batch(model, [g], [x])
+            rows.append(forward_batch(model, item, item_tape))
             G_item = G_rows[offset:offset + g.num_nodes]
-            G_x_ref.append(backward_layers(model, item_tape, G_item, ref_grads)[1])
+            G_item = backward_layers(model, item_tape, G_item, ref_grads)[1]
+            G_x_ref[i] += onto_inputs(item.nodes, G_item, g.num_nodes)
             offset += g.num_nodes
     expected = np.concatenate([np.zeros((0, cfg.hidden_dim))] + [np.atleast_2d(r) for r in rows])
     np.testing.assert_allclose(H, expected, rtol=0, atol=TOL)
-    np.testing.assert_allclose(G_x, np.concatenate([np.zeros((0, 2))] + G_x_ref),
-                               rtol=0, atol=TOL)
+    np.testing.assert_allclose(onto_inputs(batch.nodes, G_x, sum(g.num_nodes for g in graphs)),
+                               np.concatenate(G_x_ref), rtol=0, atol=TOL)
     assert_grads_close(grads, ref_grads)
 
 
@@ -131,7 +162,17 @@ def test_batch_equals_dense_oracle(scheme, variant, data):
     grads, G_x = backward_layers(model, tape, G_rows)
     H_ref, grads_ref, G_x_ref = dense_reference(model, graphs, xs, anchors, G_rows)
     np.testing.assert_allclose(H, H_ref, rtol=0, atol=TOL)
-    np.testing.assert_allclose(G_x, G_x_ref, rtol=0, atol=TOL)
+    # dense_reference stacks each unit's local inputs: every ego's or graph's
+    starts = np.cumsum([0] + [g.num_nodes for g in graphs])
+    if variant == "id_full":
+        ref_nodes = [start + np.array(ego_by_induced_edges(g, u, cfg.num_layers).to_parent,
+                                      dtype=np.int64)
+                     for g, start, pairs in zip(graphs, starts, anchors) for u, _ in pairs]
+    else:
+        ref_nodes = [np.arange(starts[-1])]
+    ref_nodes = np.concatenate([np.zeros(0, dtype=np.int64)] + ref_nodes)
+    np.testing.assert_allclose(onto_inputs(batch.nodes, G_x, starts[-1]),
+                               onto_inputs(ref_nodes, G_x_ref, starts[-1]), rtol=0, atol=TOL)
     assert_grads_close(grads, grads_ref)
 
 
@@ -144,16 +185,18 @@ def test_identity_outside_ball_runs_plain_scheme():
     model = init_model(cfg)
     randomize(model, seed=5)
     x = np.random.default_rng(2).normal(size=(5, 2))
-    batch = make_batch(model, [g], [x], [[(0, 3), (4, 4), (2, 4), (1, 1)]])
+    anchors = [(0, 3), (4, 4), (2, 4), (1, 1)]
+    batch = unshared_batch(*_ego_layout([g], [anchors], 1), x, 1)
     # egos {0, 1}, {4}, {1, 2, 3}, {0, 1, 2}
     assert batch.layers[0].n_in == 9
     assert center_rows(batch).tolist() == [0, 2, 4, 7]
     assert batch.layers[0].identity.tolist() == [False, False, True, False, False, False,
                                                  False, True, False]
-    H = forward_batch(model, batch)
-    for row, (u, v) in zip(H, [(0, 3), (4, 4), (2, 4), (1, 1)]):
-        np.testing.assert_allclose(row, forward_id_full(model, g, u, v, x),
-                                   rtol=0, atol=TOL)
+    for H in (forward_batch(model, batch),
+              forward_batch(model, make_batch(model, [g], [x], [anchors]))):
+        for row, (u, v) in zip(H, anchors):
+            np.testing.assert_allclose(row, forward_id_full(model, g, u, v, x),
+                                       rtol=0, atol=TOL)
 
 
 def center_rows(batch):
@@ -183,29 +226,85 @@ def test_id_full_operators_equal_oracle_egos(data):
     anchors = [data.draw(st.sampled_from([None, pairs, []])) for pairs in anchors]
     if data.draw(st.booleans()):
         anchors = None
-    model = init_model(cfg)
+    k = cfg.num_layers
     rng = np.random.default_rng(seed)
-    xs = [rng.normal(size=(g.num_nodes, 2)) for g in graphs]
+    x = np.concatenate([rng.normal(size=(g.num_nodes, 2)) for g in graphs])
     cells = data.draw(st.sampled_from([None, 1, 2, 3, 5, 8, 13]))
     with pytest.MonkeyPatch.context() as mp:
         if cells is not None:
             mp.setattr(graph, "_BFS_BLOCK_CELLS", cells)
-        batch = make_batch(model, graphs, xs, anchors)
+        batch = unshared_batch(*_ego_layout(graphs, anchors, k), x, k)
 
-    egos, ego_xs = [], [np.zeros((0, 2))]
-    for i, (g, x) in enumerate(zip(graphs, xs)):
+    egos, nodes, start = [], [np.zeros(0, dtype=np.int64)], 0
+    for i, g in enumerate(graphs):
         pairs = anchors[i] if anchors is not None else None
         for u, v in [(v, v) for v in range(g.num_nodes)] if pairs is None else pairs:
-            egos.append(ego_by_induced_edges(g, u, cfg.num_layers, identity_at=v))
-            ego_xs.append(x[list(egos[-1].to_parent)])
+            egos.append(ego_by_induced_edges(g, u, k, identity_at=v))
+            nodes.append(start + np.array(egos[-1].to_parent, dtype=np.int64))
+        start += g.num_nodes
     identity = np.array([f for ego in egos for f in ego.identity_mask], dtype=bool)
     depth = np.array([d for ego in egos for d in ego.depth], dtype=np.int64)
     indptr, nbr = union_by_adjacency([ego.subgraph for ego in egos])
-    ref = _ego_batch(_GraphOps(np.diff(indptr), nbr, identity), depth,
-                     np.concatenate(ego_xs), cfg.num_layers)
+    ref = unshared_batch(_GraphOps(np.diff(indptr), nbr, identity), depth,
+                         np.concatenate(nodes), x, k)
 
-    assert len(batch.layers) == len(ref.layers) == cfg.num_layers
+    assert len(batch.layers) == len(ref.layers) == k
     for ops, ref_ops in zip(batch.layers, ref.layers):
         assert_ops_equal(ops, ref_ops)
     np.testing.assert_array_equal(center_rows(batch), center_rows(ref))
     assert batch.x.tobytes() == ref.x.tobytes() and batch.x.shape == ref.x.shape
+    np.testing.assert_array_equal(batch.nodes, ref.nodes)
+
+
+@st.composite
+def sharing_cases(draw, scheme):
+    # graphs large enough for radius-4 egos to be truncated; identities
+    # outside the ball, repeated anchors and centers that are their own
+    # identity
+    flavor, agg = scheme
+    cfg = ModelConfig(flavor=flavor, variant="id_full", aggregation=agg,
+                      num_layers=draw(st.integers(1, 4)), hidden_dim=3, input_dim=2,
+                      output_dim=2, seed=draw(st.integers(0, 9)))
+    graphs = draw(st.lists(graphs_with_isolated_nodes(max_n=12), min_size=1, max_size=3))
+    anchors = []
+    for g in graphs:
+        nodes = st.integers(0, g.num_nodes - 1)
+        pairs = draw(st.lists(st.tuples(nodes, nodes), max_size=4))
+        if pairs:
+            pairs += draw(st.lists(st.sampled_from(pairs), max_size=2))
+        anchors.append(pairs + [(v, v) for v in draw(st.lists(nodes, max_size=2))])
+    return cfg, graphs, anchors, draw(st.integers(0, 2**31))
+
+
+@pytest.mark.parametrize("scheme", SCHEMES, ids=lambda s: "-".join(s))
+def test_shared_batch_equals_unshared(scheme):
+    shares = []
+
+    @given(sharing_cases(scheme))
+    @settings(max_examples=60, deadline=None)
+    def check(case):
+        cfg, graphs, anchors, seed = case
+        model = init_model(cfg)
+        randomize(model, seed=seed % 1000)
+        rng = np.random.default_rng(seed)
+        xs = [rng.normal(size=(g.num_nodes, 2)) for g in graphs]
+        k, n = cfg.num_layers, sum(g.num_nodes for g in graphs)
+        batch = make_batch(model, graphs, xs, anchors)
+        ref = unshared_batch(*_ego_layout(graphs, anchors, k), np.concatenate(xs), k)
+        for ops, ref_ops in zip(batch.layers, ref.layers):
+            assert ops.n_in <= ref_ops.n_in and ops.n <= ref_ops.n
+        shares.append(sum(ops.n_in for ops in batch.layers)
+                      < sum(ops.n_in for ops in ref.layers))
+        tape, ref_tape = [], []
+        H = forward_batch(model, batch, tape)
+        H_ref = forward_batch(model, ref, ref_tape)
+        assert H.shape == H_ref.shape and H.tobytes() == H_ref.tobytes()
+        G_rows = rng.normal(size=H.shape)
+        grads, G_x = backward_layers(model, tape, G_rows)
+        grads_ref, G_x_ref = backward_layers(model, ref_tape, G_rows)
+        assert_grads_close(grads, grads_ref)
+        np.testing.assert_allclose(onto_inputs(batch.nodes, G_x, n),
+                                   onto_inputs(ref.nodes, G_x_ref, n), rtol=0, atol=TOL)
+
+    check()
+    assert sum(shares) >= 10, shares

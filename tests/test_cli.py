@@ -319,6 +319,21 @@ def test_huge_num_nodes_exit_3(tmp_path):
     assert len(lines) == 1 and lines[0].startswith("capability error: num_nodes ")
 
 
+def test_huge_num_nodes_names_its_line(tmp_path):
+    # the node cap is checked per dataset line, like every malformed field
+    path = tmp_path / "d.jsonl"
+    path.write_text('{"num_nodes": 2, "edges": [[0, 1]]}\n'
+                    '{"num_nodes": 10000000000, "edges": []}\n')
+    limit = 2 << 30
+    proc = run_process(["wl", "dedupe", "--data", str(path), "--out", str(tmp_path / "o.jsonl")],
+                       preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)))
+    assert proc.returncode == 3
+    assert proc.stdout == ""
+    assert proc.stderr == ("capability error: line 2: num_nodes 10000000000 "
+                           "is above the limit of 1000000\n")
+    assert not (tmp_path / "o.jsonl").exists()
+
+
 def test_outputs_do_not_depend_on_blas_threads(tmp_path):
     # the rerun promise holds at a fixed BLAS thread count; these outputs
     # also agree across counts (trained parameters may not: the thread count

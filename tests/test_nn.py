@@ -27,7 +27,15 @@ from idgnn.nn import (
     zero_grads,
 )
 from idgnn.tasks import _forward, _prepare, make_graph_cc_task, make_node_cc_task, split, train
-from gradcheck import copy_params, fd_check, model_loss, randomize, tie_msg1
+from gradcheck import (
+    assert_shares_rows,
+    copy_params,
+    fd_check,
+    model_loss,
+    randomize,
+    shared_rows_case,
+    tie_msg1,
+)
 
 P3 = build_graph(3, [(0, 1), (1, 2)])
 K3 = build_graph(3, [(0, 1), (1, 2), (0, 2)])
@@ -317,6 +325,17 @@ class TestGradients:
         x = rng.normal(size=(8, 2))
         labels = rng.integers(0, 3, size=8)
         checked, excluded, worst, failures = fd_check(m, g, x, labels)
+        assert not failures, failures[:3]
+        assert checked > 0
+        assert worst < 1e-4
+
+    @pytest.mark.parametrize("flavor,aggregation", [("gcn", "mean"), ("sage", "sum"),
+                                                    ("sage", "mean"), ("sage", "max"),
+                                                    ("gin", "sum")])
+    def test_fd_check_shared_rows(self, flavor, aggregation):
+        m, g, x, labels, anchors = shared_rows_case(flavor, aggregation)
+        assert_shares_rows(m, g, x, anchors)
+        checked, excluded, worst, failures = fd_check(m, g, x, labels, anchors=anchors)
         assert not failures, failures[:3]
         assert checked > 0
         assert worst < 1e-4
