@@ -4,11 +4,12 @@ Node ids are dense 0-based integers. Graphs are frozen after construction
 and safe to share across threads; all functions here are pure.
 
 There is one BFS, ``bfs_blocks``: a level-synchronous search from many
-sources at once over the graph's CSR arrays, run on blocks of sources, and
-one ego-net builder on top of it, ``ego_union``, which lays out the ego nets
-of many anchors of a graph as one disjoint union of numpy arrays;
-``extract_ego`` is its one-anchor view.
-``union_csr`` lays out whole graphs as one disjoint union of CSR arrays.
+sources at once over the CSR arrays of a disjoint union of graphs
+(``union_csr``), run on blocks of sources, so a whole split of graphs takes
+one multi-source BFS, not one per graph. One ego-net builder sits on top of
+it, ``ego_union``, which lays out the ego nets of many anchors of many
+graphs as one disjoint union of numpy arrays; ``extract_ego`` is its
+one-anchor view.
 """
 
 from __future__ import annotations
@@ -21,8 +22,8 @@ import numpy as np
 from .errors import InputError
 
 # Sources searched together in one bfs_blocks block are limited so that the
-# block's visited table, one byte per (source, node) cell, stays within
-# this many cells.
+# block's visited table, one byte per (source, node) cell with as many cells
+# per source as the largest graph has nodes, stays within this many cells.
 _BFS_BLOCK_CELLS = 1 << 21
 
 
@@ -94,8 +95,7 @@ class EgoNet:
     depth: tuple[int, ...]
 
 
-def _check_node(g_or_n, v: int, name: str = "node") -> None:
-    n = g_or_n if isinstance(g_or_n, int) else g_or_n.num_nodes
+def _check_node(n: int, v: int, name: str = "node") -> None:
     if not (isinstance(v, (int, np.integer)) and 0 <= v < n):
         raise InputError(f"{name} {v!r} out of range for graph with {n} nodes")
 
@@ -137,44 +137,81 @@ def build_graph(num_nodes: int, edges, node_features=None) -> Graph:
     return Graph(num_nodes, edge_tuple, adjacency, feats)
 
 
-def _neighbors_of(g: Graph, nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The concatenated ascending neighbor lists of ``nodes``, and the
-    length of each list."""
-    indptr, indices = g.csr
+def _neighbors_of(indptr: np.ndarray, indices: np.ndarray,
+                  nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The concatenated ascending neighbor lists of ``nodes`` in the CSR
+    arrays ``(indptr, indices)``, and the length of each list."""
     start = indptr[nodes]
     count = indptr[nodes + 1] - start
     offsets = np.repeat(start - (np.cumsum(count) - count), count)
     return indices[offsets + np.arange(offsets.size)], count
 
 
-def bfs_blocks(g: Graph, sources, cap: int):
-    """Hop distances, up to ``cap``, from every node of ``sources`` (node
-    ids, repeats allowed), searched level by level from many sources at
-    once.
+def _node_ids(ids, sizes, name: str) -> np.ndarray:
+    """``ids`` as a flat int64 array; InputError unless every one is an
+    integer in ``[0, sizes)``, where ``sizes`` is one node count or one per
+    id."""
+    ids = np.asarray(ids).reshape(-1)
+    if ids.size and ids.dtype.kind not in "iu":
+        raise InputError(f"{name} ids must be integers, got {ids.dtype}")
+    bad = (ids < 0) | (ids >= sizes)
+    if bad.any():
+        i = int(np.flatnonzero(bad)[0])
+        _check_node(int(np.broadcast_to(sizes, ids.shape)[i]), int(ids[i]), name)
+    return ids.astype(np.int64)
 
-    Sources are taken in consecutive blocks, as many as keep a block's
-    visited table within _BFS_BLOCK_CELLS cells. For each block this yields
-    ``(lo, cells, depth)``: the block holds ``sources[lo:lo + b]``, and
-    ``cells`` lists every (source, node) pair within ``cap`` hops as
-    ``(i - lo) * num_nodes + node``, ascending, so source-major with
-    ascending node ids; ``depth`` is the hop distance of each. A level
-    expands the whole frontier of the block at once: the neighbor lists of
-    its cells, minus the cells already seen.
+
+def _layout(graphs, csr) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The disjoint union of ``graphs`` as bfs_blocks searches it: its CSR
+    arrays (``csr``, or union_csr(graphs) when None), and each graph's node
+    count and first union node id."""
+    indptr, indices = union_csr(graphs) if csr is None else csr
+    sizes = np.array([g.num_nodes for g in graphs], dtype=np.int64)
+    return indptr, indices, sizes, np.cumsum(sizes) - sizes
+
+
+def _block_size(w: int) -> int:
+    """Sources per bfs_blocks block when the largest graph has ``w`` nodes."""
+    return max(1, _BFS_BLOCK_CELLS // max(w, 1))
+
+
+def bfs_blocks(graphs, sources, cap: int, csr=None):
+    """Hop distances, up to ``cap``, from every node of ``sources``,
+    searched level by level from many sources of many graphs at once.
+
+    Sources are node ids of the disjoint union of ``graphs`` as union_csr
+    lays it out (repeats allowed); ``csr`` is union_csr(graphs) when the
+    caller has it. Let ``w`` be the node count of the largest graph. Sources
+    are taken in consecutive blocks, as many as keep a block's visited
+    table, ``w`` one-byte cells per source, within _BFS_BLOCK_CELLS cells.
+    For each block this yields ``(lo, cells, depth)``: the block holds
+    ``sources[lo:lo + b]``, and ``cells`` lists every (source i, node v)
+    pair within ``cap`` hops as ``(i - lo) * w + v - f``, with ``f`` the
+    first node of i's graph, ascending, so source-major with ascending node
+    ids; for one graph that is ``(i - lo) * num_nodes + v``. ``depth`` is
+    the hop distance of each. A level expands the whole frontier of the
+    block at once: the neighbor lists of its cells, minus the cells already
+    seen. A search never leaves its source's graph, so the cells of a
+    source name nodes of its graph only.
     """
     if cap < 0:
         raise InputError(f"cap must be nonnegative, got {cap}")
-    n = g.num_nodes
-    sources = _node_ids(g, sources, "source")
-    per_block = max(1, _BFS_BLOCK_CELLS // max(n, 1))
-    seen = np.zeros(min(per_block, sources.size) * n, dtype=bool)
+    indptr, indices, sizes, starts = _layout(graphs, csr)
+    sources = _node_ids(sources, sizes.sum(), "source")
+    first = np.repeat(starts, sizes)[sources]
+    w = int(sizes.max(initial=0))
+    per_block = _block_size(w)
+    seen = np.zeros(min(per_block, sources.size) * w, dtype=bool)
     for lo in range(0, sources.size, per_block):
         block = sources[lo:lo + per_block]
-        frontier = np.arange(block.size) * n + block
+        # the cell of (block source j, union node v) is v + shift[j]
+        shift = np.arange(block.size) * w - first[lo:lo + per_block]
+        frontier = block + shift
         seen[frontier] = True
         levels = [frontier]
         for _ in range(cap):
-            nodes = frontier % n
-            nbrs, count = _neighbors_of(g, nodes)
+            nodes = frontier - shift[frontier // w]
+            nbrs, count = _neighbors_of(indptr, indices, nodes)
             reached = np.repeat(frontier - nodes, count) + nbrs
             reached = np.sort(reached[~seen[reached]])
             if not reached.size:
@@ -192,14 +229,15 @@ def bfs_blocks(g: Graph, sources, cap: int):
 
 @dataclass(frozen=True)
 class EgoUnion:
-    """The K-hop ego nets of several anchors of one graph, laid out as one
+    """The K-hop ego nets of anchors of several graphs, laid out as one
     disjoint union of rows: ego by ego in anchor order, and within an ego
     by ascending parent id (EgoNet's local order).
 
-    Per row: ``parent`` (parent-graph id), ``depth`` (hops from the ego's
-    center) and ``identity`` (the row is its ego's identity node). ``deg`` and ``nbr`` hold the union's CSR: each
-    row's parent neighbor list filtered to the ego's ball, as ascending
-    union row ids.
+    Per row: ``parent`` (node id in the disjoint union of the graphs, as
+    union_csr lays it out), ``depth`` (hops from the ego's center) and
+    ``identity`` (the row is its ego's identity node). ``deg`` and ``nbr``
+    hold the union's CSR: each row's parent neighbor list filtered to the
+    ego's ball, as ascending union row ids.
     """
 
     parent: np.ndarray
@@ -209,44 +247,53 @@ class EgoUnion:
     nbr: np.ndarray
 
 
-def _node_ids(g: Graph, ids, name: str) -> np.ndarray:
-    """``ids`` as a flat int64 array; InputError unless every one is an
-    integer node id of ``g``."""
-    ids = np.asarray(ids).reshape(-1)
-    if ids.size and ids.dtype.kind not in "iu":
-        raise InputError(f"{name} ids must be integers, got {ids.dtype}")
-    bad = (ids < 0) | (ids >= g.num_nodes)
-    if bad.any():
-        _check_node(g, int(ids[bad][0]), name)
-    return ids.astype(np.int64)
+def ego_union(graphs, anchors, k: int, csr=None) -> EgoUnion:
+    """The induced K-hop ego nets around the anchors of ``graphs``:
+    ``anchors[i]`` lists graph i's ``(center, identity)`` pairs of node ids,
+    or is None for every node anchored at itself, and ``anchors`` None
+    anchors every node of every graph so. An identity outside its ball
+    colors no row (see EgoNet). ``csr`` is union_csr(graphs) when the
+    caller has it.
 
-
-def ego_union(g: Graph, centers, identities, k: int) -> EgoUnion:
-    """The induced K-hop ego nets around ``centers``, anchor i colored at
-    ``identities[i]``; an identity outside its ball colors no row (see
-    EgoNet).
-
-    One bfs_blocks search from all centers finds every ball. Each row's
-    neighbor list is its parent's, looked up among the rows of the same
-    ego: parent lists are ascending and union row ids grow with parent ids
+    One bfs_blocks search from all centers, shifted by the nodes of the
+    graphs before theirs, finds every ball. Each row's neighbor list is its
+    parent's, looked up among the rows of the same ego through a table of
+    each block cell's row, filled and cleared as the search's visited table
+    is: parent lists are ascending and union row ids grow with parent ids
     inside an ego, so every list stays ascending.
     """
     if k < 0:
         raise InputError(f"k must be nonnegative, got {k}")
-    centers = _node_ids(g, centers, "center")
-    identities = _node_ids(g, identities, "identity_at")
+    indptr, indices, sizes, starts = _layout(graphs, csr)
+    if anchors is None:
+        centers = identities = np.arange(sizes.sum())
+        first = np.repeat(starts, sizes)
+    else:
+        pairs = [np.repeat(np.arange(n), 2) if a is None else np.asarray(a)
+                 for n, a in zip(sizes.tolist(), anchors)]
+        counts = [p.size // 2 for p in pairs]
+        n_of, first = np.repeat(sizes[:len(pairs)], counts), np.repeat(starts[:len(pairs)], counts)
+        pairs = np.concatenate([np.zeros((0, 2), dtype=np.int64)]
+                               + [p.reshape(-1, 2) for p in pairs if p.size])
+        centers = first + _node_ids(pairs[:, 0], n_of, "center")
+        identities = first + _node_ids(pairs[:, 1], n_of, "identity_at")
+    w = int(sizes.max(initial=0))
     none = np.zeros(0, dtype=np.int64)
-    n, parts, rows = g.num_nodes, [(none, none, none > 0, none, none)], 0
-    for lo, cells, depth in bfs_blocks(g, centers, k):
-        local, parent = np.divmod(cells, n)
-        nbrs, count = _neighbors_of(g, parent)
+    parts, rows = [(none, none, none > 0, none, none)], 0
+    row_of = np.full(min(_block_size(w), centers.size) * w, -1, dtype=np.int32)
+    for lo, cells, depth in bfs_blocks(graphs, centers, k, (indptr, indices)):
+        local = cells // w
+        parent = cells - local * w + first[lo + local]
+        nbrs, count = _neighbors_of(indptr, indices, parent)
         wanted = np.repeat(cells - parent, count) + nbrs
-        pos = np.searchsorted(cells, wanted)
-        hit = cells[np.minimum(pos, cells.size - 1)] == wanted
+        row_of[cells] = np.arange(cells.size, dtype=np.int32)
+        found = row_of[wanted]
+        row_of[cells] = -1
+        hit = found >= 0
         kept = np.concatenate([[0], np.cumsum(hit)])
         ends = np.cumsum(count)
         parts.append((parent, depth, parent == identities[lo + local],
-                      kept[ends] - kept[ends - count], rows + pos[hit]))
+                      kept[ends] - kept[ends - count], rows + found[hit].astype(np.int64)))
         rows += cells.size
     return EgoUnion(*(np.concatenate(arrays) for arrays in zip(*parts)))
 
@@ -262,7 +309,7 @@ def extract_ego(g: Graph, center: int, k: int, identity_at: int | None = None) -
     BFS distances are kept as ``depth``.
     """
     identity = center if identity_at is None else identity_at
-    union = ego_union(g, [center], [identity], k)
+    union = ego_union([g], [[(center, identity)]], k, g.csr)
     parents = tuple(union.parent.tolist())
     nbr, ends = union.nbr.tolist(), np.cumsum(union.deg).tolist()
     adjacency = tuple(tuple(nbr[end - d:end]) for end, d in zip(ends, union.deg.tolist()))

@@ -29,8 +29,8 @@ run every layer on all rows, laid out by graph.union_csr. id_full layers
 run on receptive fields: of K layers, layer l reads rows within K - l + 1
 hops of their ego's center and writes rows within K - l, since the
 center's output reads no other row. An id_full batch is built without a
-Graph per ego: one multi-source BFS per graph (graph.ego_union) yields the
-rows, depths, identity flags and CSR of all of that graph's ego nets as
+Graph per ego: one multi-source BFS per split (graph.ego_union) yields the
+rows, depths, identity flags and CSR of all of the split's ego nets as
 numpy arrays. An ego row more than l hops from its ego's identity row and
 truncated rows computes its node's whole-graph value at layer l, so each
 graph is also laid out once as whole-graph rows, and reads of such ego
@@ -260,15 +260,19 @@ class _GraphOps:
 
     @cached_property
     def A_gcn(self) -> sp.csr_matrix:
-        """D^-1/2 (A + I) D^-1/2 with D the closed-neighborhood degrees.
-        Building it sorts each row by input position, which follows node
-        order (see make_batch), so the self loop sums at its node's place."""
+        """D^-1/2 (A + I) D^-1/2 with D the closed-neighborhood degrees,
+        built straight as CSR: one stable sort of the entries by row, then
+        input position, which follows node order (see make_batch), so the
+        self loop sums at its node's place."""
         d_out = 1.0 / np.sqrt(self.deg + 1.0)
         d_in = 1.0 / np.sqrt(self.deg_in + 1.0)
         loops = np.arange(self.n)
         rows = np.concatenate([self.dst, loops])
         cols = np.concatenate([self.nbr, loops if self.keep is None else self.keep])
-        return sp.csr_matrix((d_out[rows] * d_in[cols], (rows, cols)),
+        order = np.argsort(rows * self.n_in + cols, kind="stable")
+        rows, cols = rows[order], cols[order]
+        indptr = np.concatenate([[0], np.cumsum(self.deg + 1)])
+        return sp.csr_matrix((d_out[rows] * d_in[cols], cols, indptr),
                              shape=(self.n, self.n_in))
 
 
@@ -485,29 +489,15 @@ class Batch:
     nodes: np.ndarray
 
 
-def _ego_layout(graphs, anchors, k: int) -> tuple[_GraphOps, np.ndarray, np.ndarray]:
-    """The ego nets of radius ``k`` around the anchors of make_batch, one
-    ego_union per graph, stacked into one disjoint union: its operators,
-    with the identity masks, and per row its hops from its ego's center and
-    its node in the disjoint union of the graphs."""
-    if anchors is None:
-        anchors = [None] * len(graphs)
-    none = np.zeros(0, dtype=np.int64)
-    deg, nbr, depth, identity, node = [none], [none], [none], [none > 0], [none]
-    rows = nodes = 0
-    for g, pairs in zip(graphs, anchors):
-        pairs = (np.repeat(np.arange(g.num_nodes), 2) if pairs is None
-                 else np.asarray(pairs)).reshape(-1, 2)
-        union = ego_union(g, pairs[:, 0], pairs[:, 1], k)
-        deg.append(union.deg)
-        nbr.append(rows + union.nbr)
-        depth.append(union.depth)
-        identity.append(union.identity)
-        node.append(nodes + union.parent)
-        rows += union.parent.size
-        nodes += g.num_nodes
-    return (_GraphOps(np.concatenate(deg), np.concatenate(nbr), np.concatenate(identity)),
-            np.concatenate(depth), np.concatenate(node))
+def _ego_layout(graphs, anchors, k: int,
+                csr=None) -> tuple[_GraphOps, np.ndarray, np.ndarray]:
+    """The ego nets of radius ``k`` around the anchors of make_batch, from
+    one ego_union over all the graphs (``csr`` is their union_csr when the
+    caller has it): their operators, with the identity masks, and per row
+    its hops from its ego's center and its node in the disjoint union of
+    the graphs."""
+    union = ego_union(graphs, anchors, k, csr)
+    return _GraphOps(union.deg, union.nbr, union.identity), union.depth, union.parent
 
 
 def make_batch(model: Model, graphs, xs, anchors=None) -> Batch:
@@ -517,8 +507,8 @@ def make_batch(model: Model, graphs, xs, anchors=None) -> Batch:
     id_full models embed each ``(center, identity)`` anchor of graph i
     (``anchors[i]``; by default every node anchored at itself) through its
     own ego net of radius K = num_layers; an identity outside the ball
-    leaves that ego's mask empty. Each graph's ego nets come from one
-    ego_union (_ego_layout).
+    leaves that ego's mask empty. All ego nets come from one ego_union
+    over the graphs (_ego_layout).
 
     An ego row's layer-l value equals its node's whole-graph value when the
     row lies more than l hops, within its ego, from the identity row and
@@ -541,7 +531,7 @@ def make_batch(model: Model, graphs, xs, anchors=None) -> Batch:
     if cfg.variant != "id_full":
         return Batch(x, [whole] * cfg.num_layers, np.arange(whole.n))
     k = cfg.num_layers
-    ego, depth, node = _ego_layout(graphs, anchors, k)
+    ego, depth, node = _ego_layout(graphs, anchors, k, (indptr, nbr))
     e = ego.n
     far = ~(ego.identity | (depth == k) & (ego.deg < whole.deg[node]))
     # per row of the union of ego rows and whole-graph rows: the hops from

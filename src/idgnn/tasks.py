@@ -12,10 +12,10 @@ conditional embedding of u with identity at v and a linear head, while plain
 and id_fast concatenate two independent node embeddings into the pair MLP.
 id_fast inputs carry log(1 + count) closed-walk columns (nn.input_features).
 
-SPD labels come from one multi-source BFS per graph (graph.bfs_blocks)
-from every node, stopped at 4 hops: pairs farther apart and disconnected
-pairs share the ">= 5" class. Class pools are arrays of pair numbers in
-np.triu_indices order.
+SPD labels come from one multi-source BFS per split (graph.bfs_blocks)
+from every node of every graph, stopped at 4 hops: pairs farther apart and
+disconnected pairs share the ">= 5" class. Class pools are arrays of pair
+numbers in np.triu_indices order, read off one stable argsort per graph.
 
 Each split is prepared once as one nn.Batch: the disjoint union of its
 graphs (plain, id_fast) or of the ego nets of its labelled units (id_full),
@@ -150,41 +150,59 @@ def make_graph_cc_task(graphs) -> TaskData:
                            for g, label in zip(graphs, _bins(spec, means).tolist())])
 
 
-def _spd_classes(g: Graph) -> np.ndarray:
-    """The n x n matrix of distance classes (-1 on the diagonal). Pairs
-    farther than SPD_CLASSES - 1 hops, or not connected, are all in the last
-    class, so the search stops at that many hops."""
-    n = g.num_nodes
-    dist = np.full(n * n, SPD_CLASSES, dtype=np.int8)
-    for lo, cells, depth in bfs_blocks(g, np.arange(n), SPD_CLASSES - 1):
-        dist[lo * n + cells] = depth
-    return dist.reshape(n, n) - 1
+def _spd_classes(graphs) -> tuple[np.ndarray, np.ndarray]:
+    """The distance class of every pair u < v of every graph, graph after
+    graph and each graph's pairs in np.triu_indices order, and the index
+    where each graph's pairs end. Pairs farther than SPD_CLASSES - 1 hops,
+    or not connected, are all in the last class, so one search from every
+    node of every graph (graph.bfs_blocks) stops at that many hops."""
+    sizes = np.array([g.num_nodes for g in graphs], dtype=np.int64)
+    counts = sizes * (sizes - 1) // 2
+    classes = np.full(counts.sum(), SPD_CLASSES - 1, dtype=np.int8)
+    n = np.repeat(sizes, sizes)
+    u = np.arange(n.size) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+    # pair (u, v), u < v, is pair u * (2n - u - 1) / 2 + v - u - 1 of its graph
+    base = np.repeat(np.cumsum(counts) - counts, sizes) + u * (2 * n - u - 1) // 2 - u - 1
+    w = int(sizes.max(initial=0))
+    for lo, cells, depth in bfs_blocks(graphs, np.arange(n.size), SPD_CLASSES - 1):
+        src, v = np.divmod(cells, w)
+        src += lo
+        upper = v > u[src]
+        classes[base[src[upper]] + v[upper]] = depth[upper] - 1
+    return classes, np.cumsum(counts)
 
 
 def make_spd_task(graphs, pairs_per_graph: int, seed: int) -> TaskData:
     """Sample node pairs per graph, labeled by thresholded shortest-path
     distance (classes: 1, 2, 3, 4, >=5), stratified per class where possible.
 
-    The pairs u < v of a graph are numbered in np.triu_indices order. Each
-    class draws its share without replacement from its pool of pair numbers;
-    pairs still missing are drawn from what the classes left over, and the
+    The pairs u < v of a graph are numbered in np.triu_indices order, and a
+    class's pool lists its pair numbers in ascending order. Each class
+    draws its share without replacement from its pool; pairs still missing
+    are drawn from what the classes left over, in class order, and the
     chosen pairs are returned in ascending (u, v) order.
     """
     if pairs_per_graph < 1:
         raise InputError("pairs_per_graph must be >= 1")
     spec = TASK_SPECS["edge_spd"]
+    classes, ends = _spd_classes(graphs)
+    quota, extra = divmod(pairs_per_graph, SPD_CLASSES)
+    wants = [quota + (1 if c < extra else 0) for c in range(SPD_CLASSES)]
     none = np.zeros(0, dtype=np.int64)
-    items = []
+    triu, items = {}, []
     for gi, g in enumerate(graphs):
         rng = np.random.Generator(np.random.PCG64(child_seed(seed, gi)))
-        u, v = np.triu_indices(g.num_nodes, 1)
-        classes = _spd_classes(g)[u, v]
-        quota = pairs_per_graph // SPD_CLASSES
-        extra = pairs_per_graph % SPD_CLASSES
-        chosen, leftovers = [none], [none]
-        for c in range(SPD_CLASSES):
-            pool = np.flatnonzero(classes == c)
-            want = quota + (1 if c < extra else 0)
+        n = g.num_nodes
+        if n not in triu:
+            triu[n] = np.triu_indices(n, 1)
+        u, v = triu[n]
+        cls = classes[ends[gi] - u.size:ends[gi]]
+        # the pools, class after class, each in ascending order
+        order = np.argsort(cls, kind="stable")
+        bounds = np.concatenate([[0], np.cumsum(np.bincount(cls, minlength=SPD_CLASSES))])
+        chosen = [none]
+        for c, want in enumerate(wants):
+            pool = order[bounds[c]:bounds[c + 1]]
             if not pool.size:
                 if want:
                     log.warning(
@@ -194,15 +212,17 @@ def make_spd_task(graphs, pairs_per_graph: int, seed: int) -> TaskData:
                 continue
             idx = rng.choice(pool.size, size=min(want, pool.size), replace=False)
             chosen.append(pool[idx])
-            leftovers.append(np.delete(pool, idx))
-        picked, rest = np.concatenate(chosen), np.concatenate(leftovers)
+        picked = np.concatenate(chosen)
+        taken = np.zeros(cls.size, dtype=bool)
+        taken[picked] = True
+        rest = order[~taken[order]]
         short = pairs_per_graph - picked.size
         if short > 0 and rest.size:
             idx = rng.choice(rest.size, size=min(short, rest.size), replace=False)
             picked = np.concatenate([picked, rest[idx]])
         picked = np.sort(picked)
         items.append(LabeledGraph(graph=g, pairs=list(zip(
-            u[picked].tolist(), v[picked].tolist(), classes[picked].tolist()))))
+            u[picked].tolist(), v[picked].tolist(), cls[picked].tolist()))))
     return TaskData(spec, items)
 
 

@@ -2,7 +2,11 @@
 
 Everything here is deliberately naive (exhaustive enumeration, dense matrix
 powers, Floyd-Warshall, dense message passing one graph at a time) and
-shares no code with the package paths it checks.
+shares no code with the package paths it checks. The exceptions are the
+per-graph references (ego_layout_per_graph, spd_task_per_graph): the
+earlier numpy implementations, which search one graph at a time through the
+one-graph calls of graph.bfs_blocks and graph.ego_union, themselves checked
+against Floyd-Warshall and ego_by_induced_edges.
 """
 
 from __future__ import annotations
@@ -14,7 +18,7 @@ import numpy as np
 
 from idgnn.errors import CapabilityError
 from idgnn.generators import GeneratorSpec, child_seed, gen_d_regular, generate_one
-from idgnn.graph import EgoNet, Graph, build_graph
+from idgnn.graph import EgoNet, Graph, bfs_blocks, build_graph, ego_union
 
 
 def count_walks_brute(g: Graph, start: int, end: int, length: int) -> int:
@@ -297,6 +301,68 @@ def spd_pairs_sequential(graphs, pairs_per_graph: int, seed: int):
             idx = rng.choice(len(leftovers), size=min(short, len(leftovers)), replace=False)
             chosen.extend(leftovers[int(i)] for i in sorted(idx))
         out.append(sorted(chosen))
+    return out, warnings
+
+
+def ego_layout_per_graph(graphs, anchors, k: int):
+    """nn._ego_layout one graph at a time: one one-graph ego_union per
+    graph, stacked. Returns (deg, nbr, identity, depth, node), with nbr as
+    union rows and node as ids in the disjoint union of the graphs."""
+    if anchors is None:
+        anchors = [None] * len(graphs)
+    none = np.zeros(0, dtype=np.int64)
+    deg, nbr, identity, depth, node = [none], [none], [none > 0], [none], [none]
+    rows = nodes = 0
+    for g, pairs in zip(graphs, anchors):
+        union = ego_union([g], [pairs], k, g.csr)
+        deg.append(union.deg)
+        nbr.append(rows + union.nbr)
+        identity.append(union.identity)
+        depth.append(union.depth)
+        node.append(nodes + union.parent)
+        rows += union.parent.size
+        nodes += g.num_nodes
+    return tuple(np.concatenate(a) for a in (deg, nbr, identity, depth, node))
+
+
+def spd_task_per_graph(graphs, pairs_per_graph: int, seed: int):
+    """tasks.make_spd_task one graph at a time: an n x n class matrix from
+    a one-graph bfs_blocks search, pools from np.flatnonzero per class and
+    leftovers from np.delete. Returns the (u, v, class) pairs of each graph
+    and the warnings logged for empty classes, in order."""
+    classes_count = 5
+    none = np.zeros(0, dtype=np.int64)
+    out, warnings = [], []
+    for gi, g in enumerate(graphs):
+        rng = np.random.Generator(np.random.PCG64(child_seed(seed, gi)))
+        n = g.num_nodes
+        dist = np.full(n * n, classes_count, dtype=np.int8)
+        for lo, cells, depth in bfs_blocks([g], np.arange(n), classes_count - 1):
+            dist[lo * n + cells] = depth
+        u, v = np.triu_indices(n, 1)
+        classes = (dist.reshape(n, n) - 1)[u, v]
+        quota = pairs_per_graph // classes_count
+        extra = pairs_per_graph % classes_count
+        chosen, leftovers = [none], [none]
+        for c in range(classes_count):
+            pool = np.flatnonzero(classes == c)
+            want = quota + (1 if c < extra else 0)
+            if not pool.size:
+                if want:
+                    warnings.append(f"graph {gi}: no pairs at distance class {c}, "
+                                    "class skipped")
+                continue
+            idx = rng.choice(pool.size, size=min(want, pool.size), replace=False)
+            chosen.append(pool[idx])
+            leftovers.append(np.delete(pool, idx))
+        picked, rest = np.concatenate(chosen), np.concatenate(leftovers)
+        short = pairs_per_graph - picked.size
+        if short > 0 and rest.size:
+            idx = rng.choice(rest.size, size=min(short, rest.size), replace=False)
+            picked = np.concatenate([picked, rest[idx]])
+        picked = np.sort(picked)
+        out.append(list(zip(u[picked].tolist(), v[picked].tolist(),
+                            classes[picked].tolist())))
     return out, warnings
 
 

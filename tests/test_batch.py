@@ -20,9 +20,11 @@ by oracles.union_by_adjacency.
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
 from idgnn import graph
+from idgnn.errors import InputError
 from idgnn.graph import build_graph, extract_ego
 from idgnn.nn import (
     Batch,
@@ -38,7 +40,12 @@ from idgnn.nn import (
     zero_grads,
 )
 from gradcheck import randomize
-from oracles import dense_reference, ego_by_induced_edges, union_by_adjacency
+from oracles import (
+    dense_reference,
+    ego_by_induced_edges,
+    ego_layout_per_graph,
+    union_by_adjacency,
+)
 
 SCHEMES = [("gcn", "mean"), ("sage", "sum"), ("sage", "mean"), ("sage", "max"),
            ("gin", "sum")]
@@ -254,6 +261,78 @@ def test_id_full_operators_equal_oracle_egos(data):
     np.testing.assert_array_equal(center_rows(batch), center_rows(ref))
     assert batch.x.tobytes() == ref.x.tobytes() and batch.x.shape == ref.x.shape
     np.testing.assert_array_equal(batch.nodes, ref.nodes)
+
+
+@st.composite
+def split_layouts(draw):
+    """Graphs of mixed sizes, with empty graphs (n = 0) and isolated nodes;
+    per graph None (every node at itself), no anchors or arbitrary pairs,
+    whose identities often fall outside the ball, or None for every graph;
+    a radius; and 1-3 sources per search block, or the default."""
+    graphs = []
+    for n in draw(st.lists(st.integers(0, 9), max_size=5)):
+        ends = st.integers(0, max(n - 1, 0))
+        graphs.append(build_graph(n, draw(st.lists(st.tuples(ends, ends), max_size=n + 2))
+                                  if n else []))
+    anchors = []
+    for g in graphs:
+        nodes = st.integers(0, max(g.num_nodes - 1, 0))
+        pairs = st.lists(st.tuples(nodes, nodes), min_size=1, max_size=5)
+        choices = [st.none(), st.just([])] + ([pairs] if g.num_nodes else [])
+        anchors.append(draw(st.one_of(choices)))
+    if draw(st.booleans()):
+        anchors = None
+    return graphs, anchors, draw(st.integers(0, 4)), draw(st.sampled_from([None, 1, 2, 3]))
+
+
+@given(split_layouts())
+@settings(max_examples=300, deadline=None)
+def test_ego_layout_equals_per_graph(case):
+    # one search over the split gives the arrays of one search per graph
+    graphs, anchors, k, per_block = case
+    width = max((g.num_nodes for g in graphs), default=0)
+    with pytest.MonkeyPatch.context() as mp:
+        if per_block is not None:
+            mp.setattr(graph, "_BFS_BLOCK_CELLS", per_block * width)
+        ops, depth, node = _ego_layout(graphs, anchors, k)
+    ref = ego_layout_per_graph(graphs, anchors, k)
+    for name, got, want in zip(("deg", "nbr", "identity", "depth", "node"),
+                               (ops.deg, ops.nbr, ops.identity, depth, node), ref):
+        np.testing.assert_array_equal(got, want, err_msg=name)
+        assert got.dtype == want.dtype, name
+
+
+def test_ego_layout_checks_anchors_per_graph():
+    # node 2 exists in the union of the two graphs, but not in graph 0
+    graphs = [build_graph(2, [(0, 1)]), build_graph(3, [(0, 1)])]
+    with pytest.raises(InputError, match="center 2 out of range for graph with 2 nodes"):
+        _ego_layout(graphs, [[(2, 0)], None], 1)
+    with pytest.raises(InputError, match="identity_at 3 out of range for graph with 3 nodes"):
+        _ego_layout(graphs, [None, [(0, 1), (1, 3)]], 1)
+    with pytest.raises(InputError, match="center ids must be integers"):
+        _ego_layout(graphs, [[], [(0.5, 1)]], 1)
+
+
+@given(cases())
+@settings(max_examples=150, deadline=None)
+def test_gcn_operator_equals_coo_construction(case):
+    # A_gcn is built straight as CSR; scipy's COO route gives the same arrays
+    cfg, graphs, anchors, seed = case
+    rng = np.random.default_rng(seed)
+    xs = [rng.normal(size=(g.num_nodes, 2)) for g in graphs]
+    batch = make_batch(init_model(cfg), graphs, xs,
+                       anchors if cfg.variant == "id_full" else None)
+    for ops in batch.layers:
+        loops = np.arange(ops.n)
+        rows = np.concatenate([np.repeat(loops, ops.deg), loops])
+        cols = np.concatenate([ops.nbr, loops if ops.keep is None else ops.keep])
+        data = (1.0 / np.sqrt(ops.deg + 1.0))[rows] * (1.0 / np.sqrt(ops.deg_in + 1.0))[cols]
+        ref = sp.csr_matrix((data, (rows, cols)), shape=(ops.n, ops.n_in))
+        got = ops.A_gcn
+        assert got.shape == ref.shape
+        for name in ("indptr", "indices", "data"):
+            np.testing.assert_array_equal(getattr(got, name), getattr(ref, name), err_msg=name)
+            assert getattr(got, name).dtype == getattr(ref, name).dtype, name
 
 
 @st.composite

@@ -28,6 +28,18 @@ def edges_strategy(max_n=30):
     )
 
 
+@st.composite
+def graph_lists(draw):
+    """Up to 5 graphs with n = 0..8 and any edges, so 0-node graphs, edgeless
+    graphs and isolated nodes all occur; the empty list too."""
+    graphs = []
+    for n in draw(st.lists(st.integers(0, 8), max_size=5)):
+        ends = st.integers(0, max(n - 1, 0))
+        graphs.append(build_graph(n, draw(st.lists(st.tuples(ends, ends), max_size=2 * n))
+                                  if n else []))
+    return graphs
+
+
 class TestBuildGraph:
     def test_triangle(self):
         g = build_graph(3, [(0, 1), (1, 2), (0, 2)])
@@ -100,7 +112,7 @@ class TestBfs:
     def test_bad_source(self):
         g = build_graph(2, [(0, 1)])
         with pytest.raises(InputError):
-            list(bfs_blocks(g, [5], 1))
+            list(bfs_blocks([g], [5], 1))
 
     @given(edges_strategy())
     @settings(max_examples=40)
@@ -125,7 +137,7 @@ class TestBfsBlocks:
     def capped_distances(g, sources, cap):
         dist = np.full((len(sources), g.num_nodes), -1, dtype=np.int64)
         starts = []
-        for lo, cells, depth in bfs_blocks(g, sources, cap):
+        for lo, cells, depth in bfs_blocks([g], sources, cap):
             assert np.all(np.diff(cells) > 0)  # source-major, ascending nodes
             starts.append(lo)
             dist.reshape(-1)[lo * g.num_nodes + cells] = depth
@@ -157,13 +169,57 @@ class TestBfsBlocks:
         D = floyd_warshall(g)
         np.testing.assert_array_equal(dist, np.where(D <= 2, D, -1))
 
+    @pytest.mark.parametrize("per_block", [1, 2, 3])
+    @given(graphs=graph_lists(), cap=st.integers(0, 9), data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_many_graphs_match_floyd_warshall(self, per_block, graphs, cap, data):
+        # sources are union ids of graphs of mixed sizes, with repeats; cells
+        # are laid out per the largest graph, whatever the source's size
+        sizes = np.array([g.num_nodes for g in graphs], dtype=np.int64)
+        starts, total = np.cumsum(sizes) - sizes, int(sizes.sum())
+        width = int(sizes.max(initial=0))
+        sources = list(range(total))
+        if total:
+            sources += data.draw(st.lists(st.integers(0, total - 1), max_size=4))
+        graph_of = np.repeat(np.arange(len(graphs)), sizes)[sources]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(graph, "_BFS_BLOCK_CELLS", per_block * width)
+            blocks = list(bfs_blocks(graphs, sources, cap))
+        assert [lo for lo, _, _ in blocks] == list(range(0, len(sources), per_block))
+        dist = np.full((len(sources), width), -1, dtype=np.int64)
+        for lo, cells, depth in blocks:
+            assert np.all(np.diff(cells) > 0)  # source-major, ascending nodes
+            local, v = np.divmod(cells, width)
+            assert np.all(local < min(per_block, len(sources) - lo))
+            # no cell of a source names a node outside the source's graph
+            assert np.all(v < sizes[graph_of[lo + local]])
+            dist[lo + local, v] = depth
+        for i, s in enumerate(sources):
+            gi = graph_of[i]
+            n = int(sizes[gi])
+            D = floyd_warshall(graphs[gi])[s - starts[gi]]
+            np.testing.assert_array_equal(dist[i, :n], np.where(D <= cap, D, -1))
+            assert np.all(dist[i, n:] == -1)
+
+    def test_cells_of_a_smaller_graph(self):
+        # a 2-node path, then a 4-node path (union nodes 2..5): w = 4, and a
+        # source's cells are (i - lo) * 4 + its node minus its graph's first
+        a = build_graph(2, [(0, 1)])
+        b = build_graph(4, [(0, 1), (1, 2), (2, 3)])
+        ((lo, cells, depth),) = bfs_blocks([a, b], [2, 5, 0], 2)
+        assert lo == 0
+        assert cells.tolist() == [0, 1, 2, 5, 6, 7, 8, 9]
+        assert depth.tolist() == [0, 1, 2, 2, 1, 0, 0, 1]
+        with pytest.raises(InputError):
+            list(bfs_blocks([a, b], [6], 1))
+
     def test_no_sources_and_empty_graph(self):
-        assert list(bfs_blocks(build_graph(3, [(0, 1)]), [], 2)) == []
-        assert list(bfs_blocks(build_graph(0, []), [], 2)) == []
+        assert list(bfs_blocks([build_graph(3, [(0, 1)])], [], 2)) == []
+        assert list(bfs_blocks([build_graph(0, [])], [], 2)) == []
 
     def test_negative_cap(self):
         with pytest.raises(InputError):
-            list(bfs_blocks(build_graph(2, [(0, 1)]), [0], -1))
+            list(bfs_blocks([build_graph(2, [(0, 1)])], [0], -1))
 
 
 class TestEgo:
@@ -261,18 +317,6 @@ def test_relabel_roundtrip():
     # features follow their nodes
     for v in range(4):
         assert h.node_features[perm[v], 0] == g.node_features[v, 0]
-
-
-@st.composite
-def graph_lists(draw):
-    """Up to 5 graphs with n = 0..8 and any edges, so 0-node graphs, edgeless
-    graphs and isolated nodes all occur; the empty list too."""
-    graphs = []
-    for n in draw(st.lists(st.integers(0, 8), max_size=5)):
-        ends = st.integers(0, max(n - 1, 0))
-        graphs.append(build_graph(n, draw(st.lists(st.tuples(ends, ends), max_size=2 * n))
-                                  if n else []))
-    return graphs
 
 
 @given(graph_lists())

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
+from idgnn import graph
 from idgnn.errors import InputError, NumericError
 from idgnn.generators import GeneratorSpec, gen_dataset, gen_small_world
 from idgnn.graph import build_graph
@@ -35,7 +36,13 @@ from idgnn.tasks import (
     train,
 )
 from gradcheck import randomize
-from oracles import bin_index, clustering_direct, random_mixed_graphs, spd_pairs_sequential
+from oracles import (
+    bin_index,
+    clustering_direct,
+    random_mixed_graphs,
+    spd_pairs_sequential,
+    spd_task_per_graph,
+)
 
 K3 = build_graph(3, [(0, 1), (1, 2), (0, 2)])
 STAR = build_graph(5, [(0, 1), (0, 2), (0, 3), (0, 4)])
@@ -169,6 +176,40 @@ def test_spd_task_equals_sequential_sampler(caplog, case):
     with caplog.at_level(logging.WARNING, logger="idgnn.tasks"):
         task = make_spd_task(graphs, pairs_per_graph, seed)
     pairs, warnings = spd_pairs_sequential(graphs, pairs_per_graph, seed)
+    assert [item.pairs for item in task.items] == pairs
+    assert [r.getMessage() for r in caplog.records] == warnings
+
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(case=spd_cases(), per_block=st.sampled_from([None, 1, 2, 3]))
+def test_spd_task_equals_per_graph(caplog, case, per_block):
+    # one search over all graphs, split into blocks of 1-3 sources or not,
+    # gives the pairs and warnings of one search per graph
+    graphs, pairs_per_graph, seed = case
+    width = max(g.num_nodes for g in graphs)
+    caplog.clear()
+    with pytest.MonkeyPatch.context() as mp, \
+            caplog.at_level(logging.WARNING, logger="idgnn.tasks"):
+        if per_block is not None:
+            mp.setattr(graph, "_BFS_BLOCK_CELLS", per_block * width)
+        task = make_spd_task(graphs, pairs_per_graph, seed)
+    pairs, warnings = spd_task_per_graph(graphs, pairs_per_graph, seed)
+    assert [item.pairs for item in task.items] == pairs
+    assert [r.getMessage() for r in caplog.records] == warnings
+
+
+@pytest.mark.parametrize("seed", [0, 1, 17])
+@pytest.mark.parametrize("pairs_per_graph", [1, 3, 7, 20, 50, 1000])
+def test_spd_task_equals_per_graph_on_generated_graphs(caplog, pairs_per_graph, seed):
+    # small-world and scale-free graphs of 40 nodes; scale-free ones lack
+    # some classes, and 1000 pairs take every pair of every graph
+    graphs = (gen_dataset(GeneratorSpec("small_world", 40, 4, 0.1), 4, seed)
+              + gen_dataset(GeneratorSpec("scale_free", 40, 2, 0.5), 4, seed))
+    with caplog.at_level(logging.WARNING, logger="idgnn.tasks"):
+        task = make_spd_task(graphs, pairs_per_graph, seed)
+    pairs, warnings = spd_task_per_graph(graphs, pairs_per_graph, seed)
     assert [item.pairs for item in task.items] == pairs
     assert [r.getMessage() for r in caplog.records] == warnings
 
