@@ -7,17 +7,21 @@ recovery formulas below (see clustering_from_counts). All counting is exact
 integer arithmetic; 64-bit overflow is detected and reported.
 
 There is one closed-walk kernel, ``walk_count_features_many``. It groups
-whole graphs into blocks whose dense size, the sum of n^2 over the block,
-stays within ``_WALK_BLOCK_CELLS`` (a larger graph is a block on its own),
-and runs each block as one block-diagonal int64 CSR matrix A built from the
-graphs' cached CSR arrays. It forms the powers A^a only up to a = ceil(k/2),
-two at a time, and reads diag(A^(a+b)) as the row sums of A^a * A^b
+whole graphs into blocks whose panel, the block's node count times the node
+count of its largest graph, stays within ``_WALK_BLOCK_CELLS``, and builds
+each block's block-diagonal int64 CSR adjacency matrix A from the graphs'
+cached CSR arrays. A block keeps each power A^a as one dense int64 panel:
+a node's row of A^a in the local columns of its graph, zero-padded, so
+A^(a+1) is one sparse-times-dense product A @ A^a. A graph whose own panel
+is larger than the bound is a block on its own and keeps its powers as
+sparse CSR matrices instead. Either way the kernel forms A^a only up to
+a = ceil(k/2) and reads diag(A^(a+b)) as the row sums of A^a * A^b
 (elementwise, b in {a, a+1}), which holds because A is symmetric. The
 64-bit check is sound and per graph: before forming A^(a+1) it requires
 max(A^a) * maxdeg <= 2^62, and before each row sum of X * Y it requires
-max(X) * max(Y) * (largest row count of X) <= 2^62, each over one graph's
-block, so a list raises CapabilityError exactly when one of its graphs
-would on its own. ``walk_count_features`` is its one-graph view.
+max(X) * max(Y) * (largest nonzero count of a row of X) <= 2^62, each over
+one graph's rows, so a list raises CapabilityError exactly when one of its
+graphs would on its own. ``walk_count_features`` is its one-graph view.
 
 The count rows are read two ways, each coded once: ``count_signatures``
 turns count matrices into canonical signatures, and ``with_count_columns``
@@ -95,21 +99,27 @@ def identity_walk_counts(ego: EgoNet, k: int) -> CountMatrix:
     return CountMatrix(counts, identity, k)
 
 
-# Graphs whose walk counts are computed together are grouped so that the
-# sum of n^2 over a block, which bounds the nonzeros of every power of its
-# adjacency matrix, stays within this many cells.
-_WALK_BLOCK_CELLS = 1 << 14
+# Graphs whose walk counts are computed together are grouped so that a
+# block's panel, its node count times the node count of its largest graph,
+# stays within this many cells; such a block runs as dense int64 panels. A
+# graph whose own panel is larger is a block on its own and runs as sparse
+# CSR powers. At 2^16 cells one graph of up to 256 nodes runs as a panel: on
+# single small-world and scale-free graphs of mean degree 4, panels and CSR
+# powers took the same time at k = 3 and 256 to 300 nodes, and panels were
+# faster at larger k or on smaller graphs.
+_WALK_BLOCK_CELLS = 1 << 16
 
 
 def _walk_blocks(sizes: list[int]):
     """Consecutive ``(start, stop)`` ranges of graphs, each holding at least
-    one graph and at most _WALK_BLOCK_CELLS cells unless it is one graph."""
-    start, cells = 0, 0
+    one graph and a panel of at most _WALK_BLOCK_CELLS cells unless it is
+    one graph."""
+    start, rows, width = 0, 0, 0
     for i, n in enumerate(sizes):
-        if i > start and cells + n * n > _WALK_BLOCK_CELLS:
+        if i > start and (rows + n) * max(width, n) > _WALK_BLOCK_CELLS:
             yield start, i
-            start, cells = i, 0
-        cells += n * n
+            start, rows, width = i, 0, 0
+        rows, width = rows + n, max(width, n)
     if start < len(sizes):
         yield start, len(sizes)
 
@@ -148,25 +158,40 @@ def _check_range(over: np.ndarray, length: int) -> None:
         )
 
 
-def _next_power(power: sp.csr_matrix, adj: sp.csr_matrix, max_deg: np.ndarray,
-                first_row: np.ndarray, length: int) -> sp.csr_matrix:
-    """power @ adj, after checking per graph that max(power) * maxdeg fits."""
-    top = _graph_max(power.data, power.indptr[first_row])
-    _check_range(top > _INT64_LIMIT // np.maximum(max_deg, 1), length)
-    return power @ adj
+def _adjacency_panel(adj: sp.csr_matrix, sizes: np.ndarray,
+                     first_row: np.ndarray) -> np.ndarray:
+    """A as a dense panel: row r holds r's row of A in the local columns of
+    r's graph, zero-padded to the largest graph's node count."""
+    rows = np.repeat(np.arange(adj.shape[0]), np.diff(adj.indptr))
+    panel = np.zeros((adj.shape[0], int(sizes.max())), dtype=np.int64)
+    panel[rows, adj.indices - np.repeat(first_row, sizes)[rows]] = 1
+    return panel
 
 
-def _row_dots(x: sp.csr_matrix, y: sp.csr_matrix, first_row: np.ndarray,
-              length: int) -> np.ndarray:
-    """Row sums of x * y (elementwise), after checking per graph that
-    max(x) * max(y) * (largest row count of x) fits."""
-    x_top = _graph_max(x.data, x.indptr[first_row])
-    y_top = _graph_max(y.data, y.indptr[first_row])
-    widest = _graph_max(np.diff(x.indptr), first_row)
-    _check_range(
-        x_top > _INT64_LIMIT // np.maximum(widest, 1) // np.maximum(y_top, 1), length
-    )
+def _top(power, first_row: np.ndarray) -> np.ndarray:
+    """Per-graph maxima of a power, a dense panel or CSR."""
+    if isinstance(power, np.ndarray):
+        return _graph_max(power.ravel(), first_row * power.shape[1])
+    return _graph_max(power.data, power.indptr[first_row])
+
+
+def _longest_row(power, first_row: np.ndarray) -> np.ndarray:
+    """Per graph, the largest nonzero count of a row of a power."""
+    if isinstance(power, np.ndarray):
+        return _graph_max(np.count_nonzero(power, axis=1), first_row)
+    return _graph_max(np.diff(power.indptr), first_row)
+
+
+def _row_dots(x, y) -> np.ndarray:
+    """Row sums of x * y (elementwise), for two panels or two CSR powers."""
+    if isinstance(x, np.ndarray):
+        return np.einsum("ij,ij->i", x, y)
     return np.asarray(x.multiply(y).sum(axis=1), dtype=np.int64).ravel()
+
+
+def _dots_over(x_top: np.ndarray, y_top: np.ndarray, widest: np.ndarray) -> np.ndarray:
+    """Per graph, whether max(X) * max(Y) * (longest row of X) may pass 2^62."""
+    return x_top > _INT64_LIMIT // np.maximum(widest, 1) // np.maximum(y_top, 1)
 
 
 def _block_counts(graphs: list[Graph], k: int) -> np.ndarray:
@@ -182,16 +207,24 @@ def _block_counts(graphs: list[Graph], k: int) -> np.ndarray:
         out[:, 1::2] = deg[:, None]
         return out
     max_deg = _graph_max(deg, first_row)
-    # Column 1 is diag(A) = 0 (no self-loops); lo = A^a and hi = A^(a+1).
-    lo, hi, a = adj, None, 1
+    # Column 1 is diag(A) = 0 (no self-loops); lo = A^a, hi = A^a or A^(a+1).
+    if out.shape[0] * sizes.max() <= _WALK_BLOCK_CELLS:
+        lo = _adjacency_panel(adj, sizes, first_row)
+    else:
+        lo = adj
+    lo_top = _top(lo, first_row)
     for j in range(2, k + 1):
-        if j // 2 > a:
-            lo, hi, a = hi, None, a + 1
         if j % 2:
-            hi = _next_power(lo, adj, max_deg, first_row, j)
-            out[:, j - 1] = _row_dots(lo, hi, first_row, j)
+            _check_range(lo_top > _INT64_LIMIT // np.maximum(max_deg, 1), j)
+            hi = adj @ lo
+            hi_top = _top(hi, first_row)
         else:
-            out[:, j - 1] = _row_dots(lo, lo, first_row, j)
+            hi, hi_top = lo, lo_top
+        # a graph's node count bounds its longest row
+        if _dots_over(lo_top, hi_top, sizes).any():
+            _check_range(_dots_over(lo_top, hi_top, _longest_row(lo, first_row)), j)
+        out[:, j - 1] = _row_dots(lo, hi)
+        lo, lo_top = hi, hi_top
     return out
 
 

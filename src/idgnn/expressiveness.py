@@ -41,13 +41,17 @@ class SignatureIndex:
     buckets: dict[bytes, list[Graph]] = field(default_factory=dict)
     states: dict[bytes, list[IsoState]] = field(default_factory=dict)
 
-    def add_many(self, graphs: list[Graph]) -> list[bool]:
+    def add_many(self, graphs: list[Graph], walks: list[np.ndarray] | None = None
+                 ) -> list[bool]:
         """Add ``graphs`` in order, keeping each one unless it is isomorphic
         to a graph kept before it; True for each one kept.
 
-        The signatures of all graphs come from one kernel call.
+        The signatures read ``walks``, the graphs' closed-walk counts up to
+        length PREFILTER_K, which one kernel call computes if not given.
         """
-        sigs = count_signatures(walk_count_features_many(graphs, PREFILTER_K))
+        if walks is None:
+            walks = walk_count_features_many(graphs, PREFILTER_K)
+        sigs = count_signatures(walks)
         return [self._insert(g, sig) for g, sig in zip(graphs, sigs)]
 
     def _insert(self, g: Graph, sig: bytes) -> bool:
@@ -100,7 +104,8 @@ class ExperimentReport:
         return buf.getvalue()
 
 
-def build_nonisomorphic_pool(n: int, d: int, graph_count: int, seed: int
+def build_nonisomorphic_pool(n: int, d: int, graph_count: int, seed: int,
+                             walks: list[np.ndarray] | None = None
                              ) -> tuple[list[Graph], int]:
     """Generate graph_count pairwise non-isomorphic d-regular graphs,
     regenerating on isomorphism hits. Returns (pool, regeneration count).
@@ -109,6 +114,8 @@ def build_nonisomorphic_pool(n: int, d: int, graph_count: int, seed: int
     pool still lacks (clipped at the attempt budget): a chunk holds only
     candidates that drawing one at a time would also draw, so the pool,
     the count and the budget error are those of the one-at-a-time loop.
+    The closed-walk counts up to length PREFILTER_K that the index read of
+    each kept graph are appended to ``walks``, if given, in pool order.
     """
     kept = SignatureIndex()
     pool: list[Graph] = []
@@ -124,7 +131,12 @@ def build_nonisomorphic_pool(n: int, d: int, graph_count: int, seed: int
         candidates = [gen_d_regular(n, d, child_seed(seed, i))
                       for i in range(index, index + chunk)]
         index += chunk
-        pool += [g for g, new in zip(candidates, kept.add_many(candidates)) if new]
+        counts = walk_count_features_many(candidates, PREFILTER_K)
+        for g, c, new in zip(candidates, counts, kept.add_many(candidates, counts)):
+            if new:
+                pool.append(g)
+                if walks is not None:
+                    walks.append(c)
     return pool, index - len(pool)  # the candidates not kept
 
 
@@ -141,10 +153,13 @@ def run_regular_experiment(n: int, d: int, graph_count: int, k_list,
     # The pool's count rows must have a shape numpy can represent: check
     # before the pool is built (a bad n is the generator's to report).
     zero_counts(graph_count * max(n, 0), k_list[-1])
-    pool, regen = build_nonisomorphic_pool(n, d, graph_count, seed)
+    walks: list[np.ndarray] = []
+    pool, regen = build_nonisomorphic_pool(n, d, graph_count, seed, walks)
 
-    # A graph's signature at length k reads the first k of its count columns.
-    walks = walk_count_features_many(pool, k_list[-1])
+    # A graph's signature at length k reads the first k of its count columns,
+    # which the pool's signature index computed up to PREFILTER_K.
+    if k_list[-1] > PREFILTER_K:
+        walks = walk_count_features_many(pool, k_list[-1])
     fractions = {k: len(set(count_signatures([c[:, :k] for c in walks]))) / graph_count
                  for k in k_list}
 

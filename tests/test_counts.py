@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from idgnn import counts
+from idgnn.counts import _adjacency_panel as adjacency_panel
 from idgnn.counts import (
     augment_features,
     clustering_from_counts,
@@ -132,8 +133,11 @@ def small_graphs(draw, max_n: int):
     return build_graph(n, draw(st.sets(st.sampled_from(pairs))))
 
 
-# Block bounds of 1, 2, 3 and 5 cells split a list of graphs at many points.
-block_cells = st.sampled_from([None, 1, 2, 3, 5])
+# At the default bound every block of these small graphs is a dense panel.
+# Bounds of 1, 2, 3 and 5 cells split a list at many points and leave every
+# graph of 3 or more nodes on CSR powers; at 16 and 36 cells graphs of up to
+# 4 and 6 nodes share panels while larger ones run on CSR, in one list.
+block_cells = st.sampled_from([None, 1, 2, 3, 5, 16, 36])
 
 
 @contextmanager
@@ -180,6 +184,39 @@ class TestWalkCountKernel:
                 assert alone[i].tolist() == exact
             if batch is not None:
                 assert batch[i].tolist() == exact
+
+    @settings(max_examples=150, deadline=None)
+    @given(g=small_graphs(12), k=st.integers(1, 10), cells=block_cells, data=st.data())
+    def test_relabeling_permutes_rows(self, g, k, cells, data):
+        # node v of g is node perm[v] of the relabeled graph, in one list
+        perm = data.draw(st.permutations(range(g.num_nodes)))
+        with walk_block_cells(cells):
+            feats, relabeled = walk_count_features_many([g, relabel_graph(g, perm)], k)
+        assert np.array_equal(relabeled[perm], feats)
+
+    def test_panel_and_csr_meet_at_the_budget(self):
+        # at n^2 cells the path runs as one panel, at n^2 - 1 on CSR powers;
+        # both are exact below length 124 and raise from there on
+        path = build_graph(3, [(0, 1), (1, 2)])
+        first_raise = {}
+        for cells, panel in ((9, True), (8, False)):
+            panels = []
+
+            def recording(*args):
+                panels.append(adjacency_panel(*args))
+                return panels[-1]
+
+            with walk_block_cells(cells), pytest.MonkeyPatch.context() as mp:
+                mp.setattr(counts, "_adjacency_panel", recording)
+                for k in range(100, 200):
+                    try:
+                        [feats] = walk_count_features_many([path], k)
+                    except CapabilityError:
+                        first_raise[cells] = k
+                        break
+                    assert feats.tolist() == walk_counts_exact(path, k).tolist()
+            assert bool(panels) == panel
+        assert first_raise[9] == first_raise[8] == 124
 
     def test_bounds_are_per_graph(self):
         # K5 has the larger counts and the star the longer rows: the block's

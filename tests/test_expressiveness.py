@@ -3,8 +3,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from idgnn import expressiveness
+from idgnn.counts import graph_signature, walk_count_features_many
 from idgnn.errors import CapabilityError, InputError
 from idgnn.expressiveness import (
+    PREFILTER_K,
     SignatureIndex,
     build_nonisomorphic_pool,
     certify_gnn_blindness,
@@ -135,6 +137,25 @@ class TestExperiment:
         lines = report.to_csv().strip().split("\n")
         assert lines[0] == "n,d,graph_count,wl_baseline,K=3,K=4"
         assert lines[1].startswith("12,3,4,")
+
+    @pytest.mark.parametrize("k_list", [[2, 5, PREFILTER_K], [3, 8, PREFILTER_K + 1], [4, 14]])
+    def test_fractions_at_and_above_prefilter_k(self, monkeypatch, k_list):
+        # up to PREFILTER_K the fractions read the counts that the pool's
+        # signature index computed; above it the pool's counts are computed
+        # once more, at the largest k
+        lengths = []
+
+        def recording(graphs, k):
+            lengths.append(k)
+            return walk_count_features_many(graphs, k)
+
+        monkeypatch.setattr(expressiveness, "walk_count_features_many", recording)
+        report = run_regular_experiment(12, 3, 10, k_list, seed=4)
+        extra = [k_list[-1]] if k_list[-1] > PREFILTER_K else []
+        assert lengths == [PREFILTER_K] * (len(lengths) - len(extra)) + extra
+        pool, _ = build_nonisomorphic_pool(12, 3, 10, seed=4)
+        for k in k_list:
+            assert report.fractions[k] == len({graph_signature(g, k) for g in pool}) / 10
 
     def test_bad_k_list(self):
         with pytest.raises(InputError):
