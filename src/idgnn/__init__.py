@@ -30,7 +30,7 @@ from .generators import (
     gen_scale_free,
     gen_small_world,
 )
-from .graph import EgoNet, Graph, build_graph, extract_ego, relabel_graph
+from .graph import EgoNet, Graph, build_graph, build_graphs, extract_ego, relabel_graph
 from .nn import (
     Model,
     ModelConfig,

@@ -19,6 +19,7 @@ import io
 import json
 import os
 import sys
+from dataclasses import replace
 
 from . import __version__
 from .counts import with_count_columns
@@ -33,7 +34,6 @@ from .datasets import (
 from .errors import CapabilityError, InputError, NumericError
 from .expressiveness import SignatureIndex, run_regular_experiment
 from .generators import RNG_NAME, STREAM_SPLIT, GeneratorSpec, gen_dataset
-from .graph import build_graph
 from .nn import ModelConfig, init_model, load_model, save_model
 from .tasks import (
     TASK_SPECS,
@@ -115,7 +115,7 @@ def _cmd_features(args) -> int:
     records = load_jsonl(args.data)
     graphs = [rec.graph for rec in records]
     feats = with_count_columns(graphs, [g.node_features for g in graphs], args.k)
-    out_records = [GraphRecord(build_graph(g.num_nodes, g.edges, x), rec.label, rec.node_labels)
+    out_records = [GraphRecord(replace(g, node_features=x), rec.label, rec.node_labels)
                    for rec, g, x in zip(records, graphs, feats)]
     save_jsonl(out_records, args.out)
     _write_manifest(args.out, "features", _flags(args), [args.data], [args.out])

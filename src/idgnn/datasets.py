@@ -5,7 +5,9 @@ A graph object is ``{"num_nodes": n, "edges": [[u, v], ...],
 Datasets are JSONL, one graph object per line, with optional per-graph
 ``"label"`` and per-node ``"node_labels"`` fields. Node counts, endpoints
 and labels must be JSON integers: ``true``, ``2.0`` or ``"1"`` is rejected.
-A node count above MAX_NODES is a CapabilityError.
+A node count above MAX_NODES is a CapabilityError. load_jsonl checks the
+lines one by one and then builds every graph of the file with one
+graph.build_graphs call.
 """
 
 from __future__ import annotations
@@ -14,11 +16,16 @@ import json
 import os
 import tempfile
 from dataclasses import dataclass
+from itertools import chain, islice
+
+import numpy as np
 
 from .errors import CapabilityError, ParseError
-from .graph import Graph, build_graph
+from .graph import Graph, build_graph, build_graphs
 
-# build_graph allocates per node: 10^6 nodes take about 2 s and 143 MB
+# graphs are built with per-node arrays: reading one graph of 10^6 nodes
+# takes 0.03 s and 98 MB of peak RSS without edges, and 2.3 s and 710 MB
+# with 2 x 10^6 edges, most of it parsing the JSON edge list
 MAX_NODES = 1_000_000
 
 
@@ -43,16 +50,26 @@ def _json_int(value, what: str) -> int:
     return value
 
 
+def _graph_fields(obj: dict) -> tuple[int, list]:
+    """The node count and edge list of a graph object, once their types and
+    the node cap are checked; the graph itself is not built."""
+    n, edges = _json_int(obj["num_nodes"], "num_nodes"), obj["edges"]
+    if n > MAX_NODES:
+        raise CapabilityError(f"num_nodes {n} is above the limit of {MAX_NODES}")
+    for u, v in edges:
+        if type(u) is not int or type(v) is not int:
+            raise ParseError(f"edge endpoints must be integers, got {[u, v]!r}")
+    return n, edges
+
+
+_BAD_OBJECT = (KeyError, TypeError, ValueError, OverflowError)
+
+
 def graph_from_obj(obj: dict) -> Graph:
     try:
-        n, edges = _json_int(obj["num_nodes"], "num_nodes"), obj["edges"]
-        if n > MAX_NODES:
-            raise CapabilityError(f"num_nodes {n} is above the limit of {MAX_NODES}")
-        for u, v in edges:
-            if type(u) is not int or type(v) is not int:
-                raise ParseError(f"edge endpoints must be integers, got {[u, v]!r}")
+        n, edges = _graph_fields(obj)
         return build_graph(n, edges, obj.get("node_features"))
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+    except _BAD_OBJECT as exc:
         raise ParseError(f"bad graph object: {exc}") from exc
 
 
@@ -65,8 +82,7 @@ def record_to_obj(rec: GraphRecord) -> dict:
     return obj
 
 
-def record_from_obj(obj: dict) -> GraphRecord:
-    g = graph_from_obj(obj)
+def _labels(obj: dict, num_nodes: int) -> tuple[int | None, list[int] | None]:
     label = obj.get("label")
     node_labels = obj.get("node_labels")
     try:
@@ -75,9 +91,9 @@ def record_from_obj(obj: dict) -> GraphRecord:
                        else [_json_int(x, "node label") for x in node_labels])
     except (TypeError, ValueError) as exc:
         raise ParseError(f"bad label: {exc}") from None
-    if node_labels is not None and len(node_labels) != g.num_nodes:
-        raise ParseError(f"{len(node_labels)} node_labels for {g.num_nodes} nodes")
-    return GraphRecord(g, label, node_labels)
+    if node_labels is not None and len(node_labels) != num_nodes:
+        raise ParseError(f"{len(node_labels)} node_labels for {num_nodes} nodes")
+    return label, node_labels
 
 
 def dumps_canonical(obj) -> str:
@@ -120,23 +136,63 @@ def save_jsonl(records, path: str) -> None:
     atomic_write_text(path, "\n".join(lines) + ("\n" if lines else ""))
 
 
+def _build_lines(lines: list[int], sizes: list[int], counts: list[int],
+                 ends: list[int], feats: list) -> list[Graph]:
+    """The graphs of the checked lines ``lines``: graph i has ``sizes[i]``
+    nodes and ``counts[i]`` edges, whose endpoints follow those of the lines
+    before it in ``ends``. All are built in one build_graphs call; if that
+    fails, the lines are built one by one to report the first bad one as
+    graph_from_obj does."""
+    try:
+        flat = np.fromiter(ends, dtype=np.int64, count=len(ends))
+        return build_graphs(sizes, counts, flat[0::2], flat[1::2], feats)
+    except _BAD_OBJECT:
+        pairs = zip(ends[0::2], ends[1::2])
+        for lineno, n, m, f in zip(lines, sizes, counts, feats):
+            try:
+                build_graph(n, list(islice(pairs, m)), f)
+            except _BAD_OBJECT as exc:
+                raise ParseError(f"bad graph object: {exc}", lineno) from exc
+        raise
+
+
 def load_jsonl(path: str) -> list[GraphRecord]:
-    records = []
-    with open(path, "rb") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ParseError(f"invalid JSON: {exc.msg}", lineno) from exc
-            except UnicodeDecodeError as exc:
-                raise ParseError(f"invalid UTF-8: {exc.reason}", lineno) from None
-            try:
-                records.append(record_from_obj(obj))
-            except ParseError as exc:
-                raise ParseError(str(exc), lineno) from exc
-            except CapabilityError as exc:
-                raise CapabilityError(f"line {lineno}: {exc}") from exc
-    return records
+    """The records of a JSONL dataset. Each line is checked in turn (JSON,
+    field types, the node cap, labels), and then every graph of the file is
+    built in one build_graphs call. An error names the first bad line, with
+    the message reading the file line by line would give."""
+    lines, sizes, counts, ends, feats, labels = [], [], [], [], [], []
+    try:
+        with open(path, "rb") as fh:
+            for lineno, line in enumerate(fh, start=1):
+                line = line.strip()
+                if not line:
+                    continue
+                try:
+                    obj = json.loads(line)
+                except json.JSONDecodeError as exc:
+                    raise ParseError(f"invalid JSON: {exc.msg}", lineno) from exc
+                except UnicodeDecodeError as exc:
+                    raise ParseError(f"invalid UTF-8: {exc.reason}", lineno) from None
+                try:
+                    n, edges = _graph_fields(obj)
+                except _BAD_OBJECT as exc:
+                    raise ParseError(f"bad graph object: {exc}", lineno) from exc
+                except CapabilityError as exc:
+                    raise CapabilityError(f"line {lineno}: {exc}") from exc
+                # the graph is queued before the labels are read: a bad
+                # graph on this line wins over bad labels
+                lines.append(lineno)
+                sizes.append(n)
+                counts.append(len(edges))
+                ends.extend(chain.from_iterable(edges))
+                feats.append(obj.get("node_features"))
+                try:
+                    labels.append(_labels(obj, n))
+                except ParseError as exc:
+                    raise ParseError(str(exc), lineno) from exc
+    except (ParseError, CapabilityError):
+        _build_lines(lines, sizes, counts, ends, feats)  # a bad graph before wins
+        raise
+    graphs = _build_lines(lines, sizes, counts, ends, feats)
+    return [GraphRecord(g, *lab) for g, lab in zip(graphs, labels)]

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CapabilityError, InputError
-from .graph import Graph, build_graph
+from .graph import Graph, build_graph, build_graphs
 
 log = logging.getLogger(__name__)
 
@@ -124,7 +124,7 @@ def gen_d_regular(n: int, d: int, seed: int) -> Graph:
     if restarts:
         log.debug("d-regular pairing restarted %d times (n=%d, d=%d)", restarts, n, d)
     row = simple[0]
-    return build_graph(n, list(zip(lo[row].tolist(), hi[row].tolist())))
+    return build_graphs([n], [lo.shape[1]], lo[row], hi[row])[0]
 
 
 def gen_small_world(n: int, k: int, p: float, seed: int) -> Graph:

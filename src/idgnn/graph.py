@@ -1,7 +1,10 @@
 """Immutable undirected simple graphs, BFS, and ego-network extraction.
 
 Node ids are dense 0-based integers. Graphs are frozen after construction
-and safe to share across threads; all functions here are pure.
+and safe to share across threads; all functions here are pure. A graph is
+stored as its CSR arrays. There is one canonicalizer, ``build_graphs``,
+which builds the CSR arrays of many graphs from their edge lists with one
+sort; ``build_graph`` is its one-graph call.
 
 There is one BFS, ``bfs_blocks``: a level-synchronous search from many
 sources at once over the CSR arrays of a disjoint union of graphs
@@ -23,42 +26,68 @@ from .errors import InputError
 
 # Sources searched together in one bfs_blocks block are limited so that the
 # block's visited table, one byte per (source, node) cell with as many cells
-# per source as the largest graph has nodes, stays within this many cells.
+# per source as the largest graph has nodes, stays within this many cells,
+# and so that the neighbor entries the block can expand, its sources' graphs'
+# directed edge counts summed, stay within _BFS_BLOCK_ENTRIES: the search's
+# per-level arrays grow with these, not with the visited table.
 _BFS_BLOCK_CELLS = 1 << 21
+_BFS_BLOCK_ENTRIES = 1 << 20
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Graph:
-    """Undirected simple graph in compressed adjacency form.
+    """Undirected simple graph, stored as CSR arrays.
 
-    ``edges`` holds each edge once as ``(u, v)`` with ``u < v``;
-    ``adjacency[v]`` is the ascending tuple of neighbors of ``v``.
-    ``node_features`` (if present) is a read-only float array with one row
-    per node.
+    ``indptr`` and ``indices`` are read-only int64 arrays: node v's
+    neighbors are ``indices[indptr[v]:indptr[v + 1]]``, ascending, each
+    edge listed from both ends. ``node_features`` (if present) is a
+    read-only float array with one row per node. Graphs compare by value.
+
+    ``edges`` (each edge once as ``(u, v)`` with ``u < v``, ascending) and
+    ``adjacency`` (``adjacency[v]`` the ascending tuple of neighbors of
+    ``v``) are tuple views of the arrays, built on first use.
     """
 
     num_nodes: int
-    edges: tuple[tuple[int, int], ...]
-    adjacency: tuple[tuple[int, ...], ...]
+    indptr: np.ndarray
+    indices: np.ndarray
     node_features: np.ndarray | None = None
+
+    def __post_init__(self):
+        for arr in (self.indptr, self.indices, self.node_features):
+            if arr is not None:
+                arr.setflags(write=False)
+
+    def __eq__(self, other):
+        if not isinstance(other, Graph):
+            return NotImplemented
+        a, b = self.node_features, other.node_features
+        return (self.num_nodes == other.num_nodes
+                and np.array_equal(self.indptr, other.indptr)
+                and np.array_equal(self.indices, other.indices)
+                and (a is None) == (b is None) and (a is None or np.array_equal(a, b)))
+
+    @property
+    def csr(self) -> tuple[np.ndarray, np.ndarray]:
+        return self.indptr, self.indices
 
     @property
     def num_edges(self) -> int:
-        return len(self.edges)
+        return self.indices.size // 2
 
     def degrees(self) -> list[int]:
-        return [len(nbrs) for nbrs in self.adjacency]
+        return np.diff(self.indptr).tolist()
 
     @cached_property
-    def csr(self) -> tuple[np.ndarray, np.ndarray]:
-        """``(indptr, indices)``: the adjacency lists as int64 CSR arrays,
-        built on first use."""
-        deg = np.fromiter(map(len, self.adjacency), dtype=np.int64,
-                          count=self.num_nodes)
-        indptr = np.concatenate([[0], np.cumsum(deg)])
-        indices = np.fromiter((w for nbrs in self.adjacency for w in nbrs),
-                              dtype=np.int64, count=int(indptr[-1]))
-        return indptr, indices
+    def edges(self) -> tuple[tuple[int, int], ...]:
+        rows = np.repeat(np.arange(self.num_nodes), np.diff(self.indptr))
+        upper = rows < self.indices
+        return tuple(zip(rows[upper].tolist(), self.indices[upper].tolist()))
+
+    @cached_property
+    def adjacency(self) -> tuple[tuple[int, ...], ...]:
+        ptr, nbrs = self.indptr.tolist(), self.indices.tolist()
+        return tuple(tuple(nbrs[a:b]) for a, b in zip(ptr, ptr[1:]))
 
 
 def union_csr(graphs) -> tuple[np.ndarray, np.ndarray]:
@@ -100,41 +129,102 @@ def _check_node(n: int, v: int, name: str = "node") -> None:
         raise InputError(f"{name} {v!r} out of range for graph with {n} nodes")
 
 
-def build_graph(num_nodes: int, edges, node_features=None) -> Graph:
-    """Construct a Graph, dropping self-loops and collapsing duplicate edges.
-
-    Raises InputError on out-of-range endpoints or a feature row-count
-    mismatch.
-    """
+def _edge_array(num_nodes: int, edges) -> np.ndarray:
+    """``edges`` as an m x 2 int64 array. Pairs that numpy does not read as
+    one integer array (ragged, non-integer or past 64 bits) are converted
+    one at a time with int(), which raises on a bad pair, and range-checked
+    as they go, so such input fails as build_graph always has."""
+    try:
+        arr = np.asarray(edges)
+        if arr.ndim == 2 and arr.shape[1] == 2 and np.can_cast(arr.dtype, np.int64):
+            return arr.astype(np.int64, copy=False)
+    except ValueError:  # ragged pairs
+        pass
     if num_nodes < 0:
         raise InputError(f"num_nodes must be nonnegative, got {num_nodes}")
-    canon = set()
+    pairs = []
     for u, v in edges:
         u, v = int(u), int(v)
-        if not (0 <= u < num_nodes and 0 <= v < num_nodes):
-            _check_node(num_nodes, u, "edge endpoint")
-            _check_node(num_nodes, v, "edge endpoint")
-        if u == v:
-            continue
-        canon.add((u, v) if u < v else (v, u))
-    edge_tuple = tuple(sorted(canon))
+        for w in (u, v):
+            if not 0 <= w < num_nodes:
+                _check_node(num_nodes, w, "edge endpoint")
+        pairs.append((u, v))
+    return np.array(pairs, dtype=np.int64).reshape(-1, 2)
 
-    nbrs: list[list[int]] = [[] for _ in range(num_nodes)]
-    for u, v in edge_tuple:
-        nbrs[u].append(v)
-        nbrs[v].append(u)
-    adjacency = tuple(tuple(sorted(ns)) for ns in nbrs)
 
-    feats = None
-    if node_features is not None:
-        feats = np.asarray(node_features, dtype=np.float64)
-        if feats.ndim != 2 or feats.shape[0] != num_nodes:
-            raise InputError(
-                f"node_features must have {num_nodes} rows, got shape {feats.shape}"
-            )
-        feats.setflags(write=False)
+def build_graphs(num_nodes, edge_counts, u, v, node_features=None) -> list[Graph]:
+    """Construct many graphs at once, dropping self-loops and collapsing
+    duplicate edges.
 
-    return Graph(num_nodes, edge_tuple, adjacency, feats)
+    Graph i has ``num_nodes[i]`` nodes and ``edge_counts[i]`` edges; the
+    integer arrays ``u`` and ``v`` hold the endpoints of graph 0's edges,
+    then graph 1's, and so on, as node ids of their own graph.
+    ``node_features`` is None or one feature matrix (or None) per graph.
+
+    Every directed edge of every graph gets one key, its two endpoints as
+    node ids of the disjoint union, and one sort of the keys gives every
+    graph's CSR arrays, views of two arrays that the graphs share.
+
+    Raises InputError for the first graph, in order, with a negative node
+    count, an out-of-range endpoint (naming the first one in edge order) or
+    a feature row-count mismatch, checked in that order per graph.
+    """
+    sizes = np.asarray(num_nodes, dtype=np.int64).reshape(-1)
+    counts = np.asarray(edge_counts, dtype=np.int64).reshape(-1)
+    u, v = np.asarray(u, dtype=np.int64), np.asarray(v, dtype=np.int64)
+    n_of = np.repeat(sizes, counts)
+    bad = np.flatnonzero((u < 0) | (u >= n_of) | (v < 0) | (v >= n_of))
+    negative = np.flatnonzero(sizes < 0)
+    # the first graph with a negative node count or a bad endpoint, if any
+    first_bad = min(np.searchsorted(np.cumsum(counts), bad[:1], side="right").tolist()
+                    + negative[:1].tolist() + [sizes.size])
+    feats = [None] * sizes.size
+    for i in range(first_bad if node_features is not None else 0):
+        if node_features[i] is not None:
+            feats[i] = f = np.asarray(node_features[i], dtype=np.float64)
+            if f.ndim != 2 or f.shape[0] != sizes[i]:
+                raise InputError(
+                    f"node_features must have {sizes[i]} rows, got shape {f.shape}")
+    if first_bad < sizes.size:
+        n = int(sizes[first_bad])
+        if n < 0:
+            raise InputError(f"num_nodes must be nonnegative, got {n}")
+        e = bad[0]
+        _check_node(n, int(u[e] if not 0 <= u[e] < n else v[e]), "edge endpoint")
+    starts = np.cumsum(sizes) - sizes
+    total = int(sizes.sum())
+    shift = np.repeat(starts, counts)
+    a, b = u + shift, v + shift
+    loop = a == b
+    a, b = a[~loop], b[~loop]
+    keys = np.concatenate([a * total + b, b * total + a])
+    keys.sort()
+    keys = keys[np.concatenate([[True], keys[1:] != keys[:-1]])] if keys.size else keys
+    rows, cols = np.divmod(keys, max(total, 1))
+    graph_of = np.repeat(np.arange(sizes.size), sizes)
+    indices = cols - starts[graph_of][rows]
+    ends = np.cumsum(np.bincount(rows, minlength=total))
+    # graph i's indptr is indptr[starts[i] + i:][:n + 1], starting at its 0
+    indptr = np.zeros(total + sizes.size, dtype=np.int64)
+    before = np.concatenate([[0], ends])[starts]
+    indptr[np.arange(total) + graph_of + 1] = ends - before[graph_of]
+    out = []
+    for i, (n, s, lo) in enumerate(zip(sizes.tolist(), starts.tolist(), before.tolist())):
+        ptr = indptr[s + i:s + i + n + 1]
+        out.append(Graph(n, ptr, indices[lo:lo + int(ptr[-1])], feats[i]))
+    return out
+
+
+def build_graph(num_nodes: int, edges, node_features=None) -> Graph:
+    """Construct one Graph (see build_graphs), dropping self-loops and
+    collapsing duplicate edges.
+
+    Raises InputError on a negative node count, out-of-range endpoints
+    (naming the first in edge order) or a feature row-count mismatch.
+    """
+    pairs = _edge_array(num_nodes, edges)
+    return build_graphs([num_nodes], [len(pairs)], pairs[:, 0], pairs[:, 1],
+                        [node_features])[0]
 
 
 def _neighbors_of(indptr: np.ndarray, indices: np.ndarray,
@@ -171,8 +261,22 @@ def _layout(graphs, csr) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray
 
 
 def _block_size(w: int) -> int:
-    """Sources per bfs_blocks block when the largest graph has ``w`` nodes."""
+    """Most sources per bfs_blocks block when the largest graph has ``w``
+    nodes."""
     return max(1, _BFS_BLOCK_CELLS // max(w, 1))
+
+
+def _blocks(entries: np.ndarray, per_block: int):
+    """``(lo, hi)`` of consecutive blocks of sources, each of at most
+    ``per_block`` sources whose ``entries`` sum to at most
+    _BFS_BLOCK_ENTRIES, or of one source."""
+    total = np.concatenate([[0], np.cumsum(entries)])
+    lo = 0
+    while lo < entries.size:
+        fits = int(np.searchsorted(total, total[lo] + _BFS_BLOCK_ENTRIES, side="right")) - 1
+        hi = max(lo + 1, min(lo + per_block, fits))
+        yield lo, hi
+        lo = hi
 
 
 def bfs_blocks(graphs, sources, cap: int, csr=None):
@@ -183,13 +287,14 @@ def bfs_blocks(graphs, sources, cap: int, csr=None):
     lays it out (repeats allowed); ``csr`` is union_csr(graphs) when the
     caller has it. Let ``w`` be the node count of the largest graph. Sources
     are taken in consecutive blocks, as many as keep a block's visited
-    table, ``w`` one-byte cells per source, within _BFS_BLOCK_CELLS cells.
-    For each block this yields ``(lo, cells, depth)``: the block holds
-    ``sources[lo:lo + b]``, and ``cells`` lists every (source i, node v)
-    pair within ``cap`` hops as ``(i - lo) * w + v - f``, with ``f`` the
-    first node of i's graph, ascending, so source-major with ascending node
-    ids; for one graph that is ``(i - lo) * num_nodes + v``. ``depth`` is
-    the hop distance of each. A level expands the whole frontier of the
+    table, ``w`` one-byte cells per source, within _BFS_BLOCK_CELLS cells
+    and the directed edges of its sources' graphs within _BFS_BLOCK_ENTRIES
+    (see _blocks). For each block this yields ``(lo, cells, depth)``: the
+    block holds ``sources[lo:lo + b]``, and ``cells`` lists every (source
+    i, node v) pair within ``cap`` hops as ``(i - lo) * w + v - f``, with
+    ``f`` the first node of i's graph, ascending, so source-major with
+    ascending node ids; for one graph that is ``(i - lo) * num_nodes + v``.
+    ``depth`` is the hop distance of each. A level expands the whole frontier of the
     block at once: the neighbor lists of its cells, minus the cells already
     seen. A search never leaves its source's graph, so the cells of a
     source name nodes of its graph only.
@@ -202,10 +307,11 @@ def bfs_blocks(graphs, sources, cap: int, csr=None):
     w = int(sizes.max(initial=0))
     per_block = _block_size(w)
     seen = np.zeros(min(per_block, sources.size) * w, dtype=bool)
-    for lo in range(0, sources.size, per_block):
-        block = sources[lo:lo + per_block]
+    entries = np.repeat(indptr[starts + sizes] - indptr[starts], sizes)[sources]
+    for lo, hi in _blocks(entries, per_block):
+        block = sources[lo:hi]
         # the cell of (block source j, union node v) is v + shift[j]
-        shift = np.arange(block.size) * w - first[lo:lo + per_block]
+        shift = np.arange(block.size) * w - first[lo:hi]
         frontier = block + shift
         seen[frontier] = True
         levels = [frontier]
@@ -303,23 +409,20 @@ def extract_ego(g: Graph, center: int, k: int, identity_at: int | None = None) -
 
     The identity color goes to ``identity_at`` (default: the center). If the
     conditioning node falls outside the ball, the mask is all false rather
-    than an error; see EgoNet. This is the one-anchor ego_union: each local
-    neighbor list is the parent's ascending list filtered to the ball, so it
-    is already canonical, node features are sliced from the parent, and the
-    BFS distances are kept as ``depth``.
+    than an error; see EgoNet. This is the one-anchor ego_union: its rows'
+    ``deg`` and ``nbr`` are the subgraph's CSR arrays (each parent's
+    ascending list filtered to the ball), node features are sliced from the
+    parent, and the BFS distances are kept as ``depth``.
     """
     identity = center if identity_at is None else identity_at
     union = ego_union([g], [[(center, identity)]], k, g.csr)
     parents = tuple(union.parent.tolist())
-    nbr, ends = union.nbr.tolist(), np.cumsum(union.deg).tolist()
-    adjacency = tuple(tuple(nbr[end - d:end]) for end, d in zip(ends, union.deg.tolist()))
-    edges = tuple((i, j) for i, nbrs in enumerate(adjacency) for j in nbrs if i < j)
     feats = None
     if g.node_features is not None:
         feats = g.node_features[union.parent, :]
-        feats.setflags(write=False)
     return EgoNet(
-        subgraph=Graph(len(parents), edges, adjacency, feats),
+        subgraph=Graph(len(parents), np.concatenate([[0], np.cumsum(union.deg)]),
+                       union.nbr, feats),
         center_local_index=parents.index(center),
         to_parent=parents,
         identity_mask=tuple(union.identity.tolist()),

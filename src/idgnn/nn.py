@@ -23,8 +23,8 @@ the disjoint union of whole graphs (plain, id_fast) or of ego nets
 (id_full, identity mask true at each ego's identity node). Messages are per
 sender node, so aggregation is a product with the union's scipy CSR
 adjacency (sum, mean, gin) or its normalized form (gcn), and max
-aggregation reduces, per degree k, the rows x k table of the neighbor
-messages of the rows of degree k (_GraphOps.buckets). Whole-graph batches
+aggregation reduces, per degree k, the k x rows table of the neighbor
+messages of the rows of degree k over its first axis (_GraphOps.buckets). Whole-graph batches
 run every layer on all rows, laid out by graph.union_csr. id_full layers
 run on receptive fields: of K layers, layer l reads rows within K - l + 1
 hops of their ego's center and writes rows within K - l, since the
@@ -244,12 +244,13 @@ class _GraphOps:
     @cached_property
     def buckets(self) -> list[tuple[np.ndarray, np.ndarray]]:
         """For each distinct nonzero degree k, ascending: the written rows
-        of degree k and their rows x k table of ascending neighbors."""
+        of degree k and their k x rows table of neighbors, slot by slot, so
+        column r holds row r's ascending list."""
         starts = np.cumsum(self.deg) - self.deg
         plan = []
         for k in np.unique(self.deg[self.deg > 0]):
             rows = np.flatnonzero(self.deg == k)
-            plan.append((rows, self.nbr[starts[rows, None] + np.arange(k)]))
+            plan.append((rows, self.nbr[starts[rows] + np.arange(k)[:, None]]))
         return plan
 
     @cached_property
@@ -287,15 +288,17 @@ def _agg_max(M: np.ndarray, ops: _GraphOps):
     src = np.full((n, d), -1, dtype=np.int64)
     for rows, table in ops.buckets:
         T = M[table]
-        top = T.max(axis=1)
+        top = T.max(axis=0)
         # The first not-below slot carries the largest of the weights k..1
-        # (np.argmax over a middle axis makes one call per row and column).
-        # Not-below rather than equal, so a NaN maximum still picks a sender.
-        k = table.shape[1]
-        w = np.arange(k, 0, -1, dtype=np.min_scalar_type(k))[:, None]
-        first = k - (~(T < top[:, None]) * w).max(axis=1)
+        # (np.argmax over an axis makes one call per row and column). Not
+        # below rather than equal, so a NaN maximum still picks a sender.
+        k = table.shape[0]
+        w = np.arange(k, 0, -1, dtype=np.min_scalar_type(k))[:, None, None]
+        first = k - (~(T < top) * w).max(axis=0)
         S[rows] = top
-        src[rows] = table.ravel()[first + k * np.arange(len(rows))[:, None]]
+        # first has w's narrow dtype: widen it before scaling by the row count
+        r = len(rows)
+        src[rows] = table.ravel()[first * np.int64(r) + np.arange(r)[:, None]]
     return S, src
 
 

@@ -38,7 +38,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .errors import CapabilityError, InputError
-from .graph import Graph, build_graph
+from .graph import Graph, union_csr
 
 WL_HASH_NAME = "blake2b8(histogram-trajectory)"
 
@@ -112,8 +112,7 @@ def wl_equivalent(g1: Graph, g2: Graph) -> bool:
     """Whether 1-WL cannot tell g1 and g2 apart: the stable coloring of
     their disjoint union gives both halves the same color multiset."""
     n1 = g1.num_nodes
-    union = build_graph(n1 + g2.num_nodes,
-                        g1.edges + tuple((u + n1, v + n1) for u, v in g2.edges))
+    union = Graph(n1 + g2.num_nodes, *union_csr([g1, g2]))
     colors, _ = _stabilize(union)
     return sorted(colors[:n1]) == sorted(colors[n1:])
 

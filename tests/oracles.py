@@ -6,17 +6,21 @@ shares no code with the package paths it checks. The exceptions are the
 per-graph references (ego_layout_per_graph, spd_task_per_graph): the
 earlier numpy implementations, which search one graph at a time through the
 one-graph calls of graph.bfs_blocks and graph.ego_union, themselves checked
-against Floyd-Warshall and ego_by_induced_edges.
+against Floyd-Warshall and ego_by_induced_edges. The dataset reader
+load_jsonl_per_line is the earlier line-by-line reader, with the earlier
+per-edge graph construction.
 """
 
 from __future__ import annotations
 
+import json
 from collections import deque
 from itertools import count, permutations
 
 import numpy as np
 
-from idgnn.errors import CapabilityError
+from idgnn.datasets import MAX_NODES
+from idgnn.errors import CapabilityError, InputError, ParseError
 from idgnn.generators import GeneratorSpec, child_seed, gen_d_regular, generate_one
 from idgnn.graph import EgoNet, Graph, bfs_blocks, build_graph, ego_union
 
@@ -520,3 +524,86 @@ def dense_reference(model, graphs, xs, anchors, G_rows: np.ndarray):
     return (np.concatenate([empty_h] + H_rows),
             {name: var.grad for name, var in params.items()},
             np.concatenate([empty_x] + G_x))
+
+
+def build_graph_per_edge(num_nodes: int, edges, node_features=None):
+    """``(num_nodes, edges, adjacency, node_features)`` of a graph built one
+    edge at a time: a set of canonical edges, sorted, then per-node sorted
+    neighbor lists. Raises what graph.build_graph raises."""
+    if num_nodes < 0:
+        raise InputError(f"num_nodes must be nonnegative, got {num_nodes}")
+    canon = set()
+    for u, v in edges:
+        u, v = int(u), int(v)
+        for w in (u, v):
+            if not 0 <= w < num_nodes:
+                raise InputError(f"edge endpoint {w!r} out of range for graph with "
+                                 f"{num_nodes} nodes")
+        if u != v:
+            canon.add((min(u, v), max(u, v)))
+    edge_tuple = tuple(sorted(canon))
+    nbrs = [[] for _ in range(num_nodes)]
+    for u, v in edge_tuple:
+        nbrs[u].append(v)
+        nbrs[v].append(u)
+    feats = None
+    if node_features is not None:
+        feats = np.asarray(node_features, dtype=np.float64)
+        if feats.ndim != 2 or feats.shape[0] != num_nodes:
+            raise InputError(
+                f"node_features must have {num_nodes} rows, got shape {feats.shape}")
+    return num_nodes, edge_tuple, tuple(tuple(sorted(ns)) for ns in nbrs), feats
+
+
+def _json_int(value, what: str) -> int:
+    if type(value) is not int:
+        raise ParseError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
+def _record_per_edge(obj):
+    try:
+        n, edges = _json_int(obj["num_nodes"], "num_nodes"), obj["edges"]
+        if n > MAX_NODES:
+            raise CapabilityError(f"num_nodes {n} is above the limit of {MAX_NODES}")
+        for u, v in edges:
+            if type(u) is not int or type(v) is not int:
+                raise ParseError(f"edge endpoints must be integers, got {[u, v]!r}")
+        graph = build_graph_per_edge(n, edges, obj.get("node_features"))
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        raise ParseError(f"bad graph object: {exc}") from exc
+    label, node_labels = obj.get("label"), obj.get("node_labels")
+    try:
+        label = None if label is None else _json_int(label, "label")
+        node_labels = (None if node_labels is None
+                       else [_json_int(x, "node label") for x in node_labels])
+    except (TypeError, ValueError) as exc:
+        raise ParseError(f"bad label: {exc}") from None
+    if node_labels is not None and len(node_labels) != n:
+        raise ParseError(f"{len(node_labels)} node_labels for {n} nodes")
+    return graph + (label, node_labels)
+
+
+def load_jsonl_per_line(path: str) -> list[tuple]:
+    """datasets.load_jsonl one line at a time, each graph built one edge at
+    a time: per record ``(num_nodes, edges, adjacency, node_features, label,
+    node_labels)``. Raises the first bad line's error as load_jsonl does."""
+    records = []
+    with open(path, "rb") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            line = line.strip()
+            if not line:
+                continue
+            try:
+                obj = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise ParseError(f"invalid JSON: {exc.msg}", lineno) from exc
+            except UnicodeDecodeError as exc:
+                raise ParseError(f"invalid UTF-8: {exc.reason}", lineno) from None
+            try:
+                records.append(_record_per_edge(obj))
+            except ParseError as exc:
+                raise ParseError(str(exc), lineno) from exc
+            except CapabilityError as exc:
+                raise CapabilityError(f"line {lineno}: {exc}") from exc
+    return records

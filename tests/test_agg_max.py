@@ -91,9 +91,9 @@ def test_bucket_plan_on_a_skewed_batch():
         degrees = []
         for rows, table in ops.buckets:
             seen[rows] += 1
-            degrees.append(table.shape[1])
-            assert table.shape == (len(rows), ops.deg[rows[0]])
-            for r, nbrs in zip(rows, table):
+            degrees.append(table.shape[0])
+            assert table.shape == (ops.deg[rows[0]], len(rows))
+            for r, nbrs in zip(rows, table.T):
                 assert rows_in[nbrs].tolist() == list(g.adjacency[rows_out[r]])
                 assert (np.diff(nbrs) > 0).all()
         assert degrees == sorted(set(degrees))

@@ -218,6 +218,43 @@ class TestWalkCountKernel:
             assert bool(panels) == panel
         assert first_raise[9] == first_raise[8] == 124
 
+    def test_csr_longest_row_bound_binds(self):
+        # 300 nodes run on CSR powers. Node 0 is isolated and nodes 1-12 form
+        # K12, so a power's first row is empty and its longest has 12
+        # entries. At the first length where max(X) * max(Y) * (longest row
+        # of X) passes 2^62, max(X) * max(Y) alone does not and the power
+        # check does not fire: the kernel raises there, and is exact a step
+        # before
+        m, n, limit = 12, 300, 2**62
+        clique = [(i, j) for i in range(m) for j in range(i + 1, m)]
+        A = np.ones((m, m), dtype=object) - np.eye(m, dtype=int)
+
+        def power(a):
+            return np.linalg.matrix_power(A, a)
+
+        k = next(j for j in range(2, 100)
+                 if power(j // 2).max() * power(j - j // 2).max() * m > limit)
+        for j in range(3, k + 1, 2):
+            assert power(j // 2).max() * (m - 1) <= limit
+        assert power(k // 2).max() * power(k - k // 2).max() <= limit
+        assert (power(k // 2) != 0).sum(axis=1).max() == m
+        g = build_graph(n, [(u + 1, v + 1) for u, v in clique])
+        panels = []
+
+        def recording(*args):
+            panels.append(adjacency_panel(*args))
+            return panels[-1]
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(counts, "_adjacency_panel", recording)
+            with pytest.raises(CapabilityError):
+                walk_count_features(g, k)
+            feats = walk_count_features(g, k - 1)
+        assert not panels
+        exact = walk_counts_exact(build_graph(m, clique), k - 1)
+        assert feats[1:m + 1].tolist() == exact.tolist()
+        assert not feats[0].any() and not feats[m + 1:].any()
+
     def test_bounds_are_per_graph(self):
         # K5 has the larger counts and the star the longer rows: the block's
         # maxima taken together would fail the 64-bit check at k = 32, while

@@ -2,6 +2,7 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from idgnn.datasets import (
     MAX_NODES,
@@ -15,6 +16,7 @@ from idgnn.datasets import (
 )
 from idgnn.errors import CapabilityError, ParseError
 from idgnn.graph import build_graph
+from oracles import load_jsonl_per_line
 
 
 def test_graph_roundtrip(tmp_path):
@@ -117,3 +119,113 @@ def test_num_nodes_above_cap_is_capability_error():
     assert MAX_NODES >= 10**6
     with pytest.raises(CapabilityError, match="num_nodes"):
         graph_from_obj({"num_nodes": MAX_NODES + 1, "edges": []})
+
+
+# One malformed line of each kind the reader checks, as a function of a
+# valid graph object's node count n.
+MALFORMED = {
+    "json": lambda n: b'{"num_nodes": 2, "edges": [[0, 1]',
+    "endpoint-type": lambda n: json.dumps({"num_nodes": n, "edges": [[0, 1.5]]}).encode(),
+    "endpoint-bool": lambda n: json.dumps({"num_nodes": n, "edges": [[True, 0]]}).encode(),
+    "negative-count": lambda n: json.dumps({"num_nodes": -1 - n, "edges": []}).encode(),
+    "over-cap": lambda n: json.dumps({"num_nodes": MAX_NODES + 1, "edges": [[0, 1]]}).encode(),
+    "endpoint-range": lambda n: json.dumps({"num_nodes": n, "edges": [[0, 0], [n, 0]]}).encode(),
+    "endpoint-negative": lambda n: json.dumps({"num_nodes": n, "edges": [[0, -2]]}).encode(),
+    "endpoint-huge": lambda n: json.dumps({"num_nodes": n, "edges": [[2**70, 0]]}).encode(),
+    "ragged-features": lambda n: json.dumps(
+        {"num_nodes": 2, "edges": [], "node_features": [[1.0], [1.0, 2.0]]}).encode(),
+    "feature-rows": lambda n: json.dumps(
+        {"num_nodes": n, "edges": [], "node_features": [[1.0]] * (n + 1)}).encode(),
+    "label": lambda n: json.dumps({"num_nodes": n, "edges": [], "label": "a"}).encode(),
+    "node-labels": lambda n: json.dumps(
+        {"num_nodes": n, "edges": [], "node_labels": [0] * (n + 1)}).encode(),
+    "range-and-label": lambda n: json.dumps(
+        {"num_nodes": n, "edges": [[0, n + 3]], "label": 1.5}).encode(),
+    "missing-edges": lambda n: json.dumps({"num_nodes": n}).encode(),
+}
+
+
+@st.composite
+def graph_lines(draw):
+    """One valid graph object as a JSONL line: repeated edges, self-loops,
+    unsorted and reversed pairs and empty graphs all occur, and features and
+    labels are optional."""
+    n = draw(st.integers(0, 7))
+    ends = st.integers(0, max(n - 1, 0))
+    obj = {"num_nodes": n,
+           "edges": draw(st.lists(st.lists(ends, min_size=2, max_size=2), max_size=3 * n))
+           if n else []}
+    if draw(st.booleans()):
+        width = draw(st.integers(0, 2))
+        obj["node_features"] = [[float(draw(st.integers(-3, 3))) for _ in range(width)]
+                                for _ in range(n)]
+    if draw(st.booleans()):
+        obj["label"] = draw(st.integers(-2, 2))
+    if draw(st.booleans()):
+        obj["node_labels"] = [draw(st.integers(0, 2)) for _ in range(n)]
+    return json.dumps(obj).encode()
+
+
+def _outcome(read, path):
+    try:
+        return read(path), None
+    except Exception as exc:  # the class and message are what is compared
+        return None, (type(exc), str(exc))
+
+
+def _assert_same_records(got, ref):
+    assert len(got) == len(ref)
+    for rec, (n, edges, adjacency, feats, label, node_labels) in zip(got, ref):
+        g = rec.graph
+        assert g.num_nodes == n and g.edges == edges and g.adjacency == adjacency
+        indptr, indices = g.csr
+        assert indptr.dtype == indices.dtype == np.int64
+        assert not indptr.flags.writeable and not indices.flags.writeable
+        np.testing.assert_array_equal(indptr, np.cumsum([0] + [len(a) for a in adjacency]))
+        np.testing.assert_array_equal(indices, [w for a in adjacency for w in a])
+        if feats is None:
+            assert g.node_features is None
+        else:
+            np.testing.assert_array_equal(g.node_features, feats)
+            assert g.node_features.shape == feats.shape
+        assert rec.label == label and rec.node_labels == node_labels
+
+
+@given(lines=st.lists(graph_lines(), max_size=6),
+       bad=st.lists(st.tuples(st.sampled_from(sorted(MALFORMED)), st.integers(0, 6)),
+                    max_size=2),
+       blank=st.booleans())
+@settings(max_examples=300, deadline=None)
+def test_one_pass_reader_equals_per_line_reader(tmp_path_factory, lines, bad, blank):
+    # valid files give the per-line reader's records; files with one or two
+    # malformed lines give its exception class and message
+    lines = list(lines)
+    for kind, at in bad:
+        lines.insert(min(at, len(lines)), MALFORMED[kind](at % 4 + 1))
+    if blank:
+        lines.insert(len(lines) // 2, b"   ")
+    path = str(tmp_path_factory.mktemp("jsonl") / "d.jsonl")
+    with open(path, "wb") as fh:
+        fh.write(b"\n".join(lines) + b"\n")
+    got, got_error = _outcome(load_jsonl, path)
+    ref, ref_error = _outcome(load_jsonl_per_line, path)
+    assert got_error == ref_error
+    if ref_error is None:
+        _assert_same_records(got, ref)
+
+
+@pytest.mark.parametrize("first, second", [
+    ("endpoint-range", "json"), ("endpoint-huge", "json"), ("ragged-features", "over-cap"),
+    ("label", "endpoint-range"), ("negative-count", "endpoint-type"),
+    ("feature-rows", "label"), ("range-and-label", "json"), ("json", "endpoint-range"),
+    ("endpoint-range", "ragged-features"),
+])
+def test_first_bad_line_wins(tmp_path, first, second):
+    valid = json.dumps({"num_nodes": 3, "edges": [[0, 1], [1, 2]]}).encode()
+    path = str(tmp_path / "d.jsonl")
+    with open(path, "wb") as fh:
+        fh.write(b"\n".join([valid, MALFORMED[first](3), valid, MALFORMED[second](3)]) + b"\n")
+    _, got_error = _outcome(load_jsonl, path)
+    _, ref_error = _outcome(load_jsonl_per_line, path)
+    assert got_error == ref_error
+    assert got_error[1].startswith("line 2: ")

@@ -6,9 +6,11 @@ from hypothesis import given, settings, strategies as st
 
 from idgnn import graph
 from idgnn.errors import InputError
+from idgnn.generators import gen_small_world
 from idgnn.graph import (
     bfs_blocks,
     build_graph,
+    build_graphs,
     extract_ego,
     relabel_graph,
     union_csr,
@@ -74,6 +76,33 @@ class TestBuildGraph:
         g = build_graph(2, [(0, 1)], node_features=[[1.0], [2.0]])
         with pytest.raises(ValueError):
             g.node_features[0, 0] = 5.0
+
+    @pytest.mark.parametrize("sizes, counts, u, v, feats, message", [
+        # graph 1's endpoint fails before graph 2's features are read
+        ([2, 3, 2], [1, 1, 0], [0, 5], [1, 0], [None, None, [[1.0]]],
+         "edge endpoint 5 out of range for graph with 3 nodes"),
+        # graph 0's features fail before graph 1's node count is read
+        ([2, -1], [0, 0], [], [], [[[1.0]], None], "node_features must have 2 rows"),
+        # within a graph the node count, then the endpoints, then features
+        ([1, -2], [0, 1], [0], [0], [None, [[1.0]]], "num_nodes must be nonnegative, got -2"),
+        ([2], [2], [0, 1], [1, 2], [[[1.0]]], "edge endpoint 2 out of range"),
+    ])
+    def test_many_graphs_report_the_first_bad_graph(self, sizes, counts, u, v, feats,
+                                                    message):
+        with pytest.raises(InputError) as err:
+            build_graphs(sizes, counts, u, v, feats)
+        assert str(err.value).startswith(message)
+
+    @given(st.lists(edges_strategy(max_n=8), max_size=5))
+    @settings(max_examples=100)
+    def test_many_graphs_equal_one_at_a_time(self, cases):
+        edges = np.concatenate([np.zeros((0, 2), dtype=np.int64)]
+                               + [np.array(e, dtype=np.int64).reshape(-1, 2) for _, e in cases])
+        graphs = build_graphs([n for n, _ in cases], [len(e) for _, e in cases],
+                              edges[:, 0], edges[:, 1])
+        assert graphs == [build_graph(n, e) for n, e in cases]
+        for g in graphs:
+            assert not g.indptr.flags.writeable and not g.indices.flags.writeable
 
     @given(edges_strategy())
     @settings(max_examples=60)
@@ -200,6 +229,43 @@ class TestBfsBlocks:
             D = floyd_warshall(graphs[gi])[s - starts[gi]]
             np.testing.assert_array_equal(dist[i, :n], np.where(D <= cap, D, -1))
             assert np.all(dist[i, n:] == -1)
+
+    @given(graphs=graph_lists(), cap=st.integers(0, 9), limit=st.integers(0, 40),
+           data=st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_entry_bound_splits_blocks(self, graphs, cap, limit, data):
+        # a block holds one source, or sources whose graphs' directed edges
+        # sum to at most the bound, as many as fit; the distances are those
+        # of the unbounded search
+        sizes = np.array([g.num_nodes for g in graphs], dtype=np.int64)
+        total, width = int(sizes.sum()), int(sizes.max(initial=0))
+        sources = list(range(total))
+        if total:
+            sources += data.draw(st.lists(st.integers(0, total - 1), max_size=4))
+        entries = np.repeat([2 * g.num_edges for g in graphs], sizes)[sources]
+
+        def distances(blocks):
+            dist = np.full((len(sources), width), -1, dtype=np.int64)
+            for lo, cells, depth in blocks:
+                local, v = np.divmod(cells, width)
+                dist[lo + local, v] = depth
+            return dist
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(graph, "_BFS_BLOCK_ENTRIES", limit)
+            blocks = list(bfs_blocks(graphs, sources, cap))
+        bounds = [lo for lo, _, _ in blocks] + [len(sources)]
+        for lo, hi in zip(bounds, bounds[1:]):
+            assert hi - lo == 1 or entries[lo:hi].sum() <= limit
+            assert hi == len(sources) or entries[lo:hi + 1].sum() > limit
+        np.testing.assert_array_equal(distances(blocks),
+                                      distances(bfs_blocks(graphs, sources, cap)))
+
+    def test_a_training_split_is_one_block(self):
+        # the 32 small-world graphs of 40 nodes that the benchmark trains on
+        # are searched from every node in one block
+        graphs = [gen_small_world(40, 4, 0.1, seed) for seed in range(32)]
+        assert len(list(bfs_blocks(graphs, np.arange(32 * 40), 4))) == 1
 
     def test_cells_of_a_smaller_graph(self):
         # a 2-node path, then a 4-node path (union nodes 2..5): w = 4, and a
