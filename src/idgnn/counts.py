@@ -34,6 +34,7 @@ task labels in ``tasks`` read it.
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -295,13 +296,19 @@ def reachability(g: Graph, u: int, v: int, k: int) -> bool:
 
 
 def count_signatures(counts: list[np.ndarray]) -> list[bytes]:
-    """Canonical byte signature of each n x k int64 count matrix: a header of k
-    and n, then its rows in lexicographic order as int64 bytes. Equal
-    exactly when the matrices hold the same multiset of rows, so isomorphic
-    graphs get equal signatures, which refine as k grows."""
-    return [np.array(c.shape[::-1], dtype=np.int64).tobytes()
-            + c[np.lexsort(c.T[::-1])].tobytes()
-            for c in counts]
+    """Canonical byte signature of each n x k int64 count matrix, all of one
+    k: a header of k and n, then its rows in lexicographic order as int64
+    bytes. Equal exactly when the matrices hold the same multiset of rows,
+    so isomorphic graphs get equal signatures, which refine as k grows.
+    One lexsort orders the rows of every matrix, the matrix index its first
+    key."""
+    if not counts:
+        return []
+    sizes = [c.shape[0] for c in counts]
+    rows = np.concatenate(counts)
+    rows = rows[np.lexsort((*rows.T[::-1], np.repeat(np.arange(len(counts)), sizes)))]
+    return [struct.pack("=qq", rows.shape[1], n) + rows[end - n:end].tobytes()
+            for n, end in zip(sizes, np.cumsum(sizes).tolist())]
 
 
 def graph_signature(g: Graph, k: int) -> bytes:

@@ -34,11 +34,14 @@ class SignatureIndex:
 
     Differing signatures (counts.count_signatures) certify non-isomorphism,
     so a new graph is checked by exact isomorphism only against its own
-    bucket, in insertion order. From a bucket's first collision on,
-    ``states[sig]`` holds the wl.iso_state of each of its graphs, built once.
+    bucket, in insertion order. ``first_walks[sig]`` holds the counts of a
+    bucket's first graph until its first collision. From then on,
+    ``states[sig]`` holds the wl.iso_state of each of its graphs, built once
+    from the counts the index already read, so no state runs the kernel.
     """
 
     buckets: dict[bytes, list[Graph]] = field(default_factory=dict)
+    first_walks: dict[bytes, np.ndarray] = field(default_factory=dict)
     states: dict[bytes, list[IsoState]] = field(default_factory=dict)
 
     def add_many(self, graphs: list[Graph], walks: list[np.ndarray] | None = None
@@ -46,23 +49,26 @@ class SignatureIndex:
         """Add ``graphs`` in order, keeping each one unless it is isomorphic
         to a graph kept before it; True for each one kept.
 
-        The signatures read ``walks``, the graphs' closed-walk counts up to
-        length PREFILTER_K, which one kernel call computes if not given.
+        The signatures and isomorphism states read ``walks``, the graphs'
+        closed-walk counts up to length PREFILTER_K, which one kernel call
+        computes if not given.
         """
         if walks is None:
             walks = walk_count_features_many(graphs, PREFILTER_K)
         sigs = count_signatures(walks)
-        return [self._insert(g, sig) for g, sig in zip(graphs, sigs)]
+        return [self._insert(g, c, sig) for g, c, sig in zip(graphs, walks, sigs)]
 
-    def _insert(self, g: Graph, sig: bytes) -> bool:
+    def _insert(self, g: Graph, walks: np.ndarray, sig: bytes) -> bool:
         bucket = self.buckets.setdefault(sig, [])
         if bucket:
             if sig not in self.states:
-                self.states[sig] = [iso_state(bucket[0])]
-            states, state = self.states[sig], iso_state(g)
+                self.states[sig] = [iso_state(bucket[0], self.first_walks.pop(sig))]
+            states, state = self.states[sig], iso_state(g, walks)
             if any(isomorphic_states(state, other) for other in states):
                 return False
             states.append(state)
+        else:
+            self.first_walks[sig] = walks
         bucket.append(g)
         return True
 

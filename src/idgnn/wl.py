@@ -13,21 +13,24 @@ distance constraints propagated as in VF2 (Cordella et al., IEEE TPAMI 2004)
 and the refinement idea of nauty/Traces (McKay & Piperno, J. Symb. Comput.
 2014). A graph's search state (iso_state) is built once: its distance rings,
 ``rings[s][k]`` the bitmask of the nodes k hops from s plus one ring of the
-nodes s cannot reach, and each node's key, its stable WL color and ring
-sizes. Comparing two states (isomorphic_states) gives each node the nodes of
-the other graph with its key as candidate images. Mapping u to c leaves
-every unplaced x only the candidates in c's ring at x's distance from u, and
-the search branches next on the node with the fewest candidates.
-Isomorphisms preserve distances, so no true image is ever pruned; distance 1
-is adjacency and distance 0 keeps images distinct, so a complete assignment
-is an isomorphism. 1-WL gives d-regular graphs one color, so on them the
-rings do the work: relabeled random 3- and 6-regular pairs with 128 nodes
-take n + 1 search nodes and about 8 ms, and non-isomorphic draws differ in
-ring sizes and take about 2 ms (2 vCPUs, Python 3.11). The rings come from
-bitmask BFS over all sources at once rather than from ``graph.bfs_blocks``,
-whose numpy set-up alone costs about 0.1 ms on a 10-node graph, seven times
-the bitmask rings. expressiveness.SignatureIndex builds a graph's state
-only when its signature collides, and then once.
+nodes s cannot reach, and each node's key, its closed-walk counts of lengths
+1..ISO_WALK_K (ID-GNN-Fast's identity features, counts.walk_count_features_many)
+and its ring sizes. Comparing two states (isomorphic_states) gives each node
+the nodes of the other graph with its key as candidate images. Mapping u to c
+leaves every unplaced x only the candidates in c's ring at x's distance from
+u, and the search branches next on the node with the fewest candidates.
+Isomorphisms preserve distances and closed-walk counts, so no true image is
+ever pruned; distance 1 is adjacency and distance 0 keeps images distinct, so
+a complete assignment is an isomorphism. 1-WL gives d-regular graphs one
+color, but their closed-walk counts see each node's cycles: relabeled copies
+of 10-node 4-regular graphs take n + 1 search nodes, as do relabeled random
+3- and 6-regular graphs with 128 nodes, in 6 to 7 ms, and non-isomorphic
+draws differ in their keys and take about 2 ms (2 vCPUs, Python 3.11). The
+rings come from bitmask BFS over all sources at once rather than from
+``graph.bfs_blocks``, whose numpy set-up alone costs about 0.1 ms on a
+10-node graph, seven times the bitmask rings. expressiveness.SignatureIndex
+builds a graph's state only when its signature collides, and then once,
+from the counts it already holds.
 """
 
 from __future__ import annotations
@@ -37,12 +40,20 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import NamedTuple
 
+import numpy as np
+
+from .counts import walk_count_features_many
 from .errors import CapabilityError, InputError
 from .graph import Graph, union_csr
 
 WL_HASH_NAME = "blake2b8(histogram-trajectory)"
 
 MAX_ISO_NODES = 128
+
+# Node keys read closed-walk counts of lengths 1..ISO_WALK_K, the longest
+# length at which the kernel's 64-bit check passes on every graph of
+# MAX_ISO_NODES nodes: on the complete graph it passes at 9 and fails at 10.
+ISO_WALK_K = 9
 
 
 @dataclass(frozen=True)
@@ -191,27 +202,38 @@ def _extend(cand: list[int], free: int, rings1, rings2) -> bool:
 
 
 class IsoState(NamedTuple):
-    """One graph's distance rings and node keys (stable WL color, ring sizes)."""
+    """One graph's distance rings and node keys (closed-walk counts of
+    lengths 1..ISO_WALK_K, then ring sizes)."""
 
     rings: list[list[int]]
     keys: list[tuple]
 
 
-def iso_state(g: Graph) -> IsoState:
-    """The search state of ``g``; raises CapabilityError above MAX_ISO_NODES."""
+def _check_size(g: Graph) -> None:
     if g.num_nodes > MAX_ISO_NODES:
         raise CapabilityError(f"exact isomorphism limited to {MAX_ISO_NODES} nodes")
+
+
+def iso_state(g: Graph, walks: np.ndarray) -> IsoState:
+    """The search state of ``g`` from ``walks``, its closed-walk counts of
+    lengths 1..k, k >= ISO_WALK_K, one row per node; raises CapabilityError
+    above MAX_ISO_NODES."""
+    _check_size(g)
+    walks = walks[:, :ISO_WALK_K]
+    if walks.shape != (g.num_nodes, ISO_WALK_K):
+        raise InputError(f"iso_state needs {g.num_nodes} x {ISO_WALK_K} walk counts, "
+                         f"got shape {walks.shape}")
     rings = _rings(g)
-    return IsoState(rings, [(c, tuple(map(int.bit_count, r)))
-                            for c, r in zip(wl_refine(g).colors, rings)])
+    return IsoState(rings, [tuple(row + list(map(int.bit_count, r)))
+                            for row, r in zip(walks.tolist(), rings)])
 
 
 def isomorphic_states(s1: IsoState, s2: IsoState) -> bool:
     """Whether some bijection keeping keys and all distances maps the graph
     of ``s1`` onto that of ``s2``. Equal key multisets imply equal node and
-    edge counts, degrees and WL histograms: ring 1 holds the neighbors (an
-    isolated node has only two rings, any other at least three), and the
-    colors make up the stable histogram."""
+    edge counts and degree sequences, since a node's closed walks of length
+    2 are its degree, but not equal WL histograms. The answer is exact all
+    the same: isomorphisms keep keys and distances."""
     if sorted(s1.keys) != sorted(s2.keys):
         return False
     by_key: dict[tuple, int] = {}
@@ -222,6 +244,10 @@ def isomorphic_states(s1: IsoState, s2: IsoState) -> bool:
 
 
 def are_isomorphic(g1: Graph, g2: Graph) -> bool:
-    """Exact isomorphism test: compare the two graphs' search states.
-    Desk-scale only; raises CapabilityError above MAX_ISO_NODES nodes."""
-    return isomorphic_states(iso_state(g1), iso_state(g2))
+    """Exact isomorphism test: compare the two graphs' search states, whose
+    walk counts come from one kernel call. Desk-scale only; raises
+    CapabilityError above MAX_ISO_NODES nodes."""
+    _check_size(g1)
+    _check_size(g2)
+    w1, w2 = walk_count_features_many([g1, g2], ISO_WALK_K)
+    return isomorphic_states(iso_state(g1, w1), iso_state(g2, w2))

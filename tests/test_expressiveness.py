@@ -15,9 +15,9 @@ from idgnn.expressiveness import (
 from idgnn.generators import gen_d_regular
 from idgnn.graph import build_graph, relabel_graph
 from idgnn.nn import ModelConfig, init_model, make_walk_count_model
-from idgnn.wl import are_isomorphic
+from idgnn.wl import are_isomorphic, iso_state, isomorphic_states
 from gradcheck import randomize
-from oracles import nonisomorphic_pool_sequential
+from oracles import isomorphic_brute, nonisomorphic_pool_sequential
 
 
 def pool_outcome(fn, *args):
@@ -111,6 +111,38 @@ class TestSignatureIndex:
         for index in (batch, chunked):
             assert {sig: [g.edges for g in bucket] for sig, bucket in index.buckets.items()} \
                 == {sig: [g.edges for g in bucket] for sig, bucket in sequential.buckets.items()}
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_keep_flags_equal_brute_force_dedupe(self, data):
+        # a few bases on at most 7 nodes, each followed by relabeled copies,
+        # some with one edge moved, all shuffled together
+        graphs = []
+        for _ in range(data.draw(st.integers(1, 3))):
+            n = data.draw(st.integers(1, 7))
+            slots = [(u, v) for u in range(n) for v in range(u + 1, n)]
+            edges = data.draw(st.sets(st.sampled_from(slots))) if slots else set()
+            graphs.append(build_graph(n, edges))
+            for _ in range(data.draw(st.integers(0, 3))):
+                copy = edges
+                if data.draw(st.booleans()) and edges and len(edges) < len(slots):
+                    copy = (edges - {data.draw(st.sampled_from(sorted(edges)))}) | {
+                        data.draw(st.sampled_from(sorted(set(slots) - edges)))}
+                graphs.append(relabel_graph(build_graph(n, copy),
+                                            data.draw(st.permutations(range(n)))))
+        graphs = [graphs[i] for i in data.draw(st.permutations(range(len(graphs))))]
+        kept, want = [], []
+        for g in graphs:
+            want.append(not any(isomorphic_brute(g, h) for h in kept))
+            if want[-1]:
+                kept.append(g)
+        assert SignatureIndex().add_many(graphs) == want
+        walks = walk_count_features_many(graphs, PREFILTER_K)
+        states = [iso_state(g, c) for g, c in zip(graphs, walks)]
+        for i in range(len(graphs)):
+            for j in range(i + 1, len(graphs)):
+                assert isomorphic_states(states[i], states[j]) \
+                    == are_isomorphic(graphs[i], graphs[j])
 
 
 class TestExperiment:

@@ -5,10 +5,11 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from idgnn import counts, expressiveness
 from idgnn.cli import main
-from idgnn.counts import graph_signature
+from idgnn.counts import graph_signature, walk_count_features_many
 from idgnn.datasets import GraphRecord, save_graph, save_jsonl
-from idgnn.errors import CapabilityError
+from idgnn.errors import CapabilityError, InputError
 from idgnn.expressiveness import SignatureIndex
 from idgnn.generators import gen_d_regular, gen_small_world
 from idgnn.graph import build_graph, relabel_graph
@@ -386,9 +387,12 @@ LATIN = {name: latin_square_graph(mul) for name, mul in ORDER_8_GROUPS.items()}
 
 @pytest.fixture
 def search_nodes(monkeypatch):
-    """Counts of the calls of wl._extend (search nodes), wl._rings and
-    wl.wl_refine made while the test runs."""
-    calls = dict.fromkeys(["_extend", "_rings", "wl_refine"], 0)
+    """Counts of the calls of wl._extend (search nodes), wl._rings,
+    wl.wl_refine and the walk-count kernel made while the test runs; the
+    kernel is counted in every module that imports it."""
+    bound_in = {"_extend": [wl], "_rings": [wl], "wl_refine": [wl],
+                "walk_count_features_many": [counts, wl, expressiveness]}
+    calls = dict.fromkeys(bound_in, 0)
 
     def counting(name):
         fn = getattr(wl, name)
@@ -398,8 +402,10 @@ def search_nodes(monkeypatch):
             return fn(*args)
         return counted
 
-    for name in calls:
-        monkeypatch.setattr(wl, name, counting(name))
+    for name, modules in bound_in.items():
+        wrapped = counting(name)
+        for module in modules:
+            monkeypatch.setattr(module, name, wrapped)
     return calls
 
 
@@ -446,10 +452,58 @@ class TestLatinSquareGraphs:
                   relabel_graph(q8, rng.permutation(64).tolist())]
         with time_limit(40):
             assert SignatureIndex().add_many(graphs) == [True, True, False, False]
-        assert search_nodes["_rings"] == search_nodes["wl_refine"] == 4
+        assert search_nodes["_rings"] == 4
+        assert search_nodes["wl_refine"] == 0
         assert search_nodes["_extend"] <= 29_507
 
     def test_index_builds_no_state_without_collision(self, search_nodes):
         paths = [build_graph(n, [(i, i + 1) for i in range(n - 1)]) for n in range(1, 21)]
         assert SignatureIndex().add_many(paths) == [True] * 20
         assert search_nodes["_rings"] == search_nodes["wl_refine"] == 0
+
+
+class TestWalkKeys:
+    """Node keys read the closed-walk counts that the signature index
+    already holds."""
+
+    def test_counts_fit_at_max_size(self):
+        # ISO_WALK_K is the longest walk length whose counts fit int64 on the
+        # densest graph of MAX_ISO_NODES nodes
+        n = wl.MAX_ISO_NODES
+        k128 = build_graph(n, [(a, b) for a in range(n) for b in range(a + 1, n)])
+        copy = relabel_graph(k128, np.random.default_rng(2).permutation(n).tolist())
+        assert are_isomorphic(k128, copy)
+        with pytest.raises(CapabilityError, match="64-bit"):
+            walk_count_features_many([k128], wl.ISO_WALK_K + 1)
+        k129 = build_graph(n + 1, [(a, b) for a in range(n + 1) for b in range(a + 1, n + 1)])
+        with pytest.raises(CapabilityError, match=f"limited to {n} nodes"):
+            are_isomorphic(k129, k129)
+
+    def test_relabeled_regular_copies_take_n_plus_one_nodes(self, search_nodes):
+        # the benchmark's shape: 10-node 4-regular bases, where 1-WL gives
+        # every node one color
+        rng = np.random.default_rng(8)
+        for seed in range(20):
+            base = gen_d_regular(10, 4, seed)
+            for _ in range(5):
+                copy = relabel_graph(base, rng.permutation(10).tolist())
+                search_nodes["_extend"] = 0
+                assert are_isomorphic(base, copy)
+                assert search_nodes["_extend"] <= 10 + 1
+
+    def test_index_runs_the_kernel_once(self, search_nodes):
+        rng = np.random.default_rng(9)
+        bases = [gen_d_regular(10, 4, seed) for seed in range(6)]
+        graphs = [relabel_graph(g, rng.permutation(10).tolist())
+                  for g in bases for _ in range(4)]
+        classes = len({graph_signature(g, 10) for g in bases})
+        search_nodes["walk_count_features_many"] = 0
+        assert sum(SignatureIndex().add_many(graphs)) == classes
+        assert search_nodes["walk_count_features_many"] == 1
+        assert search_nodes["_rings"] > 0
+        assert search_nodes["wl_refine"] == 0
+
+    def test_state_needs_the_key_columns(self):
+        g = gen_d_regular(10, 4, 0)
+        with pytest.raises(InputError):
+            wl.iso_state(g, walk_count_features_many([g], wl.ISO_WALK_K - 1)[0])
