@@ -18,7 +18,8 @@ from idgnn.tasks import make_node_cc_task, make_spd_task, split, train
 
 def run_node_cc(seeds, epochs):
     graphs = gen_dataset(GeneratorSpec("small_world", 40, 4, 0.3), 64, seed=11)
-    task = make_node_cc_task(graphs)
+    # counts at the id_fast width: every id_fast run reads its inputs from them
+    task = make_node_cc_task(graphs, 10)
     for variant, in_dim in (("plain", 1), ("id_fast", 11)):
         for seed in seeds:
             ts = split(task, 0.8, seed)

@@ -175,13 +175,22 @@ def _cmd_expressiveness(args) -> int:
     return 0
 
 
-def _load_task(records, task_kind: str, args):
+def _load_task(records, task_kind: str, args, width: int = 3):
+    """The task of ``records``. A clustering task keeps the closed-walk
+    counts of lengths 1..``width`` from the one kernel call behind its
+    labels (see _count_width)."""
     graphs = [rec.graph for rec in records]
     if task_kind == "node_cc":
-        return make_node_cc_task(graphs)
+        return make_node_cc_task(graphs, width)
     if task_kind == "graph_cc":
-        return make_graph_cc_task(graphs)
+        return make_graph_cc_task(graphs, width)
     return make_spd_task(graphs, args.pairs_per_graph, args.seed)
+
+
+def _count_width(config: ModelConfig) -> int:
+    """The count width of a clustering task for ``config``: an id_fast
+    model's inputs read their count columns from the task's counts."""
+    return max(3, config.fast_k) if config.variant == "id_fast" else 3
 
 
 def _cmd_train(args) -> int:
@@ -190,9 +199,10 @@ def _cmd_train(args) -> int:
     records = load_jsonl(args.data)
     if not records:
         raise InputError(f"dataset {args.data} is empty")
-    task_data = _load_task(records, task_kind, args)
-    task = split(task_data, args.split_fraction, args.seed)
-
+    # SPD pairs are drawn before the model is built, so their seed checks
+    # come first. A clustering task's counts are as wide as fast_k, so they
+    # come after it: init_model reports a width the model cannot have.
+    spd = _load_task(records, task_kind, args) if task_kind == "edge_spd" else None
     layers = args.layers if args.layers is not None else (5 if task_kind == "edge_spd" else 3)
     base_dim = (records[0].graph.node_features.shape[1]
                 if records[0].graph.node_features is not None else 1)
@@ -200,10 +210,12 @@ def _cmd_train(args) -> int:
     config = ModelConfig(
         flavor=args.flavor, variant=variant, num_layers=layers,
         hidden_dim=args.hidden, input_dim=input_dim,
-        output_dim=task.spec.num_classes,
+        output_dim=TASK_SPECS[task_kind].num_classes,
         aggregation=args.aggregation or "", fast_k=args.fast_k, seed=args.seed,
     )
     model = init_model(config)
+    task_data = spd or _load_task(records, task_kind, args, _count_width(config))
+    task = split(task_data, args.split_fraction, args.seed)
     report = train(model, task, epochs=args.epochs, lr=args.lr, seed=args.seed)
     save_model(model, args.out)
     outputs = [args.out]
@@ -226,7 +238,7 @@ def _cmd_eval(args) -> int:
     records = load_jsonl(args.data)
     if not records:
         raise InputError(f"dataset {args.data} is empty")
-    task_data = _load_task(records, task_kind, args)
+    task_data = _load_task(records, task_kind, args, _count_width(model.config))
     accuracy = evaluate(model, task_data.spec, task_data.items)
     result = {"task": task_kind, "accuracy": accuracy, "graphs": len(records)}
     print(dumps_canonical(result))

@@ -25,8 +25,10 @@ graphs would on its own. ``walk_count_features`` is its one-graph view.
 
 The count rows are read two ways, each coded once: ``count_signatures``
 turns count matrices into canonical signatures, and ``with_count_columns``
-appends them to per-graph base features. ``graph_signature`` and
-``augment_features`` are their one-graph views.
+appends them to per-graph base features, reading the first k columns of
+matrices the caller passes (a clustering task keeps one count matrix per
+graph, at a width its caller chooses) or else computing them.
+``graph_signature`` and ``augment_features`` are their one-graph views.
 
 ``clustering_from_counts`` is the one clustering formula; the clustering
 task labels in ``tasks`` read it.
@@ -318,18 +320,25 @@ def graph_signature(g: Graph, k: int) -> bytes:
 
 
 def with_count_columns(graphs: list[Graph], bases: list[np.ndarray | None], k: int,
-                       transform=None) -> list[np.ndarray]:
+                       transform=None, walks: list[np.ndarray] | None = None
+                       ) -> list[np.ndarray]:
     """Each graph's base columns followed by its k closed-walk count columns
     as floats, passed through ``transform`` if one is given; a None base
-    gives the count columns alone. The counts of all graphs come from one
-    kernel call."""
-    out = []
-    for base, c in zip(bases, walk_count_features_many(graphs, k)):
-        c = c.astype(np.float64)
-        if transform is not None:
-            c = transform(c)
-        out.append(c if base is None else np.concatenate([base, c], axis=1))
-    return out
+    gives the count columns alone.
+
+    The counts are the first k columns of ``walks``, the graphs' count
+    matrices at a width of the caller's choosing, at least k (a clustering
+    task keeps one per graph); without them, one kernel call computes all
+    graphs' counts. The float cast and ``transform`` run once, on the
+    stacked rows of every graph."""
+    if walks is None:
+        walks = walk_count_features_many(graphs, k)
+    sizes = [w.shape[0] for w in walks]
+    c = np.concatenate([zero_counts(0, k)] + [w[:, :k] for w in walks]).astype(np.float64)
+    if transform is not None:
+        c = transform(c)
+    return [part if base is None else np.concatenate([base, part], axis=1)
+            for base, part in zip(bases, np.split(c, np.cumsum(sizes[:-1], dtype=np.int64)))]
 
 
 def augment_features(g: Graph, k: int) -> np.ndarray:

@@ -20,17 +20,20 @@ from .errors import CapabilityError, InputError
 from .generators import RNG_NAME, STREAM_SPLIT, child_seed, gen_d_regular
 from .graph import Graph
 from .nn import Model, forward_batch, input_features, make_batch
-from .wl import IsoState, iso_state, isomorphic_states, wl_graph_hash
+from .wl import ISO_WALK_K, IsoState, iso_state, isomorphic_states, wl_graph_hash
 
-PREFILTER_K = 10
+# The signature length is the key length of exact isomorphism, so the index
+# takes every graph that wl.are_isomorphic takes.
+PREFILTER_K = ISO_WALK_K
 _REGEN_BUDGET_FACTOR = 50
 
 
 @dataclass
 class SignatureIndex:
     """Pairwise non-isomorphic graphs kept so far, bucketed by closed-walk
-    signature of length PREFILTER_K, for graphs of every size: on n <= 10
-    nodes no count exceeds 9^10.
+    signature of length PREFILTER_K, the key length of exact isomorphism,
+    whose counts fit the 64-bit range on every graph of up to
+    wl.MAX_ISO_NODES nodes, complete graphs included.
 
     Differing signatures (counts.count_signatures) certify non-isomorphism,
     so a new graph is checked by exact isomorphism only against its own

@@ -45,6 +45,8 @@ All tensors are float64. A forward pass asked for a tape appends to it the
 cache of each layer, which holds that layer's operators; backward walks the
 tape and returns exact gradients for every parameter (max aggregation routes
 ties to the first maximizer in list order, ReLU uses subgradient 0 at 0).
+Max aggregation builds its table of first maximizers, which only backward
+reads, under a tape only; a pass without one writes the same maxima.
 
 Importing the module sets glibc's allocator, process-wide, to keep freed
 blocks for reuse across epochs (_keep_freed_memory).
@@ -277,25 +279,29 @@ class _GraphOps:
                              shape=(self.n, self.n_in))
 
 
-def _agg_max(M: np.ndarray, ops: _GraphOps):
-    """Per written row, the max over neighbor rows of M, and the sending
-    neighbor of each maximum (-1 at isolated nodes). Ties go to the first
+def _agg_max(M: np.ndarray, ops: _GraphOps, senders: bool = True):
+    """Per written row, the max over neighbor rows of M (0 at isolated
+    nodes), and the sending neighbor of each maximum (-1 at isolated nodes)
+    when ``senders`` is true, else None: only backward reads the senders,
+    so a pass without a tape builds no sender table. Ties go to the first
     sender in list order, the neighbor of lowest node id: an id_full list
     mixes ego rows and whole-graph rows, which make_batch orders by node.
     A NaN message makes its column's maximum NaN."""
     n, d = ops.n, M.shape[1]
     S = np.zeros((n, d))
-    src = np.full((n, d), -1, dtype=np.int64)
+    src = np.full((n, d), -1, dtype=np.int64) if senders else None
     for rows, table in ops.buckets:
         T = M[table]
         top = T.max(axis=0)
+        S[rows] = top
+        if src is None:
+            continue
         # The first not-below slot carries the largest of the weights k..1
         # (np.argmax over an axis makes one call per row and column). Not
         # below rather than equal, so a NaN maximum still picks a sender.
         k = table.shape[0]
         w = np.arange(k, 0, -1, dtype=np.min_scalar_type(k))[:, None, None]
         first = k - (~(T < top) * w).max(axis=0)
-        S[rows] = top
         # first has w's narrow dtype: widen it before scaling by the row count
         r = len(rows)
         src[rows] = table.ravel()[first * np.int64(r) + np.arange(r)[:, None]]
@@ -360,9 +366,11 @@ def _add_kept(G_H: np.ndarray, ops: _GraphOps, G_kept: np.ndarray) -> np.ndarray
     return G_H
 
 
-def _layer_forward(model: Model, i: int, ops: _GraphOps,
-                   H: np.ndarray) -> tuple[np.ndarray, dict]:
-    """Output rows of layer i, and the cache its backward reads."""
+def _layer_forward(model: Model, i: int, ops: _GraphOps, H: np.ndarray,
+                   record: bool) -> tuple[np.ndarray, dict]:
+    """Output rows of layer i, and the cache its backward reads; a layer
+    that records no tape leaves out what only backward needs, the sender
+    table of max aggregation."""
     config, p, pre = model.config, model.params, f"layers.{i}."
     cache: dict = {"ops": ops, "H": H}
     M = _messages(p, pre, H, ops.identity)
@@ -378,8 +386,7 @@ def _layer_forward(model: Model, i: int, ops: _GraphOps,
         elif config.aggregation == "mean":
             S = ops.inv_deg[:, None] * (ops.A @ Mr)
         else:
-            S, src = _agg_max(Mr, ops)
-            cache["src"] = src
+            S, cache["src"] = _agg_max(Mr, ops, senders=record)
         Z = np.concatenate([S, _kept(H, ops)], axis=1)
         P = _update(Z, p[pre + "update_weight"], p[pre + "update_bias"])
         cache.update(Z=Z, P=P)
@@ -449,10 +456,13 @@ def _check_features(config: ModelConfig, g: Graph, x: np.ndarray) -> np.ndarray:
     return x
 
 
-def input_features(config: ModelConfig, graphs: list[Graph]) -> list[np.ndarray]:
+def input_features(config: ModelConfig, graphs: list[Graph],
+                   walks: list[np.ndarray] | None = None) -> list[np.ndarray]:
     """Model inputs for each graph: its node features, or all-ones columns
     for a graph without them, followed for id_fast by fast_k log(1 + count)
-    closed-walk columns (counts.with_count_columns).
+    closed-walk columns (counts.with_count_columns). These read the first
+    fast_k columns of ``walks``, the graphs' count matrices, when given (a
+    clustering task's, see tasks), and run the kernel otherwise.
 
     Raw counts grow geometrically with the walk length and, without a
     normalization layer (deliberately absent, for determinism), drown the
@@ -472,7 +482,7 @@ def input_features(config: ModelConfig, graphs: list[Graph]) -> list[np.ndarray]
                 f"have width {x.shape[1] + fast}"
             )
         bases.append(x)
-    return with_count_columns(graphs, bases, fast, np.log1p) if fast else bases
+    return with_count_columns(graphs, bases, fast, np.log1p, walks) if fast else bases
 
 
 @dataclass
@@ -563,10 +573,12 @@ def zero_grads(model: Model) -> dict[str, np.ndarray]:
 
 def forward_batch(model: Model, batch: Batch, tape: list | None = None) -> np.ndarray:
     """Embeddings of the batch's rows from one forward pass over the union;
-    each layer's cache is appended to ``tape`` when given."""
+    each layer's cache is appended to ``tape`` when given. Without a tape
+    the layers skip what only backward reads; the embeddings are the same
+    bits either way."""
     H = batch.x
     for i, ops in enumerate(batch.layers):
-        H, cache = _layer_forward(model, i, ops, H)
+        H, cache = _layer_forward(model, i, ops, H, tape is not None)
         if tape is not None:
             tape.append(cache)
     return H

@@ -6,6 +6,11 @@ distances 1..4 and >= 5), and per-graph mean clustering-coefficient
 classification (10 bins on [0, 0.5], matching the generator sweep range).
 Clustering labels come from one walk-count kernel call, binned by one
 np.searchsorted: bins are half-open, the top one closed, outliers clamped.
+The caller chooses the width of that call (at least 3, the lengths the
+labels read), and each graph keeps its count matrix on its LabeledGraph, so
+a clustering task holds one count matrix per graph: an id_fast model whose
+fast_k is within that width reads its input columns from it (_prepare)
+rather than run the kernel again.
 
 Edge-task wiring follows the variant: id_full scores a pair through the
 conditional embedding of u with identity at v and a linear head, while plain
@@ -83,6 +88,7 @@ class LabeledGraph:
     node_labels: np.ndarray | None = None
     graph_label: int | None = None
     pairs: list[tuple[int, int, int]] | None = None  # (u, v, class)
+    walks: np.ndarray | None = None  # clustering tasks: closed-walk counts
 
 
 @dataclass
@@ -123,31 +129,37 @@ def _bins(spec: TaskSpec, values) -> np.ndarray:
     return np.searchsorted(spec.bin_edges[1:-1], values, side="right")
 
 
-def _clustering(graphs) -> tuple[np.ndarray, np.ndarray]:
-    """Every node's clustering coefficient, graph after graph, from one
-    walk-count kernel call; and the rows where graphs 2, 3, ... start."""
-    counts = walk_count_features_many(graphs, 3)
-    cuts = np.cumsum([len(c) for c in counts[:-1]], dtype=np.int64)
-    return clustering_from_counts(np.concatenate([zero_counts(0, 3), *counts])), cuts
+def _clustering(graphs, k: int) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]:
+    """Every node's clustering coefficient, graph after graph, and the rows
+    where graphs 2, 3, ... start; and each graph's closed-walk counts of
+    lengths 1..k, k >= 3, from which one kernel call reads them."""
+    if k < 3:
+        raise InputError(f"clustering labels need walk lengths up to 3, got k={k}")
+    walks = walk_count_features_many(graphs, k)
+    cuts = np.cumsum([len(c) for c in walks[:-1]], dtype=np.int64)
+    rows = np.concatenate([zero_counts(0, 3)] + [c[:, :3] for c in walks])
+    return clustering_from_counts(rows), cuts, walks
 
 
-def make_node_cc_task(graphs) -> TaskData:
-    """Label every node with the bin of its clustering coefficient."""
+def make_node_cc_task(graphs, k: int = 3) -> TaskData:
+    """Label every node with the bin of its clustering coefficient; each
+    graph keeps its closed-walk counts of lengths 1..k."""
     spec = TASK_SPECS["node_cc"]
-    cc, cuts = _clustering(graphs)
-    return TaskData(spec, [LabeledGraph(graph=g, node_labels=y)
-                           for g, y in zip(graphs, np.split(_bins(spec, cc), cuts))])
+    cc, cuts, walks = _clustering(graphs, k)
+    return TaskData(spec, [LabeledGraph(graph=g, node_labels=y, walks=c) for g, y, c
+                           in zip(graphs, np.split(_bins(spec, cc), cuts), walks)])
 
 
-def make_graph_cc_task(graphs) -> TaskData:
+def make_graph_cc_task(graphs, k: int = 3) -> TaskData:
     """Label every graph with the bin of its mean clustering coefficient:
     the node coefficients summed in node order over the node count, or 0
-    for a graph without nodes."""
+    for a graph without nodes. Each graph keeps its closed-walk counts of
+    lengths 1..k."""
     spec = TASK_SPECS["graph_cc"]
-    cc, cuts = _clustering(graphs)
+    cc, cuts, walks = _clustering(graphs, k)
     means = [sum(c.tolist()) / c.size if c.size else 0.0 for c in np.split(cc, cuts)]
-    return TaskData(spec, [LabeledGraph(graph=g, graph_label=label)
-                           for g, label in zip(graphs, _bins(spec, means).tolist())])
+    return TaskData(spec, [LabeledGraph(graph=g, graph_label=label, walks=c) for g, label, c
+                           in zip(graphs, _bins(spec, means).tolist(), walks)])
 
 
 def _spd_classes(graphs) -> tuple[np.ndarray, np.ndarray]:
@@ -269,7 +281,10 @@ def _prepare(model: Model, spec: TaskSpec, items) -> _Prepared:
     pairs = [item.pairs or [] for item in items]
     conditional = task_wiring(spec, model) == "conditional"
     anchors = [[(u, v) for u, v, _ in p] for p in pairs] if conditional else None
-    xs = input_features(model.config, graphs)
+    walks = [item.walks for item in items]
+    if any(w is None or w.shape[1] < model.config.fast_k for w in walks):
+        walks = None  # the kernel runs at fast_k
+    xs = input_features(model.config, graphs, walks)
     batch = make_batch(model, graphs, xs, anchors)
     if spec.kind == "node_cc":
         labels = [np.zeros(0, dtype=np.int64)] + [item.node_labels for item in items]

@@ -1,14 +1,40 @@
+"""Max aggregation against a per-node loop, and its sender-free path: a
+pass without a tape builds no sender table but writes the same maxima, bit
+for bit, and so the same embeddings."""
+
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
+from idgnn.generators import GeneratorSpec, gen_dataset
 from idgnn.graph import build_graph
-from idgnn.nn import _agg_max, _agg_max_backward, _GraphOps
+from idgnn.nn import (
+    ModelConfig,
+    _agg_max,
+    _agg_max_backward,
+    _GraphOps,
+    forward_batch,
+    init_model,
+    input_features,
+    make_batch,
+)
+from gradcheck import randomize
 from oracles import max_aggregate_naive, max_scatter_naive, union_by_adjacency
 
 
 def graph_ops(g):
     indptr, nbr = union_by_adjacency([g])
     return _GraphOps(np.diff(indptr), nbr)
+
+
+def agg_max_both_ways(M, ops):
+    """The maxima and senders of _agg_max, after checking that the
+    sender-free call returns no senders and the same maxima, bit for bit."""
+    S, src = _agg_max(M, ops)
+    S_free, none = _agg_max(M, ops, senders=False)
+    assert none is None
+    assert S_free.dtype == S.dtype and S_free.tobytes() == S.tobytes()
+    return S, src
 
 
 @st.composite
@@ -33,7 +59,7 @@ def graph_and_messages(draw):
 @settings(max_examples=150)
 def test_agg_max_matches_naive_loop(case):
     g, M, G_S = case
-    S, src = _agg_max(M, graph_ops(g))
+    S, src = agg_max_both_ways(M, graph_ops(g))
     S_ref, src_ref = max_aggregate_naive(M, g)
     np.testing.assert_array_equal(S, S_ref)
     np.testing.assert_array_equal(src, src_ref)
@@ -52,7 +78,7 @@ def test_ties_route_to_lowest_neighbor():
                   [0.0, 5.0, 4.0],
                   [3.0, 5.0, 1.0],
                   [3.0, 5.0, 4.0]])
-    S, src = _agg_max(M, graph_ops(g))
+    S, src = agg_max_both_ways(M, graph_ops(g))
     assert S[0].tolist() == [3.0, 5.0, 4.0]
     assert src[0].tolist() == [2, 1, 1]
     assert src[1:].tolist() == [[0, 0, 0]] * 3
@@ -65,7 +91,7 @@ def test_nan_message_makes_a_nan_max_sent_by_the_first_neighbor():
                   [1.0, 1.0],
                   [np.nan, 7.0],
                   [5.0, 2.0]])
-    S, src = _agg_max(M, graph_ops(g))
+    S, src = agg_max_both_ways(M, graph_ops(g))
     assert np.isnan(S[0, 0]) and src[0, 0] == 1
     assert S[0, 1] == 7.0 and src[0, 1] == 2
     assert not np.isnan(S[1:]).any()
@@ -98,9 +124,53 @@ def test_bucket_plan_on_a_skewed_batch():
                 assert (np.diff(nbrs) > 0).all()
         assert degrees == sorted(set(degrees))
         np.testing.assert_array_equal(seen, has_nbrs[rows_out])
-        S, src = _agg_max(M[rows_in], ops)
+        S, src = agg_max_both_ways(M[rows_in], ops)
         np.testing.assert_array_equal(S, S_ref[rows_out])
         np.testing.assert_array_equal(np.where(src >= 0, rows_in[src], -1), src_ref[rows_out])
         isolated = ~has_nbrs[rows_out]
         assert isolated.any()
         assert (S[isolated] == 0.0).all() and (src[isolated] == -1).all()
+
+
+def test_infinite_and_nan_messages_without_senders():
+    # node 0 sees neighbors 1..4: column 0 holds -inf and +inf, column 1
+    # only -inf, column 2 a NaN after a larger value, column 3 a -0.0 tie
+    g = build_graph(5, [(0, 1), (0, 2), (0, 3), (0, 4)])
+    inf, nan = np.inf, np.nan
+    M = np.array([[0.0, 0.0, 0.0, 0.0],
+                  [-inf, -inf, 3.0, -0.0],
+                  [inf, -inf, nan, 0.0],
+                  [1.0, -inf, 1.0, -0.0],
+                  [inf, -inf, 2.0, -1.0]])
+    S, src = agg_max_both_ways(M, graph_ops(g))
+    assert S[0, 0] == inf and src[0, 0] == 2
+    assert S[0, 1] == -inf and src[0, 1] == 1
+    assert np.isnan(S[0, 2])
+    assert S[0, 3] == 0.0
+
+
+MIXED = (gen_dataset(GeneratorSpec("small_world", 14, 4, 0.3), 2, seed=5)
+         + gen_dataset(GeneratorSpec("scale_free", 16, 2, 0.3), 2, seed=6))
+SCHEMES = [("gcn", "mean"), ("sage", "sum"), ("sage", "mean"), ("sage", "max"),
+           ("gin", "sum")]
+
+
+@pytest.mark.parametrize("variant", ["plain", "id_full", "id_fast"])
+@pytest.mark.parametrize("flavor, aggregation", SCHEMES)
+def test_forward_without_tape_is_bitwise_equal(flavor, variant, aggregation):
+    # one batch of small-world and scale-free graphs (degrees 2 to 9, so
+    # eight max buckets), every node embedded; id_full anchors each node at
+    # itself
+    fast_k = 4 if variant == "id_fast" else 10
+    cfg = ModelConfig(flavor=flavor, variant=variant, num_layers=3, hidden_dim=6,
+                      input_dim=1 + fast_k if variant == "id_fast" else 1,
+                      output_dim=3, aggregation=aggregation, fast_k=fast_k, seed=1)
+    model = init_model(cfg)
+    randomize(model, 2)
+    batch = make_batch(model, MIXED, input_features(cfg, MIXED))
+    tape: list = []
+    taped = forward_batch(model, batch, tape)
+    untaped = forward_batch(model, batch)
+    assert len(tape) == 3 and taped.shape == (sum(g.num_nodes for g in MIXED), 6)
+    assert taped.tobytes() == untaped.tobytes()
+    assert np.abs(taped).max() > 0.0

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import idgnn
-from idgnn import expressiveness
+from idgnn import counts, expressiveness, nn, tasks
 from idgnn.cli import main
 from idgnn.datasets import GraphRecord, load_jsonl, save_graph, save_jsonl
 from idgnn.graph import build_graph, relabel_graph
@@ -137,6 +137,18 @@ class TestWl:
         out = str(tmp_path / "out.jsonl")
         assert run(["wl", "dedupe", "--data", path, "--out", out]) == 0
         assert len(load_jsonl(out)) == 2
+
+    @pytest.mark.parametrize("n", [120, 128])
+    def test_dedupe_complete_graphs(self, tmp_path, capsys, n):
+        # closed-walk counts of K120 pass 2^62 at length 10; the signatures
+        # stop at the isomorphism keys' length, which fits K128
+        g = build_graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)])
+        path, out = str(tmp_path / "in.jsonl"), str(tmp_path / "out.jsonl")
+        perm = np.random.default_rng(n).permutation(n).tolist()
+        save_jsonl([GraphRecord(g), GraphRecord(relabel_graph(g, perm))], path)
+        assert run(["wl", "dedupe", "--data", path, "--out", out]) == 0
+        assert capsys.readouterr().out == "kept 1 of 2 graphs\n"
+        assert load_jsonl(out)[0].graph.num_edges == n * (n - 1) // 2
 
     def test_missing_file_exit_2(self, tmp_path):
         assert run(["wl", "hash", str(tmp_path / "nope.json")]) == 2
@@ -748,3 +760,47 @@ class TestCorruptedInputs:
                                 "--task", "node-cc"])
         self.assert_clean_exit(["features", "--data", str(path), "--k", "3",
                                 "--out", str(root / "features.jsonl")])
+
+
+@pytest.mark.parametrize("task", ["node-cc", "graph-cc"])
+def test_id_fast_clustering_commands_run_the_kernel_once(tmp_path, tiny_dataset,
+                                                         monkeypatch, task):
+    # the task's labels and the model's count columns, train and validation
+    # splits alike, read one count matrix per graph
+    calls = []
+    kernel = counts.walk_count_features_many
+
+    def counted(graphs, k):
+        calls.append(k)
+        return kernel(graphs, k)
+
+    bound = [m for m in (counts, nn, tasks) if hasattr(m, "walk_count_features_many")]
+    assert counts in bound and tasks in bound
+    for module in bound:
+        monkeypatch.setattr(module, "walk_count_features_many", counted)
+    ckpt = str(tmp_path / "m.ckpt")
+    assert run(["train", "--data", tiny_dataset, "--task", task, "--variant", "id-fast",
+                "--fast-k", "6", "--epochs", "2", "--hidden", "4", "--out", ckpt]) == 0
+    assert calls == [6]
+    calls.clear()
+    assert run(["eval", "--model", ckpt, "--data", tiny_dataset, "--task", task]) == 0
+    assert calls == [6]
+
+
+@pytest.mark.parametrize("task", ["node-cc", "graph-cc"])
+@pytest.mark.parametrize("fast_k, code, message", [
+    ("0", 2, "error: id_fast requires 1 <= fast_k <= input_dim"),
+    ("-1", 2, "error: all dimensions must be >= 1"),
+    # the model is built before the task, whose counts would be this wide
+    (str(10**12), 3, "capability error: out of memory: Unable to allocate"),
+])
+def test_train_fast_k_out_of_range(tmp_path, tiny_dataset, capsys, task, fast_k, code,
+                                   message):
+    ckpt = tmp_path / "m.ckpt"
+    assert run(["train", "--data", tiny_dataset, "--task", task, "--variant", "id-fast",
+                f"--fast-k={fast_k}", "--epochs", "0", "--out", str(ckpt)]) == code
+    err = capsys.readouterr().err
+    assert err.startswith(message) and err.count("\n") == 1
+    if code == 3:
+        assert f"(32, {10**12 + 1})" in err
+    assert not ckpt.exists()

@@ -5,6 +5,12 @@
 writing these exact bytes: a change to how counts or signatures are
 computed may not change a single output byte.
 
+An id-fast sage-max node-cc ``train --epochs 0`` and its ``eval``, on the
+``nodecc_id_fast`` benchmark's seed-1 data, pin the count columns of the
+model inputs, which read the task's counts, and the untaped forward pass:
+the checkpoint, the report and the eval JSON. These three files are the
+same at 1 and 2 BLAS threads.
+
 The checkpoints of freshly initialized models pin the parameter names,
 their order and shapes, the draw order of the initialization and which
 models have msg1 tensors. Initialization runs no BLAS, so these digests do
@@ -26,6 +32,9 @@ DIGESTS = {
     "e16.csv": "df736ff879ca81b41677565e753e5d1df6c0b8bdc09e7e8a93d0f0a7eb60dfde",
     "e8.json": "503df2b69154646f29db6e131013b61c557c046dd4c3ce1d04e551bd433e60ed",
     "e8.csv": "e7ec151762344b2b30f256252ec9d886bf58e6c76f83aa3c9788a7eb8773f9a2",
+    "fast.ckpt": "3b5c75c37dde0c776b2cae78d733bf36e1856c1a2d2b8b52e400f9a9d7fea920",
+    "fast.json": "14806719b54abbae0e675a7cb990e255b2d8a86a10dec0bd4854d195099a5ce0",
+    "fast_eval.json": "b7fa24dcf78436d7d7ee0a4e22a102e41eb47808dfbfeabbe439c8e09d05428b",
 }
 
 # flavor/aggregation/variant -> sha256 of save_model(init_model(config))
@@ -82,6 +91,13 @@ def outputs(tmp_path_factory):
          "--k-list", "2,3,4,5,6", "--seed", "1", "--out", p("e16.json")],
         ["expressiveness", "--n", "8", "--d", "3", "--count", "5", "--k-list", "3,5",
          "--seed", "0", "--out", p("e8.json")],
+        ["generate", "--family", "small-world", "--n", "40", "--k", "4", "--p", "0.3",
+         "--count", "32", "--seed", "1", "--out", p("nc.jsonl")],
+        ["train", "--data", p("nc.jsonl"), "--task", "node-cc", "--flavor", "sage",
+         "--variant", "id-fast", "--layers", "3", "--aggregation", "max", "--epochs", "0",
+         "--seed", "1", "--out", p("fast.ckpt"), "--report", p("fast.json")],
+        ["eval", "--model", p("fast.ckpt"), "--data", p("nc.jsonl"), "--task", "node-cc",
+         "--seed", "1", "--out", p("fast_eval.json")],
     ]
     for argv in calls:
         assert main(argv) == 0
