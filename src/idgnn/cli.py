@@ -3,8 +3,13 @@
 Subcommands: generate, features, wl, expressiveness, train, eval, report.
 Every file output is written atomically and gets a sidecar
 ``<out>.manifest.json`` recording the subcommand, flags, seeds, input
-digests, and tool version; identical manifests always reproduce
-byte-identical outputs. All randomness flows from explicit --seed flags.
+digests (taken before the command writes its first output), and tool
+version; identical manifests always reproduce byte-identical outputs. All
+randomness flows from explicit --seed flags.
+
+main builds its argparse tree on its first call and reuses it, so a caller
+that runs many commands in one process pays for the parser once;
+build_parser returns a fresh tree on every call.
 
 Exit codes: 0 success, 2 usage or input error, 3 capability limit,
 4 numeric failure.
@@ -14,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import hashlib
 import io
 import json
@@ -33,11 +39,13 @@ from .datasets import (
 )
 from .errors import CapabilityError, InputError, NumericError
 from .expressiveness import SignatureIndex, run_regular_experiment
-from .generators import RNG_NAME, STREAM_SPLIT, GeneratorSpec, gen_dataset
+from .generators import RNG_NAME, STREAM_SPLIT, GeneratorSpec, check_seed, gen_dataset
 from .nn import ModelConfig, init_model, load_model, save_model
 from .tasks import (
     TASK_SPECS,
     check_classes,
+    check_schedule,
+    check_split,
     evaluate,
     make_graph_cc_task,
     make_node_cc_task,
@@ -56,22 +64,27 @@ _FAMILY_ALIASES = {
 _VARIANT_ALIASES = {"plain": "plain", "id-full": "id_full", "id-fast": "id_fast"}
 
 
-def _sha256(path: str) -> str:
-    h = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(1 << 16), b""):
-            h.update(chunk)
-    return h.hexdigest()
+def _digests(inputs: list[str]) -> dict[str, str]:
+    """The sha256 of each input path, in path order. Taken before the first
+    output is written, since an output may replace an input."""
+    digests = {}
+    for path in sorted(inputs):
+        h = hashlib.sha256()
+        with open(path, "rb") as fh:
+            for chunk in iter(lambda: fh.read(1 << 16), b""):
+                h.update(chunk)
+        digests[path] = h.hexdigest()
+    return digests
 
 
 def _write_manifest(out_path: str, subcommand: str, flags: dict,
-                    inputs: list[str], outputs: list[str]) -> None:
+                    inputs: dict[str, str], outputs: list[str]) -> None:
     manifest = {
         "tool": "idgnn",
         "version": __version__,
         "subcommand": subcommand,
         "flags": {k: v for k, v in sorted(flags.items())},
-        "inputs": {p: _sha256(p) for p in sorted(inputs)},
+        "inputs": inputs,
         "outputs": sorted(outputs),
         "rng": {"name": RNG_NAME, "stream_split": STREAM_SPLIT},
     }
@@ -106,7 +119,7 @@ def _cmd_generate(args) -> int:
     )
     graphs = gen_dataset(spec, args.count, args.seed)
     save_jsonl([GraphRecord(g) for g in graphs], args.out)
-    _write_manifest(args.out, "generate", _flags(args), [], [args.out])
+    _write_manifest(args.out, "generate", _flags(args), {}, [args.out])
     print(f"wrote {len(graphs)} graphs to {args.out}")
     return 0
 
@@ -117,8 +130,9 @@ def _cmd_features(args) -> int:
     feats = with_count_columns(graphs, [g.node_features for g in graphs], args.k)
     out_records = [GraphRecord(replace(g, node_features=x), rec.label, rec.node_labels)
                    for rec, g, x in zip(records, graphs, feats)]
+    inputs = _digests([args.data])
     save_jsonl(out_records, args.out)
-    _write_manifest(args.out, "features", _flags(args), [args.data], [args.out])
+    _write_manifest(args.out, "features", _flags(args), inputs, [args.out])
     print(f"appended {args.k} walk-count columns to {len(out_records)} graphs")
     return 0
 
@@ -147,8 +161,9 @@ def _cmd_wl_dedupe(args) -> int:
     records = load_jsonl(args.data)
     flags = SignatureIndex().add_many([rec.graph for rec in records])
     kept = [rec for rec, new in zip(records, flags) if new]
+    inputs = _digests([args.data])
     save_jsonl(kept, args.out)
-    _write_manifest(args.out, "wl-dedupe", _flags(args), [args.data], [args.out])
+    _write_manifest(args.out, "wl-dedupe", _flags(args), inputs, [args.out])
     print(f"kept {len(kept)} of {len(records)} graphs")
     return 0
 
@@ -167,7 +182,7 @@ def _cmd_expressiveness(args) -> int:
     atomic_write_text(args.out, dumps_canonical(report.to_obj()) + "\n")
     csv_path = os.path.splitext(args.out)[0] + ".csv"
     atomic_write_text(csv_path, report.to_csv())
-    _write_manifest(args.out, "expressiveness", _flags(args), [], [args.out, csv_path])
+    _write_manifest(args.out, "expressiveness", _flags(args), {}, [args.out, csv_path])
     for k in sorted(report.fractions):
         print(f"K={k}: {report.fractions[k]:.2f}")
     print(f"1-WL baseline: {report.wl_distinguished_fraction:.2f} "
@@ -199,10 +214,8 @@ def _cmd_train(args) -> int:
     records = load_jsonl(args.data)
     if not records:
         raise InputError(f"dataset {args.data} is empty")
-    # SPD pairs are drawn before the model is built, so their seed checks
-    # come first. A clustering task's counts are as wide as fast_k, so they
-    # come after it: init_model reports a width the model cannot have.
-    spd = _load_task(records, task_kind, args) if task_kind == "edge_spd" else None
+    if task_kind == "edge_spd":
+        check_seed(args.seed)  # its range, as drawing the pairs would, before its sign
     layers = args.layers if args.layers is not None else (5 if task_kind == "edge_spd" else 3)
     base_dim = (records[0].graph.node_features.shape[1]
                 if records[0].graph.node_features is not None else 1)
@@ -213,10 +226,17 @@ def _cmd_train(args) -> int:
         output_dim=TASK_SPECS[task_kind].num_classes,
         aggregation=args.aggregation or "", fast_k=args.fast_k, seed=args.seed,
     )
+    check_split(args.split_fraction, args.seed)
+    check_schedule(args.epochs, args.lr)
+    # Flags are checked before SPD pairs are drawn, which may log warnings.
+    # A clustering task's counts are as wide as fast_k, so they come after
+    # the model: init_model reports a width the model cannot have.
+    spd = _load_task(records, task_kind, args) if task_kind == "edge_spd" else None
     model = init_model(config)
     task_data = spd or _load_task(records, task_kind, args, _count_width(config))
     task = split(task_data, args.split_fraction, args.seed)
     report = train(model, task, epochs=args.epochs, lr=args.lr, seed=args.seed)
+    inputs = _digests([args.data])
     save_model(model, args.out)
     outputs = [args.out]
     if args.report:
@@ -225,7 +245,7 @@ def _cmd_train(args) -> int:
             dumps_canonical(report.to_obj(include_wall_clock=args.stamp)) + "\n",
         )
         outputs.append(args.report)
-    _write_manifest(args.out, "train", _flags(args), [args.data], outputs)
+    _write_manifest(args.out, "train", _flags(args), inputs, outputs)
     print(f"wiring: {report.wiring}")
     print(f"final validation accuracy: {report.final_val_accuracy:.4f}")
     return 0
@@ -243,9 +263,9 @@ def _cmd_eval(args) -> int:
     result = {"task": task_kind, "accuracy": accuracy, "graphs": len(records)}
     print(dumps_canonical(result))
     if args.out:
+        inputs = _digests([args.model, args.data])
         atomic_write_text(args.out, dumps_canonical(result) + "\n")
-        _write_manifest(args.out, "eval", _flags(args),
-                        [args.model, args.data], [args.out])
+        _write_manifest(args.out, "eval", _flags(args), inputs, [args.out])
     return 0
 
 
@@ -275,13 +295,15 @@ def _cmd_report(args) -> int:
     writer.writeheader()
     for row in rows:
         writer.writerow(row)
+    inputs = _digests(args.reports)
     atomic_write_text(args.out, buf.getvalue())
-    _write_manifest(args.out, "report", _flags(args), list(args.reports), [args.out])
+    _write_manifest(args.out, "report", _flags(args), inputs, [args.out])
     print(f"summarized {len(rows)} reports to {args.out}")
     return 0
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """A fresh argparse tree of every subcommand."""
     parser = argparse.ArgumentParser(
         prog="idgnn",
         description="identity-aware GNN toolkit: generators, WL lab, "
@@ -373,9 +395,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The tree main parses with, built on its first call rather than at
+    import. argparse picks its output streams and terminal width when it
+    prints, and each parse returns a new Namespace, so reuse changes no
+    output."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except InputError as exc:

@@ -103,16 +103,20 @@ def dumps_canonical(obj) -> str:
 
 
 def atomic_write_text(path: str, text: str) -> None:
-    """Write via a temp file in the same directory, then rename."""
+    """Write via a temp file in the same directory, then rename. An OSError
+    names ``path``, not the temp file, and leaves no temp file behind."""
     directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix=".part")
+    tmp = None
     try:
+        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix=".part")
         with os.fdopen(fd, "w") as fh:
             fh.write(text)
         os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
+    except BaseException as exc:
+        if tmp is not None and os.path.exists(tmp):
             os.unlink(tmp)
+        if isinstance(exc, OSError) and exc.errno is not None:
+            raise type(exc)(exc.errno, exc.strerror, path) from None
         raise
 
 

@@ -69,7 +69,8 @@ def _check_params(family: str, n: int, param: int, prob: float) -> None:
         raise InputError(f"scale-free needs 1 <= m < n, got m={param}, n={n}")
 
 
-def _check_seed(seed: int) -> None:
+def check_seed(seed: int) -> None:
+    """InputError unless ``seed`` is a signed 64-bit integer."""
     if not -2**63 <= int(seed) < 2**63:
         raise InputError(f"seed {seed} is outside the signed 64-bit range")
 
@@ -77,7 +78,7 @@ def _check_seed(seed: int) -> None:
 def child_seed(seed: int, index: int) -> int:
     """Derive the per-item RNG seed from a base seed and an item index, both
     signed 64-bit integers."""
-    _check_seed(seed)
+    check_seed(seed)
     payload = struct.pack(">qq", int(seed), int(index))
     digest = hashlib.blake2b(payload, digest_size=8).digest()
     return int.from_bytes(digest, "big")
@@ -220,5 +221,5 @@ def gen_dataset(spec: GeneratorSpec, count: int, seed: int) -> list[Graph]:
     """Generate ``count`` graphs with per-graph seeds split from ``seed``."""
     if count < 0:
         raise InputError(f"count must be nonnegative, got {count}")
-    _check_seed(seed)
+    check_seed(seed)
     return [generate_one(spec, child_seed(seed, i)) for i in range(count)]

@@ -238,12 +238,17 @@ def make_spd_task(graphs, pairs_per_graph: int, seed: int) -> TaskData:
     return TaskData(spec, items)
 
 
-def split(task: TaskData, fraction: float, seed: int) -> TaskSplit:
-    """Deterministic shuffled graph-level split; no graph straddles sides."""
+def check_split(fraction: float, seed: int) -> None:
+    """InputError unless split can cut at ``fraction`` with ``seed``."""
     if not 0.0 < fraction < 1.0:
         raise InputError(f"fraction must be in (0, 1), got {fraction}")
     if seed < 0:
         raise InputError(f"seed must be nonnegative, got {seed}")
+
+
+def split(task: TaskData, fraction: float, seed: int) -> TaskSplit:
+    """Deterministic shuffled graph-level split; no graph straddles sides."""
+    check_split(fraction, seed)
     order = np.random.Generator(np.random.PCG64(seed)).permutation(len(task.items))
     cut = int(round(fraction * len(task.items)))
     if cut == 0 or cut == len(task.items):
@@ -368,6 +373,14 @@ def evaluate(model: Model, spec: TaskSpec, items) -> float:
     return float(np.mean(pred == labels))
 
 
+def check_schedule(epochs: int, lr: float) -> None:
+    """InputError unless train can run ``epochs`` steps at rate ``lr``."""
+    if epochs < 0:
+        raise InputError("epochs must be nonnegative")
+    if not (np.isfinite(lr) and lr > 0):
+        raise InputError(f"lr must be positive and finite, got {lr}")
+
+
 def train(model: Model, task: TaskSplit, epochs: int, lr: float = 0.01,
           seed: int = 0) -> TrainReport:
     """Full-batch Adam training; deterministic given the model seed and task.
@@ -378,10 +391,7 @@ def train(model: Model, task: TaskSplit, epochs: int, lr: float = 0.01,
     and finite, and NumericError if the loss or a trained parameter goes
     non-finite.
     """
-    if epochs < 0:
-        raise InputError("epochs must be nonnegative")
-    if not (np.isfinite(lr) and lr > 0):
-        raise InputError(f"lr must be positive and finite, got {lr}")
+    check_schedule(epochs, lr)
     started = time.monotonic()
     spec = task.spec
     check_classes(model, spec)

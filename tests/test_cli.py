@@ -1,3 +1,5 @@
+import argparse
+import hashlib
 import io
 import json
 import os
@@ -13,7 +15,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import idgnn
-from idgnn import counts, expressiveness, nn, tasks
+from idgnn import cli, counts, expressiveness, nn, tasks
 from idgnn.cli import main
 from idgnn.datasets import GraphRecord, load_jsonl, save_graph, save_jsonl
 from idgnn.graph import build_graph, relabel_graph
@@ -804,3 +806,162 @@ def test_train_fast_k_out_of_range(tmp_path, tiny_dataset, capsys, task, fast_k,
     if code == 3:
         assert f"(32, {10**12 + 1})" in err
     assert not ckpt.exists()
+
+
+def test_failed_write_names_the_out_path(tmp_path):
+    # the temp file's random name would make stderr differ between reruns
+    out = tmp_path / "missing" / "g.jsonl"
+    line = run_failing(["generate", "--family", "small-world", "--n", "12", "--k", "4",
+                        "--count", "2", "--seed", "1", "--out", str(out)])
+    assert line == f"error: [Errno 2] No such file or directory: {str(out)!r}"
+    assert list(tmp_path.iterdir()) == []
+
+
+def _sha256(path) -> str:
+    with open(path, "rb") as fh:
+        return hashlib.sha256(fh.read()).hexdigest()
+
+
+def test_manifest_digests_an_input_that_an_output_replaces(tmp_path, tiny_dataset):
+    data = str(tmp_path / "d.jsonl")
+    with open(tiny_dataset, "rb") as src, open(data, "wb") as dst:
+        dst.write(src.read())
+    before = _sha256(data)
+    assert run(["features", "--data", data, "--k", "3", "--out", data]) == 0
+    manifest = json.load(open(data + ".manifest.json"))
+    assert manifest["inputs"] == {data: before}
+    before = _sha256(data)
+    assert run(["train", "--data", data, "--task", "node-cc", "--epochs", "1",
+                "--hidden", "4", "--out", data]) == 0
+    manifest = json.load(open(data + ".manifest.json"))
+    assert manifest["inputs"] == {data: before} and _sha256(data) != before
+    ckpt = str(tmp_path / "m.ckpt")
+    assert run(["train", "--data", tiny_dataset, "--task", "node-cc", "--epochs", "1",
+                "--hidden", "4", "--out", ckpt]) == 0
+    before = _sha256(ckpt)
+    assert run(["eval", "--model", ckpt, "--data", tiny_dataset, "--task", "node-cc",
+                "--out", ckpt]) == 0
+    manifest = json.load(open(ckpt + ".manifest.json"))
+    assert manifest["inputs"] == {ckpt: before, tiny_dataset: _sha256(tiny_dataset)}
+
+
+@pytest.fixture()
+def spd_gaps_dataset(tmp_path):
+    # two distance classes are missing from each of these 6 graphs, so
+    # drawing SPD pairs logs 12 warnings
+    path = str(tmp_path / "gaps.jsonl")
+    assert run(["generate", "--family", "small-world", "--n", "12", "--k", "4",
+                "--p", "0.2", "--count", "6", "--seed", "1", "--out", path]) == 0
+    return path
+
+
+def _skipped_classes(caplog) -> int:
+    return sum("class skipped" in rec.getMessage() for rec in caplog.records)
+
+
+@pytest.mark.parametrize("flag, message", [
+    ("--layers=0", "error: num_layers must be >= 1"),
+    ("--hidden=0", "error: all dimensions must be >= 1"),
+    ("--seed=-1", "error: seed must be nonnegative, got -1"),
+    ("--split-fraction=1.5", "error: fraction must be in (0, 1), got 1.5"),
+    ("--lr=nan", "error: lr must be positive and finite, got nan"),
+    ("--epochs=-1", "error: epochs must be nonnegative"),
+])
+def test_train_edge_task_bad_flag_before_pairs(tmp_path, spd_gaps_dataset, caplog, flag,
+                                               message):
+    ckpt = tmp_path / "m.ckpt"
+    assert run_failing(["train", "--data", spd_gaps_dataset, "--task", "edge-spd",
+                        "--epochs", "1", flag, "--out", str(ckpt)]) == message
+    assert _skipped_classes(caplog) == 0
+    assert not ckpt.exists()
+
+
+def test_train_edge_task_warnings_of_a_valid_run(tmp_path, spd_gaps_dataset, caplog):
+    assert run(["train", "--data", spd_gaps_dataset, "--task", "edge-spd", "--epochs", "1",
+                "--hidden", "4", "--out", str(tmp_path / "m.ckpt")]) == 0
+    assert _skipped_classes(caplog) == 12
+
+
+def test_train_edge_task_bad_flag_one_stderr_line(tmp_path, spd_gaps_dataset):
+    # a separate process shows the log records that pytest would capture
+    proc = run_process(["train", "--data", spd_gaps_dataset, "--task", "edge-spd",
+                        "--layers", "0", "--out", str(tmp_path / "m.ckpt")])
+    assert proc.returncode == 2
+    assert proc.stderr == "error: num_layers must be >= 1\n"
+
+
+def run_captured(argv) -> tuple:
+    """Exit code, stdout and stderr of one in-process call, argparse's
+    exits included."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+@pytest.fixture()
+def fresh_parser():
+    """main's parser is built again on the next call, and again after the
+    test, so no test sees one built under another's patches."""
+    cli._parser.cache_clear()
+    yield
+    cli._parser.cache_clear()
+
+
+def test_main_builds_the_parser_once(tmp_path, monkeypatch, fresh_parser):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    cli.build_parser()
+    per_tree = len(built)
+    assert per_tree == 11  # idgnn, its 7 subcommands and wl's 3
+    built.clear()
+    data = str(tmp_path / "d.jsonl")
+    assert run(["generate", "--family", "d-regular", "--n", "8", "--d", "3",
+                "--count", "2", "--seed", "1", "--out", data]) == 0
+    assert run(["wl", "dedupe", "--data", data, "--out", str(tmp_path / "k.jsonl")]) == 0
+    assert run(["features", "--data", data, "--k", "3",
+                "--out", str(tmp_path / "f.jsonl")]) == 0
+    assert len(built) == per_tree
+    assert cli.build_parser() is not cli.build_parser()
+
+
+def test_import_builds_no_parser():
+    # a cold import, as an imports-only benchmark set-up pays it
+    src = os.path.dirname(os.path.dirname(os.path.abspath(idgnn.__file__)))
+    code = ("import argparse\n"
+            "built = []\n"
+            "init = argparse.ArgumentParser.__init__\n"
+            "argparse.ArgumentParser.__init__ = (\n"
+            "    lambda self, *a, **k: built.append(self) or init(self, *a, **k))\n"
+            "import idgnn.cli\n"
+            "print(len(built))\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=src), timeout=120)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "0\n", "")
+
+
+def test_reused_parser_prints_the_same_bytes(tmp_path, monkeypatch, fresh_parser):
+    monkeypatch.setenv("COLUMNS", "80")
+    probes = [["--version"], ["--help"], ["wl", "--help"], ["train"]]
+    first = [run_captured(argv) for argv in probes]
+    assert [code for code, _, _ in first] == [0, 0, 0, 2]
+    assert first[3][2].startswith("usage: idgnn train ")
+    data = str(tmp_path / "d.jsonl")
+    assert run_captured(["generate", "--family", "d-regular", "--n", "8", "--d", "3",
+                         "--count", "2", "--seed", "1", "--out", data])[0] == 0
+    assert [run_captured(argv) for argv in probes] == first
+    # a normal call after a usage error still parses its own flags
+    assert run_captured(["features", "--data", data, "--k", "3",
+                         "--out", str(tmp_path / "f.jsonl")]) == (
+        0, "appended 3 walk-count columns to 2 graphs\n", "")
+    proc = run_process(["--help"], env=dict(os.environ, COLUMNS="80"))
+    assert (proc.returncode, proc.stdout, proc.stderr) == first[1]

@@ -104,6 +104,21 @@ def test_save_is_atomic_and_stable(tmp_path):
     assert not [f for f in tmp_path.iterdir() if f.name.startswith(".tmp-")]
 
 
+def test_failed_save_names_its_path(tmp_path):
+    # the error names the destination, not the temp file beside it
+    missing = str(tmp_path / "missing" / "a.jsonl")
+    with pytest.raises(FileNotFoundError) as err:
+        save_jsonl([], missing)
+    assert err.value.filename == missing and err.value.filename2 is None
+    folder = tmp_path / "folder"
+    folder.mkdir()
+    with pytest.raises(IsADirectoryError) as err:
+        save_jsonl([], str(folder))
+    assert err.value.filename == str(folder) and err.value.filename2 is None
+    assert sorted(f.name for f in tmp_path.iterdir()) == ["folder"]
+    assert list(folder.iterdir()) == []
+
+
 @pytest.mark.parametrize("labels", [[0, 1], [0, 1, 0, 1], []])
 def test_node_labels_length_must_match(tmp_path, labels):
     path = tmp_path / "bad.jsonl"
