@@ -4,7 +4,9 @@ Subcommands: generate, features, wl, expressiveness, train, eval, report.
 Every file output is written atomically and gets a sidecar
 ``<out>.manifest.json`` recording the subcommand, flags, seeds, input
 digests (taken before the command writes its first output), and tool
-version; identical manifests always reproduce byte-identical outputs. All
+version; identical manifests always reproduce byte-identical outputs. A
+call that fails after writing some outputs removes them, so no output is
+left without its manifest. All
 randomness flows from explicit --seed flags.
 
 main builds its argparse tree on its first call and reuses it, so a caller
@@ -31,7 +33,7 @@ from . import __version__
 from .counts import with_count_columns
 from .datasets import (
     GraphRecord,
-    atomic_write_text,
+    atomic_write,
     dumps_canonical,
     load_graph,
     load_jsonl,
@@ -77,26 +79,34 @@ def _digests(inputs: list[str]) -> dict[str, str]:
     return digests
 
 
-def _write_manifest(out_path: str, subcommand: str, flags: dict,
-                    inputs: dict[str, str], outputs: list[str]) -> None:
-    manifest = {
-        "tool": "idgnn",
-        "version": __version__,
-        "subcommand": subcommand,
-        "flags": {k: v for k, v in sorted(flags.items())},
-        "inputs": inputs,
-        "outputs": sorted(outputs),
-        "rng": {"name": RNG_NAME, "stream_split": STREAM_SPLIT},
-    }
-    atomic_write_text(
-        out_path + ".manifest.json",
-        json.dumps(manifest, indent=2, sort_keys=True) + "\n",
-    )
-
-
-def _flags(args: argparse.Namespace) -> dict:
-    skip = {"func"}
-    return {k: v for k, v in vars(args).items() if k not in skip}
+def _publish(args, subcommand: str, inputs: dict[str, str], writes: list) -> None:
+    """Write each ``(path, content)`` of ``writes``, text with atomic_write
+    and a writer as ``content(path)``, then the manifest of ``args.out``
+    listing them. If any write fails, the outputs already written are
+    removed: a failed call leaves none of its outputs without a manifest."""
+    written = []
+    try:
+        for path, content in writes:
+            if callable(content):
+                content(path)
+            else:
+                atomic_write(path, content)
+            written.append(path)
+        manifest = {
+            "tool": "idgnn",
+            "version": __version__,
+            "subcommand": subcommand,
+            "flags": {k: v for k, v in vars(args).items() if k != "func"},
+            "inputs": inputs,
+            "outputs": sorted(written),
+            "rng": {"name": RNG_NAME, "stream_split": STREAM_SPLIT},
+        }
+        atomic_write(args.out + ".manifest.json",
+                     json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    except BaseException:
+        for path in set(written):
+            os.unlink(path)
+        raise
 
 
 def _cmd_generate(args) -> int:
@@ -118,8 +128,8 @@ def _cmd_generate(args) -> int:
         rewire_or_triad_prob=prob,
     )
     graphs = gen_dataset(spec, args.count, args.seed)
-    save_jsonl([GraphRecord(g) for g in graphs], args.out)
-    _write_manifest(args.out, "generate", _flags(args), {}, [args.out])
+    _publish(args, "generate", {},
+             [(args.out, functools.partial(save_jsonl, [GraphRecord(g) for g in graphs]))])
     print(f"wrote {len(graphs)} graphs to {args.out}")
     return 0
 
@@ -130,9 +140,8 @@ def _cmd_features(args) -> int:
     feats = with_count_columns(graphs, [g.node_features for g in graphs], args.k)
     out_records = [GraphRecord(replace(g, node_features=x), rec.label, rec.node_labels)
                    for rec, g, x in zip(records, graphs, feats)]
-    inputs = _digests([args.data])
-    save_jsonl(out_records, args.out)
-    _write_manifest(args.out, "features", _flags(args), inputs, [args.out])
+    _publish(args, "features", _digests([args.data]),
+             [(args.out, functools.partial(save_jsonl, out_records))])
     print(f"appended {args.k} walk-count columns to {len(out_records)} graphs")
     return 0
 
@@ -161,9 +170,8 @@ def _cmd_wl_dedupe(args) -> int:
     records = load_jsonl(args.data)
     flags = SignatureIndex().add_many([rec.graph for rec in records])
     kept = [rec for rec, new in zip(records, flags) if new]
-    inputs = _digests([args.data])
-    save_jsonl(kept, args.out)
-    _write_manifest(args.out, "wl-dedupe", _flags(args), inputs, [args.out])
+    _publish(args, "wl-dedupe", _digests([args.data]),
+             [(args.out, functools.partial(save_jsonl, kept))])
     print(f"kept {len(kept)} of {len(records)} graphs")
     return 0
 
@@ -179,10 +187,9 @@ def _cmd_expressiveness(args) -> int:
         import datetime
 
         report.timestamp = datetime.datetime.now(datetime.timezone.utc).isoformat()
-    atomic_write_text(args.out, dumps_canonical(report.to_obj()) + "\n")
-    csv_path = os.path.splitext(args.out)[0] + ".csv"
-    atomic_write_text(csv_path, report.to_csv())
-    _write_manifest(args.out, "expressiveness", _flags(args), {}, [args.out, csv_path])
+    _publish(args, "expressiveness", {},
+             [(args.out, dumps_canonical(report.to_obj()) + "\n"),
+              (os.path.splitext(args.out)[0] + ".csv", report.to_csv())])
     for k in sorted(report.fractions):
         print(f"K={k}: {report.fractions[k]:.2f}")
     print(f"1-WL baseline: {report.wl_distinguished_fraction:.2f} "
@@ -236,16 +243,11 @@ def _cmd_train(args) -> int:
     task_data = spd or _load_task(records, task_kind, args, _count_width(config))
     task = split(task_data, args.split_fraction, args.seed)
     report = train(model, task, epochs=args.epochs, lr=args.lr, seed=args.seed)
-    inputs = _digests([args.data])
-    save_model(model, args.out)
-    outputs = [args.out]
+    writes = [(args.out, functools.partial(save_model, model))]
     if args.report:
-        atomic_write_text(
-            args.report,
-            dumps_canonical(report.to_obj(include_wall_clock=args.stamp)) + "\n",
-        )
-        outputs.append(args.report)
-    _write_manifest(args.out, "train", _flags(args), inputs, outputs)
+        writes.append((args.report,
+                       dumps_canonical(report.to_obj(include_wall_clock=args.stamp)) + "\n"))
+    _publish(args, "train", _digests([args.data]), writes)
     print(f"wiring: {report.wiring}")
     print(f"final validation accuracy: {report.final_val_accuracy:.4f}")
     return 0
@@ -263,9 +265,8 @@ def _cmd_eval(args) -> int:
     result = {"task": task_kind, "accuracy": accuracy, "graphs": len(records)}
     print(dumps_canonical(result))
     if args.out:
-        inputs = _digests([args.model, args.data])
-        atomic_write_text(args.out, dumps_canonical(result) + "\n")
-        _write_manifest(args.out, "eval", _flags(args), inputs, [args.out])
+        _publish(args, "eval", _digests([args.model, args.data]),
+                 [(args.out, dumps_canonical(result) + "\n")])
     return 0
 
 
@@ -295,9 +296,7 @@ def _cmd_report(args) -> int:
     writer.writeheader()
     for row in rows:
         writer.writerow(row)
-    inputs = _digests(args.reports)
-    atomic_write_text(args.out, buf.getvalue())
-    _write_manifest(args.out, "report", _flags(args), inputs, [args.out])
+    _publish(args, "report", _digests(args.reports), [(args.out, buf.getvalue())])
     print(f"summarized {len(rows)} reports to {args.out}")
     return 0
 

@@ -129,27 +129,20 @@ def _check_node(n: int, v: int, name: str = "node") -> None:
         raise InputError(f"{name} {v!r} out of range for graph with {n} nodes")
 
 
-def _edge_array(num_nodes: int, edges) -> np.ndarray:
-    """``edges`` as an m x 2 int64 array. Pairs that numpy does not read as
-    one integer array (ragged, non-integer or past 64 bits) are converted
-    one at a time with int(), which raises on a bad pair, and range-checked
-    as they go, so such input fails as build_graph always has."""
-    try:
-        arr = np.asarray(edges)
-        if arr.ndim == 2 and arr.shape[1] == 2 and np.can_cast(arr.dtype, np.int64):
-            return arr.astype(np.int64, copy=False)
-    except ValueError:  # ragged pairs
-        pass
-    if num_nodes < 0:
-        raise InputError(f"num_nodes must be nonnegative, got {num_nodes}")
-    pairs = []
-    for u, v in edges:
-        u, v = int(u), int(v)
-        for w in (u, v):
-            if not 0 <= w < num_nodes:
-                _check_node(num_nodes, w, "edge endpoint")
-        pairs.append((u, v))
-    return np.array(pairs, dtype=np.int64).reshape(-1, 2)
+def _check_count(n: int) -> None:
+    if n < 0:
+        raise InputError(f"num_nodes must be nonnegative, got {n}")
+
+
+def _feature_matrix(n: int, features) -> np.ndarray | None:
+    """``features`` (None passes through) as a float64 matrix; InputError
+    unless it has ``n`` rows."""
+    if features is None:
+        return None
+    f = np.asarray(features, dtype=np.float64)
+    if f.ndim != 2 or f.shape[0] != n:
+        raise InputError(f"node_features must have {n} rows, got shape {f.shape}")
+    return f
 
 
 def build_graphs(num_nodes, edge_counts, u, v, node_features=None) -> list[Graph]:
@@ -180,15 +173,10 @@ def build_graphs(num_nodes, edge_counts, u, v, node_features=None) -> list[Graph
                     + negative[:1].tolist() + [sizes.size])
     feats = [None] * sizes.size
     for i in range(first_bad if node_features is not None else 0):
-        if node_features[i] is not None:
-            feats[i] = f = np.asarray(node_features[i], dtype=np.float64)
-            if f.ndim != 2 or f.shape[0] != sizes[i]:
-                raise InputError(
-                    f"node_features must have {sizes[i]} rows, got shape {f.shape}")
+        feats[i] = _feature_matrix(sizes[i], node_features[i])
     if first_bad < sizes.size:
         n = int(sizes[first_bad])
-        if n < 0:
-            raise InputError(f"num_nodes must be nonnegative, got {n}")
+        _check_count(n)
         e = bad[0]
         _check_node(n, int(u[e] if not 0 <= u[e] < n else v[e]), "edge endpoint")
     starts = np.cumsum(sizes) - sizes
@@ -217,12 +205,21 @@ def build_graphs(num_nodes, edge_counts, u, v, node_features=None) -> list[Graph
 
 def build_graph(num_nodes: int, edges, node_features=None) -> Graph:
     """Construct one Graph (see build_graphs), dropping self-loops and
-    collapsing duplicate edges.
+    collapsing duplicate edges. ``edges`` is any iterable of integer pairs:
+    a list, tuple, set or generator of pairs, or an m x 2 array.
 
-    Raises InputError on a negative node count, out-of-range endpoints
-    (naming the first in edge order) or a feature row-count mismatch.
+    Raises InputError when ``edges`` is not m x 2 integers (ragged or
+    3-wide pairs, non-numeric strings, integers past 64 bits), on a
+    negative node count, on out-of-range endpoints (naming the first in
+    edge order) and on a feature row-count mismatch.
     """
-    pairs = _edge_array(num_nodes, edges)
+    try:
+        pairs = np.asarray(list(edges), dtype=np.int64)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise InputError(f"edges must be integer pairs: {exc}") from None
+    if pairs.shape[1:] != (2,) and pairs.shape != (0,):
+        raise InputError(f"edges must be integer pairs, got shape {pairs.shape}")
+    pairs = pairs.reshape(-1, 2)
     return build_graphs([num_nodes], [len(pairs)], pairs[:, 0], pairs[:, 1],
                         [node_features])[0]
 
@@ -432,13 +429,13 @@ def extract_ego(g: Graph, center: int, k: int, identity_at: int | None = None) -
 
 def relabel_graph(g: Graph, perm) -> Graph:
     """Relabel nodes by a permutation: new id of node v is ``perm[v]``."""
-    perm = [int(p) for p in perm]
-    if sorted(perm) != list(range(g.num_nodes)):
+    try:
+        perm = np.asarray(perm, dtype=np.int64)
+        ok = perm.ndim == 1 and np.array_equal(np.sort(perm), np.arange(g.num_nodes))
+    except (TypeError, ValueError, OverflowError):  # not integers, or past 64 bits
+        ok = False
+    if not ok:
         raise InputError("perm is not a permutation of the node ids")
-    edges = [(perm[u], perm[v]) for u, v in g.edges]
-    feats = None
-    if g.node_features is not None:
-        inv = np.empty(g.num_nodes, dtype=np.int64)
-        inv[perm] = np.arange(g.num_nodes)
-        feats = g.node_features[inv, :]
-    return build_graph(g.num_nodes, edges, feats)
+    rows = np.repeat(np.arange(g.num_nodes), np.diff(g.indptr))
+    feats = None if g.node_features is None else g.node_features[np.argsort(perm)]
+    return build_graphs([g.num_nodes], [rows.size], perm[rows], perm[g.indices], [feats])[0]

@@ -70,6 +70,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .counts import with_count_columns
+from .datasets import atomic_write
 from .errors import InputError
 from .graph import Graph, ego_union, union_csr
 
@@ -720,6 +721,7 @@ def make_walk_count_model(k: int) -> Model:
 
 
 def save_model(model: Model, path: str) -> None:
+    """Write ``model``'s checkpoint to ``path`` atomically (datasets.atomic_write)."""
     header = {
         "format": "idgnn-checkpoint",
         "version": 1,
@@ -727,14 +729,9 @@ def save_model(model: Model, path: str) -> None:
         "params": [{"name": n, "shape": list(a.shape)} for n, a in model.params.items()],
     }
     header_bytes = json.dumps(header, separators=(",", ":")).encode()
-    blob = b"".join(
-        np.ascontiguousarray(a, dtype="<f8").tobytes() for a in model.params.values()
-    )
-    with open(path, "wb") as fh:
-        fh.write(CHECKPOINT_MAGIC)
-        fh.write(struct.pack("<I", len(header_bytes)))
-        fh.write(header_bytes)
-        fh.write(blob)
+    params = [np.ascontiguousarray(a, dtype="<f8").tobytes() for a in model.params.values()]
+    atomic_write(path, b"".join([CHECKPOINT_MAGIC, struct.pack("<I", len(header_bytes)),
+                                 header_bytes] + params))
 
 
 def load_model(path: str) -> Model:

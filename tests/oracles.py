@@ -529,7 +529,7 @@ def dense_reference(model, graphs, xs, anchors, G_rows: np.ndarray):
 def build_graph_per_edge(num_nodes: int, edges, node_features=None):
     """``(num_nodes, edges, adjacency, node_features)`` of a graph built one
     edge at a time: a set of canonical edges, sorted, then per-node sorted
-    neighbor lists. Raises what graph.build_graph raises."""
+    neighbor lists. On integer pairs, raises what graph.build_graph raises."""
     if num_nodes < 0:
         raise InputError(f"num_nodes must be nonnegative, got {num_nodes}")
     canon = set()

@@ -817,6 +817,28 @@ def test_failed_write_names_the_out_path(tmp_path):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_failed_train_leaves_no_checkpoint(tmp_path, tiny_dataset):
+    # the checkpoint is written first; a failed report write removes it
+    ckpt, report = tmp_path / "m.ckpt", tmp_path / "missing" / "r.json"
+    line = run_failing(["train", "--data", tiny_dataset, "--task", "node-cc",
+                        "--epochs", "1", "--hidden", "4", "--out", str(ckpt),
+                        "--report", str(report)])
+    assert line == f"error: [Errno 2] No such file or directory: {str(report)!r}"
+    assert sorted(f.name for f in tmp_path.iterdir()) == ["data.jsonl",
+                                                          "data.jsonl.manifest.json"]
+
+
+def test_failed_expressiveness_leaves_no_report(tmp_path):
+    # a directory where the CSV goes fails the second write
+    (tmp_path / "t.csv").mkdir()
+    out = tmp_path / "t.json"
+    line = run_failing(["expressiveness", "--n", "8", "--d", "3", "--count", "2",
+                        "--k-list", "2", "--seed", "0", "--out", str(out)])
+    assert line.startswith("error: [Errno 21] Is a directory: ")
+    assert [f.name for f in tmp_path.iterdir()] == ["t.csv"]
+    assert list((tmp_path / "t.csv").iterdir()) == []
+
+
 def _sha256(path) -> str:
     with open(path, "rb") as fh:
         return hashlib.sha256(fh.read()).hexdigest()

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from idgnn import datasets
 from idgnn.datasets import (
     MAX_NODES,
     GraphRecord,
@@ -15,7 +16,7 @@ from idgnn.datasets import (
     save_jsonl,
 )
 from idgnn.errors import CapabilityError, ParseError
-from idgnn.graph import build_graph
+from idgnn.graph import build_graph, build_graphs
 from oracles import load_jsonl_per_line
 
 
@@ -244,3 +245,26 @@ def test_first_bad_line_wins(tmp_path, first, second):
     _, ref_error = _outcome(load_jsonl_per_line, path)
     assert got_error == ref_error
     assert got_error[1].startswith("line 2: ")
+
+
+@pytest.mark.parametrize("kind", sorted(MALFORMED))
+def test_bad_line_builds_no_graph(tmp_path, monkeypatch, kind):
+    # each line is checked completely as it is read: a bad line 2 raises
+    # before any graph of the file is built
+    calls = []
+
+    def counting_build_graphs(*args):
+        calls.append(args)
+        return build_graphs(*args)
+
+    monkeypatch.setattr(datasets, "build_graphs", counting_build_graphs)
+    valid = json.dumps({"num_nodes": 3, "edges": [[0, 1], [1, 2]]}).encode()
+    path = str(tmp_path / "d.jsonl")
+    with open(path, "wb") as fh:
+        fh.write(b"\n".join([valid, MALFORMED[kind](3), valid]) + b"\n")
+    with pytest.raises((ParseError, CapabilityError), match="^line 2: "):
+        load_jsonl(path)
+    assert calls == []
+    with open(path, "wb") as fh:
+        fh.write(b"\n".join([valid, valid]) + b"\n")
+    assert len(load_jsonl(path)) == 2 and len(calls) == 1

@@ -15,7 +15,13 @@ from idgnn.graph import (
     relabel_graph,
     union_csr,
 )
-from oracles import bfs_distances, ego_by_induced_edges, floyd_warshall, union_by_adjacency
+from oracles import (
+    bfs_distances,
+    build_graph_per_edge,
+    ego_by_induced_edges,
+    floyd_warshall,
+    union_by_adjacency,
+)
 
 
 def edges_strategy(max_n=30):
@@ -67,6 +73,45 @@ class TestBuildGraph:
         with pytest.raises(InputError) as err:
             build_graph(4, edges)
         assert str(err.value) == f"edge endpoint {bad} out of range for graph with 4 nodes"
+
+    @pytest.mark.parametrize("edges", [
+        lambda: [(0, 1), (2, 1), (3, 3), (1, 0)],
+        lambda: ((0, 1), (2, 1), (3, 3), (1, 0)),
+        lambda: [[0, 1], [2, 1], [3, 3]],
+        lambda: {(0, 1), (1, 2), (3, 3)},
+        lambda: ((u, v) for u, v in [(0, 1), (2, 1)]),
+        lambda: np.array([[0, 1], [2, 1], [3, 3]]),
+        lambda: np.array([[0, 1], [1, 2]], dtype=np.uint8),
+        lambda: map(np.array, [(0, 1), (2, 1)]),
+    ], ids=["list", "tuple", "lists", "set", "generator", "array", "uint8-array", "rows"])
+    def test_edge_input_forms_give_equal_graphs(self, edges):
+        assert build_graph(4, edges()) == build_graph(4, [(0, 1), (1, 2)])
+
+    @pytest.mark.parametrize("edges", [[], (), set(), iter([]), np.zeros((0, 2), dtype=int),
+                                       np.zeros((0, 2))])
+    def test_empty_edge_forms_give_equal_graphs(self, edges):
+        g = build_graph(3, edges)
+        assert g == build_graph(3, []) and g.num_edges == 0
+
+    @pytest.mark.parametrize("n, edges", [
+        (4, [(0, 1), (2,)]),
+        (4, [(0, 1, 2)]),
+        (6, [(0, 1, 2), (3, 4, 5)]),
+        (4, [0, 1, 2, 3]),
+        (4, [[]]),
+        (4, [("a", "b")]),
+        (4, [(0, "x")]),
+        (4, [(2**70, 0)]),
+        (4, [(0, None)]),
+        (4, None),
+        (-1, []),
+        (-3, [(0, 1)]),
+    ], ids=["ragged", "3-wide", "3-wide-pairs", "flat", "empty-pair", "strings", "string",
+            "past-64-bits", "none-endpoint", "none", "negative-count", "negative-count-edge"])
+    def test_bad_edge_input_one_line(self, n, edges):
+        with pytest.raises(InputError) as err:
+            build_graph(n, edges)
+        assert "\n" not in str(err.value)
 
     def test_feature_row_mismatch(self):
         with pytest.raises(InputError):
@@ -383,6 +428,53 @@ def test_relabel_roundtrip():
     # features follow their nodes
     for v in range(4):
         assert h.node_features[perm[v], 0] == g.node_features[v, 0]
+
+
+@st.composite
+def relabel_cases(draw):
+    """A graph of 0..9 nodes (repeated edges and self-loops in its list),
+    with or without features, and a permutation as a list or an array."""
+    n = draw(st.integers(0, 9))
+    ends = st.integers(0, max(n - 1, 0))
+    edges = draw(st.lists(st.tuples(ends, ends), max_size=3 * n)) if n else []
+    feats = None
+    if draw(st.booleans()):
+        width = draw(st.integers(0, 2))
+        feats = np.array([draw(st.integers(-3, 3)) for _ in range(n * width)],
+                         dtype=np.float64).reshape(n, width)
+    perm = draw(st.permutations(range(n)))
+    return n, edges, feats, np.array(perm, dtype=np.int64) if draw(st.booleans()) else perm
+
+
+@given(relabel_cases())
+@settings(max_examples=200, deadline=None)
+def test_relabel_equals_per_edge_build(case):
+    n, edges, feats, perm = case
+    h = relabel_graph(build_graph(n, edges, feats), perm)
+    ref_feats = None
+    if feats is not None:
+        ref_feats = np.zeros_like(feats)
+        ref_feats[list(perm)] = feats
+    _, ref_edges, ref_adjacency, ref_feats = build_graph_per_edge(
+        n, [(perm[u], perm[v]) for u, v in edges], ref_feats)
+    assert h.num_nodes == n and h.edges == ref_edges and h.adjacency == ref_adjacency
+    if ref_feats is None:
+        assert h.node_features is None
+    else:
+        np.testing.assert_array_equal(h.node_features, ref_feats)
+        assert h.node_features.shape == ref_feats.shape
+        assert not h.node_features.flags.writeable
+
+
+@pytest.mark.parametrize("perm", [
+    [0, 0, 1, 2], [0, 1, 2], [0, 1, 2, 3, 4], [0, 1, 2, 4], [-1, 0, 1, 2],
+    [0, 1, 2, 2**70], [[0, 1, 2, 3]], ["a", "b", "c", "d"], 3,
+], ids=["repeated", "short", "long", "out-of-range", "negative", "past-64-bits", "2-d",
+        "strings", "scalar"])
+def test_relabel_rejects_a_non_permutation(perm):
+    g = build_graph(4, [(0, 1), (1, 2), (2, 3)])
+    with pytest.raises(InputError, match="^perm is not a permutation of the node ids$"):
+        relabel_graph(g, perm)
 
 
 @given(graph_lists())

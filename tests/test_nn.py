@@ -1,3 +1,5 @@
+import errno
+import os
 import platform
 import types
 import zlib
@@ -386,6 +388,37 @@ class TestCheckpoint:
         loaded = load_model(path)
         assert "layers.0.msg0_weight" in loaded.params
         assert not any("msg1" in n for n in loaded.params)
+
+    def test_failed_save_names_the_checkpoint_path(self, tmp_path):
+        # the checkpoint is written through a temp file and a rename
+        m = init_model(small_config())
+        missing = str(tmp_path / "missing" / "m.ckpt")
+        with pytest.raises(FileNotFoundError) as err:
+            save_model(m, missing)
+        assert err.value.filename == missing and err.value.filename2 is None
+        folder = tmp_path / "folder"
+        folder.mkdir()
+        with pytest.raises(IsADirectoryError) as err:
+            save_model(m, str(folder))
+        assert err.value.filename == str(folder)
+        assert sorted(f.name for f in tmp_path.iterdir()) == ["folder"]
+        assert list(folder.iterdir()) == []
+
+    def test_failed_save_keeps_the_old_checkpoint(self, tmp_path, monkeypatch):
+        # a write that fails at the rename leaves the old file whole
+        path = tmp_path / "m.ckpt"
+        save_model(init_model(small_config(seed=1)), str(path))
+        before = path.read_bytes()
+
+        def failing_replace(src, dst):
+            raise OSError(errno.EIO, "Input/output error", src)
+
+        monkeypatch.setattr(os, "replace", failing_replace)
+        with pytest.raises(OSError) as err:
+            save_model(init_model(small_config(seed=2)), str(path))
+        assert err.value.errno == errno.EIO and err.value.filename == str(path)
+        assert path.read_bytes() == before
+        assert [f.name for f in tmp_path.iterdir()] == ["m.ckpt"]
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "junk.ckpt"
