@@ -135,11 +135,11 @@ def _check_count(n: int) -> None:
 
 
 def _feature_matrix(n: int, features) -> np.ndarray | None:
-    """``features`` (None passes through) as a float64 matrix; InputError
-    unless it has ``n`` rows."""
+    """``features`` (None passes through) as a float64 copy, which a Graph
+    may freeze; InputError unless it has ``n`` rows."""
     if features is None:
         return None
-    f = np.asarray(features, dtype=np.float64)
+    f = np.array(features, dtype=np.float64)
     if f.ndim != 2 or f.shape[0] != n:
         raise InputError(f"node_features must have {n} rows, got shape {f.shape}")
     return f
@@ -206,21 +206,27 @@ def build_graphs(num_nodes, edge_counts, u, v, node_features=None) -> list[Graph
 def build_graph(num_nodes: int, edges, node_features=None) -> Graph:
     """Construct one Graph (see build_graphs), dropping self-loops and
     collapsing duplicate edges. ``edges`` is any iterable of integer pairs:
-    a list, tuple, set or generator of pairs, or an m x 2 array.
+    a list, tuple, set or generator of pairs, or an m x 2 integer array.
 
-    Raises InputError when ``edges`` is not m x 2 integers (ragged or
-    3-wide pairs, non-numeric strings, integers past 64 bits), on a
-    negative node count, on out-of-range endpoints (naming the first in
-    edge order) and on a feature row-count mismatch.
+    Raises InputError when ``edges`` is not m x 2, on a negative node
+    count, on the first endpoint in edge order that is not an integer
+    (floats, strings and booleans are refused, not cast) or is out of range
+    (named by its value, past 64 bits too), and on a feature mismatch.
     """
     try:
-        pairs = np.asarray(list(edges), dtype=np.int64)
-    except (TypeError, ValueError, OverflowError) as exc:
+        rows = list(edges)
+        pairs = np.asarray(rows)
+    except (TypeError, ValueError) as exc:
         raise InputError(f"edges must be integer pairs: {exc}") from None
     if pairs.shape[1:] != (2,) and pairs.shape != (0,):
         raise InputError(f"edges must be integer pairs, got shape {pairs.shape}")
-    pairs = pairs.reshape(-1, 2)
-    return build_graphs([num_nodes], [len(pairs)], pairs[:, 0], pairs[:, 1],
+    if pairs.size and (pairs.dtype.kind not in "iu" or pairs.max() >= 2**63):
+        _check_count(num_nodes)
+        for w in np.asarray(rows, dtype=object).flat:
+            if type(w) is bool or not isinstance(w, (int, np.integer)):
+                raise InputError(f"edge endpoints must be integers, got {w!r}")
+            _check_node(num_nodes, int(w), "edge endpoint")
+    return build_graphs([num_nodes], [len(pairs)], *pairs.reshape(-1, 2).T,
                         [node_features])[0]
 
 

@@ -68,6 +68,10 @@ class TestBuildGraph:
         ([(1, 4)], 4),
         ([(9, -3)], 9),
         ([(2, 3), (0, 7), (-1, 0)], 7),
+        (np.array([[2**63, 0]], dtype=np.uint64), 2**63),
+        ([(0, 1), (2**63, 1)], 2**63),
+        ([(1, 2**70)], 2**70),
+        ([(5, 2**64)], 5),
     ])
     def test_out_of_range_message_names_first_bad_endpoint(self, edges, bad):
         with pytest.raises(InputError) as err:
@@ -106,8 +110,16 @@ class TestBuildGraph:
         (4, None),
         (-1, []),
         (-3, [(0, 1)]),
+        (4, [[1.5, 0]]),
+        (4, np.array([[1.7, 0.2]])),
+        (4, [["1", "2"]]),
+        (4, np.array([[2**63, 0]], dtype=np.uint64)),
+        (4, [(True, False)]),
+        (4, np.array([[True, False]])),
     ], ids=["ragged", "3-wide", "3-wide-pairs", "flat", "empty-pair", "strings", "string",
-            "past-64-bits", "none-endpoint", "none", "negative-count", "negative-count-edge"])
+            "past-64-bits", "none-endpoint", "none", "negative-count", "negative-count-edge",
+            "floats", "float-array", "numeric-strings", "uint64-past-int64", "booleans",
+            "bool-array"])
     def test_bad_edge_input_one_line(self, n, edges):
         with pytest.raises(InputError) as err:
             build_graph(n, edges)
@@ -121,6 +133,17 @@ class TestBuildGraph:
         g = build_graph(2, [(0, 1)], node_features=[[1.0], [2.0]])
         with pytest.raises(ValueError):
             g.node_features[0, 0] = 5.0
+
+    @pytest.mark.parametrize("build", [
+        lambda a: build_graph(3, [(0, 1)], a),
+        lambda a: build_graphs([3], [1], [0], [1], [a])[0],
+    ], ids=["build_graph", "build_graphs"])
+    def test_caller_features_stay_writable(self, build):
+        a = np.zeros((3, 1))
+        g = build(a)
+        assert a.flags.writeable and not g.node_features.flags.writeable
+        a[0, 0] = 5.0
+        assert g.node_features[0, 0] == 0.0
 
     @pytest.mark.parametrize("sizes, counts, u, v, feats, message", [
         # graph 1's endpoint fails before graph 2's features are read
