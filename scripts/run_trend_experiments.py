@@ -26,7 +26,7 @@ def run_node_cc(seeds, epochs):
             cfg = ModelConfig(flavor="sage", variant=variant, num_layers=3,
                               hidden_dim=32, input_dim=in_dim, output_dim=10,
                               fast_k=10, seed=seed)
-            rep = train(init_model(cfg), ts, epochs=epochs, lr=0.01, seed=seed)
+            rep = train(init_model(cfg), ts, epochs=epochs, lr=0.01)
             print(f"node-cc,sage,{variant},{seed},{rep.final_val_accuracy:.4f}")
 
 
@@ -38,7 +38,7 @@ def run_edge_spd(seeds, epochs):
             ts = split(task, 0.8, seed)
             cfg = ModelConfig(flavor="gcn", variant=variant, num_layers=5,
                               hidden_dim=32, input_dim=1, output_dim=5, seed=seed)
-            rep = train(init_model(cfg), ts, epochs=epochs, lr=0.01, seed=seed)
+            rep = train(init_model(cfg), ts, epochs=epochs, lr=0.01)
             print(f"edge-spd,gcn,{variant},{seed},{rep.final_val_accuracy:.4f}")
 
 

@@ -242,7 +242,7 @@ def _cmd_train(args) -> int:
     model = init_model(config)
     task_data = spd or _load_task(records, task_kind, args, _count_width(config))
     task = split(task_data, args.split_fraction, args.seed)
-    report = train(model, task, epochs=args.epochs, lr=args.lr, seed=args.seed)
+    report = train(model, task, epochs=args.epochs, lr=args.lr)
     writes = [(args.out, functools.partial(save_model, model))]
     if args.report:
         writes.append((args.report,

@@ -81,6 +81,8 @@ def identity_walk_counts(ego: EgoNet, k: int) -> CountMatrix:
     identity = flags[0]
     g = ego.subgraph
     n = g.num_nodes
+    ptr, nbrs = g.indptr.tolist(), g.indices.tolist()
+    adjacency = [nbrs[a:b] for a, b in zip(ptr, ptr[1:])]
     # h[u] after round r holds (walks of length 1..r from u to identity)
     h: list[tuple[int, ...]] = [()] * n
     for rnd in range(1, k + 1):
@@ -88,7 +90,7 @@ def identity_walk_counts(ego: EgoNet, k: int) -> CountMatrix:
         for u in range(n):
             first = 0
             rest = [0] * (rnd - 1)
-            for w in g.adjacency[u]:
+            for w in adjacency[u]:
                 if w == identity:
                     first += 1
                 hw = h[w]
@@ -287,13 +289,11 @@ def reachability(g: Graph, u: int, v: int, k: int) -> bool:
         raise InputError("node id out of range")
     if k < 0:
         raise InputError(f"k must be nonnegative, got {k}")
+    ptr, nbrs = g.indptr.tolist(), g.indices.tolist()
+    adjacency = [nbrs[a:b] for a, b in zip(ptr, ptr[1:])]
     h = [0] * g.num_nodes
     for _ in range(k):
-        new_h = [
-            max((1 if s == v else h[s]) for s in g.adjacency[x]) if g.adjacency[x] else 0
-            for x in range(g.num_nodes)
-        ]
-        h = new_h
+        h = [max((1 if s == v else h[s]) for s in ns) if ns else 0 for ns in adjacency]
     return bool(h[u])
 
 

@@ -38,7 +38,10 @@ class GraphRecord:
 
 
 def graph_to_obj(g: Graph) -> dict:
-    obj = {"num_nodes": g.num_nodes, "edges": [[u, v] for u, v in g.edges]}
+    rows = np.repeat(np.arange(g.num_nodes), np.diff(g.indptr))
+    upper = rows < g.indices  # each edge once, as (u, v) with u < v, ascending
+    obj = {"num_nodes": g.num_nodes,
+           "edges": np.column_stack((rows[upper], g.indices[upper])).tolist()}
     if g.node_features is not None:
         obj["node_features"] = g.node_features.tolist()
     return obj

@@ -11,7 +11,7 @@ from __future__ import annotations
 import csv
 import io
 from collections import Counter
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -86,14 +86,9 @@ class ExperimentReport:
     timestamp: str | None = None
 
     def to_obj(self) -> dict:
-        return {
-            "settings": self.settings,
-            "fractions": {str(k): self.fractions[k] for k in sorted(self.fractions)},
-            "wl_distinguished_fraction": self.wl_distinguished_fraction,
-            "wl_all_equal": self.wl_all_equal,
-            "num_regen_for_nonisomorphism": self.num_regen_for_nonisomorphism,
-            "timestamp": self.timestamp,
-        }
+        obj = asdict(self)
+        obj["fractions"] = {str(k): self.fractions[k] for k in sorted(self.fractions)}
+        return obj
 
     def to_csv(self) -> str:
         """One row per setting, one column per K, Table-style."""

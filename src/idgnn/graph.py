@@ -1,10 +1,11 @@
 """Immutable undirected simple graphs, BFS, and ego-network extraction.
 
-Node ids are dense 0-based integers. Graphs are frozen after construction
-and safe to share across threads; all functions here are pure. A graph is
-stored as its CSR arrays. There is one canonicalizer, ``build_graphs``,
-which builds the CSR arrays of many graphs from their edge lists with one
-sort; ``build_graph`` is its one-graph call.
+Node ids are dense 0-based integers. A graph is its read-only CSR arrays
+and nothing else, built once and never added to, so graphs are safe to
+share across threads; they compare by identity. All functions here are
+pure. There is one canonicalizer, ``build_graphs``, which builds the CSR
+arrays of many graphs from their edge lists with one sort; ``build_graph``
+is its one-graph call.
 
 There is one BFS, ``bfs_blocks``: a level-synchronous search from many
 sources at once over the CSR arrays of a disjoint union of graphs
@@ -18,7 +19,7 @@ one-anchor view.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from itertools import chain
 
 import numpy as np
 
@@ -41,11 +42,8 @@ class Graph:
     ``indptr`` and ``indices`` are read-only int64 arrays: node v's
     neighbors are ``indices[indptr[v]:indptr[v + 1]]``, ascending, each
     edge listed from both ends. ``node_features`` (if present) is a
-    read-only float array with one row per node. Graphs compare by value.
-
-    ``edges`` (each edge once as ``(u, v)`` with ``u < v``, ascending) and
-    ``adjacency`` (``adjacency[v]`` the ascending tuple of neighbors of
-    ``v``) are tuple views of the arrays, built on first use.
+    read-only float array with one row per node. A graph holds nothing
+    else, and graphs compare by identity.
     """
 
     num_nodes: int
@@ -58,19 +56,6 @@ class Graph:
             if arr is not None:
                 arr.setflags(write=False)
 
-    def __eq__(self, other):
-        if not isinstance(other, Graph):
-            return NotImplemented
-        a, b = self.node_features, other.node_features
-        return (self.num_nodes == other.num_nodes
-                and np.array_equal(self.indptr, other.indptr)
-                and np.array_equal(self.indices, other.indices)
-                and (a is None) == (b is None) and (a is None or np.array_equal(a, b)))
-
-    @property
-    def csr(self) -> tuple[np.ndarray, np.ndarray]:
-        return self.indptr, self.indices
-
     @property
     def num_edges(self) -> int:
         return self.indices.size // 2
@@ -78,23 +63,12 @@ class Graph:
     def degrees(self) -> list[int]:
         return np.diff(self.indptr).tolist()
 
-    @cached_property
-    def edges(self) -> tuple[tuple[int, int], ...]:
-        rows = np.repeat(np.arange(self.num_nodes), np.diff(self.indptr))
-        upper = rows < self.indices
-        return tuple(zip(rows[upper].tolist(), self.indices[upper].tolist()))
-
-    @cached_property
-    def adjacency(self) -> tuple[tuple[int, ...], ...]:
-        ptr, nbrs = self.indptr.tolist(), self.indices.tolist()
-        return tuple(tuple(nbrs[a:b]) for a, b in zip(ptr, ptr[1:]))
-
 
 def union_csr(graphs) -> tuple[np.ndarray, np.ndarray]:
     """``(indptr, indices)`` of the disjoint union of ``graphs``: their
-    cached CSR arrays, each graph's node ids shifted by the node count of
-    the graphs before it."""
-    csrs = [g.csr for g in graphs]
+    CSR arrays, each graph's node ids shifted by the node count of the
+    graphs before it."""
+    csrs = [(g.indptr, g.indices) for g in graphs]
     sizes = np.array([indptr.size - 1 for indptr, _ in csrs], dtype=np.int64)
     nnz = np.array([indices.size for _, indices in csrs], dtype=np.int64)
     indptr = np.concatenate([np.zeros(1, dtype=np.int64)] + [p[1:] for p, _ in csrs])
@@ -124,14 +98,38 @@ class EgoNet:
     depth: tuple[int, ...]
 
 
+def _is_integer(w) -> bool:
+    """Whether ``w`` is a Python or numpy integer; booleans are not."""
+    return type(w) is not bool and isinstance(w, (int, np.integer))
+
+
 def _check_node(n: int, v: int, name: str = "node") -> None:
     if not (isinstance(v, (int, np.integer)) and 0 <= v < n):
         raise InputError(f"{name} {v!r} out of range for graph with {n} nodes")
 
 
-def _check_count(n: int) -> None:
+def _check_count(n) -> None:
+    if not _is_integer(n):
+        raise InputError(f"num_nodes must be an integer, got {n!r}")
     if n < 0:
         raise InputError(f"num_nodes must be nonnegative, got {n}")
+    if n >= 2**63:
+        raise InputError(f"num_nodes {n} is past the 64-bit integer range")
+
+
+def _int64(values) -> tuple[np.ndarray, np.ndarray | None]:
+    """``values`` as a flat int64 array, and None; or, when some value is
+    not an integer of the int64 range, also the values as objects, each
+    such value read as -1 in the array. Floats, strings and booleans are
+    not integers, so they are never cast (numpy reads True as 1 in a list
+    of integers)."""
+    a = np.asarray(values)
+    exact = a.dtype.kind == "i" or a.dtype.kind == "u" and not (a.size and a.max() >= 2**63)
+    if exact and not (isinstance(values, (list, tuple)) and bool in map(type, values)):
+        return a.astype(np.int64, copy=False).reshape(-1), None
+    objs = np.asarray(values, dtype=object).reshape(-1)
+    return np.array([w if _is_integer(w) and -2**63 <= w < 2**63 else -1 for w in objs],
+                    dtype=np.int64), objs
 
 
 def _feature_matrix(n: int, features) -> np.ndarray | None:
@@ -158,17 +156,19 @@ def build_graphs(num_nodes, edge_counts, u, v, node_features=None) -> list[Graph
     node ids of the disjoint union, and one sort of the keys gives every
     graph's CSR arrays, views of two arrays that the graphs share.
 
-    Raises InputError for the first graph, in order, with a negative node
-    count, an out-of-range endpoint (naming the first one in edge order) or
-    a feature row-count mismatch, checked in that order per graph.
+    Raises InputError for the first graph, in order, whose node count is
+    not a nonnegative integer of the int64 range, whose endpoints include
+    one that is not an integer in range (naming the first one in edge order,
+    by its value; floats, strings and booleans are refused, not cast), or
+    whose features have the wrong row count, checked in that order.
     """
-    sizes = np.asarray(num_nodes, dtype=np.int64).reshape(-1)
+    sizes, size_objs = _int64(num_nodes)
     counts = np.asarray(edge_counts, dtype=np.int64).reshape(-1)
-    u, v = np.asarray(u, dtype=np.int64), np.asarray(v, dtype=np.int64)
+    (u, u_objs), (v, v_objs) = _int64(u), _int64(v)
     n_of = np.repeat(sizes, counts)
     bad = np.flatnonzero((u < 0) | (u >= n_of) | (v < 0) | (v >= n_of))
     negative = np.flatnonzero(sizes < 0)
-    # the first graph with a negative node count or a bad endpoint, if any
+    # the first graph with a bad node count (read as negative) or endpoint, if any
     first_bad = min(np.searchsorted(np.cumsum(counts), bad[:1], side="right").tolist()
                     + negative[:1].tolist() + [sizes.size])
     feats = [None] * sizes.size
@@ -176,9 +176,13 @@ def build_graphs(num_nodes, edge_counts, u, v, node_features=None) -> list[Graph
         feats[i] = _feature_matrix(sizes[i], node_features[i])
     if first_bad < sizes.size:
         n = int(sizes[first_bad])
-        _check_count(n)
+        _check_count(n if size_objs is None else size_objs[first_bad])
         e = bad[0]
-        _check_node(n, int(u[e] if not 0 <= u[e] < n else v[e]), "edge endpoint")
+        col, objs = (u, u_objs) if not 0 <= u[e] < n else (v, v_objs)
+        w = col[e] if objs is None else objs[e]
+        if not _is_integer(w):
+            raise InputError(f"edge endpoints must be integers, got {w!r}")
+        _check_node(n, int(w), "edge endpoint")
     starts = np.cumsum(sizes) - sizes
     total = int(sizes.sum())
     shift = np.repeat(starts, counts)
@@ -208,10 +212,8 @@ def build_graph(num_nodes: int, edges, node_features=None) -> Graph:
     collapsing duplicate edges. ``edges`` is any iterable of integer pairs:
     a list, tuple, set or generator of pairs, or an m x 2 integer array.
 
-    Raises InputError when ``edges`` is not m x 2, on a negative node
-    count, on the first endpoint in edge order that is not an integer
-    (floats, strings and booleans are refused, not cast) or is out of range
-    (named by its value, past 64 bits too), and on a feature mismatch.
+    Raises InputError when ``edges`` is not m x 2, and as build_graphs
+    does on a bad node count, endpoint or feature matrix.
     """
     try:
         rows = list(edges)
@@ -220,12 +222,10 @@ def build_graph(num_nodes: int, edges, node_features=None) -> Graph:
         raise InputError(f"edges must be integer pairs: {exc}") from None
     if pairs.shape[1:] != (2,) and pairs.shape != (0,):
         raise InputError(f"edges must be integer pairs, got shape {pairs.shape}")
-    if pairs.size and (pairs.dtype.kind not in "iu" or pairs.max() >= 2**63):
-        _check_count(num_nodes)
-        for w in np.asarray(rows, dtype=object).flat:
-            if type(w) is bool or not isinstance(w, (int, np.integer)):
-                raise InputError(f"edge endpoints must be integers, got {w!r}")
-            _check_node(num_nodes, int(w), "edge endpoint")
+    # each endpoint as given, not a common cast of them (True read as 1)
+    listed = not isinstance(edges, np.ndarray)
+    if pairs.dtype.kind not in "iu" or listed and bool in map(type, chain.from_iterable(rows)):
+        pairs = np.asarray(rows, dtype=object)
     return build_graphs([num_nodes], [len(pairs)], *pairs.reshape(-1, 2).T,
                         [node_features])[0]
 
@@ -418,7 +418,7 @@ def extract_ego(g: Graph, center: int, k: int, identity_at: int | None = None) -
     parent, and the BFS distances are kept as ``depth``.
     """
     identity = center if identity_at is None else identity_at
-    union = ego_union([g], [[(center, identity)]], k, g.csr)
+    union = ego_union([g], [[(center, identity)]], k, (g.indptr, g.indices))
     parents = tuple(union.parent.tolist())
     feats = None
     if g.node_features is not None:

@@ -318,9 +318,9 @@ def _agg_max_backward(G_S: np.ndarray, src: np.ndarray, n: int) -> np.ndarray:
 
 def _messages(p: dict, pre: str, H: np.ndarray, identity: np.ndarray):
     """Messages of layer ``pre``: msg0, and msg1 at identity rows if it exists."""
-    M = H @ p[pre + "msg0_weight"].T + p[pre + "msg0_bias"]
+    M = _update(H, p[pre + "msg0_weight"], p[pre + "msg0_bias"])
     if pre + "msg1_weight" in p:
-        M[identity] = H[identity] @ p[pre + "msg1_weight"].T + p[pre + "msg1_bias"]
+        M[identity] = _update(H[identity], p[pre + "msg1_weight"], p[pre + "msg1_bias"])
     return M
 
 
@@ -342,10 +342,11 @@ def _messages_backward(p, pre, H, identity, G_M, grads):
 
 
 def _update(X: np.ndarray, W: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """X @ W.T + b over the rows a layer writes. numpy sends a one-row
-    product to BLAS gemv, which sums in another order than the gemm of a
-    multi-row product, so a lone row (the center of a one-ego batch) runs
-    doubled and rounds as it would among the rows of a whole graph."""
+    """X @ W.T + b over the rows a layer reads or writes. numpy sends a
+    one-row product to BLAS gemv, which sums in another order than the gemm
+    of a multi-row product, so a lone row (the center of a one-ego batch,
+    or the one row a trimmed layer reads) runs doubled and rounds as it
+    would among the rows of a whole graph."""
     if len(X) == 1:
         return (np.concatenate([X, X]) @ W.T + b)[:1]
     return X @ W.T + b
@@ -503,17 +504,6 @@ class Batch:
     nodes: np.ndarray
 
 
-def _ego_layout(graphs, anchors, k: int,
-                csr=None) -> tuple[_GraphOps, np.ndarray, np.ndarray]:
-    """The ego nets of radius ``k`` around the anchors of make_batch, from
-    one ego_union over all the graphs (``csr`` is their union_csr when the
-    caller has it): their operators, with the identity masks, and per row
-    its hops from its ego's center and its node in the disjoint union of
-    the graphs."""
-    union = ego_union(graphs, anchors, k, csr)
-    return _GraphOps(union.deg, union.nbr, union.identity), union.depth, union.parent
-
-
 def make_batch(model: Model, graphs, xs, anchors=None) -> Batch:
     """One batch embedding nodes of ``graphs``, whose inputs are ``xs``.
 
@@ -522,7 +512,7 @@ def make_batch(model: Model, graphs, xs, anchors=None) -> Batch:
     (``anchors[i]``; by default every node anchored at itself) through its
     own ego net of radius K = num_layers; an identity outside the ball
     leaves that ego's mask empty. All ego nets come from one ego_union
-    over the graphs (_ego_layout).
+    over the graphs.
 
     An ego row's layer-l value equals its node's whole-graph value when the
     row lies more than l hops, within its ego, from the identity row and
@@ -545,7 +535,8 @@ def make_batch(model: Model, graphs, xs, anchors=None) -> Batch:
     if cfg.variant != "id_full":
         return Batch(x, [whole] * cfg.num_layers, np.arange(whole.n))
     k = cfg.num_layers
-    ego, depth, node = _ego_layout(graphs, anchors, k, (indptr, nbr))
+    egos = ego_union(graphs, anchors, k, (indptr, nbr))
+    ego, depth, node = _GraphOps(egos.deg, egos.nbr, egos.identity), egos.depth, egos.parent
     e = ego.n
     far = ~(ego.identity | (depth == k) & (ego.deg < whole.deg[node]))
     # per row of the union of ego rows and whole-graph rows: the hops from

@@ -381,8 +381,7 @@ def check_schedule(epochs: int, lr: float) -> None:
         raise InputError(f"lr must be positive and finite, got {lr}")
 
 
-def train(model: Model, task: TaskSplit, epochs: int, lr: float = 0.01,
-          seed: int = 0) -> TrainReport:
+def train(model: Model, task: TaskSplit, epochs: int, lr: float = 0.01) -> TrainReport:
     """Full-batch Adam training; deterministic given the model seed and task.
 
     The train split is prepared once as one batch; each epoch is one forward
@@ -419,7 +418,7 @@ def train(model: Model, task: TaskSplit, epochs: int, lr: float = 0.01,
         wiring=task_wiring(spec, model),
         epochs=epochs,
         lr=lr,
-        seed=seed,
+        seed=model.config.seed,
         train_losses=losses,
         final_val_accuracy=accuracy,
         num_parameters=model.num_parameters(),

@@ -90,10 +90,12 @@ def _stabilize(g: Graph, init_colors=None, visit=lambda colors: None):
             )
         colors = _canonical_ranks([int(c) for c in init_colors])
     visit(colors)
+    ptr, nbrs = g.indptr.tolist(), g.indices.tolist()
+    adjacency = [nbrs[a:b] for a, b in zip(ptr, ptr[1:])]
     rounds = max(n, 1)
     for r in range(1, rounds + 1):
         new_colors = _canonical_ranks([
-            (colors[v], tuple(sorted(colors[w] for w in g.adjacency[v])))
+            (colors[v], tuple(sorted(colors[w] for w in adjacency[v])))
             for v in range(n)
         ])
         if new_colors == colors:
@@ -136,6 +138,8 @@ def _rings(g: Graph) -> list[list[int]]:
     around s is s and the radius-k balls of its neighbors.
     """
     n = g.num_nodes
+    ptr, nbrs = g.indptr.tolist(), g.indices.tolist()
+    adjacency = [nbrs[a:b] for a, b in zip(ptr, ptr[1:])]
     balls = [1 << s for s in range(n)]
     rings = [[ball] for ball in balls]
     growing = range(n)
@@ -143,7 +147,7 @@ def _rings(g: Graph) -> list[list[int]]:
         grown, still = balls[:], []
         for s in growing:
             ball = balls[s]
-            for w in g.adjacency[s]:
+            for w in adjacency[s]:
                 ball |= balls[w]
             if ball != balls[s]:
                 rings[s].append(ball & ~balls[s])

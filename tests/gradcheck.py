@@ -12,11 +12,10 @@ import hashlib
 
 import numpy as np
 
-from idgnn.graph import Graph, build_graph
+from idgnn.graph import Graph, build_graph, ego_union
 from idgnn.nn import (
     Model,
     ModelConfig,
-    _ego_layout,
     backward_layers,
     edge_pair_backward,
     edge_pair_score,
@@ -86,7 +85,7 @@ def assert_shares_rows(model: Model, g: Graph, x: np.ndarray, anchors) -> None:
     would alone, and some layer's ``keep`` repeats."""
     k = model.config.num_layers
     batch = make_batch(model, [g], [x], [anchors])
-    depth = _ego_layout([g], [anchors], k)[1]
+    depth = ego_union([g], [anchors], k).depth
     assert sum(ops.n_in for ops in batch.layers) < sum(
         int((depth <= k - l).sum()) for l in range(k))
     assert any(np.unique(ops.keep).size < ops.keep.size for ops in batch.layers)

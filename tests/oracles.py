@@ -25,18 +25,48 @@ from idgnn.generators import GeneratorSpec, child_seed, gen_d_regular, generate_
 from idgnn.graph import EgoNet, Graph, bfs_blocks, build_graph, ego_union
 
 
+def edge_list(g: Graph) -> tuple[tuple[int, int], ...]:
+    """Each edge of ``g`` once, as ``(u, v)`` with ``u < v``, ascending,
+    read off its CSR arrays one neighbor at a time."""
+    ptr, nbrs = g.indptr.tolist(), g.indices.tolist()
+    return tuple((u, w) for u in range(g.num_nodes) for w in nbrs[ptr[u]:ptr[u + 1]] if u < w)
+
+
+def neighbor_lists(g: Graph) -> tuple[tuple[int, ...], ...]:
+    """``neighbor_lists(g)[v]``: the ascending tuple of v's neighbors."""
+    ptr, nbrs = g.indptr.tolist(), g.indices.tolist()
+    return tuple(tuple(nbrs[a:b]) for a, b in zip(ptr, ptr[1:]))
+
+
+def same_graph(a: Graph, b: Graph) -> bool:
+    """Whether two graphs hold equal node counts, CSR arrays and features
+    (both None, or equal arrays)."""
+    fa, fb = a.node_features, b.node_features
+    return (a.num_nodes == b.num_nodes
+            and np.array_equal(a.indptr, b.indptr) and np.array_equal(a.indices, b.indices)
+            and (fa is None) == (fb is None) and (fa is None or np.array_equal(fa, fb)))
+
+
+def same_ego(a: EgoNet, b: EgoNet) -> bool:
+    """Whether two ego nets hold the same fields, subgraphs by same_graph."""
+    return (same_graph(a.subgraph, b.subgraph)
+            and (a.center_local_index, a.to_parent, a.identity_mask, a.depth)
+            == (b.center_local_index, b.to_parent, b.identity_mask, b.depth))
+
+
 def count_walks_brute(g: Graph, start: int, end: int, length: int) -> int:
     """Number of length-`length` walks from start to end, by enumeration."""
     if length == 0:
         return int(start == end)
     total = 0
+    adjacency = neighbor_lists(g)
     frontier = [(start, 0)]
     while frontier:
         node, steps = frontier.pop()
         if steps == length:
             total += int(node == end)
             continue
-        for w in g.adjacency[node]:
+        for w in adjacency[node]:
             frontier.append((w, steps + 1))
     return total
 
@@ -45,7 +75,7 @@ def dense_power_diag(g: Graph, k: int) -> np.ndarray:
     """Diag(A^j) for j = 1..k via dense integer matrix powers."""
     n = g.num_nodes
     A = np.zeros((n, n), dtype=np.int64)
-    for u, v in g.edges:
+    for u, v in edge_list(g):
         A[u, v] = 1
         A[v, u] = 1
     out = np.zeros((n, k), dtype=np.int64)
@@ -61,7 +91,7 @@ def walk_counts_exact(g: Graph, k: int) -> np.ndarray:
     (dtype=object), which never overflow."""
     n = g.num_nodes
     A = np.zeros((n, n), dtype=object)
-    for u, v in g.edges:
+    for u, v in edge_list(g):
         A[u, v] = A[v, u] = 1
     out = np.zeros((n, k), dtype=object)
     P = np.eye(n, dtype=np.int64).astype(object)
@@ -76,7 +106,7 @@ def floyd_warshall(g: Graph) -> np.ndarray:
     INF = np.iinfo(np.int64).max // 4
     D = np.full((n, n), INF, dtype=np.int64)
     np.fill_diagonal(D, 0)
-    for u, v in g.edges:
+    for u, v in edge_list(g):
         D[u, v] = 1
         D[v, u] = 1
     for m in range(n):
@@ -89,12 +119,13 @@ def bfs_distances(g: Graph, source: int, cap: int) -> list[int | None]:
     time; None for nodes farther than ``cap``."""
     dist: list[int | None] = [None] * g.num_nodes
     dist[source] = 0
+    adjacency = neighbor_lists(g)
     queue = deque([source])
     while queue:
         u = queue.popleft()
         if dist[u] == cap:
             continue
-        for w in g.adjacency[u]:
+        for w in adjacency[u]:
             if dist[w] is None:
                 dist[w] = dist[u] + 1
                 queue.append(w)
@@ -102,23 +133,25 @@ def bfs_distances(g: Graph, source: int, cap: int) -> list[int | None]:
 
 
 def triangle_count_at(g: Graph, v: int) -> int:
-    nbrs = g.adjacency[v]
+    adjacency = neighbor_lists(g)
+    nbrs = adjacency[v]
     return sum(
         1
         for i, a in enumerate(nbrs)
         for b in nbrs[i + 1:]
-        if b in g.adjacency[a]
+        if b in adjacency[a]
     )
 
 
 def clustering_direct(g: Graph, v: int) -> float:
     """Clustering coefficient by direct neighbor-pair edge counting."""
-    nbrs = g.adjacency[v]
+    adjacency = neighbor_lists(g)
+    nbrs = adjacency[v]
     deg = len(nbrs)
     if deg < 2:
         return 0.0
     nbr_set = set(nbrs)
-    links = sum(1 for u in nbrs for w in g.adjacency[u] if w > u and w in nbr_set)
+    links = sum(1 for u in nbrs for w in adjacency[u] if w > u and w in nbr_set)
     return links / (deg * (deg - 1) / 2)
 
 
@@ -169,9 +202,10 @@ def max_aggregate_naive(M: np.ndarray, g: Graph) -> tuple[np.ndarray, np.ndarray
     n, d = M.shape
     S = np.zeros((n, d))
     src = np.full((n, d), -1, dtype=np.int64)
+    adjacency = neighbor_lists(g)
     for u in range(n):
         for c in range(d):
-            for w in sorted(g.adjacency[u]):
+            for w in sorted(adjacency[u]):
                 if src[u, c] < 0 or M[w, c] > S[u, c]:
                     S[u, c] = M[w, c]
                     src[u, c] = w
@@ -190,11 +224,11 @@ def max_scatter_naive(G_S: np.ndarray, src: np.ndarray, n: int) -> np.ndarray:
 
 def union_by_adjacency(graphs) -> tuple[np.ndarray, np.ndarray]:
     """``(indptr, indices)`` of the disjoint union of ``graphs``, read off
-    their adjacency tuples one neighbor at a time: node v of a graph is
+    their neighbor lists one neighbor at a time: node v of a graph is
     union row v plus the node count of the graphs before it."""
     indptr, indices, offset = [0], [], 0
     for g in graphs:
-        for nbrs in g.adjacency:
+        for nbrs in neighbor_lists(g):
             indices.extend(offset + w for w in nbrs)
             indptr.append(len(indices))
         offset += g.num_nodes
@@ -208,7 +242,7 @@ def ego_by_induced_edges(g: Graph, center: int, k: int,
     dist = floyd_warshall(g)[center]
     ball = [int(v) for v in np.flatnonzero(dist <= k)]
     local = {p: i for i, p in enumerate(ball)}
-    edges = [(local[u], local[v]) for u, v in g.edges if u in local and v in local]
+    edges = [(local[u], local[v]) for u, v in edge_list(g) if u in local and v in local]
     feats = None if g.node_features is None else g.node_features[ball, :]
     identity = center if identity_at is None else identity_at
     return EgoNet(build_graph(len(ball), edges, feats), local[center], tuple(ball),
@@ -219,9 +253,9 @@ def isomorphic_brute(g1: Graph, g2: Graph) -> bool:
     """Isomorphism by trying every node permutation (a handful of nodes)."""
     if g1.num_nodes != g2.num_nodes or g1.num_edges != g2.num_edges:
         return False
-    edges2 = set(g2.edges)
+    edges1, edges2 = edge_list(g1), set(edge_list(g2))
     return any(
-        all((min(p[u], p[v]), max(p[u], p[v])) in edges2 for u, v in g1.edges)
+        all((min(p[u], p[v]), max(p[u], p[v])) in edges2 for u, v in edges1)
         for p in permutations(range(g1.num_nodes))
     )
 
@@ -309,8 +343,8 @@ def spd_pairs_sequential(graphs, pairs_per_graph: int, seed: int):
 
 
 def ego_layout_per_graph(graphs, anchors, k: int):
-    """nn._ego_layout one graph at a time: one one-graph ego_union per
-    graph, stacked. Returns (deg, nbr, identity, depth, node), with nbr as
+    """The ego layout of an id_full make_batch one graph at a time: one
+    one-graph ego_union per graph, stacked. Returns (deg, nbr, identity, depth, node), with nbr as
     union rows and node as ids in the disjoint union of the graphs."""
     if anchors is None:
         anchors = [None] * len(graphs)
@@ -318,7 +352,7 @@ def ego_layout_per_graph(graphs, anchors, k: int):
     deg, nbr, identity, depth, node = [none], [none], [none > 0], [none], [none]
     rows = nodes = 0
     for g, pairs in zip(graphs, anchors):
-        union = ego_union([g], [pairs], k, g.csr)
+        union = ego_union([g], [pairs], k, (g.indptr, g.indices))
         deg.append(union.deg)
         nbr.append(rows + union.nbr)
         identity.append(union.identity)
@@ -463,7 +497,7 @@ def _dense_layer(cfg, p: dict, i: int, g: Graph, H: _Var, identity) -> _Var:
     """One layer on graph g, all rows, from the docstring equations."""
     n = g.num_nodes
     A = np.zeros((n, n))
-    for u, v in g.edges:
+    for u, v in edge_list(g):
         A[u, v] = A[v, u] = 1.0
     deg = A.sum(axis=1)
     pre = f"layers.{i}."

@@ -25,11 +25,10 @@ from hypothesis import given, settings, strategies as st
 
 from idgnn import graph
 from idgnn.errors import InputError
-from idgnn.graph import build_graph, extract_ego
+from idgnn.graph import build_graph, ego_union, extract_ego
 from idgnn.nn import (
     Batch,
     ModelConfig,
-    _ego_layout,
     _GraphOps,
     backward_id_full,
     backward_layers,
@@ -193,7 +192,7 @@ def test_identity_outside_ball_runs_plain_scheme():
     randomize(model, seed=5)
     x = np.random.default_rng(2).normal(size=(5, 2))
     anchors = [(0, 3), (4, 4), (2, 4), (1, 1)]
-    batch = unshared_batch(*_ego_layout([g], [anchors], 1), x, 1)
+    batch = unshared_batch(*ego_layout([g], [anchors], 1), x, 1)
     # egos {0, 1}, {4}, {1, 2, 3}, {0, 1, 2}
     assert batch.layers[0].n_in == 9
     assert center_rows(batch).tolist() == [0, 2, 4, 7]
@@ -204,6 +203,14 @@ def test_identity_outside_ball_runs_plain_scheme():
         for row, (u, v) in zip(H, anchors):
             np.testing.assert_allclose(row, forward_id_full(model, g, u, v, x),
                                        rtol=0, atol=TOL)
+
+
+def ego_layout(graphs, anchors, k):
+    """The ego rows of an id_full make_batch, from its one ego_union: their
+    operators, with the identity masks, and per row its hops from its ego's
+    center and its node in the disjoint union of the graphs."""
+    egos = ego_union(graphs, anchors, k)
+    return _GraphOps(egos.deg, egos.nbr, egos.identity), egos.depth, egos.parent
 
 
 def center_rows(batch):
@@ -240,7 +247,7 @@ def test_id_full_operators_equal_oracle_egos(data):
     with pytest.MonkeyPatch.context() as mp:
         if cells is not None:
             mp.setattr(graph, "_BFS_BLOCK_CELLS", cells)
-        batch = unshared_batch(*_ego_layout(graphs, anchors, k), x, k)
+        batch = unshared_batch(*ego_layout(graphs, anchors, k), x, k)
 
     egos, nodes, start = [], [np.zeros(0, dtype=np.int64)], 0
     for i, g in enumerate(graphs):
@@ -294,7 +301,7 @@ def test_ego_layout_equals_per_graph(case):
     with pytest.MonkeyPatch.context() as mp:
         if per_block is not None:
             mp.setattr(graph, "_BFS_BLOCK_CELLS", per_block * width)
-        ops, depth, node = _ego_layout(graphs, anchors, k)
+        ops, depth, node = ego_layout(graphs, anchors, k)
     ref = ego_layout_per_graph(graphs, anchors, k)
     for name, got, want in zip(("deg", "nbr", "identity", "depth", "node"),
                                (ops.deg, ops.nbr, ops.identity, depth, node), ref):
@@ -306,11 +313,11 @@ def test_ego_layout_checks_anchors_per_graph():
     # node 2 exists in the union of the two graphs, but not in graph 0
     graphs = [build_graph(2, [(0, 1)]), build_graph(3, [(0, 1)])]
     with pytest.raises(InputError, match="center 2 out of range for graph with 2 nodes"):
-        _ego_layout(graphs, [[(2, 0)], None], 1)
+        ego_layout(graphs, [[(2, 0)], None], 1)
     with pytest.raises(InputError, match="identity_at 3 out of range for graph with 3 nodes"):
-        _ego_layout(graphs, [None, [(0, 1), (1, 3)]], 1)
+        ego_layout(graphs, [None, [(0, 1), (1, 3)]], 1)
     with pytest.raises(InputError, match="center ids must be integers"):
-        _ego_layout(graphs, [[], [(0.5, 1)]], 1)
+        ego_layout(graphs, [[], [(0.5, 1)]], 1)
 
 
 @given(cases())
@@ -369,7 +376,7 @@ def test_shared_batch_equals_unshared(scheme):
         xs = [rng.normal(size=(g.num_nodes, 2)) for g in graphs]
         k, n = cfg.num_layers, sum(g.num_nodes for g in graphs)
         batch = make_batch(model, graphs, xs, anchors)
-        ref = unshared_batch(*_ego_layout(graphs, anchors, k), np.concatenate(xs), k)
+        ref = unshared_batch(*ego_layout(graphs, anchors, k), np.concatenate(xs), k)
         for ops, ref_ops in zip(batch.layers, ref.layers):
             assert ops.n_in <= ref_ops.n_in and ops.n <= ref_ops.n
         shares.append(sum(ops.n_in for ops in batch.layers)
@@ -387,3 +394,19 @@ def test_shared_batch_equals_unshared(scheme):
 
     check()
     assert sum(shares) >= 10, shares
+
+
+def test_a_layer_reading_one_row_rounds_as_the_unshared_batch():
+    # both anchors of an edgeless graph read one whole-graph row, so every
+    # layer of the shared batch reads a single row, whose messages numpy
+    # would multiply with gemv where the unshared batch uses gemm
+    cfg = ModelConfig(flavor="gcn", variant="id_full", num_layers=3, hidden_dim=3,
+                      input_dim=2, output_dim=2, aggregation="mean", seed=0)
+    model = init_model(cfg)
+    randomize(model, seed=620)
+    g = build_graph(2, [])
+    x = np.random.default_rng(27620).normal(size=(2, 2))
+    batch = make_batch(model, [g], [x], [[(1, 0), (1, 0)]])
+    assert [ops.n_in for ops in batch.layers] == [1, 1, 1]
+    ref = unshared_batch(*ego_layout([g], [[(1, 0), (1, 0)]], 3), x, 3)
+    assert forward_batch(model, batch).tobytes() == forward_batch(model, ref).tobytes()

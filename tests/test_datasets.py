@@ -17,7 +17,7 @@ from idgnn.datasets import (
 )
 from idgnn.errors import CapabilityError, ParseError
 from idgnn.graph import build_graph, build_graphs
-from oracles import load_jsonl_per_line
+from oracles import edge_list, load_jsonl_per_line, neighbor_lists
 
 
 def test_graph_roundtrip(tmp_path):
@@ -25,7 +25,7 @@ def test_graph_roundtrip(tmp_path):
     path = str(tmp_path / "g.json")
     save_graph(g, path)
     loaded = load_graph(path)
-    assert loaded.edges == g.edges
+    assert edge_list(loaded) == edge_list(g)
     assert np.array_equal(loaded.node_features, g.node_features)
 
 
@@ -38,14 +38,14 @@ def test_jsonl_roundtrip_with_labels(tmp_path):
     assert records[0].label == 2
     assert records[0].node_labels == [0, 1, 0]
     assert records[1].label is None
-    assert records[1].graph.edges == ((0, 1),)
+    assert edge_list(records[1].graph) == ((0, 1),)
 
 
 def test_obj_roundtrip_without_features():
     g = build_graph(3, [(0, 2)])
     obj = graph_to_obj(g)
     assert "node_features" not in obj
-    assert graph_from_obj(obj).edges == g.edges
+    assert edge_list(graph_from_obj(obj)) == edge_list(g)
 
 
 def test_parse_error_reports_line(tmp_path):
@@ -193,8 +193,8 @@ def _assert_same_records(got, ref):
     assert len(got) == len(ref)
     for rec, (n, edges, adjacency, feats, label, node_labels) in zip(got, ref):
         g = rec.graph
-        assert g.num_nodes == n and g.edges == edges and g.adjacency == adjacency
-        indptr, indices = g.csr
+        assert g.num_nodes == n and edge_list(g) == edges and neighbor_lists(g) == adjacency
+        indptr, indices = g.indptr, g.indices
         assert indptr.dtype == indices.dtype == np.int64
         assert not indptr.flags.writeable and not indices.flags.writeable
         np.testing.assert_array_equal(indptr, np.cumsum([0] + [len(a) for a in adjacency]))

@@ -17,7 +17,7 @@ from idgnn.graph import build_graph, relabel_graph
 from idgnn.nn import ModelConfig, init_model, make_walk_count_model
 from idgnn.wl import are_isomorphic, iso_state, isomorphic_states
 from gradcheck import randomize
-from oracles import isomorphic_brute, nonisomorphic_pool_sequential
+from oracles import edge_list, isomorphic_brute, nonisomorphic_pool_sequential
 
 
 def pool_outcome(fn, *args):
@@ -26,7 +26,7 @@ def pool_outcome(fn, *args):
         pool, regen = fn(*args)
     except CapabilityError as exc:
         return str(exc)
-    return [g.edges for g in pool], regen
+    return [edge_list(g) for g in pool], regen
 
 
 def chunked_draws(monkeypatch, *args):
@@ -109,8 +109,9 @@ class TestSignatureIndex:
             got += chunked.add_many(graphs[lo:hi])
         assert got == want
         for index in (batch, chunked):
-            assert {sig: [g.edges for g in bucket] for sig, bucket in index.buckets.items()} \
-                == {sig: [g.edges for g in bucket] for sig, bucket in sequential.buckets.items()}
+            assert {sig: [edge_list(g) for g in bucket] for sig, bucket in index.buckets.items()} \
+                == {sig: [edge_list(g) for g in bucket]
+                    for sig, bucket in sequential.buckets.items()}
 
     @settings(max_examples=150, deadline=None)
     @given(data=st.data())

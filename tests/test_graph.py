@@ -19,7 +19,11 @@ from oracles import (
     bfs_distances,
     build_graph_per_edge,
     ego_by_induced_edges,
+    edge_list,
     floyd_warshall,
+    neighbor_lists,
+    same_ego,
+    same_graph,
     union_by_adjacency,
 )
 
@@ -52,12 +56,12 @@ class TestBuildGraph:
     def test_triangle(self):
         g = build_graph(3, [(0, 1), (1, 2), (0, 2)])
         assert g.degrees() == [2, 2, 2]
-        assert g.edges == ((0, 1), (0, 2), (1, 2))
+        assert edge_list(g) == ((0, 1), (0, 2), (1, 2))
 
     def test_dedup_and_self_loop_removal(self):
         g = build_graph(3, [(0, 1), (1, 0), (2, 2)])
-        assert g.edges == ((0, 1),)
-        assert g.adjacency[2] == ()
+        assert edge_list(g) == ((0, 1),)
+        assert neighbor_lists(g)[2] == ()
 
     def test_out_of_range_endpoint(self):
         with pytest.raises(InputError):
@@ -89,13 +93,13 @@ class TestBuildGraph:
         lambda: map(np.array, [(0, 1), (2, 1)]),
     ], ids=["list", "tuple", "lists", "set", "generator", "array", "uint8-array", "rows"])
     def test_edge_input_forms_give_equal_graphs(self, edges):
-        assert build_graph(4, edges()) == build_graph(4, [(0, 1), (1, 2)])
+        assert same_graph(build_graph(4, edges()), build_graph(4, [(0, 1), (1, 2)]))
 
     @pytest.mark.parametrize("edges", [[], (), set(), iter([]), np.zeros((0, 2), dtype=int),
                                        np.zeros((0, 2))])
     def test_empty_edge_forms_give_equal_graphs(self, edges):
         g = build_graph(3, edges)
-        assert g == build_graph(3, []) and g.num_edges == 0
+        assert same_graph(g, build_graph(3, [])) and g.num_edges == 0
 
     @pytest.mark.parametrize("n, edges", [
         (4, [(0, 1), (2,)]),
@@ -161,6 +165,32 @@ class TestBuildGraph:
             build_graphs(sizes, counts, u, v, feats)
         assert str(err.value).startswith(message)
 
+    @pytest.mark.parametrize("build, message", [
+        (lambda: build_graphs([4], [1], [1.5], [0]), "edge endpoints must be integers, got 1.5"),
+        (lambda: build_graph(3.7, [(0, 2)]), "num_nodes must be an integer, got 3.7"),
+        (lambda: build_graph(True, []), "num_nodes must be an integer, got True"),
+        (lambda: build_graph(2**70, []),
+         "num_nodes 1180591620717411303424 is past the 64-bit integer range"),
+        # the first bad endpoint in edge order, whichever check it fails
+        (lambda: build_graphs([3], [2], [5, 0.5], [0, 0]),
+         "edge endpoint 5 out of range for graph with 3 nodes"),
+        (lambda: build_graphs([3], [2], [0, 0], [2.5, 7]),
+         "edge endpoints must be integers, got 2.5"),
+        # numpy reads True as 1 in a list of integers; the builders do not
+        (lambda: build_graph(4, [(0, 1), (0, True)]), "edge endpoints must be integers, got True"),
+        (lambda: build_graphs([3, True], [1, 0], [0], [1]),
+         "num_nodes must be an integer, got True"),
+        # a bad node count of a later graph waits for the earlier graphs
+        (lambda: build_graphs([2, 2.0], [1, 0], [0], [np.uint64(2**63)]),
+         "edge endpoint 9223372036854775808 out of range for graph with 2 nodes"),
+    ], ids=["float-endpoint", "float-count", "bool-count", "count-past-64-bits",
+            "range-before-float", "float-before-range", "bool-among-ints",
+            "bool-count-among-ints", "endpoint-before-next-count"])
+    def test_non_integers_are_refused_not_cast(self, build, message):
+        with pytest.raises(InputError) as err:
+            build()
+        assert str(err.value) == message
+
     @given(st.lists(edges_strategy(max_n=8), max_size=5))
     @settings(max_examples=100)
     def test_many_graphs_equal_one_at_a_time(self, cases):
@@ -168,7 +198,9 @@ class TestBuildGraph:
                                + [np.array(e, dtype=np.int64).reshape(-1, 2) for _, e in cases])
         graphs = build_graphs([n for n, _ in cases], [len(e) for _, e in cases],
                               edges[:, 0], edges[:, 1])
-        assert graphs == [build_graph(n, e) for n, e in cases]
+        assert len(graphs) == len(cases)
+        for g, (n, e) in zip(graphs, cases):
+            assert same_graph(g, build_graph(n, e))
         for g in graphs:
             assert not g.indptr.flags.writeable and not g.indices.flags.writeable
 
@@ -176,11 +208,11 @@ class TestBuildGraph:
     @settings(max_examples=60)
     def test_adjacency_symmetric_and_sorted(self, data):
         n, edges = data
-        g = build_graph(n, edges)
+        adjacency = neighbor_lists(build_graph(n, edges))
         for v in range(n):
-            assert list(g.adjacency[v]) == sorted(set(g.adjacency[v]))
-            for w in g.adjacency[v]:
-                assert v in g.adjacency[w]
+            assert list(adjacency[v]) == sorted(set(adjacency[v]))
+            for w in adjacency[v]:
+                assert v in adjacency[w]
                 assert w != v
 
 
@@ -361,7 +393,7 @@ class TestEgo:
         g = build_graph(5, [(0, 1), (1, 2), (2, 3), (3, 4)])
         ego = extract_ego(g, 2, 1)
         assert ego.to_parent == (1, 2, 3)
-        assert ego.subgraph.edges == ((0, 1), (1, 2))
+        assert edge_list(ego.subgraph) == ((0, 1), (1, 2))
         assert ego.identity_mask == (False, True, False)
         assert ego.center_local_index == 1
 
@@ -411,9 +443,9 @@ class TestEgo:
         # induced property: every parent edge inside the ball appears
         local = {p: i for i, p in enumerate(ego.to_parent)}
         expected = {
-            (local[u], local[v]) for u, v in g.edges if u in ball and v in ball
+            (local[u], local[v]) for u, v in edge_list(g) if u in ball and v in ball
         }
-        assert set(ego.subgraph.edges) == expected
+        assert set(edge_list(ego.subgraph)) == expected
 
 
 def _without_features(ego):
@@ -432,7 +464,7 @@ def test_extract_ego_equals_reference(data, center, k, identity_at, with_feature
     identity_at = None if identity_at is None else identity_at % n
     ego = extract_ego(g, center, k, identity_at=identity_at)
     ref = ego_by_induced_edges(g, center, k, identity_at=identity_at)
-    assert _without_features(ego) == _without_features(ref)
+    assert same_ego(_without_features(ego), _without_features(ref))
     assert ego.depth == ref.depth
     if with_features:
         np.testing.assert_array_equal(ego.subgraph.node_features,
@@ -480,7 +512,8 @@ def test_relabel_equals_per_edge_build(case):
         ref_feats[list(perm)] = feats
     _, ref_edges, ref_adjacency, ref_feats = build_graph_per_edge(
         n, [(perm[u], perm[v]) for u, v in edges], ref_feats)
-    assert h.num_nodes == n and h.edges == ref_edges and h.adjacency == ref_adjacency
+    assert h.num_nodes == n and edge_list(h) == ref_edges
+    assert neighbor_lists(h) == ref_adjacency
     if ref_feats is None:
         assert h.node_features is None
     else:
@@ -508,10 +541,10 @@ def test_union_csr_equals_adjacency_union(graphs):
     for got, ref in ((indptr, ref_indptr), (indices, ref_indices)):
         np.testing.assert_array_equal(got, ref)
         assert got.dtype == np.int64
-    # the cached per-graph arrays are read, never shifted in place
+    # the per-graph arrays are read, never shifted in place
     for g in graphs:
-        np.testing.assert_array_equal(g.csr[0], union_by_adjacency([g])[0])
-        np.testing.assert_array_equal(g.csr[1], union_by_adjacency([g])[1])
+        np.testing.assert_array_equal(g.indptr, union_by_adjacency([g])[0])
+        np.testing.assert_array_equal(g.indices, union_by_adjacency([g])[1])
 
 
 def test_union_csr_edge_cases():
