@@ -22,6 +22,7 @@ max(A^a) * maxdeg <= 2^62, and before each row sum of X * Y it requires
 max(X) * max(Y) * (largest nonzero count of a row of X) <= 2^62, each over
 one graph's rows, so a list raises CapabilityError exactly when one of its
 graphs would on its own. ``walk_count_features`` is its one-graph view.
+scipy is imported by the first block adjacency built, not with the module.
 
 The count rows are read two ways, each coded once: ``count_signatures``
 turns count matrices into canonical signatures, and ``with_count_columns``
@@ -40,7 +41,6 @@ import struct
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import CapabilityError, InputError
 from .graph import EgoNet, Graph, union_csr
@@ -129,8 +129,10 @@ def _walk_blocks(sizes: list[int]):
         yield start, len(sizes)
 
 
-def _block_adjacency(graphs: list[Graph]) -> sp.csr_matrix:
-    """The block-diagonal adjacency matrix of ``graphs``, from their CSR."""
+def _block_adjacency(graphs: list[Graph]):
+    """The block-diagonal scipy CSR adjacency matrix of ``graphs``."""
+    import scipy.sparse as sp
+
     indptr, indices = union_csr(graphs)
     n = int(indptr.size - 1)
     return sp.csr_matrix((np.ones(indices.size, dtype=np.int64), indices, indptr),
@@ -163,8 +165,7 @@ def _check_range(over: np.ndarray, length: int) -> None:
         )
 
 
-def _adjacency_panel(adj: sp.csr_matrix, sizes: np.ndarray,
-                     first_row: np.ndarray) -> np.ndarray:
+def _adjacency_panel(adj, sizes: np.ndarray, first_row: np.ndarray) -> np.ndarray:
     """A as a dense panel: row r holds r's row of A in the local columns of
     r's graph, zero-padded to the largest graph's node count."""
     rows = np.repeat(np.arange(adj.shape[0]), np.diff(adj.indptr))

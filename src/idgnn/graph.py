@@ -156,15 +156,31 @@ def build_graphs(num_nodes, edge_counts, u, v, node_features=None) -> list[Graph
     node ids of the disjoint union, and one sort of the keys gives every
     graph's CSR arrays, views of two arrays that the graphs share.
 
-    Raises InputError for the first graph, in order, whose node count is
-    not a nonnegative integer of the int64 range, whose endpoints include
-    one that is not an integer in range (naming the first one in edge order,
-    by its value; floats, strings and booleans are refused, not cast), or
-    whose features have the wrong row count, checked in that order.
+    Raises InputError when there is not one edge count (nor, if given, one
+    feature matrix) per graph, a count is not a nonnegative integer, the
+    counts do not sum to the number of edges, or ``u`` and ``v`` differ in
+    length. Then it raises InputError for the first graph, in order, whose
+    node count is not a nonnegative integer of the int64 range, whose
+    endpoints include one that is not an integer in range (naming the first
+    one in edge order, by its value; floats, strings and booleans are
+    refused, not cast), or whose features have the wrong row count, checked
+    in that order.
     """
     sizes, size_objs = _int64(num_nodes)
-    counts = np.asarray(edge_counts, dtype=np.int64).reshape(-1)
+    counts, count_objs = _int64(edge_counts)
     (u, u_objs), (v, v_objs) = _int64(u), _int64(v)
+    for name, given in ("edge count", counts), ("feature matrix", node_features):
+        if given is not None and len(given) != sizes.size:
+            raise InputError(f"need one {name} per graph, got {len(given)} for "
+                             f"{sizes.size} graphs")
+    if (counts < 0).any():  # a count that is not an int64 integer reads as -1
+        i = int(np.argmax(counts < 0))
+        w = int(counts[i]) if count_objs is None else count_objs[i]
+        raise InputError(f"edge counts must be nonnegative integers, got {w!r}")
+    num_edges = sum(counts.tolist())  # exact, as int64 sums may wrap
+    if u.size != v.size or num_edges != u.size:
+        raise InputError(f"edge counts sum to {num_edges}, with {u.size} first and "
+                         f"{v.size} second endpoints")
     n_of = np.repeat(sizes, counts)
     bad = np.flatnonzero((u < 0) | (u >= n_of) | (v < 0) | (v >= n_of))
     negative = np.flatnonzero(sizes < 0)

@@ -49,7 +49,8 @@ Max aggregation builds its table of first maximizers, which only backward
 reads, under a tape only; a pass without one writes the same maxima.
 
 Importing the module sets glibc's allocator, process-wide, to keep freed
-blocks for reuse across epochs (_keep_freed_memory).
+blocks for reuse across epochs (_keep_freed_memory). It does not load
+scipy: the functions that build a sparse matrix import it on first use.
 
 Checkpoint layout: 8-byte magic ``IDGNNMDL``, little-endian uint32 header
 length, UTF-8 JSON header holding the config and a parameter index table
@@ -67,7 +68,6 @@ from dataclasses import dataclass, asdict
 from functools import cached_property
 
 import numpy as np
-import scipy.sparse as sp
 
 from .counts import with_count_columns
 from .datasets import atomic_write
@@ -257,17 +257,21 @@ class _GraphOps:
         return plan
 
     @cached_property
-    def A(self) -> sp.csr_matrix:
+    def A(self):
+        import scipy.sparse as sp
+
         indptr = np.concatenate([[0], np.cumsum(self.deg)])
         return sp.csr_matrix((np.ones(self.nbr.size), self.nbr, indptr),
                              shape=(self.n, self.n_in))
 
     @cached_property
-    def A_gcn(self) -> sp.csr_matrix:
+    def A_gcn(self):
         """D^-1/2 (A + I) D^-1/2 with D the closed-neighborhood degrees,
         built straight as CSR: one stable sort of the entries by row, then
         input position, which follows node order (see make_batch), so the
         self loop sums at its node's place."""
+        import scipy.sparse as sp
+
         d_out = 1.0 / np.sqrt(self.deg + 1.0)
         d_in = 1.0 / np.sqrt(self.deg_in + 1.0)
         loops = np.arange(self.n)
@@ -363,6 +367,8 @@ def _add_kept(G_H: np.ndarray, ops: _GraphOps, G_kept: np.ndarray) -> np.ndarray
     if ops.keep is None:
         G_H += G_kept
     else:
+        import scipy.sparse as sp
+
         G_H += sp.csc_matrix((np.ones(ops.n), ops.keep, np.arange(ops.n + 1)),
                              shape=(ops.n_in, ops.n)) @ G_kept
     return G_H

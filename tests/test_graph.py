@@ -165,6 +165,31 @@ class TestBuildGraph:
             build_graphs(sizes, counts, u, v, feats)
         assert str(err.value).startswith(message)
 
+    @pytest.mark.parametrize("sizes, counts, u, v, feats, message", [
+        ([3], [2], [0], [1], None, "edge counts sum to 2, with 1 first and 1 second endpoints"),
+        ([3], [0], [0], [1], None, "edge counts sum to 0, with 1 first and 1 second endpoints"),
+        ([3], [1], [0], [1, 2], None, "edge counts sum to 1, with 1 first and 2 second"),
+        ([3, 2], [1], [0], [1], None, "need one edge count per graph, got 1 for 2 graphs"),
+        ([3], [1, 0], [0], [1], None, "need one edge count per graph, got 2 for 1 graphs"),
+        ([3], [1.5], [0], [1], None, "edge counts must be nonnegative integers, got 1.5"),
+        ([3], [True], [0], [1], None, "edge counts must be nonnegative integers, got True"),
+        ([3], [-1], [], [], None, "edge counts must be nonnegative integers, got -1"),
+        ([3], np.array([-1]), [], [], None, "edge counts must be nonnegative integers, got -1"),
+        ([3], ["1"], [0], [1], None, "edge counts must be nonnegative integers, got '1'"),
+        # the sum is exact where an int64 sum would wrap to 0
+        ([3] * 4, [2**62] * 4, [], [], None, "edge counts sum to 18446744073709551616"),
+        ([3], [1], [0], [1], [], "need one feature matrix per graph, got 0 for 1 graphs"),
+        ([3], [1], [0], [1], [None, None], "need one feature matrix per graph, got 2 for 1"),
+    ], ids=["too-few-edges", "too-many-edges", "uneven-endpoints", "short-counts",
+            "long-counts", "float-count", "bool-count", "negative-count",
+            "negative-count-array", "string-count", "wrapping-sum", "short-features",
+            "long-features"])
+    def test_edge_counts_must_match_the_graphs_and_edges(self, sizes, counts, u, v, feats,
+                                                         message):
+        with pytest.raises(InputError) as err:
+            build_graphs(sizes, counts, u, v, feats)
+        assert str(err.value).startswith(message)
+
     @pytest.mark.parametrize("build, message", [
         (lambda: build_graphs([4], [1], [1.5], [0]), "edge endpoints must be integers, got 1.5"),
         (lambda: build_graph(3.7, [(0, 2)]), "num_nodes must be an integer, got 3.7"),
