@@ -9,6 +9,11 @@ call that fails after writing some outputs removes them, so no output is
 left without its manifest. All
 randomness flows from explicit --seed flags.
 
+A flag value spells a library name with ``-`` for ``_`` (``--task edge-spd``
+is the task ``edge_spd``). ``train`` checks every flag and that the split
+leaves both sides nonempty, then builds the model, then the task, for
+every task kind, so a bad flag fails before any SPD pair is drawn.
+
 main builds its argparse tree on its first call and reuses it, so a caller
 that runs many commands in one process pays for the parser once;
 build_parser returns a fresh tree on every call.
@@ -41,8 +46,8 @@ from .datasets import (
 )
 from .errors import CapabilityError, InputError, NumericError
 from .expressiveness import SignatureIndex, run_regular_experiment
-from .generators import RNG_NAME, STREAM_SPLIT, GeneratorSpec, check_seed, gen_dataset
-from .nn import ModelConfig, init_model, load_model, save_model
+from .generators import FAMILIES, RNG_NAME, STREAM_SPLIT, GeneratorSpec, check_seed, gen_dataset
+from .nn import FLAVORS, VARIANTS, ModelConfig, init_model, load_model, save_model
 from .tasks import (
     TASK_SPECS,
     check_classes,
@@ -57,13 +62,15 @@ from .tasks import (
 )
 from .wl import are_isomorphic, wl_equivalent, wl_graph_hash
 
-_TASK_ALIASES = {"node-cc": "node_cc", "edge-spd": "edge_spd", "graph-cc": "graph_cc"}
-_FAMILY_ALIASES = {
-    "d-regular": "d_regular",
-    "small-world": "small_world",
-    "scale-free": "scale_free",
-}
-_VARIANT_ALIASES = {"plain": "plain", "id-full": "id_full", "id-fast": "id_fast"}
+# the degree flag and the probability flag of each generator family;
+# d-regular has no probability, so its generator gets 0.0
+_FAMILY_FLAGS = {"d_regular": ("d", None), "small_world": ("k", "p"),
+                 "scale_free": ("m", "p_triad")}
+
+
+def _choices(names) -> list[str]:
+    """The flag values of library ``names``, sorted: each ``_`` read as ``-``."""
+    return sorted(name.replace("_", "-") for name in names)
 
 
 def _digests(inputs: list[str]) -> dict[str, str]:
@@ -110,22 +117,14 @@ def _publish(args, subcommand: str, inputs: dict[str, str], writes: list) -> Non
 
 
 def _cmd_generate(args) -> int:
-    family = _FAMILY_ALIASES[args.family]
-    if family == "d_regular":
-        if args.d is None:
-            raise InputError("--d is required for d-regular")
-        degree, prob = args.d, 0.0
-    elif family == "small_world":
-        if args.k is None:
-            raise InputError("--k is required for small-world")
-        degree, prob = args.k, args.p
-    else:
-        if args.m is None:
-            raise InputError("--m is required for scale-free")
-        degree, prob = args.m, args.p_triad
+    family = args.family.replace("-", "_")
+    degree_flag, prob_flag = _FAMILY_FLAGS[family]
+    degree = getattr(args, degree_flag)
+    if degree is None:
+        raise InputError(f"--{degree_flag} is required for {args.family}")
     spec = GeneratorSpec(
         family=family, num_nodes=args.n, degree_param=degree,
-        rewire_or_triad_prob=prob,
+        rewire_or_triad_prob=vars(args).get(prob_flag, 0.0),
     )
     graphs = gen_dataset(spec, args.count, args.seed)
     _publish(args, "generate", {},
@@ -197,27 +196,23 @@ def _cmd_expressiveness(args) -> int:
     return 0
 
 
-def _load_task(records, task_kind: str, args, width: int = 3):
-    """The task of ``records``. A clustering task keeps the closed-walk
-    counts of lengths 1..``width`` from the one kernel call behind its
-    labels (see _count_width)."""
+def _load_task(records, task_kind: str, args, config: ModelConfig):
+    """The task of ``records`` for a model of ``config``. A clustering task
+    keeps the closed-walk counts of lengths 1..width from the one kernel
+    call behind its labels: width is max(3, fast_k) for an id_fast model,
+    whose inputs read their count columns from them, and 3 otherwise."""
     graphs = [rec.graph for rec in records]
+    if task_kind == "edge_spd":
+        return make_spd_task(graphs, args.pairs_per_graph, args.seed)
+    width = max(3, config.fast_k) if config.variant == "id_fast" else 3
     if task_kind == "node_cc":
         return make_node_cc_task(graphs, width)
-    if task_kind == "graph_cc":
-        return make_graph_cc_task(graphs, width)
-    return make_spd_task(graphs, args.pairs_per_graph, args.seed)
-
-
-def _count_width(config: ModelConfig) -> int:
-    """The count width of a clustering task for ``config``: an id_fast
-    model's inputs read their count columns from the task's counts."""
-    return max(3, config.fast_k) if config.variant == "id_fast" else 3
+    return make_graph_cc_task(graphs, width)
 
 
 def _cmd_train(args) -> int:
-    task_kind = _TASK_ALIASES[args.task]
-    variant = _VARIANT_ALIASES[args.variant]
+    task_kind = args.task.replace("-", "_")
+    variant = args.variant.replace("-", "_")
     records = load_jsonl(args.data)
     if not records:
         raise InputError(f"dataset {args.data} is empty")
@@ -233,15 +228,10 @@ def _cmd_train(args) -> int:
         output_dim=TASK_SPECS[task_kind].num_classes,
         aggregation=args.aggregation or "", fast_k=args.fast_k, seed=args.seed,
     )
-    check_split(args.split_fraction, args.seed)
+    check_split(args.split_fraction, args.seed, len(records))
     check_schedule(args.epochs, args.lr)
-    # Flags are checked before SPD pairs are drawn, which may log warnings.
-    # A clustering task's counts are as wide as fast_k, so they come after
-    # the model: init_model reports a width the model cannot have.
-    spd = _load_task(records, task_kind, args) if task_kind == "edge_spd" else None
     model = init_model(config)
-    task_data = spd or _load_task(records, task_kind, args, _count_width(config))
-    task = split(task_data, args.split_fraction, args.seed)
+    task = split(_load_task(records, task_kind, args, config), args.split_fraction, args.seed)
     report = train(model, task, epochs=args.epochs, lr=args.lr)
     writes = [(args.out, functools.partial(save_model, model))]
     if args.report:
@@ -254,13 +244,13 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    task_kind = _TASK_ALIASES[args.task]
+    task_kind = args.task.replace("-", "_")
     model = load_model(args.model)
     check_classes(model, TASK_SPECS[task_kind])
     records = load_jsonl(args.data)
     if not records:
         raise InputError(f"dataset {args.data} is empty")
-    task_data = _load_task(records, task_kind, args, _count_width(model.config))
+    task_data = _load_task(records, task_kind, args, model.config)
     accuracy = evaluate(model, task_data.spec, task_data.items)
     result = {"task": task_kind, "accuracy": accuracy, "graphs": len(records)}
     print(dumps_canonical(result))
@@ -271,31 +261,19 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_report(args) -> int:
+    header = ("report", "flavor", "variant", "task", "seed", "accuracy")
     rows = []
     for path in args.reports:
         try:
             with open(path, encoding="utf-8") as fh:
                 obj = json.load(fh)
-            rows.append(
-                {
-                    "report": os.path.splitext(os.path.basename(path))[0],
-                    "flavor": obj["config"]["flavor"],
-                    "variant": obj["config"]["variant"],
-                    "task": obj["task"],
-                    "seed": obj["seed"],
-                    "accuracy": obj["final_val_accuracy"],
-                }
-            )
+            rows.append((os.path.splitext(os.path.basename(path))[0],
+                         obj["config"]["flavor"], obj["config"]["variant"],
+                         obj["task"], obj["seed"], obj["final_val_accuracy"]))
         except (ValueError, KeyError, TypeError) as exc:
             raise InputError(f"{path}: not a train report: {exc!r}") from None
     buf = io.StringIO()
-    writer = csv.DictWriter(
-        buf, fieldnames=["report", "flavor", "variant", "task", "seed", "accuracy"],
-        lineterminator="\n",
-    )
-    writer.writeheader()
-    for row in rows:
-        writer.writerow(row)
+    csv.writer(buf, lineterminator="\n").writerows([header, *rows])
     _publish(args, "report", _digests(args.reports), [(args.out, buf.getvalue())])
     print(f"summarized {len(rows)} reports to {args.out}")
     return 0
@@ -312,7 +290,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
     p = sub.add_parser("generate", help="generate a synthetic JSONL dataset")
-    p.add_argument("--family", required=True, choices=sorted(_FAMILY_ALIASES))
+    p.add_argument("--family", required=True, choices=_choices(FAMILIES))
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--count", type=int, required=True)
     p.add_argument("--seed", type=int, required=True)
@@ -358,9 +336,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train", help="train a model on a synthetic task")
     p.add_argument("--data", required=True)
-    p.add_argument("--task", required=True, choices=sorted(_TASK_ALIASES))
-    p.add_argument("--flavor", default="sage", choices=["gcn", "sage", "gin"])
-    p.add_argument("--variant", default="plain", choices=sorted(_VARIANT_ALIASES))
+    p.add_argument("--task", required=True, choices=_choices(TASK_SPECS))
+    p.add_argument("--flavor", default="sage", choices=FLAVORS)
+    p.add_argument("--variant", default="plain", choices=_choices(VARIANTS))
     p.add_argument("--layers", type=int, default=None,
                    help="default 3, or 5 for edge-spd")
     p.add_argument("--hidden", type=int, default=32)
@@ -380,7 +358,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eval", help="evaluate a checkpoint on a dataset")
     p.add_argument("--model", required=True)
     p.add_argument("--data", required=True)
-    p.add_argument("--task", required=True, choices=sorted(_TASK_ALIASES))
+    p.add_argument("--task", required=True, choices=_choices(TASK_SPECS))
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--pairs-per-graph", type=int, default=20)
     p.add_argument("--out", default=None)
@@ -407,12 +385,9 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         return args.func(args)
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (FileNotFoundError, IsADirectoryError, NotADirectoryError,
+    except (InputError, FileNotFoundError, IsADirectoryError, NotADirectoryError,
             PermissionError) as exc:
-        # a user-given path that cannot be opened as the file it names
+        # bad input, or a user-given path that cannot be opened as the file it names
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except CapabilityError as exc:

@@ -238,23 +238,23 @@ def make_spd_task(graphs, pairs_per_graph: int, seed: int) -> TaskData:
     return TaskData(spec, items)
 
 
-def check_split(fraction: float, seed: int) -> None:
-    """InputError unless split can cut at ``fraction`` with ``seed``."""
+def check_split(fraction: float, seed: int, count: int) -> None:
+    """InputError unless split can cut ``count`` items at ``fraction`` with
+    ``seed`` and leave both sides nonempty. A task has one item per graph,
+    so a caller can check before it builds the task."""
     if not 0.0 < fraction < 1.0:
         raise InputError(f"fraction must be in (0, 1), got {fraction}")
     if seed < 0:
         raise InputError(f"seed must be nonnegative, got {seed}")
+    if int(round(fraction * count)) in (0, count):
+        raise InputError(f"split of {count} items at {fraction} leaves a side empty")
 
 
 def split(task: TaskData, fraction: float, seed: int) -> TaskSplit:
     """Deterministic shuffled graph-level split; no graph straddles sides."""
-    check_split(fraction, seed)
+    check_split(fraction, seed, len(task.items))
     order = np.random.Generator(np.random.PCG64(seed)).permutation(len(task.items))
     cut = int(round(fraction * len(task.items)))
-    if cut == 0 or cut == len(task.items):
-        raise InputError(
-            f"split of {len(task.items)} items at {fraction} leaves a side empty"
-        )
     train = [task.items[i] for i in order[:cut]]
     val = [task.items[i] for i in order[cut:]]
     return TaskSplit(task.spec, train, val)

@@ -53,11 +53,15 @@ class TestGenerate:
         assert code == 2
         assert "even" in capsys.readouterr().err
 
-    def test_missing_family_param(self, tmp_path):
-        out = str(tmp_path / "d.jsonl")
-        code = run(["generate", "--family", "d-regular", "--n", "8",
-                    "--count", "1", "--seed", "0", "--out", out])
-        assert code == 2
+    @pytest.mark.parametrize("family, flag", [
+        ("d-regular", "--d"), ("small-world", "--k"), ("scale-free", "--m"),
+    ], ids=["d-regular", "small-world", "scale-free"])
+    def test_missing_family_param(self, tmp_path, family, flag):
+        out = tmp_path / "d.jsonl"
+        assert run_failing(["generate", "--family", family, "--n", "8", "--count", "1",
+                            "--seed", "0", "--out", str(out)]) == (
+            f"error: {flag} is required for {family}")
+        assert not out.exists()
 
 
 class TestFeatures:
@@ -904,12 +908,20 @@ def test_train_edge_task_warnings_of_a_valid_run(tmp_path, spd_gaps_dataset, cap
     assert _skipped_classes(caplog) == 12
 
 
-def test_train_edge_task_bad_flag_one_stderr_line(tmp_path, spd_gaps_dataset):
+@pytest.mark.parametrize("graphs, flags, code, message", [
+    (6, ["--layers", "0"], 2, "error: num_layers must be >= 1\n"),
+    (6, ["--hidden", "1000000000000"], 3, "capability error: out of memory: "),
+    (1, [], 2, "error: split of 1 items at 0.8 leaves a side empty\n"),
+], ids=["layers-0", "hidden-huge", "one-graph"])
+def test_train_edge_task_bad_flag_one_stderr_line(tmp_path, spd_gaps_dataset, graphs, flags,
+                                                  code, message):
     # a separate process shows the log records that pytest would capture
-    proc = run_process(["train", "--data", spd_gaps_dataset, "--task", "edge-spd",
-                        "--layers", "0", "--out", str(tmp_path / "m.ckpt")])
-    assert proc.returncode == 2
-    assert proc.stderr == "error: num_layers must be >= 1\n"
+    data = tmp_path / "first.jsonl"
+    data.write_text("".join(open(spd_gaps_dataset).readlines()[:graphs]))
+    proc = run_process(["train", "--data", str(data), "--task", "edge-spd", *flags,
+                        "--out", str(tmp_path / "m.ckpt")])
+    assert proc.returncode == code
+    assert proc.stderr.startswith(message) and proc.stderr.count("\n") == 1
 
 
 def run_captured(argv) -> tuple:
