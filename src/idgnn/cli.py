@@ -12,7 +12,8 @@ randomness flows from explicit --seed flags.
 A flag value spells a library name with ``-`` for ``_`` (``--task edge-spd``
 is the task ``edge_spd``). ``train`` checks every flag and that the split
 leaves both sides nonempty, then builds the model, then the task, for
-every task kind, so a bad flag fails before any SPD pair is drawn.
+every task kind, so a bad flag fails before any SPD pair is drawn. The SPD
+classes a graph lacks are logged only once train or eval has succeeded.
 
 main builds its argparse tree on its first call and reuses it, so a caller
 that runs many commands in one process pays for the parser once;
@@ -30,6 +31,7 @@ import functools
 import hashlib
 import io
 import json
+import logging
 import os
 import sys
 from dataclasses import replace
@@ -210,6 +212,13 @@ def _load_task(records, task_kind: str, args, config: ModelConfig):
     return make_graph_cc_task(graphs, width)
 
 
+def _log_skipped(task_data) -> None:
+    """Log what the task skipped, once the command has succeeded: a failing
+    command prints its one error line alone."""
+    for line in task_data.skipped:
+        logging.getLogger(__name__).warning(line)
+
+
 def _cmd_train(args) -> int:
     task_kind = args.task.replace("-", "_")
     variant = args.variant.replace("-", "_")
@@ -231,13 +240,14 @@ def _cmd_train(args) -> int:
     check_split(args.split_fraction, args.seed, len(records))
     check_schedule(args.epochs, args.lr)
     model = init_model(config)
-    task = split(_load_task(records, task_kind, args, config), args.split_fraction, args.seed)
-    report = train(model, task, epochs=args.epochs, lr=args.lr)
+    task_data = _load_task(records, task_kind, args, config)
+    report = train(model, split(task_data, args.split_fraction, args.seed), args.epochs, args.lr)
     writes = [(args.out, functools.partial(save_model, model))]
     if args.report:
         writes.append((args.report,
                        dumps_canonical(report.to_obj(include_wall_clock=args.stamp)) + "\n"))
     _publish(args, "train", _digests([args.data]), writes)
+    _log_skipped(task_data)
     print(f"wiring: {report.wiring}")
     print(f"final validation accuracy: {report.final_val_accuracy:.4f}")
     return 0
@@ -257,6 +267,7 @@ def _cmd_eval(args) -> int:
     if args.out:
         _publish(args, "eval", _digests([args.model, args.data]),
                  [(args.out, dumps_canonical(result) + "\n")])
+    _log_skipped(task_data)
     return 0
 
 

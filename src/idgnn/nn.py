@@ -42,11 +42,12 @@ batch of one anchor, so every id_full embedding runs on make_batch's ego
 net of radius num_layers.
 
 All tensors are float64. A forward pass asked for a tape appends to it the
-cache of each layer, which holds that layer's operators; backward walks the
-tape and returns exact gradients for every parameter (max aggregation routes
-ties to the first maximizer in list order, ReLU uses subgradient 0 at 0).
-Max aggregation builds its table of first maximizers, which only backward
-reads, under a tape only; a pass without one writes the same maxima.
+cache of each layer, only what its backward reads: of a ReLU, the bool mask
+of its positive inputs, so the ReLU runs in place. Backward consumes the
+tape and returns exact gradients (max aggregation routes ties to the first
+maximizer in list order, ReLU uses subgradient 0 at 0). Max aggregation
+builds its table of first maximizers, which only backward reads, under a
+tape only; a pass without one writes the same maxima.
 
 Importing the module sets glibc's allocator, process-wide, to keep freed
 blocks for reuse across epochs (_keep_freed_memory). It does not load
@@ -329,16 +330,15 @@ def _messages(p: dict, pre: str, H: np.ndarray, identity: np.ndarray):
 
 
 def _messages_backward(p, pre, H, identity, G_M, grads):
+    """Gradient of the rows _messages read; zeroes G_M's identity rows."""
     split = pre + "msg1_weight" in p
-    G0 = G_M
-    if split:
-        G0 = G_M.copy()
-        G0[identity] = 0.0
-    grads[pre + "msg0_weight"] += G0.T @ H
-    grads[pre + "msg0_bias"] += G0.sum(axis=0)
-    G_H = G0 @ p[pre + "msg0_weight"]
     if split:
         G1 = G_M[identity]
+        G_M[identity] = 0.0
+    grads[pre + "msg0_weight"] += G_M.T @ H
+    grads[pre + "msg0_bias"] += G_M.sum(axis=0)
+    G_H = G_M @ p[pre + "msg0_weight"]
+    if split:
         grads[pre + "msg1_weight"] += G1.T @ H[identity]
         grads[pre + "msg1_bias"] += G1.sum(axis=0)
         G_H[identity] += G1 @ p[pre + "msg1_weight"]
@@ -351,9 +351,9 @@ def _update(X: np.ndarray, W: np.ndarray, b: np.ndarray) -> np.ndarray:
     of a multi-row product, so a lone row (the center of a one-ego batch,
     or the one row a trimmed layer reads) runs doubled and rounds as it
     would among the rows of a whole graph."""
-    if len(X) == 1:
-        return (np.concatenate([X, X]) @ W.T + b)[:1]
-    return X @ W.T + b
+    out = (np.concatenate([X, X]) if len(X) == 1 else X) @ W.T
+    out += b
+    return out[:len(X)]
 
 
 def _kept(H: np.ndarray, ops: _GraphOps) -> np.ndarray:
@@ -376,19 +376,20 @@ def _add_kept(G_H: np.ndarray, ops: _GraphOps, G_kept: np.ndarray) -> np.ndarray
 
 def _layer_forward(model: Model, i: int, ops: _GraphOps, H: np.ndarray,
                    record: bool) -> tuple[np.ndarray, dict]:
-    """Output rows of layer i, and the cache its backward reads; a layer
-    that records no tape leaves out what only backward needs, the sender
-    table of max aggregation."""
+    """Output rows of layer i, and the cache its backward reads, with each
+    ReLU input (S, M, P, P2; gin reads P1's from Hd) as the mask of its
+    positive entries. A layer that records no tape leaves out the sender
+    table of max aggregation, which only backward reads."""
     config, p, pre = model.config, model.params, f"layers.{i}."
     cache: dict = {"ops": ops, "H": H}
     M = _messages(p, pre, H, ops.identity)
     if config.flavor == "gcn":
         S = ops.A_gcn @ M
-        cache["S"] = S
-        return np.maximum(S, 0.0), cache
+        cache["S"] = S > 0.0
+        return np.maximum(S, 0.0, out=S), cache
     if config.flavor == "sage":
-        cache["M"] = M
-        Mr = np.maximum(M, 0.0)
+        cache["M"] = M > 0.0
+        Mr = np.maximum(M, 0.0, out=M)
         if config.aggregation == "sum":
             S = ops.A @ Mr
         elif config.aggregation == "mean":
@@ -397,17 +398,17 @@ def _layer_forward(model: Model, i: int, ops: _GraphOps, H: np.ndarray,
             S, cache["src"] = _agg_max(Mr, ops, senders=record)
         Z = np.concatenate([S, _kept(H, ops)], axis=1)
         P = _update(Z, p[pre + "update_weight"], p[pre + "update_bias"])
-        cache.update(Z=Z, P=P)
-        return np.maximum(P, 0.0), cache
+        cache.update(Z=Z, P=P > 0.0)
+        return np.maximum(P, 0.0, out=P), cache
     # gin
     S = ops.A @ M
     eps = float(p[pre + "gin_eps"])
     Z = (1.0 + eps) * _kept(H, ops) + S
     P1 = _update(Z, p[pre + "update_weight"], p[pre + "update_bias"])
-    Hd = np.maximum(P1, 0.0)
+    Hd = np.maximum(P1, 0.0, out=P1)
     P2 = _update(Hd, p[pre + "mlp2_weight"], p[pre + "mlp2_bias"])
-    cache.update(Z=Z, P1=P1, Hd=Hd, P2=P2)
-    return np.maximum(P2, 0.0), cache
+    cache.update(Z=Z, Hd=Hd, P2=P2 > 0.0)
+    return np.maximum(P2, 0.0, out=P2), cache
 
 
 def _layer_backward(model: Model, i: int, cache: dict,
@@ -417,11 +418,11 @@ def _layer_backward(model: Model, i: int, cache: dict,
     config, p, pre = model.config, model.params, f"layers.{i}."
     ops, H = cache["ops"], cache["H"]
     if config.flavor == "gcn":
-        G_S = G_out * (cache["S"] > 0.0)
+        G_S = G_out * cache["S"]
         G_M = ops.A_gcn.T @ G_S
         return _messages_backward(p, pre, H, ops.identity, G_M, grads)
     if config.flavor == "sage":
-        G_P = G_out * (cache["P"] > 0.0)
+        G_P = G_out * cache["P"]
         grads[pre + "update_weight"] += G_P.T @ cache["Z"]
         grads[pre + "update_bias"] += G_P.sum(axis=0)
         G_Z = G_P @ p[pre + "update_weight"]
@@ -433,15 +434,15 @@ def _layer_backward(model: Model, i: int, cache: dict,
             G_Mr = ops.A.T @ (ops.inv_deg[:, None] * G_S)
         else:
             G_Mr = _agg_max_backward(G_S, cache["src"], ops.n_in)
-        G_M = G_Mr * (cache["M"] > 0.0)
+        G_M = G_Mr * cache["M"]
         G_H = _messages_backward(p, pre, H, ops.identity, G_M, grads)
         return _add_kept(G_H, ops, G_Z[:, d_out:])
     # gin
-    G_P2 = G_out * (cache["P2"] > 0.0)
+    G_P2 = G_out * cache["P2"]
     grads[pre + "mlp2_weight"] += G_P2.T @ cache["Hd"]
     grads[pre + "mlp2_bias"] += G_P2.sum(axis=0)
     G_Hd = G_P2 @ p[pre + "mlp2_weight"]
-    G_P1 = G_Hd * (cache["P1"] > 0.0)
+    G_P1 = G_Hd * (cache["Hd"] > 0.0)
     grads[pre + "update_weight"] += G_P1.T @ cache["Z"]
     grads[pre + "update_bias"] += G_P1.sum(axis=0)
     G_Z = G_P1 @ p[pre + "update_weight"]
@@ -593,7 +594,8 @@ def forward_plain(model: Model, g: Graph, x) -> np.ndarray:
 def backward_layers(model: Model, tape: list[dict], G_H: np.ndarray,
                     grads: dict[str, np.ndarray] | None = None):
     """Backpropagate a gradient of the last layer's rows through the layer
-    caches that forward_batch recorded in ``tape``.
+    caches that forward_batch recorded in ``tape``; consumes the tape,
+    popping each cache as its layer runs, so each is freed after it.
 
     Accumulates into ``grads`` (created zeroed when not given) and returns
     (grads, gradient with respect to the input features).
@@ -602,7 +604,7 @@ def backward_layers(model: Model, tape: list[dict], G_H: np.ndarray,
         grads = zero_grads(model)
     G = np.asarray(G_H, dtype=np.float64)
     for i in range(model.config.num_layers - 1, -1, -1):
-        G = _layer_backward(model, i, tape[i], G, grads)
+        G = _layer_backward(model, i, tape.pop(), G, grads)
     return grads, G
 
 
@@ -653,10 +655,10 @@ def edge_pair_score(model: Model, h_u: np.ndarray, h_v: np.ndarray,
     p = model.params
     z = np.concatenate([h_u, h_v], axis=-1)
     p1 = z @ p["pair.w1"].T + p["pair.b1"]
-    hid = np.maximum(p1, 0.0)
+    hid = np.maximum(p1, 0.0, out=p1)
     logits = hid @ p["pair.w2"].T + p["pair.b2"]
     if cache_out is not None:
-        cache_out.append({"z": z, "p1": p1, "hid": hid})
+        cache_out.append({"z": z, "hid": hid})
     return logits
 
 
@@ -666,7 +668,7 @@ def edge_pair_backward(model: Model, cache: dict, G_logits: np.ndarray,
     returns the gradients of h_u and h_v."""
     grads["pair.w2"] += G_logits.T @ cache["hid"]
     grads["pair.b2"] += G_logits.sum(axis=0)
-    G_p1 = (G_logits @ model.params["pair.w2"]) * (cache["p1"] > 0.0)
+    G_p1 = (G_logits @ model.params["pair.w2"]) * (cache["hid"] > 0.0)
     grads["pair.w1"] += G_p1.T @ cache["z"]
     grads["pair.b1"] += G_p1.sum(axis=0)
     G_z = G_p1 @ model.params["pair.w1"]

@@ -30,9 +30,8 @@ then run one forward pass, and training one backward pass, per epoch.
 
 from __future__ import annotations
 
-import logging
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -54,8 +53,6 @@ from .nn import (
     zero_grads,
 )
 from .optim import AdamState, adam_step, loss_xent
-
-log = logging.getLogger(__name__)
 
 TASK_KINDS = ("node_cc", "edge_spd", "graph_cc")
 
@@ -95,6 +92,7 @@ class LabeledGraph:
 class TaskData:
     spec: TaskSpec
     items: list[LabeledGraph]
+    skipped: list[str] = field(default_factory=list)  # warnings for the caller to log
 
 
 @dataclass
@@ -192,7 +190,8 @@ def make_spd_task(graphs, pairs_per_graph: int, seed: int) -> TaskData:
     class's pool lists its pair numbers in ascending order. Each class
     draws its share without replacement from its pool; pairs still missing
     are drawn from what the classes left over, in class order, and the
-    chosen pairs are returned in ascending (u, v) order.
+    chosen pairs are returned in ascending (u, v) order. A class that a
+    graph lacks but wants pairs from is named in the task's ``skipped``.
     """
     if pairs_per_graph < 1:
         raise InputError("pairs_per_graph must be >= 1")
@@ -201,7 +200,7 @@ def make_spd_task(graphs, pairs_per_graph: int, seed: int) -> TaskData:
     quota, extra = divmod(pairs_per_graph, SPD_CLASSES)
     wants = [quota + (1 if c < extra else 0) for c in range(SPD_CLASSES)]
     none = np.zeros(0, dtype=np.int64)
-    triu, items = {}, []
+    triu, items, skipped = {}, [], []
     for gi, g in enumerate(graphs):
         rng = np.random.Generator(np.random.PCG64(child_seed(seed, gi)))
         n = g.num_nodes
@@ -217,10 +216,7 @@ def make_spd_task(graphs, pairs_per_graph: int, seed: int) -> TaskData:
             pool = order[bounds[c]:bounds[c + 1]]
             if not pool.size:
                 if want:
-                    log.warning(
-                        "graph %d: no pairs at distance class %d, class skipped",
-                        gi, c,
-                    )
+                    skipped.append(f"graph {gi}: no pairs at distance class {c}, class skipped")
                 continue
             idx = rng.choice(pool.size, size=min(want, pool.size), replace=False)
             chosen.append(pool[idx])
@@ -235,7 +231,7 @@ def make_spd_task(graphs, pairs_per_graph: int, seed: int) -> TaskData:
         picked = np.sort(picked)
         items.append(LabeledGraph(graph=g, pairs=list(zip(
             u[picked].tolist(), v[picked].tolist(), cls[picked].tolist()))))
-    return TaskData(spec, items)
+    return TaskData(spec, items, skipped)
 
 
 def check_split(fraction: float, seed: int, count: int) -> None:

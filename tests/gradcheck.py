@@ -30,15 +30,18 @@ from idgnn.optim import loss_xent
 
 
 def _pattern(tape, pair_caches) -> bytes:
+    """A digest of every ReLU mask and max sender table of a forward pass:
+    the layer caches hold the masks of S, M, P and P2, and gin's P1 and the
+    pair head's ReLU are positive where their outputs Hd and hid are."""
     h = hashlib.blake2b(digest_size=16)
     for cache in tape:
-        for key in ("M", "S", "P", "P1", "P2"):
+        for key in ("M", "S", "P", "P2", "src"):
             if key in cache:
-                h.update((cache[key] > 0.0).tobytes())
-        if "src" in cache:
-            h.update(cache["src"].tobytes())
+                h.update(cache[key].tobytes())
+        if "Hd" in cache:
+            h.update((cache["Hd"] > 0.0).tobytes())
     for cache in pair_caches:
-        h.update((cache["p1"] > 0.0).tobytes())
+        h.update((cache["hid"] > 0.0).tobytes())
     return h.digest()
 
 
@@ -109,8 +112,9 @@ def model_loss(model: Model, g: Graph, x: np.ndarray, labels: np.ndarray,
     pair_logits = edge_pair_score(model, H[:1], H[-1:], pair_caches)
     pair_loss, G_pair = loss_xent(pair_logits, labels[:1])
     loss = node_loss + pair_loss
+    pattern = _pattern(tape, pair_caches)  # before backward_layers consumes the tape
     if not record:
-        return loss, _pattern(tape, pair_caches), None
+        return loss, pattern, None
 
     grads = zero_grads(model)
     G_H = head_backward(model, H, G_logits, grads)
@@ -118,7 +122,7 @@ def model_loss(model: Model, g: Graph, x: np.ndarray, labels: np.ndarray,
     G_H[:1] += g_u
     G_H[-1:] += g_v
     backward_layers(model, tape, G_H, grads)
-    return loss, _pattern(tape, pair_caches), grads
+    return loss, pattern, grads
 
 
 def fd_check(model: Model, g: Graph, x: np.ndarray, labels: np.ndarray,

@@ -308,7 +308,7 @@ def spd_pairs_sequential(graphs, pairs_per_graph: int, seed: int):
     disconnected), read off Floyd-Warshall. Each class draws its share
     without replacement, the shortfall is drawn from the leftovers, and the
     chosen (u, v, class) triples are sorted. Returns the pairs of each graph
-    and the warnings logged for empty classes, in order."""
+    and the warnings for empty classes (TaskData.skipped), in order."""
     classes = 5
     out, warnings = [], []
     for gi, g in enumerate(graphs):
@@ -367,7 +367,7 @@ def spd_task_per_graph(graphs, pairs_per_graph: int, seed: int):
     """tasks.make_spd_task one graph at a time: an n x n class matrix from
     a one-graph bfs_blocks search, pools from np.flatnonzero per class and
     leftovers from np.delete. Returns the (u, v, class) pairs of each graph
-    and the warnings logged for empty classes, in order."""
+    and the warnings for empty classes (TaskData.skipped), in order."""
     classes_count = 5
     none = np.zeros(0, dtype=np.int64)
     out, warnings = [], []

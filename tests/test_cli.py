@@ -908,20 +908,44 @@ def test_train_edge_task_warnings_of_a_valid_run(tmp_path, spd_gaps_dataset, cap
     assert _skipped_classes(caplog) == 12
 
 
+LONE_NODES = '{"num_nodes":1,"edges":[]}\n' * 3
+
+
 @pytest.mark.parametrize("graphs, flags, code, message", [
     (6, ["--layers", "0"], 2, "error: num_layers must be >= 1\n"),
     (6, ["--hidden", "1000000000000"], 3, "capability error: out of memory: "),
     (1, [], 2, "error: split of 1 items at 0.8 leaves a side empty\n"),
-], ids=["layers-0", "hidden-huge", "one-graph"])
+    (LONE_NODES, [], 2, "error: no labeled items in the training split\n"),
+    (6, ["--lr", "1e300"], 4, "numeric failure: "),
+], ids=["layers-0", "hidden-huge", "one-graph", "lone-nodes", "lr-1e300"])
 def test_train_edge_task_bad_flag_one_stderr_line(tmp_path, spd_gaps_dataset, graphs, flags,
                                                   code, message):
-    # a separate process shows the log records that pytest would capture
+    # a separate process shows the log records that pytest would capture;
+    # graphs is the number of the gaps fixture's graphs kept, or a dataset
+    # of three one-node graphs, whose 15 skipped classes are not logged
     data = tmp_path / "first.jsonl"
-    data.write_text("".join(open(spd_gaps_dataset).readlines()[:graphs]))
+    data.write_text(graphs if isinstance(graphs, str)
+                    else "".join(open(spd_gaps_dataset).readlines()[:graphs]))
     proc = run_process(["train", "--data", str(data), "--task", "edge-spd", *flags,
                         "--out", str(tmp_path / "m.ckpt")])
     assert proc.returncode == code
     assert proc.stderr.startswith(message) and proc.stderr.count("\n") == 1
+
+
+def test_eval_edge_task_failure_one_stderr_line(tmp_path, spd_gaps_dataset):
+    # parameters of 1e200 overflow the logits: evaluation fails after the
+    # pairs are drawn, and the 12 skipped classes are not logged
+    ckpt = str(tmp_path / "m.ckpt")
+    assert run(["train", "--data", spd_gaps_dataset, "--task", "edge-spd", "--epochs", "0",
+                "--hidden", "4", "--out", ckpt]) == 0
+    model = nn.load_model(ckpt)
+    for arr in model.params.values():
+        arr[...] = 1e200
+    nn.save_model(model, ckpt)
+    proc = run_process(["eval", "--model", ckpt, "--data", spd_gaps_dataset,
+                        "--task", "edge-spd"])
+    assert proc.returncode == 4 and proc.stdout == ""
+    assert proc.stderr == "numeric failure: evaluation produced non-finite logits\n"
 
 
 def run_captured(argv) -> tuple:

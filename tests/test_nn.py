@@ -1,7 +1,9 @@
 import errno
 import os
 import platform
+import tracemalloc
 import types
+import weakref
 import zlib
 
 import numpy as np
@@ -28,7 +30,17 @@ from idgnn.nn import (
     save_model,
     zero_grads,
 )
-from idgnn.tasks import _forward, _prepare, make_graph_cc_task, make_node_cc_task, split, train
+from idgnn.optim import loss_xent
+from idgnn.tasks import (
+    _backward,
+    _forward,
+    _prepare,
+    make_graph_cc_task,
+    make_node_cc_task,
+    make_spd_task,
+    split,
+    train,
+)
 from gradcheck import (
     assert_shares_rows,
     copy_params,
@@ -457,3 +469,65 @@ class TestFreedMemory:
     def test_does_nothing_without_mallopt(self, monkeypatch):
         monkeypatch.setattr(nn.ctypes, "CDLL", lambda name: types.SimpleNamespace())
         nn._keep_freed_memory()
+
+
+SCHEMES = [("gcn", "mean"), ("sage", "sum"), ("sage", "mean"), ("sage", "max"), ("gin", "sum")]
+
+
+class TestTape:
+    """A taped forward keeps only what backward reads, and backward_layers
+    consumes the tape."""
+
+    MASKS = {"gcn": {"S"}, "sage": {"M", "P"}, "gin": {"P2"}}
+
+    @pytest.mark.parametrize("variant", nn.VARIANTS)
+    @pytest.mark.parametrize("flavor, aggregation", SCHEMES)
+    def test_tape_keeps_masks_and_backward_releases_it(self, flavor, aggregation, variant):
+        graphs = gen_dataset(GeneratorSpec("small_world", 10, 4, 0.3), 3, 1)
+        fast = 3 if variant == "id_fast" else 0
+        model = init_model(ModelConfig(flavor, variant, 3, 6, 1 + fast, 4, aggregation,
+                                       fast_k=3, seed=2))
+        randomize(model, seed=3)
+        batch = make_batch(model, graphs, input_features(model.config, graphs))
+        tape: list = []
+        out = forward_batch(model, batch, tape)
+        assert len(tape) == 3
+        refs = []
+        for cache in tape:
+            arrays = {k: v for k, v in cache.items() if isinstance(v, np.ndarray)}
+            # each ReLU input is kept as its mask; the only float arrays are
+            # the rows read (H), the update inputs (Z) and gin's hidden rows
+            assert {k for k, v in arrays.items() if v.dtype == bool} == self.MASKS[flavor]
+            assert {k for k, v in arrays.items() if v.dtype.kind == "f"} <= {"H", "Z", "Hd"}
+            assert any(v.any() and not v.all() for k, v in arrays.items() if v.dtype == bool)
+            refs += [weakref.ref(v) for v in arrays.values() if v is not batch.x]
+        del cache, arrays
+        backward_layers(model, tape, np.ones_like(out))
+        assert tape == []
+        assert all(ref() is None for ref in refs)
+
+    def test_gcn_id_full_epoch_peak(self):
+        # one training epoch of a 5-layer gcn id_full model on an SPD task;
+        # the bound is in units of one float per written row and hidden
+        # unit of each layer. Measured at 2.16 units with masks in the tape
+        # and in-place ReLUs, and at 3.85 with float pre-activations taped
+        graphs = gen_dataset(GeneratorSpec("small_world", 12, 4, 0.2), 6, 3)
+        task = make_spd_task(graphs, 20, 0)
+        model = init_model(ModelConfig("gcn", "id_full", 5, 32, 1, 5, seed=0))
+        prepared = _prepare(model, task.spec, task.items)
+        unit = 32 * 8 * sum(ops.n for ops in prepared.batch.layers)
+
+        def epoch():
+            logits, cache = _forward(model, prepared, record=True)
+            _backward(model, prepared, cache, loss_xent(logits, prepared.labels)[1],
+                      zero_grads(model))
+
+        epoch()  # builds the operators each layer caches
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            epoch()
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak < 3.0 * unit

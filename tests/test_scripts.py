@@ -1,7 +1,7 @@
 """Every script under ``scripts/`` imports and parses ``--help``, and a
 malformed list flag or a value the library rejects exits 2 with one stderr
 line. ``run_trend_experiments.py`` also runs both of its tasks for one
-epoch.
+epoch, and ``output_digests.py`` its whole command set, twice.
 
 No other test imports the scripts, so this is what notices when one of them
 uses a public name that the package no longer has.
@@ -71,3 +71,23 @@ def test_trend_experiments_one_epoch():
         ["node-cc", "sage", "plain", "0"], ["node-cc", "sage", "id_fast", "0"],
         ["edge-spd", "gcn", "plain", "0"], ["edge-spd", "gcn", "id_full", "0"]]
     assert all(0.0 <= float(row.split(",")[4]) <= 1.0 for row in rows)
+
+
+def test_output_digests_smoke():
+    # the same text twice: every command is seeded and runs at one BLAS
+    # thread; each failing command prints one stderr line, and each
+    # successful train writes its checkpoint, its report and a manifest
+    first, second = (run_script(ROOT / "scripts" / "output_digests.py") for _ in range(2))
+    assert first.returncode == 0, first.stderr
+    assert first.stdout == second.stdout
+    blocks = [block.splitlines() for block in first.stdout.split("$ idgnn ")[1:]]
+    codes = [int(block[1].removeprefix("exit ")) for block in blocks]
+    assert len(blocks) == 106 and codes.count(0) == 100
+    for block, code in zip(blocks, codes):
+        stderr = [line for line in block if line.startswith("stderr | ")]
+        written = [line.split("  ")[1] for line in block[3:] if not line.startswith("stderr")]
+        if code:
+            assert len(stderr) == 1 and not written
+        elif block[0].startswith("train") and "--report" in block[0]:
+            assert [name.rsplit(".", 1)[1] for name in sorted(written)] == [
+                "ckpt", "json", "json"]

@@ -173,11 +173,11 @@ def spd_cases(draw):
 def test_spd_task_equals_sequential_sampler(caplog, case):
     graphs, pairs_per_graph, seed = case
     caplog.clear()
-    with caplog.at_level(logging.WARNING, logger="idgnn.tasks"):
+    with caplog.at_level(logging.WARNING, logger="idgnn"):
         task = make_spd_task(graphs, pairs_per_graph, seed)
     pairs, warnings = spd_pairs_sequential(graphs, pairs_per_graph, seed)
     assert [item.pairs for item in task.items] == pairs
-    assert [r.getMessage() for r in caplog.records] == warnings
+    assert task.skipped == warnings and not caplog.records  # the caller logs them
 
 
 
@@ -191,13 +191,13 @@ def test_spd_task_equals_per_graph(caplog, case, per_block):
     width = max(g.num_nodes for g in graphs)
     caplog.clear()
     with pytest.MonkeyPatch.context() as mp, \
-            caplog.at_level(logging.WARNING, logger="idgnn.tasks"):
+            caplog.at_level(logging.WARNING, logger="idgnn"):
         if per_block is not None:
             mp.setattr(graph, "_BFS_BLOCK_CELLS", per_block * width)
         task = make_spd_task(graphs, pairs_per_graph, seed)
     pairs, warnings = spd_task_per_graph(graphs, pairs_per_graph, seed)
     assert [item.pairs for item in task.items] == pairs
-    assert [r.getMessage() for r in caplog.records] == warnings
+    assert task.skipped == warnings and not caplog.records
 
 
 @pytest.mark.parametrize("seed", [0, 1, 17])
@@ -207,11 +207,11 @@ def test_spd_task_equals_per_graph_on_generated_graphs(caplog, pairs_per_graph, 
     # some classes, and 1000 pairs take every pair of every graph
     graphs = (gen_dataset(GeneratorSpec("small_world", 40, 4, 0.1), 4, seed)
               + gen_dataset(GeneratorSpec("scale_free", 40, 2, 0.5), 4, seed))
-    with caplog.at_level(logging.WARNING, logger="idgnn.tasks"):
+    with caplog.at_level(logging.WARNING, logger="idgnn"):
         task = make_spd_task(graphs, pairs_per_graph, seed)
     pairs, warnings = spd_task_per_graph(graphs, pairs_per_graph, seed)
     assert [item.pairs for item in task.items] == pairs
-    assert [r.getMessage() for r in caplog.records] == warnings
+    assert task.skipped == warnings and not caplog.records
 
 
 class TestSplit:
