@@ -52,6 +52,9 @@ def commands():
     yield ["wl", "dedupe", "--data", "dreg.jsonl", "--out", "dreg_unique.jsonl"]
     yield ["expressiveness", "--n", "10", "--d", "3", "--count", "4", "--k-list", "3,4",
            "--seed", "0", "--out", "expr.json"]
+    # many pairing restarts per graph, drawn on every allowed CPU
+    yield ["expressiveness", "--n", "40", "--d", "5", "--count", "30", "--k-list", "3,4",
+           "--seed", "0", "--out", "expr_40_5.json"]
     reports = []
     for task in TASKS:
         for flavor, aggregation in SCHEMES:

@@ -17,7 +17,7 @@ import numpy as np
 
 from .counts import count_signatures, walk_count_features_many, zero_counts
 from .errors import CapabilityError, InputError
-from .generators import RNG_NAME, STREAM_SPLIT, child_seed, gen_d_regular
+from .generators import RNG_NAME, STREAM_SPLIT, child_seed, gen_d_regular_many
 from .graph import Graph
 from .nn import Model, forward_batch, input_features, make_batch
 from .wl import ISO_WALK_K, IsoState, iso_state, isomorphic_states, wl_graph_hash
@@ -132,8 +132,8 @@ def build_nonisomorphic_pool(n: int, d: int, graph_count: int, seed: int,
                 f"within {budget} attempts (n={n}, d={d})"
             )
         chunk = min(graph_count - len(pool), budget - index)
-        candidates = [gen_d_regular(n, d, child_seed(seed, i))
-                      for i in range(index, index + chunk)]
+        candidates = gen_d_regular_many(
+            n, d, [child_seed(seed, i) for i in range(index, index + chunk)])
         index += chunk
         counts = walk_count_features_many(candidates, PREFILTER_K)
         for g, c, new in zip(candidates, counts, kept.add_many(candidates, counts)):

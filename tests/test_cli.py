@@ -414,7 +414,7 @@ def test_huge_k_list_rejected_before_the_pool(tmp_path, monkeypatch):
     def no_draws(*args):
         raise AssertionError("the pool was built")
 
-    monkeypatch.setattr(expressiveness, "gen_d_regular", no_draws)
+    monkeypatch.setattr(expressiveness, "gen_d_regular_many", no_draws)
     out = tmp_path / "r.json"
     line = run_failing(["expressiveness", "--n", "96", "--d", "6", "--count", "100",
                         "--k-list", "99999999999999999999", "--seed", "0",

@@ -12,7 +12,7 @@ from idgnn.expressiveness import (
     certify_gnn_blindness,
     run_regular_experiment,
 )
-from idgnn.generators import gen_d_regular
+from idgnn.generators import gen_d_regular, gen_d_regular_many
 from idgnn.graph import build_graph, relabel_graph
 from idgnn.nn import ModelConfig, init_model, make_walk_count_model
 from idgnn.wl import are_isomorphic, iso_state, isomorphic_states
@@ -33,12 +33,12 @@ def chunked_draws(monkeypatch, *args):
     """build_nonisomorphic_pool's outcome and the seeds it drew candidates from."""
     seeds = []
 
-    def recording(n, d, seed):
-        seeds.append(seed)
-        return gen_d_regular(n, d, seed)
+    def recording(n, d, chunk):
+        seeds.extend(chunk)
+        return gen_d_regular_many(n, d, chunk)
 
     with monkeypatch.context() as mp:
-        mp.setattr(expressiveness, "gen_d_regular", recording)
+        mp.setattr(expressiveness, "gen_d_regular_many", recording)
         return pool_outcome(build_nonisomorphic_pool, *args), seeds
 
 

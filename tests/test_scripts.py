@@ -82,7 +82,7 @@ def test_output_digests_smoke():
     assert first.stdout == second.stdout
     blocks = [block.splitlines() for block in first.stdout.split("$ idgnn ")[1:]]
     codes = [int(block[1].removeprefix("exit ")) for block in blocks]
-    assert len(blocks) == 106 and codes.count(0) == 100
+    assert len(blocks) == 107 and codes.count(0) == 101
     for block, code in zip(blocks, codes):
         stderr = [line for line in block if line.startswith("stderr | ")]
         written = [line.split("  ")[1] for line in block[3:] if not line.startswith("stderr")]
