@@ -8,9 +8,16 @@ its exit code, the sha256 of its stdout, its stderr lines verbatim, and the
 sha256 of each file that the command created or changed. The set covers
 generate for every family, features, wl, expressiveness, train and eval for
 every flavor and aggregation, variant and task, report, and failing
-commands. To compare two checkouts:
+commands. A header of ``#`` lines names the Python, numpy, scipy and BLAS
+versions. To compare two checkouts:
 
     diff <(scripts/output_digests.py --src OTHER/src) <(scripts/output_digests.py)
+
+``tests/output_digests.txt`` holds this checkout's output, and a test
+compares a fresh run with it line by line. A change that alters outputs on
+purpose regenerates it, and names each changed command and why:
+
+    scripts/output_digests.py > tests/output_digests.txt
 """
 
 import argparse
@@ -52,9 +59,11 @@ def commands():
     yield ["wl", "dedupe", "--data", "dreg.jsonl", "--out", "dreg_unique.jsonl"]
     yield ["expressiveness", "--n", "10", "--d", "3", "--count", "4", "--k-list", "3,4",
            "--seed", "0", "--out", "expr.json"]
-    # many pairing restarts per graph, drawn on every allowed CPU
+    # candidates with double edges, which switchings remove: (40,5) and (24,3)
     yield ["expressiveness", "--n", "40", "--d", "5", "--count", "30", "--k-list", "3,4",
            "--seed", "0", "--out", "expr_40_5.json"]
+    yield ["generate", "--family", "d-regular", "--n", "24", "--d", "3", "--count", "8",
+           "--seed", "0", "--out", "dreg24.jsonl"]
     reports = []
     for task in TASKS:
         for flavor, aggregation in SCHEMES:
@@ -78,6 +87,22 @@ def commands():
            "--epochs", "2", "--hidden", "8", "--out", "overflow.ckpt"]
     yield ["train", "--data", "sf.jsonl", "--task", "edge-spd", "--layers", "0",
            "--out", "bad.ckpt"]
+
+
+def header():
+    """The ``#`` lines naming the versions that computed the digests."""
+    import platform
+    from importlib.metadata import version
+
+    import numpy
+
+    try:
+        blas = numpy.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        blas = f"{blas['name']} {blas['version']}"
+    except (TypeError, KeyError):
+        blas = "unknown"
+    yield f"# python {platform.python_version()}"
+    yield f"# numpy {numpy.__version__}, scipy {version('scipy')}, blas {blas}, 1 thread"
 
 
 def _sha256(data: bytes) -> str:
@@ -127,6 +152,8 @@ def main() -> int:
     sys.path.insert(0, os.path.abspath(args.src))
     from idgnn.cli import main as cli_main
 
+    for line in header():
+        print(line)
     with tempfile.TemporaryDirectory() as tmp:
         cwd = os.getcwd()
         os.chdir(tmp)

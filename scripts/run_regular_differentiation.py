@@ -2,8 +2,10 @@
 """Differentiate random d-regular graphs by closed-walk signatures.
 
 Runs the three standard (n, d) settings over 100 pairwise non-isomorphic
-graphs each and prints one table row per setting: the fraction of distinct
-signatures at K = 3..6 next to the 1-WL baseline (always 0 here).
+graphs each and prints one tab-separated row per setting and seed: the
+fraction of distinct signatures at K = 3..6 next to the 1-WL baseline
+(always 0 here). With ``--seeds A-B`` every seed from A to B is run, and
+each setting ends with a row of the mean/min/max of each column over them.
 """
 
 import argparse
@@ -16,9 +18,20 @@ from idgnn.expressiveness import run_regular_experiment
 SETTINGS = ((64, 4), (40, 5), (96, 6))
 
 
+def _seed_range(text: str) -> range | None:
+    """The seeds A..B of ``A-B`` (or just A), or None if malformed."""
+    first, _, last = text.partition("-")
+    try:
+        lo, hi = int(first), int(last or first)
+    except ValueError:
+        return None
+    return range(lo, hi + 1) if lo <= hi else None
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--seeds", help="sweep the seeds A-B instead of --seed")
     parser.add_argument("--count", type=int, default=100)
     parser.add_argument("--k-list", default="3,4,5,6")
     args = parser.parse_args()
@@ -28,18 +41,26 @@ def main() -> int:
     except ValueError:
         parser.exit(2, f"{parser.prog}: error: --k-list must be comma-separated "
                        f"integers, got {args.k_list!r}\n")
-    header = ["setting", "wl"] + [f"K={k}" for k in k_list]
-    print("\t".join(header))
+    seeds = [args.seed] if args.seeds is None else _seed_range(args.seeds)
+    if seeds is None:
+        parser.exit(2, f"{parser.prog}: error: --seeds must be A-B with integers "
+                       f"A <= B, got {args.seeds!r}\n")
+    print("\t".join(["setting", "seed", "wl"] + [f"K={k}" for k in k_list]))
     for n, d in SETTINGS:
-        start = time.monotonic()
-        try:
-            rep = run_regular_experiment(n, d, args.count, k_list, args.seed)
-        except InputError as exc:
-            parser.exit(2, f"{parser.prog}: error: {exc}\n")
-        row = [f"n={n},d={d}", f"{rep.wl_distinguished_fraction:.0%}"]
-        row += [f"{rep.fractions[k]:.0%}" for k in k_list]
-        row.append(f"({time.monotonic() - start:.1f}s)")
-        print("\t".join(row))
+        columns = []
+        for seed in seeds:
+            start = time.monotonic()
+            try:
+                rep = run_regular_experiment(n, d, args.count, k_list, seed)
+            except InputError as exc:
+                parser.exit(2, f"{parser.prog}: error: {exc}\n")
+            values = [rep.wl_distinguished_fraction] + [rep.fractions[k] for k in k_list]
+            columns.append(values)
+            print("\t".join([f"n={n},d={d}", str(seed)] + [f"{v:.2f}" for v in values]
+                            + [f"({time.monotonic() - start:.1f}s)"]))
+        if len(seeds) > 1:
+            stats = [f"{sum(c) / len(c):.3f}/{min(c):.2f}/{max(c):.2f}" for c in zip(*columns)]
+            print("\t".join([f"n={n},d={d}", "mean/min/max"] + stats))
     return 0
 
 

@@ -177,7 +177,7 @@ def run_regular_experiment(n: int, d: int, graph_count: int, k_list,
             "k_list": k_list,
             "seed": seed,
             "generator": {"rng": RNG_NAME, "stream_split": STREAM_SPLIT,
-                          "model": "pairing-full-restart"},
+                          "model": "pairing-mckay-wormald-switchings"},
         },
         fractions=fractions,
         wl_distinguished_fraction=singletons / graph_count,

@@ -5,26 +5,21 @@ implementation constant ``RNG_NAME``). Per-graph streams are split
 deterministically: ``child_seed(seed, index)`` hashes the pair with blake2b,
 so datasets are reproducible bit-for-bit and may be generated out of order.
 
-Because of that split, d-regular draws of many seeds (``gen_d_regular_many``,
-which ``gen_dataset`` and the expressiveness pool call) run on every CPU the
-process may use (``os.sched_getaffinity``): the caller draws one share of the
-seeds and a forked child each other share. Graphs, restart records and errors
-do not depend on how many CPUs there are. Each child asks the kernel to kill
-it when its caller ends, so a killed command leaves no child behind. On
-Python >= 3.12, ``os.fork`` warns when the process has other threads, BLAS
-threads included; the child runs no BLAS, only shuffles and comparisons.
+Random d-regular graphs are exactly uniform over the simple ones: pairings
+are shuffled until one has no loop, no triple edge and few double edges,
+which McKay and Wormald's switchings then remove, each with an exact
+rejection, instead of a restart. Seeds are drawn in order in one process.
 """
 
 from __future__ import annotations
 
-import contextlib
 import hashlib
 import logging
-import os
-import pickle
-import signal
+import math
 import struct
+from collections import Counter
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -41,7 +36,7 @@ FAMILIES = ("d_regular", "small_world", "scale_free")
 _MAX_PAIRING_RESTARTS = 1_000_000
 _PAIRING_BLOCK = 128  # most consecutive shuffles _draw_pairing checks at once
 _PAIRING_BLOCK_STUBS = 1 << 17  # and most stubs in one block (1 MB of int64)
-_PR_SET_PDEATHSIG = 1  # linux/prctl.h
+_BUILD_EDGES = 1 << 13  # most edges gen_d_regular_many builds at once
 
 
 @dataclass(frozen=True)
@@ -102,192 +97,190 @@ def _rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(seed))
 
 
-def _draw_pairing(n: int, d: int, seed: int) -> tuple[np.ndarray, np.ndarray, int]:
-    """The pairing model on one seed's stream: the lower and upper endpoints
-    of the first simple pairing, and how many pairings were discarded before
-    it. Logs nothing and builds no graph.
+def _bounds(n: int, d: int) -> tuple[int, int, int, int]:
+    """(full, conf, loss, D): the ordered stars of a simple d-regular graph,
+    the most stars the conflict cells of one inverse switching hold, the
+    most stars one double edge removes, and the most doubles a candidate may
+    have, so that switchings from class D down keep c_min >= 1."""
+    full, conf, loss = n * d * (d - 1), (3 * d + 5) * d * (d - 1), 2 * (4 * d - 6)
+    return full, conf, loss, (0 if d < 3 or full - conf < 1 else (full - conf - 1) // loss + 1)
 
-    The checks run on blocks of consecutive shuffles of the stream (1, 2,
-    4, ... up to ``_PAIRING_BLOCK`` rows), and the first simple row wins, so
-    the pairing and the restart count are those of checking one shuffle at a
-    time. The endpoints are copies, so the block is freed on return.
-    """
-    rng = _rng(seed)
+
+class _Pairing:
+    """A pairing with no loop and no triple edge, whose double edges McKay and
+    Wormald's switchings remove. Slot i joins ``cells[2i]`` and
+    ``cells[2i + 1]``; ``nbrs[v]`` lists v's neighbours once per stub,
+    ``single[v]`` counts its single edges, ``stars`` is |S|, the number of
+    ordered stars (c; w1, w2) of single edges cw1 != cw2, and ``doubles``
+    maps each double's key lo*n + hi to its two slots."""
+
+    def __init__(self, cells: np.ndarray, n: int, d: int):
+        self.cells, self.n = cells.tolist(), n
+        self.full, self.conf, self.loss, _ = _bounds(n, d)
+        # stable sorts, as the signatures' lexsort uses, page in no other sort code
+        self.nbrs = cells[np.argsort(cells, kind="stable") ^ 1].reshape(n, d).tolist()
+        keys = np.minimum(cells[0::2], cells[1::2]) * n + np.maximum(cells[0::2], cells[1::2])
+        order = np.argsort(keys, kind="stable")
+        first = np.flatnonzero(keys[order][1:] == keys[order][:-1])
+        self.doubles = {int(keys[order[i]]): [int(order[i]), int(order[i + 1])] for i in first}
+        ends = np.divmod(np.array(list(self.doubles), dtype=np.int64), n)
+        self.single = (d - 2 * np.bincount(np.concatenate(ends), minlength=n)).tolist()
+        self.stars = sum(s * (s - 1) for s in self.single)
+
+    def pick(self, index: int, bits: int, p5: int, p7: int):
+        """((v1, ..., v6), key, x2, x4, p5, p7) of double ``index`` in key order,
+        v1 and the first slot chosen by bits 0 and 1 of ``bits``, x2 and x4
+        v2's positions, v3, v5 = cells[p5], cells[p5 ^ 1] and v4, v6 likewise
+        at p7. None (the f-rejection) unless the six cells differ, v3v5 and
+        v4v6 are single edges, and v1v3, v1v4, v2v5, v2v6 are not edges."""
+        key = sorted(self.doubles)[index]
+        v1, v2 = divmod(key, self.n)
+        if bits & 1:
+            v1, v2 = v2, v1
+        first, second = self.doubles[key][::-1] if bits & 2 else self.doubles[key]
+        c, nbrs = self.cells, self.nbrs
+        x2, x4 = 2 * first + (c[2 * first + 1] == v2), 2 * second + (c[2 * second + 1] == v2)
+        v3, v5, v4, v6 = c[p5], c[p5 ^ 1], c[p7], c[p7 ^ 1]
+        if (len({v1, v2, v3, v4, v5, v6}) < 6 or nbrs[v3].count(v5) != 1
+                or nbrs[v4].count(v6) != 1 or v3 in nbrs[v1] or v4 in nbrs[v1]
+                or v5 in nbrs[v2] or v6 in nbrs[v2]):
+            return None
+        return (v1, v2, v3, v4, v5, v6), key, x2, x4, p5, p7
+
+    def switch(self, pick) -> None:
+        """Swap v2 at x2 with v3 at p5, and v2 at x4 with v4 at p7."""
+        (v1, v2, v3, v4, v5, v6), key, x2, x4, p5, p7 = pick
+        self.cells[x2], self.cells[p5], self.cells[x4], self.cells[p7] = v3, v2, v4, v2
+        del self.doubles[key]
+        for u, old, new in ((v1, v2, v3), (v1, v2, v4), (v2, v1, v5), (v2, v1, v6),
+                            (v3, v5, v1), (v5, v3, v2), (v4, v6, v1), (v6, v4, v2)):
+            nb = self.nbrs[u]
+            nb[nb.index(old)] = new
+        # v1 and v2 each gain two single edges, and v3..v6 trade one
+        self.stars += 4 * self.single[v1] + 4 * self.single[v2] + 4
+        self.single[v1] += 2
+        self.single[v2] += 2
+
+    def compatible_stars(self, v1: int, v3: int, v4: int) -> int:
+        """N2: the stars (c; w1, w2) with c outside N[v1], w1 outside {v1, v3,
+        v4} and N(v3), and w2 outside {v1, v3, v4} and N(v4): |S| less the
+        stars centred at N[v1] or next to those at most 2d + 4 cells."""
+        nbrs, single = self.nbrs, self.single
+        near = {v1, *nbrs[v1]}
+        out1, out2 = {v1, v3, v4, *nbrs[v3]}, {v1, v3, v4, *nbrs[v4]}
+        ws = {x: [w for w in nbrs[x] if single[x] == len(nbrs[x]) or nbrs[x].count(w) == 1]
+              for x in out1 | out2}
+        # c -> how many of its single neighbours lie in out1, in out2, in either
+        hit1, hit2, hit = (Counter(chain.from_iterable(ws[x] for x in xs))
+                           for xs in (out1, out2, ws))
+        lost = sum(single[c] * (single[c] - 1) for c in near)
+        for c, h in hit.items():
+            if c not in near:
+                k = single[c]
+                lost += k * (k - 1) - (k - hit1[c]) * (k - hit2[c]) + k - h
+        return self.stars - lost
+
+    def remove_doubles(self, rng: np.random.Generator) -> bool:
+        """Switch until no double is left; False at the first rejection.
+
+        A switching from class m draws its ``pick`` with ``integers(m)``,
+        ``integers(4)`` and ``integers(N)`` twice. Every class-m pairing has
+        4m*N^2 picks, so the valid ones are equally likely; they match one to
+        one the inverse structures of their results, a star (v1; v3, v4) and
+        a compatible star (v2; v5, v6). The b-rejection, with Arman, Gao and
+        Wormald's incremental relaxation, accepts with probability S_min/|S|
+        and c_min/N2, one ``random()`` each, S_min and c_min bounding |S| and
+        N2 over class m - 1. Every result is then equally likely, so a
+        survivor is uniform over simple graphs. A broken bound raises.
+        """
+        size = len(self.cells)
+        while self.doubles:
+            m = len(self.doubles)
+            pick = self.pick(int(rng.integers(m)), int(rng.integers(4)),
+                             int(rng.integers(size)), int(rng.integers(size)))
+            if pick is None:
+                return False
+            self.switch(pick)
+            v1, _, v3, v4 = pick[0][:4]
+            s_min = self.full - self.loss * (m - 1)
+            n2, c_min = self.compatible_stars(v1, v3, v4), s_min - self.conf
+            if not (s_min <= self.stars and 1 <= c_min <= n2):
+                raise RuntimeError(f"bounds broken: S_min = {s_min}, |S| = {self.stars}, "
+                                   f"c_min = {c_min}, N2 = {n2}")
+            if rng.random() * self.stars >= s_min or rng.random() * n2 >= c_min:
+                return False
+        return True
+
+
+def _draw_pairing(n: int, d: int, seed: int) -> tuple[np.ndarray, np.ndarray, int]:
+    """One seed's simple pairing, as copies of its lower and upper endpoints,
+    and the number of rows discarded before it. Rows are shuffles of the
+    stubs on ``_rng(seed)``; a row with no loop, no triple edge and at most
+    D doubles wins if it has none, else it is switched on
+    ``PCG64(seed).jumped()`` and discarded at a rejection. Rows are checked
+    in blocks, the first sized from the rows expected before such a row,
+    then doubling up to ``_PAIRING_BLOCK`` rows and ``_PAIRING_BLOCK_STUBS``
+    stubs, with the result of checking one row at a time."""
+    rng, switchings = _rng(seed), None
     stubs = np.repeat(np.arange(n, dtype=np.int64), d)
-    restarts, batch = 0, 1
-    while True:
+    most = _bounds(n, d)[3]
+    cap = max(1, min(_PAIRING_BLOCK, _PAIRING_BLOCK_STUBS // max(stubs.size, 1)))
+    # about e^((d^2-1)/4) rows come before a simple one, e^((d-1)/2) before one without loops
+    log_rows = (d * d - 1) / 4 if most == 0 else (d - 1) / 2
+    batch = cap if log_rows >= math.log(cap) else min(cap, math.ceil(math.exp(log_rows)))
+    restarts = 0
+    while restarts <= _MAX_PAIRING_RESTARTS:
         states = np.empty((batch, stubs.size), dtype=np.int64)
         for row in states:
             rng.shuffle(stubs)
             row[:] = stubs
         free = np.flatnonzero((states[:, 0::2] != states[:, 1::2]).all(axis=1))
         u, v = states[free, 0::2], states[free, 1::2]
-        lo, hi = np.minimum(u, v), np.maximum(u, v)
-        keys = np.sort(lo * np.int64(n) + hi, axis=1)
-        simple = np.flatnonzero((keys[:, 1:] != keys[:, :-1]).all(axis=1))
-        first = int(free[simple[0]]) if simple.size else batch
-        restarts += first
-        if restarts > _MAX_PAIRING_RESTARTS:
-            raise CapabilityError(
-                f"pairing model failed to produce a simple {d}-regular graph "
-                f"on {n} nodes within {_MAX_PAIRING_RESTARTS} restarts"
-            )
-        if first < batch:
-            break
-        batch = max(1, min(2 * batch, _PAIRING_BLOCK, _PAIRING_BLOCK_STUBS // stubs.size))
-    row = simple[0]
-    return lo[row].copy(), hi[row].copy(), restarts
-
-
-def _draw_share(n: int, d: int, seeds) -> tuple[list, Exception | None]:
-    """The pairings of ``seeds`` in order, up to the first seed whose draw
-    raises, and that error (None if every draw succeeds)."""
-    draws = []
-    for seed in seeds:
-        try:
-            draws.append(_draw_pairing(n, d, seed))
-        except Exception as exc:
-            return draws, exc
-    return draws, None
-
-
-def _allowed_cpus() -> int:
-    """The number of CPUs this process may run on; 1 where ``os.fork`` or
-    ``os.sched_getaffinity`` is missing."""
-    if not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity"):
-        return 1
-    return len(os.sched_getaffinity(0))
-
-
-def _die_with_parent(parent: int) -> None:
-    """Have the kernel SIGKILL this process when its parent ends (Linux
-    ``prctl(PR_SET_PDEATHSIG)``), and end now if the parent already has."""
-    import ctypes
-
-    try:
-        ctypes.CDLL(None).prctl(_PR_SET_PDEATHSIG, signal.SIGKILL)
-    except (OSError, TypeError, AttributeError):
-        pass
-    if os.getppid() != parent:
-        os._exit(1)
-
-
-def _fork_share(n: int, d: int, seeds, inherited: list[int]) -> tuple[int, int] | None:
-    """Fork a child that draws ``seeds`` and pickles ``_draw_share``'s result
-    into a pipe. Returns the child's pid and the pipe's read end, or None if
-    the process cannot fork. ``inherited`` are the read ends of earlier
-    children, which the child closes.
-
-    The child ends with ``os._exit``, so no inherited stdio buffer, atexit
-    hook or exception handler of the caller runs in it.
-    """
-    r, w = os.pipe()
-    parent = os.getpid()
-    try:
-        pid = os.fork()
-    except OSError:
-        os.close(r)
-        os.close(w)
-        return None
-    if pid == 0:
-        code = 1
-        try:
-            for fd in (r, *inherited):
-                os.close(fd)
-            _die_with_parent(parent)
-            with os.fdopen(w, "wb") as out:
-                pickle.dump(_draw_share(n, d, seeds), out, pickle.HIGHEST_PROTOCOL)
-            code = 0
-        finally:
-            os._exit(code)
-    os.close(w)
-    return pid, r
-
-
-def _draw_pairings(n: int, d: int, seeds: list[int]) -> tuple[list, Exception | None]:
-    """``_draw_share`` over all ``seeds``, split over the allowed CPUs.
-
-    With P > 1 of them (and at least P seeds), share j is ``seeds[j::P]``:
-    the caller draws share 0, and a forked child each other share (the
-    caller draws a share itself if it cannot fork). The parent reads each
-    pipe to EOF, then reaps its child; the shares merge back in seed order,
-    up to the lowest failing index. A child that ends without its result is
-    a CapabilityError. Whatever ends this call, every child is killed and
-    reaped before it returns or raises.
-    """
-    procs = min(_allowed_cpus(), len(seeds))
-    if procs <= 1:
-        return _draw_share(n, d, seeds)
-    pids: dict[int, int] = {}  # share -> pid of a child not yet reaped
-    fds: dict[int, int] = {}  # share -> open read end of the child's pipe
-    shares = {}
-    try:
-        for j in range(1, procs):
-            child = _fork_share(n, d, seeds[j::procs], list(fds.values()))
-            if child is None:
-                break
-            pids[j], fds[j] = child
-        for j in range(procs):
-            if j not in pids:
-                shares[j] = _draw_share(n, d, seeds[j::procs])
-        for j in list(pids):
-            chunks = []
-            while chunk := os.read(fds[j], 1 << 16):
-                chunks.append(chunk)
-            os.close(fds.pop(j))
-            status = os.waitpid(pids[j], 0)[1]
-            del pids[j]
-            if status != 0:
-                raise CapabilityError(f"a d-regular drawing process ended without its "
-                                      f"result (wait status {status})")
-            shares[j] = pickle.loads(b"".join(chunks))
-    finally:
-        for fd in fds.values():
-            os.close(fd)
-        for pid in pids.values():
-            with contextlib.suppress(ProcessLookupError):
-                os.kill(pid, signal.SIGKILL)
-            with contextlib.suppress(ChildProcessError):
-                os.waitpid(pid, 0)
-    draws = []
-    for i in range(len(seeds)):
-        share, error = shares[i % procs]
-        if i // procs == len(share):
-            return draws, error
-        draws.append(share[i // procs])
-    return draws, None
+        keys = np.sort(np.minimum(u, v) * np.int64(n) + np.maximum(u, v), axis=1)
+        repeat = keys[:, 1:] == keys[:, :-1]
+        doubles = repeat.sum(axis=1)
+        fit = (~(repeat[:, 1:] & repeat[:, :-1]).any(axis=1) & (doubles <= most)
+               & (restarts + free <= _MAX_PAIRING_RESTARTS))
+        for row, double in zip(free[fit].tolist(), doubles[fit].tolist()):
+            cells = states[row]
+            if double:
+                switchings = switchings or np.random.Generator(np.random.PCG64(seed).jumped())
+                pairing = _Pairing(cells, n, d)
+                if not pairing.remove_doubles(switchings):
+                    continue
+                cells = np.array(pairing.cells, dtype=np.int64)
+            u, v = cells[0::2], cells[1::2]
+            return np.minimum(u, v), np.maximum(u, v), restarts + row
+        restarts += batch
+        batch = min(2 * batch, cap)
+    raise CapabilityError(f"pairing model failed to produce a simple {d}-regular graph "
+                          f"on {n} nodes within {_MAX_PAIRING_RESTARTS} restarts")
 
 
 def gen_d_regular_many(n: int, d: int, seeds) -> list[Graph]:
-    """``gen_d_regular`` on each seed, in order, drawn on every CPU the
-    process may use: the caller and one forked child per further CPU each
-    draw a share of the seeds. Nothing is forked for one seed or one CPU.
-
-    Graphs, the debug records of their restart counts, and the error of the
-    first seed that fails come out in seed order, exactly as drawing one
-    seed at a time gives them, whatever the number of CPUs.
-    """
+    """``gen_d_regular`` on each seed, in order, building the graphs in
+    batches of at most ``_BUILD_EDGES`` edges. The restart records come in
+    seed order, before the error of the first seed that fails."""
     _check_params("d_regular", n, d, 0.0)
-    draws, error = _draw_pairings(n, d, [int(seed) for seed in seeds])
-    for _, _, restarts in draws:
+    seeds, graphs, lows, highs = list(seeds), [], [], []
+    batch = max(1, _BUILD_EDGES // max(n * d // 2, 1))
+    for i, seed in enumerate(seeds):
+        lo, hi, restarts = _draw_pairing(n, d, int(seed))
         if restarts:
             log.debug("d-regular pairing restarted %d times (n=%d, d=%d)", restarts, n, d)
-    if error is not None:
-        raise error
-    graphs = []
-    for i, (lo, hi, _) in enumerate(draws):
-        draws[i] = None  # each pairing is freed as its graph is built
-        graphs.append(build_graphs([n], [lo.size], lo, hi)[0])
+        lows.append(lo)
+        highs.append(hi)
+        if len(lows) == batch or i == len(seeds) - 1:
+            graphs += build_graphs([n] * len(lows), [n * d // 2] * len(lows),
+                                   np.concatenate(lows), np.concatenate(highs))
+            lows, highs = [], []
     return graphs
 
 
 def gen_d_regular(n: int, d: int, seed: int) -> Graph:
-    """Random d-regular graph via the configuration (pairing) model.
-
-    Pairings containing a self-loop or duplicate edge are discarded and the
-    whole pairing is restarted, which keeps the draw unbiased over simple
-    pairings. The restart count is logged at debug level.
-    """
+    """Random d-regular graph, exactly uniform over the simple ones
+    (``_draw_pairing``). The number of discarded rows is logged at debug
+    level as the restart count."""
     return gen_d_regular_many(n, d, [seed])[0]
 
 

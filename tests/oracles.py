@@ -278,6 +278,96 @@ def d_regular_sequential(n: int, d: int, seed: int) -> tuple[tuple[tuple[int, in
         restarts += 1
 
 
+def d_regular_switching_sequential(n: int, d: int, seed: int
+                                   ) -> tuple[tuple[tuple[int, int], ...], int]:
+    """The switching sampler checked one shuffle at a time, recounting
+    everything from the stubs at every step: shuffle the stubs in place
+    until a row has no self-loop and no edge of multiplicity 3 or more, and
+    at most D double edges. A row without doubles wins; a row with doubles
+    is switched, one double at a time, on the stream PCG64(seed).jumped(),
+    and any rejection discards it. Each switching draws the double (in
+    (lo, hi) order), two bits, and two stub positions; f-rejects unless
+    v1..v6 are distinct, v3v5 and v4v6 single, and v1v3, v1v4, v2v5, v2v6
+    absent; swaps v2 with v3 and v2 with v4; then accepts with probability
+    S_min/|S| and c_min/N2, both counted by listing every star. Returns the
+    sorted edges and the number of rows discarded."""
+    full, conf, loss = n * d * (d - 1), (3 * d + 5) * d * (d - 1), 2 * (4 * d - 6)
+    most = 0 if d < 3 or full - conf < 1 else (full - conf - 1) // loss + 1
+    rng = np.random.Generator(np.random.PCG64(seed))
+    switch_rng = None
+    stubs = np.repeat(np.arange(n, dtype=np.int64), d)
+    restarts = 0
+    while True:
+        rng.shuffle(stubs)
+        cells = stubs.tolist()
+        counts = pair_counts(cells)
+        doubles = sum(1 for k in counts.values() if k == 2)
+        if (all(cells[i] != cells[i + 1] for i in range(0, len(cells), 2))
+                and all(k <= 2 for k in counts.values()) and doubles <= most):
+            if doubles:
+                if switch_rng is None:
+                    switch_rng = np.random.Generator(np.random.PCG64(seed).jumped())
+                cells = _switch_sequential(cells, n, full, conf, loss, switch_rng)
+            if cells is not None:
+                return tuple(sorted(pair_counts(cells))), restarts
+        restarts += 1
+
+
+def pair_counts(cells: list[int]) -> dict[tuple[int, int], int]:
+    """Each edge (lo, hi) of a stub arrangement with its multiplicity."""
+    counts: dict[tuple[int, int], int] = {}
+    for a, b in zip(cells[0::2], cells[1::2]):
+        edge = (a, b) if a < b else (b, a)
+        counts[edge] = counts.get(edge, 0) + 1
+    return counts
+
+
+def _switch_sequential(cells, n, full, conf, loss, rng):
+    """The switchings of d_regular_switching_sequential: the simple
+    arrangement, or None at the first rejection."""
+    cells = list(cells)
+    while True:
+        counts = pair_counts(cells)
+        doubles = sorted(e for e, k in counts.items() if k == 2)
+        m = len(doubles)
+        if m == 0:
+            return cells
+
+        def mult(a, b):
+            return counts.get((min(a, b), max(a, b)), 0)
+
+        lo, hi = doubles[int(rng.integers(m))]
+        bits = int(rng.integers(4))
+        v1, v2 = (hi, lo) if bits & 1 else (lo, hi)
+        slots = [i for i in range(0, len(cells), 2) if sorted(cells[i:i + 2]) == [lo, hi]]
+        if bits & 2:
+            slots.reverse()
+        x2, x4 = (i if cells[i] == v2 else i + 1 for i in slots)
+        p5, p7 = int(rng.integers(len(cells))), int(rng.integers(len(cells)))
+        v3, v5, v4, v6 = cells[p5], cells[p5 ^ 1], cells[p7], cells[p7 ^ 1]
+        if (len({v1, v2, v3, v4, v5, v6}) < 6 or mult(v3, v5) != 1 or mult(v4, v6) != 1
+                or mult(v1, v3) or mult(v1, v4) or mult(v2, v5) or mult(v2, v6)):
+            return None
+        cells[x2], cells[p5] = cells[p5], cells[x2]
+        cells[x4], cells[p7] = cells[p7], cells[x4]
+        counts = pair_counts(cells)
+        single = [[w for w in range(n) if mult(v, w) == 1] for v in range(n)]
+        near = [{w for w in range(n) if mult(v, w)} for v in range(n)]
+        stars = [(c, w1, w2) for c in range(n) for w1 in single[c] for w2 in single[c]
+                 if w1 != w2]
+        s_min = full - loss * (m - 1)
+        assert s_min <= len(stars)
+        if rng.random() * len(stars) >= s_min:
+            return None
+        n2 = sum(1 for c, w1, w2 in stars
+                 if c != v1 and c not in near[v1]
+                 and w1 not in {v1, v3, v4} | near[v3] and w2 not in {v1, v3, v4} | near[v4])
+        c_min = s_min - conf
+        assert 1 <= c_min <= n2
+        if rng.random() * n2 >= c_min:
+            return None
+
+
 def nonisomorphic_pool_sequential(n: int, d: int, graph_count: int,
                                   seed: int) -> tuple[list[Graph], int]:
     """The pool loop one candidate at a time: draw candidate i from

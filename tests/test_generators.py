@@ -1,19 +1,14 @@
 import logging
-import os
 import re
-import signal
-import subprocess
-import sys
-import time
-from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
+from scipy.stats import chi2_contingency
 
 from idgnn import generators
-from idgnn.expressiveness import build_nonisomorphic_pool
-from idgnn.datasets import GraphRecord, record_to_obj, dumps_canonical
 from idgnn.errors import CapabilityError, InputError
+from idgnn.datasets import GraphRecord, record_to_obj, dumps_canonical
 from idgnn.generators import (
     GeneratorSpec,
     child_seed,
@@ -29,8 +24,10 @@ from oracles import (
     bfs_distances,
     clustering_direct,
     d_regular_sequential,
+    d_regular_switching_sequential,
     edge_list,
     neighbor_lists,
+    pair_counts,
 )
 
 
@@ -55,6 +52,18 @@ class TestDRegular:
     def test_deterministic(self):
         assert edge_list(gen_d_regular(20, 4, 3)) == edge_list(gen_d_regular(20, 4, 3))
 
+    @pytest.mark.parametrize("n, d, most", [
+        (64, 4, 29), (40, 5, 15), (96, 6, 61), (16, 3, 1), (20, 4, 2), (24, 3, 5),
+        (8, 3, 0), (10, 3, 0), (10, 4, 0), (30, 2, 0)])
+    def test_most_doubles(self, n, d, most):
+        assert generators._bounds(n, d)[3] == most
+
+    def test_no_switching_keeps_the_pairing_model(self):
+        # where D = 0 only simple rows are candidates: the pairing model's graphs
+        for n, d in ((8, 3), (10, 3), (10, 4)):
+            for seed in range(20):
+                assert edge_list(gen_d_regular(n, d, seed)) == d_regular_sequential(n, d, seed)[0]
+
 
 def restart_records(caplog) -> list[int]:
     """The restart counts of the debug records, in order, read as the bench
@@ -70,26 +79,18 @@ def logged_restarts(caplog) -> int:
     return counts[0] if counts else 0
 
 
-def allow_cpus(monkeypatch, cpus: int) -> None:
-    """Make the generator see ``cpus`` allowed CPUs."""
-    monkeypatch.setattr(generators, "_allowed_cpus", lambda: cpus)
-
-
-def assert_no_child() -> None:
-    """This process has no child left, running or unreaped."""
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
-# n*d even and d <= 5: the pairing model restarts about exp((d*d - 1) / 4)
-# times, and near-complete settings such as (12, 7) exceed the restart cap
+# n*d even and d <= 5: rows without loops come about every exp((d - 1) / 2)
+# shuffles, simple ones about every exp((d*d - 1) / 4), and near-complete
+# settings such as (12, 7) exceed the restart cap; n <= 24 reaches D >= 1
+# at (16, 3), (20, 4), (24, 5) and others
 d_regular_settings = st.integers(1, 24).flatmap(lambda n: st.tuples(
     st.just(n), st.sampled_from([d for d in range(min(n, 6)) if n * d % 2 == 0])))
 
 
 class TestDRegularMatchesSequential:
-    """Checking blocks of consecutive shuffles yields the graph and the restart
-    count of checking one shuffle at a time."""
+    """Checking blocks of consecutive shuffles, and switching the candidates
+    that have double edges, yields the graph and the restart count of
+    checking one row at a time."""
 
     @settings(max_examples=150, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -98,12 +99,14 @@ class TestDRegularMatchesSequential:
     @example(setting=(8, 1), seed=3)
     @example(setting=(4, 3), seed=0)
     @example(setting=(4, 3), seed=99)
+    @example(setting=(16, 3), seed=0)
+    @example(setting=(24, 5), seed=1)
     def test_same_edges_and_restarts(self, caplog, setting, seed):
         n, d = setting
         caplog.clear()
         caplog.set_level(logging.DEBUG, logger="idgnn.generators")
         g = gen_d_regular(n, d, seed)
-        edges, restarts = d_regular_sequential(n, d, seed)
+        edges, restarts = d_regular_switching_sequential(n, d, seed)
         assert edge_list(g) == edges
         assert logged_restarts(caplog) == restarts
 
@@ -111,13 +114,14 @@ class TestDRegularMatchesSequential:
         caplog.set_level(logging.DEBUG, logger="idgnn.generators")
         for n, d in ((64, 4), (40, 5), (96, 6)):
             caplog.clear()
-            edges, restarts = d_regular_sequential(n, d, 0)
+            edges, restarts = d_regular_switching_sequential(n, d, 0)
             assert edge_list(gen_d_regular(n, d, 0)) == edges
             assert logged_restarts(caplog) == restarts
 
     def test_cap_boundary(self, monkeypatch):
-        # seed 9 at (20, 4) accepts pairing 117, inside the block of 63..126
-        edges, restarts = d_regular_sequential(20, 4, 9)
+        # seed 9 at (20, 4) accepts row 117, inside the block of rows
+        # 75..154, after rejecting candidates with doubles
+        edges, restarts = d_regular_switching_sequential(20, 4, 9)
         assert restarts == 117
         monkeypatch.setattr(generators, "_MAX_PAIRING_RESTARTS", restarts - 1)
         with pytest.raises(CapabilityError):
@@ -131,98 +135,58 @@ class TestDRegularMatchesSequential:
         # of at most two rows when 80 stubs meet a bound of 200
         monkeypatch.setattr(generators, "_PAIRING_BLOCK_STUBS", stubs)
         caplog.set_level(logging.DEBUG, logger="idgnn.generators")
-        edges, restarts = d_regular_sequential(20, 4, 9)
+        edges, restarts = d_regular_switching_sequential(20, 4, 9)
         assert edge_list(gen_d_regular(20, 4, 9)) == edges
         assert logged_restarts(caplog) == restarts
-
 
     @settings(max_examples=60, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(setting=d_regular_settings,
-           seeds=st.lists(st.integers(0, 2**63 - 1), max_size=7),
-           cpus=st.integers(1, 3))
-    @example(setting=(20, 4), seeds=list(range(9, 14)), cpus=2)
-    def test_many_seeds_same_edges_and_restarts(self, caplog, setting, seeds, cpus):
-        # each seed's graph, and the records in seed order, at every CPU count
+           seeds=st.lists(st.integers(0, 2**63 - 1), max_size=7))
+    @example(setting=(20, 4), seeds=list(range(9, 14)))
+    def test_many_seeds_same_edges_and_restarts(self, caplog, setting, seeds):
+        # each seed's graph, and the records in seed order
         n, d = setting
         caplog.clear()
         caplog.set_level(logging.DEBUG, logger="idgnn.generators")
-        with pytest.MonkeyPatch.context() as mp:
-            allow_cpus(mp, cpus)
-            graphs = gen_d_regular_many(n, d, seeds)
-        want = [d_regular_sequential(n, d, seed) for seed in seeds]
+        graphs = gen_d_regular_many(n, d, seeds)
+        want = [d_regular_switching_sequential(n, d, seed) for seed in seeds]
         assert [edge_list(g) for g in graphs] == [edges for edges, _ in want]
         assert restart_records(caplog) == [r for _, r in want if r]
-        assert_no_child()
+
+    def test_batches_build_the_graphs_of_one_at_a_time(self, monkeypatch):
+        # batches of 3, 3 and 1 graphs give each graph the CSR arrays of its own build
+        seeds = range(7)
+        monkeypatch.setattr(generators, "_BUILD_EDGES", 3 * 20 * 4 // 2)
+        batched = gen_d_regular_many(20, 4, seeds)
+        for g, seed in zip(batched, seeds, strict=True):
+            lo, hi, _ = generators._draw_pairing(20, 4, seed)
+            alone = generators.build_graphs([20], [40], lo, hi)[0]
+            for name in ("indptr", "indices"):
+                assert getattr(g, name).tobytes() == getattr(alone, name).tobytes()
 
 
 def test_pairing_keeps_only_its_own_edges():
     # the endpoints own their memory, so a held pairing keeps no block alive
     lo, hi, restarts = generators._draw_pairing(20, 4, 9)
     assert restarts == 117 and lo.base is None and hi.base is None
-    assert tuple(sorted(zip(lo.tolist(), hi.tolist()))) == d_regular_sequential(20, 4, 9)[0]
-
-
-class TestCpuCount:
-    """Outputs do not depend on how many CPUs the process may use."""
-
-    def outcome(self, monkeypatch, caplog, cpus):
-        allow_cpus(monkeypatch, cpus)
-        caplog.clear()
-        graphs = gen_dataset(GeneratorSpec("d_regular", 40, 5), 12, 3)
-        pool, regen = build_nonisomorphic_pool(8, 3, 5, 0)
-        assert_no_child()
-        return ([edge_list(g) for g in graphs], restart_records(caplog),
-                [edge_list(g) for g in pool], regen)
-
-    def test_one_and_two_cpus_agree(self, monkeypatch, caplog):
-        caplog.set_level(logging.DEBUG, logger="idgnn.generators")
-        one, two = (self.outcome(monkeypatch, caplog, cpus) for cpus in (1, 2))
-        assert one == two
-        assert one[1] and one[3] == 7  # draws restarted, and the pool regenerated
-
-    def test_affinity_read(self):
-        assert generators._allowed_cpus() == len(os.sched_getaffinity(0))
-
-    def test_no_fork_without_sched_getaffinity(self, monkeypatch):
-        monkeypatch.delattr(os, "sched_getaffinity")
-        monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked"))
-        assert generators._allowed_cpus() == 1
-        assert len(gen_d_regular_many(10, 3, range(4))) == 4
-
-    def test_one_seed_not_forked(self, monkeypatch):
-        allow_cpus(monkeypatch, 2)
-        monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked"))
-        assert edge_list(gen_d_regular(20, 4, 9)) == d_regular_sequential(20, 4, 9)[0]
-
-    def test_failed_fork_draws_in_process(self, monkeypatch, caplog):
-        def no_fork():
-            raise BlockingIOError("fork: resource temporarily unavailable")
-
-        allow_cpus(monkeypatch, 3)
-        monkeypatch.setattr(os, "fork", no_fork)
-        caplog.set_level(logging.DEBUG, logger="idgnn.generators")
-        graphs = gen_d_regular_many(20, 4, range(7))
-        want = [d_regular_sequential(20, 4, seed) for seed in range(7)]
-        assert [edge_list(g) for g in graphs] == [edges for edges, _ in want]
-        assert restart_records(caplog) == [r for _, r in want if r]
+    assert (tuple(sorted(zip(lo.tolist(), hi.tolist())))
+            == d_regular_switching_sequential(20, 4, 9)[0])
 
 
 class TestDrawFailures:
-    """Failing draws raise the serial loop's error, and leave no process."""
+    """A failing draw raises the one-row-at-a-time error, after the records
+    of the seeds before it."""
 
-    SEEDS = range(16)  # restarts at (20, 4): 36 59 2 1 5 26 9 2 8 117 212 155 ...
+    SEEDS = range(16)  # restarts at (20, 4): 36 44 2 1 5 26 1 2 8 117 30 111 ...
 
     @pytest.mark.parametrize("first", [0, 1])
     def test_lowest_failing_index_raises(self, monkeypatch, caplog, first):
-        # under a cap of 100, seeds 9, 10 and 11 fail; starting the list at
-        # seed 0 puts the first failure in the child's share, at seed 1 in
-        # the parent's, and both shares fail either way
+        # under a cap of 100, seeds 9 and 11 fail; the first of them raises
         seeds = list(self.SEEDS)[first:]
-        restarts = [d_regular_sequential(20, 4, seed)[1] for seed in seeds]
+        restarts = [d_regular_switching_sequential(20, 4, seed)[1] for seed in seeds]
         failing = [i for i, r in enumerate(restarts) if r > 100]
-        assert failing[0] % 2 == 1 - first and {i % 2 for i in failing} == {0, 1}
-        allow_cpus(monkeypatch, 2)
+        assert len(failing) == 2
         monkeypatch.setattr(generators, "_MAX_PAIRING_RESTARTS", 100)
         caplog.set_level(logging.DEBUG, logger="idgnn.generators")
         with pytest.raises(CapabilityError) as exc:
@@ -230,13 +194,11 @@ class TestDrawFailures:
         assert str(exc.value) == ("pairing model failed to produce a simple 4-regular "
                                   "graph on 20 nodes within 100 restarts")
         assert restart_records(caplog) == restarts[:failing[0]]
-        assert_no_child()
 
-    @pytest.mark.parametrize("cpus, failing", [(2, {5, 6}), (2, {4, 7}), (3, {7, 8, 9}),
-                                               (3, {3, 5, 7}), (3, {2, 4})])
-    def test_error_of_lowest_index(self, monkeypatch, caplog, cpus, failing):
+    @pytest.mark.parametrize("failing", [{5, 6}, {4, 7}, {7, 8, 9}, {3, 5, 7}, {2, 4}])
+    def test_error_of_lowest_index(self, monkeypatch, caplog, failing):
         # each failing seed raises its own message; the lowest index wins,
-        # whichever process drew it, and no record follows it
+        # and no record follows it
         draw_pairing = generators._draw_pairing
 
         def failing_draw(n, d, seed):
@@ -244,98 +206,183 @@ class TestDrawFailures:
                 raise CapabilityError(f"seed {seed}")
             return draw_pairing(n, d, seed)
 
-        allow_cpus(monkeypatch, cpus)
         monkeypatch.setattr(generators, "_draw_pairing", failing_draw)
         caplog.set_level(logging.DEBUG, logger="idgnn.generators")
         with pytest.raises(CapabilityError, match=f"^seed {min(failing)}$"):
             gen_d_regular_many(20, 4, range(10))
-        assert restart_records(caplog) == [d_regular_sequential(20, 4, seed)[1]
+        assert restart_records(caplog) == [d_regular_switching_sequential(20, 4, seed)[1]
                                            for seed in range(min(failing))]
-        assert_no_child()
-
-    def test_child_without_result(self, monkeypatch):
-        # a child that ends before writing raises, never hangs, and is reaped
-        parent, draw_share = os.getpid(), generators._draw_share
-
-        def dying(n, d, seeds):
-            if os.getpid() != parent:
-                os._exit(7)
-            return draw_share(n, d, seeds)
-
-        allow_cpus(monkeypatch, 3)
-        monkeypatch.setattr(generators, "_draw_share", dying)
-        with pytest.raises(CapabilityError, match="ended without its result"):
-            gen_d_regular_many(20, 4, range(6))
-        assert_no_child()
-
-    def test_interrupt_kills_children(self, monkeypatch):
-        # the parent is interrupted while its children are still busy: it
-        # kills them rather than waiting for them
-        parent = os.getpid()
-
-        def interrupted(n, d, seeds):
-            if os.getpid() == parent:
-                raise KeyboardInterrupt
-            time.sleep(30)
-
-        allow_cpus(monkeypatch, 3)
-        monkeypatch.setattr(generators, "_draw_share", interrupted)
-        start = time.monotonic()
-        with pytest.raises(KeyboardInterrupt):
-            gen_d_regular_many(20, 4, range(6))
-        assert time.monotonic() - start < 10
-        assert_no_child()
 
 
-def _stat(pid: int) -> list[str]:
-    """The fields of /proc/<pid>/stat after the command name, from the state
-    on; OSError once the process is reaped."""
-    return Path(f"/proc/{pid}/stat").read_text().rsplit(")", 1)[1].split()
+def shuffled_candidate(n: int, d: int, doubles: int, seed: int) -> list[int]:
+    """The first shuffle of the stubs on PCG64(seed) with no loop, no edge of
+    multiplicity 3 or more, and exactly ``doubles`` double edges."""
+    rng = np.random.default_rng(seed)
+    stubs = np.repeat(np.arange(n, dtype=np.int64), d)
+    while True:
+        rng.shuffle(stubs)
+        cells = stubs.tolist()
+        counts = pair_counts(cells)
+        if (all(a != b for a, b in zip(cells[0::2], cells[1::2]))
+                and max(counts.values()) <= 2 and list(counts.values()).count(2) == doubles):
+            return cells
 
 
-def _children(pid: int) -> list[tuple[int, str]]:
-    """(pid, start time) of each child of the main thread of ``pid``."""
-    text = Path(f"/proc/{pid}/task/{pid}/children").read_text()
-    return [(child, _stat(child)[19]) for child in map(int, text.split())]
+class Arrangement:
+    """A stub arrangement read by definition: edge multiplicities, neighbour
+    sets, double edges in (lo, hi) order, the slots of each edge, and every
+    ordered star (c; w1, w2) of single edges."""
+
+    def __init__(self, cells: list[int], n: int):
+        self.cells = list(cells)
+        self.counts = pair_counts(self.cells)
+        self.near = [set() for _ in range(n)]
+        self.single = [set() for _ in range(n)]
+        for (a, b), k in self.counts.items():
+            self.near[a].add(b)
+            self.near[b].add(a)
+            if k == 1:
+                self.single[a].add(b)
+                self.single[b].add(a)
+        self.doubles = sorted(e for e, k in self.counts.items() if k == 2)
+        self.slot: dict[tuple[int, int], list[int]] = {}
+        for i, (a, b) in enumerate(zip(self.cells[0::2], self.cells[1::2])):
+            self.slot.setdefault((a, b) if a < b else (b, a), []).append(2 * i)
+
+    def stars(self) -> list[tuple[int, int, int]]:
+        return [(c, w1, w2) for c in range(len(self.single)) for w1 in sorted(self.single[c])
+                for w2 in sorted(self.single[c]) if w1 != w2]
+
+    def mult(self, a: int, b: int) -> int:
+        return self.counts.get((min(a, b), max(a, b)), 0)
+
+    def pick(self, index, bits, p5, p7):
+        """The cells v1..v6 and v2's positions x2, x4 of a valid pick, or None."""
+        lo, hi = self.doubles[index]
+        v1, v2 = (hi, lo) if bits & 1 else (lo, hi)
+        first, second = self.slot[lo, hi][::-1 if bits & 2 else 1]
+        c = self.cells
+        x2, x4 = (i if c[i] == v2 else i + 1 for i in (first, second))
+        v3, v5, v4, v6 = c[p5], c[p5 ^ 1], c[p7], c[p7 ^ 1]
+        if (len({v1, v2, v3, v4, v5, v6}) < 6 or self.mult(v3, v5) != 1
+                or self.mult(v4, v6) != 1 or self.mult(v1, v3) or self.mult(v1, v4)
+                or self.mult(v2, v5) or self.mult(v2, v6)):
+            return None
+        return (v1, v2, v3, v4, v5, v6), x2, x4
+
+    def compatible(self, star, other) -> bool:
+        """Whether ``other`` = (v2; v5, v6) completes ``star`` = (v1; v3, v4)
+        to an inverse structure."""
+        (v1, v3, v4), (v2, v5, v6) = star, other
+        return (v2 != v1 and v2 not in self.near[v1]
+                and v5 not in {v1, v3, v4} | self.near[v3]
+                and v6 not in {v1, v3, v4} | self.near[v4])
+
+    def undo(self, star, other):
+        """The arrangement and the pick that an inverse structure undoes to."""
+        (v1, v3, v4), (v2, v5, v6) = star, other
+        c = list(self.cells)
+
+        def position(a, b):
+            i = self.slot[min(a, b), max(a, b)][0]
+            return i if c[i] == b else i + 1
+
+        x2, p5, x4, p7 = position(v1, v3), position(v5, v2), position(v1, v4), position(v6, v2)
+        c[x2], c[p5], c[x4], c[p7] = v2, v3, v2, v4
+        doubles = sorted(e for e, k in pair_counts(c).items() if k == 2)
+        bits = (v1 > v2) | 2 * (x2 // 2 > x4 // 2)
+        return c, (doubles.index((min(v1, v2), max(v1, v2))), bits, p5, p7)
 
 
-def _running(pid: int, start: str) -> bool:
-    """True while the process ``pid`` that started at ``start`` exists and is
-    not a zombie."""
-    try:
-        fields = _stat(pid)
-    except OSError:
-        return False
-    return fields[19] == start and fields[0] != "Z"
+def switched(cells: list[int], x2: int, x4: int, p5: int, p7: int) -> list[int]:
+    c = list(cells)
+    c[x2], c[p5] = c[p5], c[x2]
+    c[x4], c[p7] = c[p7], c[x4]
+    return c
 
 
-@pytest.mark.skipif(not Path(f"/proc/{os.getpid()}/task/{os.getpid()}/children").exists(),
-                    reason="needs /proc/<pid>/task/<tid>/children")
-def test_killed_caller_leaves_no_child():
-    # SIGKILL runs no cleanup in the caller; the kernel ends its child at once
-    code = ("import sys; from idgnn import generators; "
-            "generators._allowed_cpus = lambda: 2; "
-            "from idgnn.expressiveness import build_nonisomorphic_pool; "
-            "print('drawing', flush=True); build_nonisomorphic_pool(96, 6, 200, 0)")
-    root = Path(__file__).resolve().parent.parent
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [str(root / "src")] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])))
-    proc = subprocess.Popen([sys.executable, "-c", code], env=env, stdout=subprocess.PIPE)
-    try:
-        assert proc.stdout.readline() == b"drawing\n"
-        deadline = time.monotonic() + 30
-        while not (children := _children(proc.pid)):
-            assert time.monotonic() < deadline and proc.poll() is None
-            time.sleep(0.02)
-    finally:
-        proc.send_signal(signal.SIGKILL)
-        proc.wait()
-        proc.stdout.close()
-    # the child's share of 100 graphs takes several seconds to draw
-    deadline = time.monotonic() + 2
-    while any(_running(*child) for child in children):
-        assert time.monotonic() < deadline, f"children {children} outlived their parent"
-        time.sleep(0.02)
+class TestSwitchingExactness:
+    """The double switching of generators._Pairing, checked exhaustively on
+    candidates with one or two doubles: every valid pick is one inverse
+    structure of its result, each inverse structure of a result undoes to a
+    valid pick, and the fast |S| and N2 are the counts and keep their
+    bounds."""
+
+    @pytest.mark.parametrize("n, d, doubles, seed", [(16, 3, 1, 0), (20, 4, 1, 0),
+                                                     (20, 4, 2, 1), (24, 3, 2, 2)])
+    def test_picks_and_inverse_structures(self, n, d, doubles, seed):
+        cells = shuffled_candidate(n, d, doubles, seed)
+        full, conf, loss, _ = generators._bounds(n, d)
+        s_min = full - loss * (doubles - 1)
+        arr, pairing = Arrangement(cells, n), generators._Pairing(np.array(cells), n, d)
+        size, valid = len(cells), []
+        for index in range(doubles):
+            for bits in range(4):
+                for p5 in range(size):
+                    for p7 in range(size):
+                        got = pairing.pick(index, bits, p5, p7)
+                        want = arr.pick(index, bits, p5, p7)
+                        assert (got is None) == (want is None)
+                        if got is not None:
+                            assert (got[0], got[2], got[3]) == want
+                            valid.append(((index, bits, p5, p7), got))
+        assert valid
+        for pick, got in valid:
+            (v1, v2, v3, v4, v5, v6), _, x2, x4, _, _ = got
+            result = switched(cells, x2, x4, pick[2], pick[3])
+            res = Arrangement(result, n)
+            assert {v3, v4} <= res.single[v1] and {v5, v6} <= res.single[v2]
+            assert res.compatible((v1, v3, v4), (v2, v5, v6))
+            assert res.undo((v1, v3, v4), (v2, v5, v6)) == (cells, pick)
+        # three results: the fast counts and both bounds at every first
+        # star, and 300 inverse structures, spread over all of them, undone
+        # to a candidate of the same class whose pick switches back
+        for pick, got in valid[::len(valid) // 3 + 1]:
+            fast = generators._Pairing(np.array(cells), n, d)
+            fast.switch(got)
+            res = Arrangement(fast.cells, n)
+            stars = res.stars()
+            assert fast.stars == len(stars) >= s_min
+            structures = []
+            for first in stars:
+                seconds = [o for o in stars if res.compatible(first, o)]
+                assert fast.compatible_stars(*first) == len(seconds) >= s_min - conf >= 1
+                structures += [(first, second) for second in seconds]
+            for first, second in structures[::len(structures) // 300 + 1]:
+                before, back = res.undo(first, second)
+                counts = list(pair_counts(before).values())
+                assert max(counts) == 2 and counts.count(2) == doubles
+                assert all(a != b for a, b in zip(before[0::2], before[1::2]))
+                again = generators._Pairing(np.array(before), n, d).pick(*back)
+                assert again is not None
+                assert switched(before, again[2], again[3], back[2], back[3]) == fast.cells
+
+
+def triangle_count(edges) -> int:
+    adjacent: dict[int, set[int]] = {}
+    for u, v in edges:
+        adjacent.setdefault(u, set()).add(v)
+        adjacent.setdefault(v, set()).add(u)
+    return sum(len(adjacent[u] & adjacent[v]) for u, v in edges) // 3
+
+
+@pytest.mark.parametrize("n, d", [(16, 3), (24, 3)])
+def test_triangle_counts_match_the_pairing_model(n, d):
+    # a chi-square test of homogeneity between the triangle-count histograms
+    # of 5,000 switching draws and 5,000 draws of the pure pairing model,
+    # the uniform reference, on disjoint seeds; counts with fewer than 20
+    # graphs above them are pooled into one bin
+    size = 5000
+    ours = [triangle_count(edge_list(g))
+            for g in gen_d_regular_many(n, d, [child_seed(1, i) for i in range(size)])]
+    pairing = [triangle_count(d_regular_sequential(n, d, child_seed(2, i))[0])
+               for i in range(size)]
+    top = 0
+    while sum(t > top for t in ours + pairing) >= 20:
+        top += 1
+    table = [[sum(min(t, top) == k for t in sample) for k in range(top + 1)]
+             for sample in (ours, pairing)]
+    assert chi2_contingency(table).pvalue > 0.001
 
 
 class TestSmallWorld:

@@ -28,9 +28,9 @@ DIGESTS = {
     "f1.jsonl": "3e2f3948ce2ccb5781ad18b620442cf37d77e97f54c22dbfac88b8d52ef4bdfe",
     "f2.jsonl": "badb57b33322d8d45c485947c0164fc836045f42728b94402512b8b0e022901e",
     "kept.jsonl": "cded70cd46662f3edeb1a16482153d8b1b973f31a70677369742adf14564cdbf",
-    "e16.json": "228efb5e33bb992b8188ca2c2ae867e9e52624a96413f579d85475d554a55885",
-    "e16.csv": "df736ff879ca81b41677565e753e5d1df6c0b8bdc09e7e8a93d0f0a7eb60dfde",
-    "e8.json": "503df2b69154646f29db6e131013b61c557c046dd4c3ce1d04e551bd433e60ed",
+    "e16.json": "c1c2e5941582984583b55a547155b8feb01fe6c4cea84c3ae2b61e280080b50f",
+    "e16.csv": "3162f6c81c9f11241c4cb6dc73cdb2e12165170ca0196d91263781a9ad90a3f4",
+    "e8.json": "be064eddcbd95a98836c387a7e5d6eed33cd1870d5431652d5443f1d204e4816",
     "e8.csv": "e7ec151762344b2b30f256252ec9d886bf58e6c76f83aa3c9788a7eb8773f9a2",
     "fast.ckpt": "3b5c75c37dde0c776b2cae78d733bf36e1856c1a2d2b8b52e400f9a9d7fea920",
     "fast.json": "14806719b54abbae0e675a7cb990e255b2d8a86a10dec0bd4854d195099a5ce0",
