@@ -4,10 +4,10 @@ Subcommands: generate, features, wl, expressiveness, train, eval, report.
 Every file output is written atomically and gets a sidecar
 ``<out>.manifest.json`` recording the subcommand, flags, seeds, input
 digests (taken before the command writes its first output), and tool
-version; identical manifests always reproduce byte-identical outputs. A
-call that fails after writing some outputs removes them, so no output is
-left without its manifest. All
-randomness flows from explicit --seed flags.
+version. No output reads a clock and all randomness flows from explicit
+--seed flags, so identical manifests reproduce byte-identical outputs at a
+fixed BLAS thread count (trained models may differ between thread counts).
+A failed call removes the outputs it wrote, so none lacks its manifest.
 
 A flag value spells a library name with ``-`` for ``_`` (``--task edge-spd``
 is the task ``edge_spd``). ``train`` checks every flag and that the split
@@ -34,7 +34,7 @@ import json
 import logging
 import os
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 from . import __version__
 from .counts import with_count_columns
@@ -184,10 +184,6 @@ def _cmd_expressiveness(args) -> int:
         raise InputError(f"--k-list must be comma-separated integers, "
                          f"got {args.k_list!r}") from None
     report = run_regular_experiment(args.n, args.d, args.count, k_list, args.seed)
-    if args.stamp:
-        import datetime
-
-        report.timestamp = datetime.datetime.now(datetime.timezone.utc).isoformat()
     _publish(args, "expressiveness", {},
              [(args.out, dumps_canonical(report.to_obj()) + "\n"),
               (os.path.splitext(args.out)[0] + ".csv", report.to_csv())])
@@ -244,8 +240,7 @@ def _cmd_train(args) -> int:
     report = train(model, split(task_data, args.split_fraction, args.seed), args.epochs, args.lr)
     writes = [(args.out, functools.partial(save_model, model))]
     if args.report:
-        writes.append((args.report,
-                       dumps_canonical(report.to_obj(include_wall_clock=args.stamp)) + "\n"))
+        writes.append((args.report, dumps_canonical(asdict(report)) + "\n"))
     _publish(args, "train", _digests([args.data]), writes)
     _log_skipped(task_data)
     print(f"wiring: {report.wiring}")
@@ -341,8 +336,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k-list", default="3,4,5,6")
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--stamp", action="store_true",
-                   help="embed a timestamp (breaks byte-identical reruns)")
     p.set_defaults(func=_cmd_expressiveness)
 
     p = sub.add_parser("train", help="train a model on a synthetic task")
@@ -362,8 +355,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--split-fraction", type=float, default=0.8)
     p.add_argument("--out", required=True, help="checkpoint path")
     p.add_argument("--report", default=None, help="TrainReport JSON path")
-    p.add_argument("--stamp", action="store_true",
-                   help="include wall-clock time in the report")
     p.set_defaults(func=_cmd_train)
 
     p = sub.add_parser("eval", help="evaluate a checkpoint on a dataset")

@@ -17,7 +17,7 @@ import numpy as np
 
 from .counts import count_signatures, walk_count_features_many, zero_counts
 from .errors import CapabilityError, InputError
-from .generators import RNG_NAME, STREAM_SPLIT, child_seed, gen_d_regular_many
+from .generators import D_REGULAR_MODEL, RNG_NAME, STREAM_SPLIT, child_seed, gen_d_regular_many
 from .graph import Graph
 from .nn import Model, forward_batch, input_features, make_batch
 from .wl import ISO_WALK_K, IsoState, iso_state, isomorphic_states, wl_graph_hash
@@ -83,7 +83,6 @@ class ExperimentReport:
     wl_distinguished_fraction: float
     wl_all_equal: bool
     num_regen_for_nonisomorphism: int
-    timestamp: str | None = None
 
     def to_obj(self) -> dict:
         obj = asdict(self)
@@ -177,7 +176,7 @@ def run_regular_experiment(n: int, d: int, graph_count: int, k_list,
             "k_list": k_list,
             "seed": seed,
             "generator": {"rng": RNG_NAME, "stream_split": STREAM_SPLIT,
-                          "model": "pairing-mckay-wormald-switchings"},
+                          "model": D_REGULAR_MODEL},
         },
         fractions=fractions,
         wl_distinguished_fraction=singletons / graph_count,

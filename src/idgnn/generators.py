@@ -30,6 +30,7 @@ log = logging.getLogger(__name__)
 
 RNG_NAME = "pcg64"
 STREAM_SPLIT = "blake2b(seed,index)[:8]"
+D_REGULAR_MODEL = "pairing-mckay-wormald-switchings"
 
 FAMILIES = ("d_regular", "small_world", "scale_free")
 
@@ -37,6 +38,7 @@ _MAX_PAIRING_RESTARTS = 1_000_000
 _PAIRING_BLOCK = 128  # most consecutive shuffles _draw_pairing checks at once
 _PAIRING_BLOCK_STUBS = 1 << 17  # and most stubs in one block (1 MB of int64)
 _BUILD_EDGES = 1 << 13  # most edges gen_d_regular_many builds at once
+_SWITCHING_JUMP = 0x9E3779B97F4A7C15F39CC0605CEDC835  # PCG64.jumped()'s step, no OS entropy
 
 
 @dataclass(frozen=True)
@@ -244,7 +246,8 @@ def _draw_pairing(n: int, d: int, seed: int) -> tuple[np.ndarray, np.ndarray, in
         for row, double in zip(free[fit].tolist(), doubles[fit].tolist()):
             cells = states[row]
             if double:
-                switchings = switchings or np.random.Generator(np.random.PCG64(seed).jumped())
+                switchings = switchings or np.random.Generator(
+                    np.random.PCG64(seed).advance(_SWITCHING_JUMP))
                 pairing = _Pairing(cells, n, d)
                 if not pairing.remove_doubles(switchings):
                     continue

@@ -30,7 +30,6 @@ then run one forward pass, and training one backward pass, per epoch.
 
 from __future__ import annotations
 
-import time
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -114,13 +113,6 @@ class TrainReport:
     final_val_accuracy: float
     num_parameters: int
     bin_edges: list[float]
-    wall_clock_seconds: float | None = None
-
-    def to_obj(self, include_wall_clock: bool = False) -> dict:
-        obj = asdict(self)
-        if not include_wall_clock:
-            obj["wall_clock_seconds"] = None
-        return obj
 
 
 def _bins(spec: TaskSpec, values) -> np.ndarray:
@@ -387,7 +379,6 @@ def train(model: Model, task: TaskSplit, epochs: int, lr: float = 0.01) -> Train
     non-finite.
     """
     check_schedule(epochs, lr)
-    started = time.monotonic()
     spec = task.spec
     check_classes(model, spec)
     prepared = _prepare(model, spec, task.train)
@@ -419,5 +410,4 @@ def train(model: Model, task: TaskSplit, epochs: int, lr: float = 0.01) -> Train
         final_val_accuracy=accuracy,
         num_parameters=model.num_parameters(),
         bin_edges=list(spec.bin_edges),
-        wall_clock_seconds=time.monotonic() - started,
     )

@@ -22,9 +22,11 @@ from idgnn.generators import GeneratorSpec, gen_d_regular, gen_dataset
 from idgnn.graph import extract_ego
 from idgnn.nn import (
     ModelConfig,
+    forward_batch,
     forward_id_full,
     forward_plain,
     init_model,
+    make_batch,
     make_walk_count_model,
 )
 from idgnn.tasks import make_node_cc_task, make_spd_task, split, train
@@ -97,14 +99,16 @@ def test_criterion_3_walk_count_oracle_equivalence():
         models = {k: make_walk_count_model(k) for k in range(1, 7)}
         for g in graphs:
             oracle = dense_power_diag(g, 6)
-            for v in range(g.num_nodes):
-                for k in range(1, 7):
+            for k in range(1, 7):
+                for v in range(g.num_nodes):
                     ego = extract_ego(g, v, k)
                     cm = identity_walk_counts(ego, k)
                     row = cm.counts[cm.identity_node]
                     assert row.tolist() == oracle[v, :k].tolist()
-                    h = forward_id_full(models[k], g, v, v, np.ones((g.num_nodes, k)))
-                    assert h.tolist() == oracle[v, :k].astype(float).tolist()
+                # one batch anchors every node at itself: row v is node v's counts
+                batch = make_batch(models[k], [g], [np.ones((g.num_nodes, k))])
+                h = forward_batch(models[k], batch)
+                assert h.tolist() == oracle[:, :k].astype(float).tolist()
             assert np.array_equal(walk_count_features(g, 6), oracle)
         assert time.monotonic() - start < 30.0
 

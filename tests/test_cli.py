@@ -169,7 +169,7 @@ class TestExpressiveness:
         report = json.load(open(out))
         fracs = [report["fractions"][k] for k in ("3", "4", "5")]
         assert fracs == sorted(fracs)
-        assert report["timestamp"] is None
+        assert "timestamp" not in report
         csv_path = str(tmp_path / "report.csv")
         header = open(csv_path).read().split("\n")[0]
         assert header == "n,d,graph_count,wl_baseline,K=3,K=4,K=5"
@@ -203,7 +203,7 @@ class TestTrainEval:
         assert report["wiring"] == "node_head"
         assert report["config"]["variant"] == "id_fast"
         assert len(report["train_losses"]) == 3
-        assert report["wall_clock_seconds"] is None
+        assert "wall_clock_seconds" not in report
         assert os.path.exists(ckpt)
 
     def test_train_rerun_identical_report(self, tmp_path, tiny_dataset):
@@ -958,6 +958,20 @@ def run_captured(argv) -> tuple:
         except SystemExit as exc:
             code = exc.code
     return code, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize("command", ["train", "expressiveness"])
+def test_stamp_is_not_a_flag(tmp_path, tiny_dataset, command):
+    # no output reads a clock: a stamped run is a usage error that writes nothing
+    out = tmp_path / "out.json"
+    argv = {"train": ["train", "--data", tiny_dataset, "--task", "node-cc", "--seed", "0",
+                      "--report", str(tmp_path / "r.json")],
+            "expressiveness": ["expressiveness", "--n", "8", "--d", "3", "--count", "2",
+                               "--k-list", "3", "--seed", "0"]}[command]
+    code, stdout, stderr = run_captured(argv + ["--out", str(out), "--stamp"])
+    assert (code, stdout) == (2, "")
+    assert "unrecognized arguments: --stamp" in stderr
+    assert sorted(os.listdir(tmp_path)) == ["data.jsonl", "data.jsonl.manifest.json"]
 
 
 @pytest.fixture()

@@ -154,6 +154,14 @@ class TestDRegularMatchesSequential:
         assert [edge_list(g) for g in graphs] == [edges for edges, _ in want]
         assert restart_records(caplog) == [r for _, r in want if r]
 
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3, 12345, 987654321987, 2**63 - 1])
+    def test_switching_stream_is_the_jumped_one(self, seed):
+        # advancing PCG64(seed) by jumped()'s step; each of these draws at (40, 5) switches
+        stream = np.random.PCG64(seed).advance(generators._SWITCHING_JUMP)
+        assert stream.state == np.random.PCG64(seed).jumped().state
+        edges, _ = d_regular_switching_sequential(40, 5, seed)
+        assert edge_list(gen_d_regular(40, 5, seed)) == edges
+
     def test_batches_build_the_graphs_of_one_at_a_time(self, monkeypatch):
         # batches of 3, 3 and 1 graphs give each graph the CSR arrays of its own build
         seeds = range(7)

@@ -28,12 +28,12 @@ DIGESTS = {
     "f1.jsonl": "3e2f3948ce2ccb5781ad18b620442cf37d77e97f54c22dbfac88b8d52ef4bdfe",
     "f2.jsonl": "badb57b33322d8d45c485947c0164fc836045f42728b94402512b8b0e022901e",
     "kept.jsonl": "cded70cd46662f3edeb1a16482153d8b1b973f31a70677369742adf14564cdbf",
-    "e16.json": "c1c2e5941582984583b55a547155b8feb01fe6c4cea84c3ae2b61e280080b50f",
+    "e16.json": "6719a038fded0464f60e61ef12f09632fe47276eab6f2e961ad694f690308db7",
     "e16.csv": "3162f6c81c9f11241c4cb6dc73cdb2e12165170ca0196d91263781a9ad90a3f4",
-    "e8.json": "be064eddcbd95a98836c387a7e5d6eed33cd1870d5431652d5443f1d204e4816",
+    "e8.json": "bf10d9ce390ad41148834e52a3c7c2c24b84197e5971670a2df4772654db01eb",
     "e8.csv": "e7ec151762344b2b30f256252ec9d886bf58e6c76f83aa3c9788a7eb8773f9a2",
     "fast.ckpt": "3b5c75c37dde0c776b2cae78d733bf36e1856c1a2d2b8b52e400f9a9d7fea920",
-    "fast.json": "14806719b54abbae0e675a7cb990e255b2d8a86a10dec0bd4854d195099a5ce0",
+    "fast.json": "a0670dbe5f3f48d4e5bd9dddd1ff84d3f9fa359f481e5d28f8e5a475f91599f3",
     "fast_eval.json": "b7fa24dcf78436d7d7ee0a4e22a102e41eb47808dfbfeabbe439c8e09d05428b",
 }
 

@@ -116,17 +116,21 @@ def test_output_digests_smoke():
 
 def test_output_digests_equal_the_checked_in_file():
     # the byte-identity promise: a fresh run, at one BLAS thread, prints the
-    # digests of tests/output_digests.txt; its "#" header names the versions
-    # that made the file
+    # digests of tests/output_digests.txt, or the failure lists every
+    # differing command; the file's "#" header names the versions that made it
     want = (ROOT / "tests" / "output_digests.txt").read_text().splitlines()
     proc = run_script(ROOT / "scripts" / "output_digests.py")
     assert proc.returncode == 0, proc.stderr
     got = proc.stdout.splitlines()
     headers = [[line for line in lines if line.startswith("#")] for lines in (want, got)]
     want, got = ([line for line in lines if not line.startswith("#")] for lines in (want, got))
+    changed = {}
     for i, (a, b) in enumerate(zip(want, got)):
         if a != b:
             command = next(line for line in reversed(want[:i + 1]) if line.startswith("$ "))
-            pytest.fail(f"first difference in {command!r}: {a!r} became {b!r} "
-                        f"(file made with {headers[0]}, run with {headers[1]})")
+            changed.setdefault(command, []).append(f"{a!r} became {b!r}")
+    if changed:
+        pytest.fail(f"{len(changed)} commands differ (file made with {headers[0]}, run with "
+                    f"{headers[1]}):\n" + "\n".join(
+                        "\n    ".join([command] + lines) for command, lines in changed.items()))
     assert len(got) == len(want)

@@ -1,5 +1,6 @@
 import collections
 import logging
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -263,7 +264,7 @@ class TestTrain:
         reports = []
         for _ in range(2):
             m = model_for("node_cc")
-            reports.append(train(m, ts, epochs=5).to_obj())
+            reports.append(asdict(train(m, ts, epochs=5)))
         assert reports[0] == reports[1]
 
     def test_loss_decreases_id_fast(self):
