@@ -1,10 +1,11 @@
 """Parameter-free walk-count constructions and the properties they recover.
 
-"Cycle counts" here are closed-walk counts, Diag(A^k): the shift-and-append
-message-passing recursion and adjacency powers both count walks, not simple
-paths or simple cycles, and walks are the only reading consistent with the
-recovery formulas below (see clustering_from_counts). All counting is exact
-integer arithmetic; 64-bit overflow is detected and reported.
+"Cycle counts" here are closed-walk counts, Diag(A^k): adjacency powers
+count walks, not simple paths or simple cycles, and walks are the only
+reading consistent with the recovery formulas below (see
+clustering_from_counts). The same counts come out of identity-aware message
+passing with hand-set weights, nn.make_walk_count_model. All counting here
+is exact integer arithmetic; 64-bit overflow is detected and reported.
 
 There is one closed-walk kernel, ``walk_count_features_many``. It groups
 whole graphs into blocks whose panel, the block's node count times the node
@@ -38,70 +39,13 @@ task labels in ``tasks`` read it.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import CapabilityError, InputError
-from .graph import EgoNet, Graph, union_csr
+from .graph import Graph, union_csr
 
 _INT64_LIMIT = np.int64(2**62)
-
-
-@dataclass(frozen=True)
-class CountMatrix:
-    """Per-node walk counts to a designated identity node.
-
-    ``counts[u][j-1]`` is the number of length-j walks from local node u to
-    the identity node, j = 1..k_max. The identity node's own row is the
-    closed-walk count vector Diag(A^j)[identity].
-    """
-
-    counts: np.ndarray
-    identity_node: int
-    k_max: int
-
-
-def identity_walk_counts(ego: EgoNet, k: int) -> CountMatrix:
-    """Walk counts to the identity node via k rounds of heterogeneous message
-    passing with the explicit shift-and-append weights.
-
-    Round 1 emits the constant 1 from the identity node and 0 elsewhere;
-    later rounds shift each neighbor's count vector by one and inject the
-    identity indicator into the first slot, summing over neighbors. Python
-    integers keep the arithmetic exact.
-    """
-    if k < 1:
-        raise InputError(f"k must be >= 1, got {k}")
-    flags = [i for i, f in enumerate(ego.identity_mask) if f]
-    if len(flags) != 1:
-        raise InputError(
-            f"ego must have exactly one identity node, found {len(flags)}"
-        )
-    identity = flags[0]
-    g = ego.subgraph
-    n = g.num_nodes
-    ptr, nbrs = g.indptr.tolist(), g.indices.tolist()
-    adjacency = [nbrs[a:b] for a, b in zip(ptr, ptr[1:])]
-    # h[u] after round r holds (walks of length 1..r from u to identity)
-    h: list[tuple[int, ...]] = [()] * n
-    for rnd in range(1, k + 1):
-        new_h = []
-        for u in range(n):
-            first = 0
-            rest = [0] * (rnd - 1)
-            for w in adjacency[u]:
-                if w == identity:
-                    first += 1
-                hw = h[w]
-                for j in range(rnd - 1):
-                    rest[j] += hw[j]
-            new_h.append((first, *rest))
-        h = new_h
-    if any(x >= 2**62 for row in h for x in row):
-        raise CapabilityError(f"walk counts exceed the 64-bit integer range at k={k}")
-    counts = np.array(h, dtype=np.int64).reshape(n, k)
-    return CountMatrix(counts, identity, k)
 
 
 # Graphs whose walk counts are computed together are grouped so that a
@@ -273,29 +217,6 @@ def clustering_from_counts(counts) -> float | np.ndarray:
     deg = c[..., 1]
     cc = np.divide(c[..., 2], deg * (deg - 1), out=np.zeros(deg.shape), where=deg > 1)
     return cc if c.ndim == 2 else float(cc)
-
-
-def reachability(g: Graph, u: int, v: int, k: int) -> bool:
-    """Whether the max-propagation flag from identity node v reaches u in k
-    rounds: messages from v are the constant 1, everyone else forwards its
-    previous value, and nodes take the max over incoming messages.
-
-    For u != v this equals BFS reachability within k hops. The literal
-    propagation makes a node self-reachable for k >= 2 exactly when it has a
-    neighbor (the flag goes out and comes back), which differs from the
-    "0 hops to itself" convention; callers that want shortest-path semantics
-    should not query u == v.
-    """
-    if not 0 <= u < g.num_nodes or not 0 <= v < g.num_nodes:
-        raise InputError("node id out of range")
-    if k < 0:
-        raise InputError(f"k must be nonnegative, got {k}")
-    ptr, nbrs = g.indptr.tolist(), g.indices.tolist()
-    adjacency = [nbrs[a:b] for a, b in zip(ptr, ptr[1:])]
-    h = [0] * g.num_nodes
-    for _ in range(k):
-        h = [max((1 if s == v else h[s]) for s in ns) if ns else 0 for ns in adjacency]
-    return bool(h[u])
 
 
 def count_signatures(counts: list[np.ndarray]) -> list[bytes]:

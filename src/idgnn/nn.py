@@ -681,14 +681,21 @@ def edge_pair_backward(model: Model, cache: dict, G_logits: np.ndarray,
 
 
 def make_walk_count_model(k: int) -> Model:
-    """A k-layer id_full sum-aggregation model whose center embedding is the
-    closed-walk count vector (lengths 1..k) of the ego center.
+    """A k-layer id_full sum-aggregation model whose embedding of an anchor
+    ``(u, v)`` counts the walks from u to the identity v of lengths 1..k.
+
+    Run it as forward_batch(model, make_batch(model, [g], [x], [anchors])),
+    any x of width k: the row of anchor (u, v) is (A^1[u, v], ..., A^k[u, v]).
+    It is zero when v lies farther than k from u, an identity outside the
+    ball included, so its first nonzero column is the u-v distance within k;
+    self anchors (v, v), make_batch's default, give Diag(A^j)[v].
 
     Layer 1 zeroes its input and emits the identity indicator into slot 1;
     later layers shift the count vector down one slot and inject the
-    indicator. All values stay nonnegative, so the ReLUs never clip and the
-    float64 arithmetic is exact integer arithmetic at desk scale. Run it as
-    forward_id_full(model, g, v, v, x), any x of width k, for node v's counts.
+    indicator. All values stay nonnegative, so the ReLUs never clip, and the
+    float64 sums are exact while every walk count they form, of length at
+    most k, stays below 2^53 (maxdeg^k < 2^53 suffices). Unlike counts'
+    int64 kernel, nothing checks that range.
     """
     if k < 1:
         raise InputError(f"k must be >= 1, got {k}")

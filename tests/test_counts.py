@@ -3,7 +3,7 @@ import time
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, seed, settings, strategies as st
 from idgnn import counts
 from idgnn.counts import _adjacency_panel as adjacency_panel
 from idgnn.counts import (
@@ -11,14 +11,13 @@ from idgnn.counts import (
     clustering_from_counts,
     count_signatures,
     graph_signature,
-    identity_walk_counts,
-    reachability,
     walk_count_features,
     walk_count_features_many,
     with_count_columns,
 )
 from idgnn.errors import CapabilityError, InputError
-from idgnn.graph import build_graph, extract_ego, relabel_graph
+from idgnn.graph import build_graph, relabel_graph
+from idgnn.nn import forward_batch, make_batch, make_walk_count_model
 from oracles import (
     bfs_distances,
     clustering_direct,
@@ -37,50 +36,51 @@ TWO_K3 = build_graph(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
 C6 = build_graph(6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (0, 5)])
 
 
+def model_rows(g, anchors, k: int) -> np.ndarray:
+    """Rows of make_walk_count_model(k) for ``anchors`` of g, run as one
+    batch: anchor (u, v) counts the walks u -> v of lengths 1..k."""
+    m = make_walk_count_model(k)
+    return forward_batch(m, make_batch(m, [g], [np.ones((g.num_nodes, k))], [anchors]))
+
+
+def first_nonzero(rows: np.ndarray) -> list[int | None]:
+    """Per row, the first length with a nonzero walk count, None for a zero
+    row: the u-v distance within k of an anchor (u, v), u != v."""
+    return [int(np.flatnonzero(r)[0]) + 1 if r.any() else None for r in rows]
+
+
 class TestIdentityWalkCounts:
     def test_triangle_rows(self):
         # frozen from the walk-enumeration oracle: identity row [0, 2, 2]
         # (A^2 = J + I, A^3 = 3J - I on K3), neighbor row [1, 1, 3]
-        ego = extract_ego(K3, 0, 3)
-        cm = identity_walk_counts(ego, 3)
+        rows = model_rows(K3, [(0, 0), (1, 0)], 3)
         for j in range(1, 4):
-            assert cm.counts[0, j - 1] == count_walks_brute(K3, 0, 0, j)
-            assert cm.counts[1, j - 1] == count_walks_brute(K3, 1, 0, j)
-        assert cm.counts[cm.identity_node].tolist() == [0, 2, 2]
-        assert cm.counts[1].tolist() == [1, 1, 3]
+            assert rows[0, j - 1] == count_walks_brute(K3, 0, 0, j)
+            assert rows[1, j - 1] == count_walks_brute(K3, 1, 0, j)
+        assert rows[0].tolist() == [0, 2, 2]
+        assert rows[1].tolist() == [1, 1, 3]
 
     def test_isolated_node(self):
         g = build_graph(1, [])
-        cm = identity_walk_counts(extract_ego(g, 0, 2), 4)
-        assert cm.counts.tolist() == [[0, 0, 0, 0]]
+        assert model_rows(g, [(0, 0)], 4).tolist() == [[0, 0, 0, 0]]
 
     def test_single_edge_rows(self):
         # oracle-frozen: exactly one length-3 walk u -> v -> u -> v on K2,
         # so the non-identity row is [1, 0, 1] and the identity row [0, 1, 0]
-        ego = extract_ego(K2, 1, 3)  # identity at node 1
-        cm = identity_walk_counts(ego, 3)
+        rows = model_rows(K2, [(0, 1), (1, 1)], 3)  # identity at node 1
         assert count_walks_brute(K2, 0, 1, 3) == 1
-        assert cm.counts[0].tolist() == [1, 0, 1]
-        assert cm.counts[1].tolist() == [0, 1, 0]
-
-    def test_requires_exactly_one_identity(self):
-        g = build_graph(4, [(0, 1), (1, 2), (2, 3)])
-        ego = extract_ego(g, 0, 2, identity_at=3)  # outside ball: no identity
-        with pytest.raises(InputError):
-            identity_walk_counts(ego, 2)
+        assert rows[0].tolist() == [1, 0, 1]
+        assert rows[1].tolist() == [0, 1, 0]
 
     def test_full_matrix_vs_walk_enumeration(self):
-        # counts[u][j] must equal the walk count on the ego subgraph
+        # the row of anchor (u, identity) must equal the walk count from u to
+        # the identity, for every u, those outside the ball included
         for g in random_mixed_graphs(6, seed=13, max_n=10):
-            for center in range(0, g.num_nodes, 3):
-                ego = extract_ego(g, center, 4)
-                cm = identity_walk_counts(ego, 4)
-                identity = ego.identity_mask.index(True)
-                for u in range(ego.subgraph.num_nodes):
+            for identity in range(0, g.num_nodes, 3):
+                rows = model_rows(g, [(u, identity) for u in range(g.num_nodes)], 4)
+                for u in range(g.num_nodes):
                     for j in range(1, 5):
-                        assert cm.counts[u, j - 1] == count_walks_brute(
-                            ego.subgraph, u, identity, j
-                        )
+                        assert rows[u, j - 1] == count_walks_brute(g, u, identity, j)
 
 
 class TestWalkCountFeatures:
@@ -101,11 +101,11 @@ class TestWalkCountFeatures:
             assert np.array_equal(walk_count_features(g, 6), dense_power_diag(g, 6))
 
     def test_matches_recursion_identity_row(self):
+        # the recursion is the engine's: self anchors give the closed walks
         for g in random_mixed_graphs(6, seed=3, max_n=20):
             feats = walk_count_features(g, 5)
-            for v in range(g.num_nodes):
-                cm = identity_walk_counts(extract_ego(g, v, 5), 5)
-                assert feats[v].tolist() == cm.counts[cm.identity_node].tolist()
+            assert np.array_equal(feats, dense_power_diag(g, 5))
+            assert feats.tolist() == model_rows(g, None, 5).tolist()
 
     def test_overflow_reported(self):
         n = 40
@@ -147,6 +147,30 @@ def walk_block_cells(cells):
         if cells is not None:
             mp.setattr(counts, "_WALK_BLOCK_CELLS", cells)
         yield
+
+
+@seed(0)
+@settings(max_examples=100, deadline=None)
+@given(g=small_graphs(11), k=st.integers(1, 5), data=st.data())
+def test_walk_count_model_rows(g, k, data):
+    # one more node, isolated, so some identities lie outside their ball;
+    # some anchors repeat
+    n = g.num_nodes + 1
+    g = build_graph(n, edge_list(g))
+    pair = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+    anchors = data.draw(st.lists(pair, min_size=1, max_size=12)) + [(0, n - 1)]
+    anchors += data.draw(st.lists(st.sampled_from(anchors), min_size=1, max_size=4))
+    rows = model_rows(g, anchors, k)
+    A = np.zeros((n, n), dtype=np.int64)
+    for u, v in edge_list(g):
+        A[u, v] = A[v, u] = 1
+    powers = [np.linalg.matrix_power(A, j) for j in range(1, k + 1)]
+    assert rows.tolist() == [[P[u, v] for P in powers] for u, v in anchors]
+    for row, anchor in zip(rows, anchors):
+        assert model_rows(g, [anchor], k).tolist() == [row.tolist()]
+    perm = data.draw(st.permutations(range(n)))
+    moved = [(perm[u], perm[v]) for u, v in anchors]
+    assert np.array_equal(model_rows(relabel_graph(g, perm), moved, k), rows)
 
 
 class TestWalkCountKernel:
@@ -366,28 +390,21 @@ class TestClustering:
 class TestReachability:
     def test_path_cases(self):
         p3 = build_graph(3, [(0, 1), (1, 2)])  # v=0, a=1, b=2
-        assert reachability(p3, 2, 0, 2) is True
-        assert reachability(p3, 2, 0, 1) is False
+        assert first_nonzero(model_rows(p3, [(2, 0)], 2)) == [2]
+        assert first_nonzero(model_rows(p3, [(2, 0)], 1)) == [None]
 
     def test_disconnected(self):
         g = build_graph(4, [(0, 1), (2, 3)])
-        assert reachability(g, 2, 0, 10) is False
-
-    def test_self_reachability_literal_semantics(self):
-        g = build_graph(3, [(0, 1)])
-        assert reachability(g, 0, 0, 2) is True  # has a neighbor
-        assert reachability(g, 0, 0, 1) is False
-        assert reachability(g, 2, 2, 5) is False  # isolated node
+        assert first_nonzero(model_rows(g, [(2, 0)], 10)) == [None]
 
     def test_matches_bfs_oracle(self):
         for g in random_mixed_graphs(8, seed=23, max_n=20):
             for v in range(0, g.num_nodes, 3):
+                others = [u for u in range(g.num_nodes) if u != v]
                 for k in range(1, 7):
                     dist = bfs_distances(g, v, k)
-                    for u in range(g.num_nodes):
-                        if u == v:
-                            continue
-                        assert reachability(g, u, v, k) == (dist[u] is not None)
+                    got = first_nonzero(model_rows(g, [(u, v) for u in others], k))
+                    assert got == [dist[u] for u in others]
 
 
 class TestSignature:

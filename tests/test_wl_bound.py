@@ -9,7 +9,7 @@ graphs runs as one batch through one forward pass without a tape, which is
 the sender-free max aggregation path.
 
 Beyond the bound: two such nodes whose closed-walk counts
-(``identity_walk_counts`` at the identity row, lengths 1..K) differ get
+(``walk_count_features``, lengths 1..K) differ get
 different self-anchored id_full embeddings under random parameters, for the
 four schemes that sum over neighbors (gcn, sage sum and mean, gin). Max
 aggregation reads the set of neighbor states, not their multiset, so it can
@@ -22,9 +22,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from idgnn.counts import identity_walk_counts
+from idgnn.counts import walk_count_features
 from idgnn.generators import gen_d_regular
-from idgnn.graph import Graph, build_graph, extract_ego, union_csr
+from idgnn.graph import Graph, build_graph, union_csr
 from idgnn.nn import ModelConfig, forward_batch, init_model, input_features, make_batch
 from idgnn.wl import wl_refine
 from gradcheck import randomize
@@ -80,10 +80,10 @@ def test_embeddings_equal_within_stable_wl_classes(graphs, seed, variant):
 
 
 def closed_walks(g: Graph, v: int) -> np.ndarray:
-    """Closed walks at v of lengths 1..K, by identity-aware message passing
-    on v's ego net."""
-    ego = extract_ego(g, v, K)
-    return identity_walk_counts(ego, K).counts[ego.identity_mask.index(True)]
+    """Closed walks at v of lengths 1..K, by the production kernel. A closed
+    walk of length <= K never leaves v's K//2-ball, so these are the counts
+    of v's ego net too."""
+    return walk_count_features(g, K)[v]
 
 
 def self_anchored(flavor, aggregation, seed, graphs, anchors=None) -> np.ndarray:
