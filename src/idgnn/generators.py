@@ -9,6 +9,9 @@ Random d-regular graphs are exactly uniform over the simple ones: pairings
 are shuffled until one has no loop, no triple edge and few double edges,
 which McKay and Wormald's switchings then remove, each with an exact
 rejection, instead of a restart. Seeds are drawn in order in one process.
+Shuffles are checked in blocks of a fixed size, set from the rows expected
+before a candidate, and a switching state costs O(n*d) memory and is built
+from what the block check already sorted.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ import math
 import struct
 from collections import Counter
 from dataclasses import dataclass
-from itertools import chain
+from itertools import repeat
 
 import numpy as np
 
@@ -113,21 +116,26 @@ class _Pairing:
     Wormald's switchings remove. Slot i joins ``cells[2i]`` and
     ``cells[2i + 1]``; ``nbrs[v]`` lists v's neighbours once per stub,
     ``single[v]`` counts its single edges, ``stars`` is |S|, the number of
-    ordered stars (c; w1, w2) of single edges cw1 != cw2, and ``doubles``
-    maps each double's key lo*n + hi to its two slots."""
+    ordered stars (c; w1, w2) of single edges cw1 != cw2, ``doubles`` lists
+    the keys lo*n + hi of the double edges in order and ``slots`` maps each
+    to its two slots, which no switching of another double moves. All of it
+    is O(n*d); a candidate builds it from one stable argsort of its cells
+    and the double keys that the block check has already sorted."""
 
-    def __init__(self, cells: np.ndarray, n: int, d: int):
-        self.cells, self.n = cells.tolist(), n
+    def __init__(self, cells: np.ndarray, doubles: list[int], n: int, d: int):
+        self.cells, self.doubles, self.n, self.d = cells.tolist(), doubles, n, d
         self.full, self.conf, self.loss, _ = _bounds(n, d)
         # stable sorts, as the signatures' lexsort uses, page in no other sort code
-        self.nbrs = cells[np.argsort(cells, kind="stable") ^ 1].reshape(n, d).tolist()
-        keys = np.minimum(cells[0::2], cells[1::2]) * n + np.maximum(cells[0::2], cells[1::2])
-        order = np.argsort(keys, kind="stable")
-        first = np.flatnonzero(keys[order][1:] == keys[order][:-1])
-        self.doubles = {int(keys[order[i]]): [int(order[i]), int(order[i + 1])] for i in first}
-        ends = np.divmod(np.array(list(self.doubles), dtype=np.int64), n)
-        self.single = (d - 2 * np.bincount(np.concatenate(ends), minlength=n)).tolist()
-        self.stars = sum(s * (s - 1) for s in self.single)
+        where = np.argsort(cells, kind="stable")
+        self.nbrs = cells[where ^ 1].reshape(n, d).tolist()
+        self.single, self.slots = [d] * n, {}
+        for key in doubles:
+            lo, hi = divmod(key, n)
+            self.slots[key] = [int(where[lo * d + i]) // 2
+                               for i, w in enumerate(self.nbrs[lo]) if w == hi]
+            self.single[lo] -= 2
+            self.single[hi] -= 2
+        self.stars = self.full - sum(d * (d - 1) - s * (s - 1) for s in self.single if s < d)
 
     def pick(self, index: int, bits: int, p5: int, p7: int):
         """((v1, ..., v6), key, x2, x4, p5, p7) of double ``index`` in key order,
@@ -135,11 +143,11 @@ class _Pairing:
         v2's positions, v3, v5 = cells[p5], cells[p5 ^ 1] and v4, v6 likewise
         at p7. None (the f-rejection) unless the six cells differ, v3v5 and
         v4v6 are single edges, and v1v3, v1v4, v2v5, v2v6 are not edges."""
-        key = sorted(self.doubles)[index]
+        key = self.doubles[index]
         v1, v2 = divmod(key, self.n)
         if bits & 1:
             v1, v2 = v2, v1
-        first, second = self.doubles[key][::-1] if bits & 2 else self.doubles[key]
+        first, second = self.slots[key][::-1] if bits & 2 else self.slots[key]
         c, nbrs = self.cells, self.nbrs
         x2, x4 = 2 * first + (c[2 * first + 1] == v2), 2 * second + (c[2 * second + 1] == v2)
         v3, v5, v4, v6 = c[p5], c[p5 ^ 1], c[p7], c[p7 ^ 1]
@@ -153,7 +161,8 @@ class _Pairing:
         """Swap v2 at x2 with v3 at p5, and v2 at x4 with v4 at p7."""
         (v1, v2, v3, v4, v5, v6), key, x2, x4, p5, p7 = pick
         self.cells[x2], self.cells[p5], self.cells[x4], self.cells[p7] = v3, v2, v4, v2
-        del self.doubles[key]
+        self.doubles.remove(key)
+        del self.slots[key]
         for u, old, new in ((v1, v2, v3), (v1, v2, v4), (v2, v1, v5), (v2, v1, v6),
                             (v3, v5, v1), (v5, v3, v2), (v4, v6, v1), (v6, v4, v2)):
             nb = self.nbrs[u]
@@ -166,20 +175,24 @@ class _Pairing:
     def compatible_stars(self, v1: int, v3: int, v4: int) -> int:
         """N2: the stars (c; w1, w2) with c outside N[v1], w1 outside {v1, v3,
         v4} and N(v3), and w2 outside {v1, v3, v4} and N(v4): |S| less the
-        stars centred at N[v1] or next to those at most 2d + 4 cells."""
-        nbrs, single = self.nbrs, self.single
+        stars centred at N[v1] or next to out1 ∪ out2, at most 2d + 4 cells.
+        With h1, h2 and h the single neighbours of c in out1, in out2 and in
+        either, c outside N[v1] loses s_c*h1 + s_c*h2 - h1*h2 - h stars, so
+        the gathered rows of out1 ∪ out2 give the loss edge by edge."""
+        nbrs, single, d = self.nbrs, self.single, self.d
         near = {v1, *nbrs[v1]}
         out1, out2 = {v1, v3, v4, *nbrs[v3]}, {v1, v3, v4, *nbrs[v4]}
-        ws = {x: [w for w in nbrs[x] if single[x] == len(nbrs[x]) or nbrs[x].count(w) == 1]
-              for x in out1 | out2}
-        # c -> how many of its single neighbours lie in out1, in out2, in either
-        hit1, hit2, hit = (Counter(chain.from_iterable(ws[x] for x in xs))
-                           for xs in (out1, out2, ws))
-        lost = sum(single[c] * (single[c] - 1) for c in near)
-        for c, h in hit.items():
-            if c not in near:
-                k = single[c]
-                lost += k * (k - 1) - (k - hit1[c]) * (k - hit2[c]) + k - h
+
+        def far(xs):  # the single edges xc with c outside N[v1], one entry each
+            return [c for x in xs for c in (nbrs[x] if single[x] == d else
+                                            [w for w in nbrs[x] if nbrs[x].count(w) == 1])
+                    if c not in near]
+
+        ones, boths = far(out1 - out2), far(out1 & out2)
+        in1, in2 = ones + boths, far(out2 - out1) + boths
+        h2, s = Counter(in2), single.__getitem__
+        lost = (sum(k * (k - 1) for k in map(s, near)) + sum(map(s, in1)) + sum(map(s, in2))
+                - sum(map(h2.get, in1, repeat(0))) - len(ones) - len(in2))
         return self.stars - lost
 
     def remove_doubles(self, rng: np.random.Generator) -> bool:
@@ -220,9 +233,10 @@ def _draw_pairing(n: int, d: int, seed: int) -> tuple[np.ndarray, np.ndarray, in
     stubs on ``_rng(seed)``; a row with no loop, no triple edge and at most
     D doubles wins if it has none, else it is switched on
     ``PCG64(seed).jumped()`` and discarded at a rejection. Rows are checked
-    in blocks, the first sized from the rows expected before such a row,
-    then doubling up to ``_PAIRING_BLOCK`` rows and ``_PAIRING_BLOCK_STUBS``
-    stubs, with the result of checking one row at a time."""
+    in blocks of a fixed size, the rows expected before such a row, at most
+    ``_PAIRING_BLOCK`` rows and ``_PAIRING_BLOCK_STUBS`` stubs, with the
+    result of checking one row at a time; a bigger block would shuffle more
+    rows past the one that wins."""
     rng, switchings = _rng(seed), None
     stubs = np.repeat(np.arange(n, dtype=np.int64), d)
     most = _bounds(n, d)[3]
@@ -230,9 +244,8 @@ def _draw_pairing(n: int, d: int, seed: int) -> tuple[np.ndarray, np.ndarray, in
     # about e^((d^2-1)/4) rows come before a simple one, e^((d-1)/2) before one without loops
     log_rows = (d * d - 1) / 4 if most == 0 else (d - 1) / 2
     batch = cap if log_rows >= math.log(cap) else min(cap, math.ceil(math.exp(log_rows)))
-    restarts = 0
+    restarts, states = 0, np.empty((batch, stubs.size), dtype=np.int64)
     while restarts <= _MAX_PAIRING_RESTARTS:
-        states = np.empty((batch, stubs.size), dtype=np.int64)
         for row in states:
             rng.shuffle(stubs)
             row[:] = stubs
@@ -243,19 +256,18 @@ def _draw_pairing(n: int, d: int, seed: int) -> tuple[np.ndarray, np.ndarray, in
         doubles = repeat.sum(axis=1)
         fit = (~(repeat[:, 1:] & repeat[:, :-1]).any(axis=1) & (doubles <= most)
                & (restarts + free <= _MAX_PAIRING_RESTARTS))
-        for row, double in zip(free[fit].tolist(), doubles[fit].tolist()):
-            cells = states[row]
-            if double:
+        for i in np.flatnonzero(fit).tolist():
+            cells = states[free[i]]
+            if doubles[i]:
                 switchings = switchings or np.random.Generator(
                     np.random.PCG64(seed).advance(_SWITCHING_JUMP))
-                pairing = _Pairing(cells, n, d)
+                pairing = _Pairing(cells, keys[i, 1:][repeat[i]].tolist(), n, d)
                 if not pairing.remove_doubles(switchings):
                     continue
                 cells = np.array(pairing.cells, dtype=np.int64)
             u, v = cells[0::2], cells[1::2]
-            return np.minimum(u, v), np.maximum(u, v), restarts + row
+            return np.minimum(u, v), np.maximum(u, v), restarts + int(free[i])
         restarts += batch
-        batch = min(2 * batch, cap)
     raise CapabilityError(f"pairing model failed to produce a simple {d}-regular graph "
                           f"on {n} nodes within {_MAX_PAIRING_RESTARTS} restarts")
 

@@ -79,7 +79,9 @@ def _stabilize(g: Graph, init_colors=None, visit=lambda colors: None):
     """Refine canonical colorings to stabilization, at most max(num_nodes, 1)
     rounds, calling ``visit`` on each distinct coloring in order, round 0
     first. Returns the stable coloring and the number of rounds run,
-    including the one that repeated it."""
+    including the one that repeated it. From a uniform coloring, round 1
+    is the canonical rank of each node's degree, the same coloring without
+    building a signature per node, so a regular graph stops there."""
     n = g.num_nodes
     if init_colors is None:
         colors = [0] * n
@@ -94,10 +96,14 @@ def _stabilize(g: Graph, init_colors=None, visit=lambda colors: None):
     adjacency = [nbrs[a:b] for a, b in zip(ptr, ptr[1:])]
     rounds = max(n, 1)
     for r in range(1, rounds + 1):
-        new_colors = _canonical_ranks([
-            (colors[v], tuple(sorted(colors[w] for w in adjacency[v])))
-            for v in range(n)
-        ])
+        if r == 1 and not any(colors):
+            # from one color the signatures are (0, (0,) * degree), ranked as the degrees
+            new_colors = _canonical_ranks([len(a) for a in adjacency])
+        else:
+            new_colors = _canonical_ranks([
+                (colors[v], tuple(sorted(colors[w] for w in adjacency[v])))
+                for v in range(n)
+            ])
         if new_colors == colors:
             return colors, r
         colors = new_colors

@@ -1,5 +1,6 @@
 import logging
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -120,7 +121,7 @@ class TestDRegularMatchesSequential:
 
     def test_cap_boundary(self, monkeypatch):
         # seed 9 at (20, 4) accepts row 117, inside the block of rows
-        # 75..154, after rejecting candidates with doubles
+        # 115..119 (blocks of 5 rows), after rejecting candidates with doubles
         edges, restarts = d_regular_switching_sequential(20, 4, 9)
         assert restarts == 117
         monkeypatch.setattr(generators, "_MAX_PAIRING_RESTARTS", restarts - 1)
@@ -302,6 +303,12 @@ class Arrangement:
         return c, (doubles.index((min(v1, v2), max(v1, v2))), bits, p5, p7)
 
 
+def pairing_of(cells: list[int], n: int, d: int) -> generators._Pairing:
+    """The switching state of a candidate, given its double keys in order."""
+    doubles = [lo * n + hi for lo, hi in Arrangement(cells, n).doubles]
+    return generators._Pairing(np.array(cells, dtype=np.int64), doubles, n, d)
+
+
 def switched(cells: list[int], x2: int, x4: int, p5: int, p7: int) -> list[int]:
     c = list(cells)
     c[x2], c[p5] = c[p5], c[x2]
@@ -322,7 +329,7 @@ class TestSwitchingExactness:
         cells = shuffled_candidate(n, d, doubles, seed)
         full, conf, loss, _ = generators._bounds(n, d)
         s_min = full - loss * (doubles - 1)
-        arr, pairing = Arrangement(cells, n), generators._Pairing(np.array(cells), n, d)
+        arr, pairing = Arrangement(cells, n), pairing_of(cells, n, d)
         size, valid = len(cells), []
         for index in range(doubles):
             for bits in range(4):
@@ -346,7 +353,7 @@ class TestSwitchingExactness:
         # star, and 300 inverse structures, spread over all of them, undone
         # to a candidate of the same class whose pick switches back
         for pick, got in valid[::len(valid) // 3 + 1]:
-            fast = generators._Pairing(np.array(cells), n, d)
+            fast = pairing_of(cells, n, d)
             fast.switch(got)
             res = Arrangement(fast.cells, n)
             stars = res.stars()
@@ -361,9 +368,164 @@ class TestSwitchingExactness:
                 counts = list(pair_counts(before).values())
                 assert max(counts) == 2 and counts.count(2) == doubles
                 assert all(a != b for a, b in zip(before[0::2], before[1::2]))
-                again = generators._Pairing(np.array(before), n, d).pick(*back)
+                again = pairing_of(before, n, d).pick(*back)
                 assert again is not None
                 assert switched(before, again[2], again[3], back[2], back[3]) == fast.cells
+
+
+def stub_neighbours(cells: list[int], n: int) -> list[list[int]]:
+    """Each node's neighbours once per stub, sorted, read off the slots."""
+    nbrs: list[list[int]] = [[] for _ in range(n)]
+    for a, b in zip(cells[0::2], cells[1::2]):
+        nbrs[a].append(b)
+        nbrs[b].append(a)
+    return [sorted(nb) for nb in nbrs]
+
+
+class CheckedPairing(generators._Pairing):
+    """A switching state that, after every switch, compares its incremental
+    state with one rebuilt from its cells and with the definitions, and
+    its N2 with the compatible stars listed one by one."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.switches = 0
+
+    def switch(self, pick):
+        super().switch(pick)
+        self.switches += 1
+        n, d = self.n, self.d
+        fresh, arr = pairing_of(self.cells, n, d), Arrangement(self.cells, n)
+        assert self.doubles == fresh.doubles == [lo * n + hi for lo, hi in arr.doubles]
+        assert self.slots == fresh.slots == {lo * n + hi: [i // 2 for i in arr.slot[lo, hi]]
+                                             for lo, hi in arr.doubles}
+        assert self.single == fresh.single == [len(s) for s in arr.single]
+        stars = arr.stars()
+        assert self.stars == fresh.stars == len(stars)
+        assert ([sorted(nb) for nb in self.nbrs] == [sorted(nb) for nb in fresh.nbrs]
+                == stub_neighbours(self.cells, n))
+        first = pick[0][0], pick[0][2], pick[0][3]
+        assert (self.compatible_stars(*first) == fresh.compatible_stars(*first)
+                == sum(arr.compatible(first, other) for other in stars))
+
+
+# (n, d) with D >= 1, which needs n > 3d + 5
+switching_settings = st.sampled_from(
+    [(n, d) for d in (3, 4, 5) for n in range(3 * d + 6, 37) if n * d % 2 == 0])
+
+
+@settings(max_examples=40, deadline=None)
+@given(setting=switching_settings, seed=st.integers(0, 2**32 - 1),
+       doubles=st.integers(1, 3))
+def test_switching_state_matches_a_rebuild(setting, seed, doubles):
+    # remove_doubles on one candidate with at most D doubles, on switching
+    # streams until three switches are checked or 100 streams have run
+    n, d = setting
+    doubles = min(doubles, generators._bounds(n, d)[3])
+    cells = shuffled_candidate(n, d, doubles, seed)
+    keys = [lo * n + hi for lo, hi in Arrangement(cells, n).doubles]
+    switches = 0
+    for stream in range(100):
+        if switches >= 3:
+            break
+        pairing = CheckedPairing(np.array(cells, dtype=np.int64), list(keys), n, d)
+        pairing.remove_doubles(np.random.default_rng([seed, stream]))
+        switches += pairing.switches
+    assert switches >= 1
+
+
+class ScriptedGenerator:
+    """Stands in for the switching stream: ``integers(high)`` and ``random()``
+    return the scripted values in order, each ``integers`` call naming the
+    bound the script expects."""
+
+    def __init__(self, script):
+        self.script = list(script)
+
+    def integers(self, high):
+        name, bound, value = self.script.pop(0)
+        assert (name, bound) == ("integers", high)
+        return value
+
+    def random(self):
+        name, _, value = self.script.pop(0)
+        assert name == "random"
+        return value
+
+
+class TestBRejection:
+    """remove_doubles accepts a valid pick exactly when its two ``random()``
+    values fall under S_min/|S| and c_min/N2, counted by definition. The
+    candidate has three doubles, two of them at one node after the first
+    switch, so that |S| > S_min there; later switches are scripted to be
+    accepted."""
+
+    n, d = 22, 4
+
+    def first_valid(self, cells, m):
+        arr, size = Arrangement(cells, self.n), len(cells)
+        for index in range(m):
+            for bits in range(4):
+                for p5 in range(size):
+                    for p7 in range(size):
+                        got = arr.pick(index, bits, p5, p7)
+                        if got is not None:
+                            return (index, bits, p5, p7), got
+
+    def steps(self, cells, m):
+        """The integers of the first valid pick from class m, the cells it
+        switches to, and the thresholds S_min/|S| and c_min/N2 there."""
+        full, conf, loss, _ = generators._bounds(self.n, self.d)
+        (index, bits, p5, p7), ((v1, _, v3, v4, _, _), x2, x4) = self.first_valid(cells, m)
+        result = switched(cells, x2, x4, p5, p7)
+        res = Arrangement(result, self.n)
+        stars = res.stars()
+        n2 = sum(res.compatible((v1, v3, v4), other) for other in stars)
+        s_min = full - loss * (m - 1)
+        draws = [("integers", m, index), ("integers", 4, bits),
+                 ("integers", len(cells), p5), ("integers", len(cells), p7)]
+        return draws, result, s_min / len(stars), (s_min - conf) / n2
+
+    @pytest.mark.parametrize("over_s, over_c", [(False, False), (True, False), (False, True)])
+    def test_accepts_exactly_under_both_thresholds(self, over_s, over_c):
+        cells = shuffled_candidate(self.n, self.d, 3, 1)
+        draws, last, a, b = self.steps(cells, 3)
+        assert 0 < a < 1 and 0 < b < 1
+        r1 = a * (1 + 1e-9) if over_s else a * (1 - 1e-9)
+        r2 = b * (1 + 1e-9) if over_c else b * (1 - 1e-9)
+        script = draws + [("random", None, r1)] + ([] if over_s else [("random", None, r2)])
+        accepted = not (over_s or over_c)
+        for m in (2, 1) if accepted else ():
+            # the next switch is valid and accepted at 0
+            draws, last, _, _ = self.steps(last, m)
+            script += draws + [("random", None, 0.0), ("random", None, 0.0)]
+        rng = ScriptedGenerator(script)
+        pairing = pairing_of(cells, self.n, self.d)
+        assert pairing.remove_doubles(rng) is accepted
+        assert rng.script == []
+        assert pairing.cells == last
+
+
+def test_switching_state_stays_small(monkeypatch):
+    # O(n*d) state: seed 2 at (20000, 3) switches three times, and the draw
+    # peaks near 10 MB under tracemalloc; an n x n state would need 400 MB
+    # at one byte a pair
+    switches = []
+
+    class Counting(generators._Pairing):
+        def switch(self, pick):
+            super().switch(pick)
+            switches.append(pick)
+
+    monkeypatch.setattr(generators, "_Pairing", Counting)
+    tracemalloc.start()
+    try:
+        gen_d_regular(20_000, 3, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(switches) == 3
+    assert peak < 32 * 2**20
 
 
 def triangle_count(edges) -> int:

@@ -1,3 +1,4 @@
+import hashlib
 import signal
 from contextlib import contextmanager
 
@@ -15,7 +16,7 @@ from idgnn.generators import gen_d_regular, gen_small_world
 from idgnn.graph import build_graph, relabel_graph
 from idgnn import wl
 from idgnn.wl import are_isomorphic, wl_equivalent, wl_graph_hash, wl_refine
-from oracles import edge_list, isomorphic_brute, neighbor_lists
+from oracles import edge_list, isomorphic_brute, neighbor_lists, random_mixed_graphs
 
 TWO_K3 = build_graph(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
 C6 = build_graph(6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (0, 5)])
@@ -121,6 +122,65 @@ def test_pinned_hash_and_rounds(tmp_path, capsys, g, digest, rounds, colors):
 def test_pinned_rounds_from_init_colors(g, init, rounds, colors):
     coloring = wl_refine(g, init_colors=init)
     assert (coloring.num_rounds, coloring.colors) == (rounds, colors)
+
+
+# Round counts, blake2b-8 digests of the stable colors and hashes computed
+# by an earlier implementation, which refined round 1 from neighbor colors
+# where wl_refine now ranks degrees: 24 mixed graphs, paths on 2, 3, 5 and 9
+# nodes, stars on 3, 4 and 7, and the empty graphs on 0, 1 and 5 nodes.
+ROUND_GRAPHS = (
+    random_mixed_graphs(24, 5)
+    + [build_graph(n, [(i, i + 1) for i in range(n - 1)]) for n in (2, 3, 5, 9)]
+    + [build_graph(n, [(0, i) for i in range(1, n)]) for n in (3, 4, 7)]
+    + [build_graph(n, []) for n in (0, 1, 5)])
+PINNED_ROUNDS = [
+    (1, "1a01c3ee608fdb13", "c4b4d80722ba6add"),  # n=30
+    (5, "a3af822dc4cd60f2", "3d53cf9c1f7b2f32"),  # n=8
+    (4, "7ba4d1acb6c217c1", "62162860c2ba7e81"),  # n=34
+    (1, "707636c7b163b31c", "aa0189d8ada0f607"),  # n=18
+    (5, "5e37c0651c7b086d", "2e92b2a5c2635a43"),  # n=20
+    (4, "42d59d5b7896c51f", "18478f485c90d985"),  # n=12
+    (1, "53242928a2d787e3", "54753c8df3502071"),  # n=12
+    (4, "51400a7c26b7faf0", "8cbf94b381aae1fd"),  # n=14
+    (4, "8b2737e359d2f265", "ef91b83ee1bbc4f5"),  # n=29
+    (1, "c31aa0b563a6a5e5", "75fd857c77a5ca8a"),  # n=22
+    (4, "35af1b468465a21c", "5f572aba0cc6ef4b"),  # n=37
+    (4, "c31a46448fa65b24", "10ff86c222b74d63"),  # n=11
+    (1, "55eded89e6e755f6", "2fcc13b2d8078e60"),  # n=29
+    (5, "d045ee7695d885c7", "a1e9d722b97af2c2"),  # n=29
+    (4, "d5c04c877ab5c022", "704e50905d8110ed"),  # n=10
+    (1, "b49a317d84c482dd", "e3259fd972de06a7"),  # n=16
+    (3, "d27c85d23d483401", "0bb1d8169da948a7"),  # n=10
+    (3, "1901a5dd21962a1d", "d0ad033e6dbbbb4e"),  # n=12
+    (1, "1fed3da2fa59e4c3", "c1b819b769d54c70"),  # n=26
+    (9, "396eec29dbd3417b", "6d1d4d4fc96cca7d"),  # n=37
+    (4, "4d3da1eaed3ba402", "39f1894c7557897e"),  # n=36
+    (1, "fbf5302dc308ce46", "e1b12a26896cf407"),  # n=31
+    (4, "4a4b3f9579ed58ac", "f5cdc2931323d96a"),  # n=24
+    (5, "7183f99febb14180", "244d8f21850a6ece"),  # n=38
+    (1, "257993e97254ab8d", "b420b0d86e6dbc76"),  # n=2
+    (2, "6a7d37b4c8581834", "9dc1c938827dcaa0"),  # n=3
+    (3, "c1d7a7e09ae5a7db", "9e567462b94dda84"),  # n=5
+    (5, "9a77d7fce212e8dd", "7f83ae607092d7a4"),  # n=9
+    (2, "a1277d118d2d7117", "9dc1c938827dcaa0"),  # n=3
+    (2, "868fcf4434c118c3", "d7b77a1d8bebe23b"),  # n=4
+    (2, "647addd7ac5db806", "97e3026414439c24"),  # n=7
+    (1, "9791547bf874064f", "0271cee1f119ca88"),  # n=0
+    (1, "c8238c97d6320a49", "3d0d5a17d0c16cb8"),  # n=1
+    (1, "f10cb1e1850bedad", "aed5567eff852560"),  # n=5
+]
+
+
+@pytest.mark.parametrize("index", range(len(PINNED_ROUNDS)))
+def test_pinned_rounds_colors_and_hashes(index):
+    # the degree round starts from any uniform coloring, and keeps rounds,
+    # colors and hashes on non-regular graphs too
+    g, (rounds, colors, digest) = ROUND_GRAPHS[index], PINNED_ROUNDS[index]
+    assert f"{wl_graph_hash(g):016x}" == digest
+    for init in (None, [7] * g.num_nodes):
+        coloring = wl_refine(g, init_colors=init)
+        assert coloring.num_rounds == rounds
+        assert hashlib.blake2b(repr(coloring.colors).encode(), digest_size=8).hexdigest() == colors
 
 
 class TestIsomorphism:
